@@ -2,11 +2,12 @@
 
 For every k the 2^k x 2^k representation over Laurent polynomials in (a, c)
 kills every orbit generator except v_{k+2}, whose image is the identity
-plus a single corner entry k!(1/c-1)(1-a).  Commutators against that image
-only ever produce corner scalars (a^m c^-n - 1) times the same constant,
-and no sum of such terms can equal the constant identically in (a, c) --
-so v_{k+2} stays outside [orbit, everything] at every level: the orbit
-depth is unbounded.
+plus a single corner entry kappa = k!(1/c-1)(1-a).  Every generator image
+is upper triangular with diagonal (a^m, 1, ..., 1, c^n), so the commutator
+of any image with that corner matrix has corner kappa (a^m c^-n - 1), which
+vanishes at (a, c) = (1, 1).  The corner of v_{k+2} itself is kappa * 1,
+which does not -- so v_{k+2} stays outside [orbit, everything] at every
+level: the orbit depth is unbounded.
 """
 
 import sys
@@ -32,8 +33,8 @@ for k in range(1, k_max + 1):
     corner = expected_corner_scalar(k)
     print(f"  corner of rho(v_{k+2}) - I: {corner!r}")
     print(f"    at (a, c) = (2, 3): {corner.evaluate(Fraction(2), Fraction(3))}")
-    cert = depth_certificate(k, samples=50)
-    print(f"  separation certificate ({cert.samples} random commutator scalars,"
-          f" impossibility on the harvested exponents): pass = {cert.passed}")
+    cert = depth_certificate(k, rep)
+    print(f"  separation certificate (v-image table and corner lemma,"
+          f" {len(cert.items)} items): pass = {cert.passed}")
 
 print("\nEvery level separates its v_{k+2}; no finite depth bounds the orbit.")

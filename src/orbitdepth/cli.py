@@ -3,7 +3,7 @@
 Subcommand tree:
 
     orbit  {var, mon, depth, project}
-    repr   {matrices, check-v, comm-scalar, impossible, certificate}
+    repr   {matrices, check-v, comm-scalar, certificate}
     mel    {wronskian, build, classify, mv, center}
     num    {pairing, iterated, cauchy-suite, fit, holonomy, center-check}
     verify {orbit, repr, melnikov, numeric, all}
@@ -42,7 +42,6 @@ from .representation import (
     base_matrices,
     commutator_scalar,
     depth_certificate,
-    impossibility_check,
     verify_v_images,
 )
 from .ratfunc import parse_rational
@@ -144,18 +143,8 @@ def cmd_repr_comm_scalar(args):
            "scalar": repr(scalar)}, args)
 
 
-def cmd_repr_impossible(args):
-    terms = []
-    for chunk in args.terms.split(";"):
-        lam, m, n = (int(v) for v in chunk.split(","))
-        terms.append((lam, m, n))
-    ok = impossibility_check(terms)
-    _emit({"terms": terms, "nonvanishing": ok}, args)
-    return 0 if ok else 1
-
-
 def cmd_repr_certificate(args):
-    cert = depth_certificate(args.k, samples=args.samples, seed=args.seed)
+    cert = depth_certificate(args.k)
     _emit(cert.to_dict(), args)
     return 0 if cert.passed else 1
 
@@ -365,7 +354,7 @@ def cmd_num_center_check(args):
 
 def _config_from_args(args) -> Config:
     cfg = Config.from_file(args.config) if args.config else Config()
-    for key in ("seed", "t0", "k_max", "samples"):
+    for key in ("seed", "t0", "k_max"):
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
@@ -440,14 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--word", required=True)
     q.set_defaults(func=cmd_repr_comm_scalar)
-    q = rsub.add_parser("impossible", help="generic-parameter impossibility check")
-    q.add_argument("--terms", required=True,
-                   help="semicolon-separated lambda,m,n triples")
-    q.set_defaults(func=cmd_repr_impossible)
     q = rsub.add_parser("certificate", help="full separation certificate")
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--samples", type=int, default=100)
-    q.add_argument("--seed", type=int, default=20259)
     q.set_defaults(func=cmd_repr_certificate)
 
     mel = sub.add_parser("mel", help="exact Wronskian layer")
@@ -522,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int)
     ver.add_argument("--t0", type=float)
     ver.add_argument("--k-max", dest="k_max", type=int)
-    ver.add_argument("--samples", type=int)
     ver.add_argument("--eps-grid")
     ver.add_argument("--output-dir")
     ver.add_argument("--out")
@@ -535,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     repo.add_argument("--seed", type=int)
     repo.add_argument("--t0", type=float)
     repo.add_argument("--k-max", dest="k_max", type=int)
-    repo.add_argument("--samples", type=int)
     repo.add_argument("--eps-grid")
     repo.add_argument("--output-dir")
     repo.set_defaults(func=cmd_report)

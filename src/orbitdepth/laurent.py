@@ -102,11 +102,13 @@ class LaurentPoly2:
     __rmul__ = __mul__
 
     def unit_inverse(self) -> "LaurentPoly2":
-        """Inverse of a single-term Laurent polynomial."""
+        """Inverse of a unit of Z[a^+-1, c^+-1], i.e. of +-a^m c^n."""
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible as Laurent units")
         ((m, n), c), = self.terms.items()
-        return LaurentPoly2.monomial(-m, -n, Fraction(1, 1) / Fraction(c))
+        if c not in (1, -1):
+            raise ValueError(f"coefficient {c} is not a unit of the integers")
+        return LaurentPoly2.monomial(-m, -n, int(c))
 
     def evaluate(self, a, c):
         """Exact evaluation; a, c are Fractions (or floats/complex)."""

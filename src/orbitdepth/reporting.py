@@ -1,9 +1,8 @@
-"""Check suites, machine-readable reports and the full reproduction pipeline.
+"""Check suites and machine-readable reports.
 
 Every check produces a CheckRecord (id, claim, parameters, expected vs
 computed, error metric, pass flag, runtime).  Suites bundle records per
-layer; `run_suite` writes a JSON report and the pipeline runs everything in
-dependency order, stopping at the first hard failure.
+layer; `run_suite` runs one suite or all of them and writes a JSON report.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -126,7 +125,6 @@ class Config:
     k_max: int = 5
     magnus_degree: int = 8
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID
-    samples: int = 100
     output_dir: str = "."
     plots: bool = False
 
@@ -134,15 +132,12 @@ class Config:
     def from_file(path: str) -> "Config":
         with open(path) as fh:
             raw = json.load(fh)
-        cfg = Config()
-        for key in ("seed", "t0", "k_max", "magnus_degree", "eps_grid",
-                    "samples", "output_dir", "plots"):
-            if key in raw:
-                setattr(cfg, key, raw[key])
-        tolerances = raw.get("tolerances", {})
-        if tolerances:
-            cfg.tolerances = tolerances  # free-form overrides, applied by name
-        return cfg
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {path} is not a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(Config)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown} in {path}")
+        return Config(**raw)
 
 
 class Recorder:
@@ -277,7 +272,7 @@ def repr_suite(cfg: Config) -> List[CheckRecord]:
     """Laurent matrix certificates for each level k (exact)."""
     rec = Recorder()
     for k in range(1, cfg.k_max + 1):
-        (cert, ms) = _timed(lambda k=k: depth_certificate(k, samples=cfg.samples, seed=cfg.seed))
+        (cert, ms) = _timed(lambda k=k: depth_certificate(k))
         for item in cert.items:
             rec.add_bool(f"repr.k{k}.{item.name}", item.detail or item.name,
                          item.passed, runtime_ms=0.0)
@@ -463,18 +458,6 @@ def run_suite(name: str, cfg: Optional[Config] = None,
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
     return (0 if report["pass"] else 1), records, path
-
-
-def paper_pipeline(cfg: Optional[Config] = None,
-                   out_path: Optional[str] = None) -> tuple:
-    """The ordered full reproduction: exact layers first, numerics after.
-
-    Stops at the first hard failure (exception); check failures are
-    recorded and reflected in the exit code.
-    """
-    cfg = cfg or Config()
-    code, records, path = run_suite("all", cfg, out_path)
-    return code, records, path
 
 
 def summary_table(records: List[CheckRecord]) -> str:

@@ -10,25 +10,29 @@ equivalently A_k = I + (a-1) F2^x k, B_k = I + sum_j b_j, C_k = I + (c-1)
 E2^x k in tensor notation.  All matrices here are upper triangular with
 monomial diagonal, which keeps exact inversion cheap.
 
-The certificate content: rho_k(v_i) = I for i != k+2, rho_k(v_{k+2}) is
-I plus the single corner entry (1/c-1)(1/a-1) k!, commutators against it
-produce corner scalars (a^m c^-n - 1)(1/c-1)(1/a-1) k!, and no product of
-such commutators can reproduce rho_k(v_{k+2}) identically in (a, c).
+The certificate content: rho_k(v_i) = I for i != k+2, and rho_k(v_{k+2})
+is I plus the single corner entry kappa = k!(1/c-1)(1-a).  By the corner
+lemma (see `depth_certificate`) the commutator of any rho_k(s) with that
+image is I plus a corner kappa (a^m c^-n - 1), so all of rho_k(K) has corners
+in kappa times the ideal of Laurent polynomials vanishing at (a, c) = (1, 1),
+and rho_k(v_{k+2}), whose corner is kappa * 1, lies outside it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Tuple
 
 from .laurent import A_INV, A_PARAM, C_INV, C_PARAM, LaurentPoly2
 from .words import (
+    RHO_NAMES,
     RhoGen,
     Word,
-    random_word,
+    exponent_sums_rho,
     rewrite_to_rho_alphabet,
+    rho_to_delta_alphabet,
     v_k,
 )
 
@@ -411,11 +415,9 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
             expected = ident + expected_v_corner_matrix(k)
             ok = img == expected
             detail = f"corner = k!(1/c-1)(1/a-1) at (1, {rep.n})"
-            if ok:
-                nontrivial = img != ident
-                report.items.append(
-                    CheckItem(f"rho_{k}(v_{i}) = I + corner", nontrivial, "corner nonzero")
-                )
+            report.items.append(
+                CheckItem(f"rho_{k}(v_{i}) = I + corner", ok and img != ident, "corner nonzero")
+            )
         else:
             expected = ident
             ok = img == expected
@@ -443,13 +445,6 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
     return report
 
 
-def exponent_monomial_diagonal(rep: Representation, w: Word) -> Tuple[int, int]:
-    """(m, n) from the diagonal of rho(w): diag = (a^m, 1, ..., 1, c^n)."""
-    from .words import exponent_sums_rho
-
-    return exponent_sums_rho(w)
-
-
 def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
     """Corner scalar of [rho(s), rho(v_{k+2})].
 
@@ -457,8 +452,6 @@ def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
     single corner entry equal to (a^m c^-n - 1)(1/c-1)(1/a-1) k!.
     """
     rep = rep or Representation(k)
-    from .words import exponent_sums_rho
-
     m, n = exponent_sums_rho(s)
     mat_s = rep(s)
     mat_v = RepMatrix.identity(rep.n) + expected_v_corner_matrix(k)
@@ -478,29 +471,10 @@ def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
     return m, n, corner
 
 
-def impossibility_check(terms: List[Tuple[int, int, int]]) -> bool:
-    """Whether sum_i lambda_i a^{m_i} c^{-n_i} = 1 + sum_i lambda_i fails
-    identically; terms are (lambda, m, n) with (m, n) != (0, 0).
-
-    Forms the Laurent polynomial of the difference and returns True when it
-    is not the zero polynomial (so the would-be relation fails for generic
-    a, c).
-    """
-    poly = LaurentPoly2.const(-1)
-    for lam, m, n in terms:
-        if (m, n) == (0, 0):
-            raise ValueError("terms must have a nonzero exponent pair")
-        poly = poly + LaurentPoly2.monomial(m, -n, lam) - lam
-    return not poly.is_zero()
-
-
 @dataclass
 class Certificate:
     k: int
-    samples: int
-    seed: int
     items: List[CheckItem] = field(default_factory=list)
-    scalars: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -509,8 +483,6 @@ class Certificate:
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "samples": self.samples,
-            "seed": self.seed,
             "checks": [
                 {"name": it.name, "pass": it.passed, "detail": it.detail}
                 for it in self.items
@@ -519,63 +491,87 @@ class Certificate:
         }
 
 
-def depth_certificate(
-    k: int,
-    samples: int = 100,
-    seed: int = 20259,
-    max_word_len: int | None = None,
-    i_max: int | None = None,
-) -> Certificate:
-    """Machine-checkable certificate that rho_k separates v_{k+2} from K.
+def _is_power(p: LaurentPoly2, axis: int) -> bool:
+    """Whether p is a^m (axis 0) or c^n (axis 1) for some integer exponent."""
+    if len(p.terms) != 1:
+        return False
+    (mn, coeff), = p.terms.items()
+    return coeff == 1 and mn[1 - axis] == 0
 
-    Bundles the v-image table, `samples` random-word commutator scalars and
-    the generic-parameter impossibility check on the harvested exponents.
+
+def _has_lemma_shape(s: RepMatrix) -> bool:
+    """Upper triangular with diagonal (a^m, 1, ..., 1, c^n)."""
+    d = s.diagonal()
+    return (
+        s.is_upper_triangular()
+        and _is_power(d[0], 0)
+        and _is_power(d[-1], 1)
+        and all(x == 1 for x in d[1:-1])
+    )
+
+
+def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
+    """Certificate that rho_k separates v_{k+2} from K = [orbit, group].
+
+    The v-image table shows that rho_k kills every v_i except v_{k+2}, which
+    goes to N = I + kappa E_1n with kappa = expected_corner_scalar(k).  The
+    corner lemma: if S is upper triangular with diagonal (a^m, 1, ..., 1,
+    c^n), then S E_1n S^-1 = a^m c^-n E_1n, so [S, N] = I + kappa (a^m c^-n
+    - 1) E_1n.  Such S form a group on which (m, n) is additive, so once the
+    generator images have this shape (item 1) and obey the lemma with (m, n)
+    their exponent sums (item 2), rho_k(K) lies in the abelian group
+    I + kappa aug E_1n, where aug is the kernel of evaluation at
+    (a, c) = (1, 1); conjugation keeps it there.  rho_k(v_{k+2}) has corner
+    kappa * 1 with kappa != 0 and 1 not in aug, so v_{k+2} is not in K
+    (item 3).  A failing level gives red items, never an exception.
     """
-    cert = Certificate(k, samples, seed)
-    rep = Representation(k)
-    vrep = verify_v_images(k, i_max, rep)
-    cert.items.extend(vrep.items)
-    if not vrep.passed:
-        raise AssertionError(f"v-image table failed: {vrep.first_failure()}")
-    rng = random.Random(seed + k)
-    if max_word_len is None:
-        max_word_len = 30 if k <= 3 else 16
-    harvested = []
-    ok = True
-    for idx in range(samples):
-        s = random_word(rng, max_word_len)
-        m, n, _scalar = commutator_scalar(k, s, rep)
-        if (m, n) != (0, 0):
-            harvested.append((1, m, n))
-    cert.items.append(
-        CheckItem(
-            f"commutator corner scalars on {samples} random words",
-            ok,
-            f"max word length {max_word_len}",
-        )
+    rep = rep or Representation(k)
+    cert = Certificate(k)
+    cert.items.extend(verify_v_images(k, rep=rep).items)
+    ident = RepMatrix.identity(rep.n)
+    unit_corner = corner_tensor(k)
+    kappa = expected_corner_scalar(k)
+    v_corner = ident + unit_corner.scale(kappa)
+
+    bad = [RHO_NAMES[g] for g, s in rep.images.items() if not _has_lemma_shape(s)]
+    cert.items.append(CheckItem(
+        "generator images in the corner-lemma group",
+        not bad,
+        f"not upper triangular with diagonal (a^m, 1, ..., 1, c^n): {bad}" if bad
+        else "every generator image is upper triangular with diagonal (a^m, 1, ..., 1, c^n)",
+    ))
+
+    quotients = []
+    bad = []
+    for g, s in rep.images.items():
+        m, n = exponent_sums_rho(rho_to_delta_alphabet(Word.gen(g)))
+        q = LaurentPoly2.monomial(m, -n) - 1
+        quotients.append(q)
+        try:
+            ok = commutator_matrix(s, v_corner) == ident + unit_corner.scale(kappa * q)
+        except ValueError:  # s has no exact upper-triangular inverse
+            ok = False
+        if not ok:
+            bad.append(RHO_NAMES[g])
+    cert.items.append(CheckItem(
+        "corner lemma on the generator images",
+        not bad,
+        f"[S, N] != I + kappa (a^m c^-n - 1) E_1n for {bad}" if bad
+        else "[S, N] = I + kappa (a^m c^-n - 1) E_1n, (m, n) the exponent sums",
+    ))
+
+    one = LaurentPoly2.one()
+    at_one = (Fraction(1), Fraction(1))
+    separated = (
+        all(q.evaluate(*at_one) == 0 for q in quotients)
+        and rep.v_image(k + 2) == ident + unit_corner.scale(kappa * one)
+        and not kappa.is_zero()
+        and one.evaluate(*at_one) == 1
     )
-    if harvested:
-        cert.items.append(
-            CheckItem(
-                "impossibility of representing v_{k+2} by harvested commutators",
-                impossibility_check(harvested),
-                f"{len(harvested)} nontrivial exponent pairs",
-            )
-        )
-    rng2 = random.Random(seed + 1000 + k)
-    all_ok = True
-    for _ in range(samples):
-        nterms = rng2.randint(1, 6)
-        terms = []
-        for _ in range(nterms):
-            while True:
-                m, n = rng2.randint(-4, 4), rng2.randint(-4, 4)
-                if (m, n) != (0, 0):
-                    break
-            terms.append((rng2.randint(-5, 5) or 1, m, n))
-        all_ok = all_ok and impossibility_check(terms)
-    cert.items.append(
-        CheckItem(f"impossibility check on {samples} random exponent lists", all_ok)
-    )
-    cert.scalars = [(m, n) for _, m, n in harvested]
+    cert.items.append(CheckItem(
+        f"v_{k+2} outside K",
+        separated,
+        f"commutator corners lie in kappa * aug; rho(v_{k + 2}) has corner kappa * 1, "
+        "kappa != 0, 1 not in aug",
+    ))
     return cert

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from orbitdepth.cli import main
-from orbitdepth.reporting import Config, run_suite
+from orbitdepth.reporting import Config, repr_suite, run_suite
 
 
 def test_run_suite_unknown_name():
@@ -13,7 +13,7 @@ def test_run_suite_unknown_name():
 
 
 def test_suite_report_schema(tmp_path):
-    cfg = Config(samples=5, k_max=2)
+    cfg = Config(k_max=2)
     code, records, path = run_suite("melnikov", cfg, str(tmp_path / "rep.json"))
     assert code == 0
     data = json.loads(open(path).read())
@@ -27,7 +27,7 @@ def test_suite_report_schema(tmp_path):
 
 
 def test_suite_rerun_deterministic(tmp_path):
-    cfg = Config(samples=5, k_max=2)
+    cfg = Config(k_max=2)
     _, rec1, _ = run_suite("orbit", cfg, str(tmp_path / "a.json"))
     _, rec2, _ = run_suite("orbit", cfg, str(tmp_path / "b.json"))
     assert [(r.id, r.passed, r.error) for r in rec1] == \
@@ -56,9 +56,7 @@ def test_cli_repr(capsys):
     assert main(["repr", "comm-scalar", "--k", "1", "--word", "x"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["m"], out["n"]) == (1, 0)
-    assert main(["repr", "impossible", "--terms", "3,1,1;-3,1,1"]) == 0
-    assert json.loads(capsys.readouterr().out)["nonvanishing"] is True
-    assert main(["repr", "certificate", "--k", "1", "--samples", "5"]) == 0
+    assert main(["repr", "certificate", "--k", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
@@ -122,12 +120,35 @@ def test_cli_verify_and_report(capsys, tmp_path, monkeypatch):
     out_csv = str(tmp_path / "all.csv")
     # config file with overrides
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"samples": 5, "k_max": 1, "seed": 7}))
+    cfg_path.write_text(json.dumps({"k_max": 1, "seed": 7}))
     assert main(["verify", "repr", "--config", str(cfg_path)]) == 0
+
+
+def test_repr_suite_records():
+    records = repr_suite(Config())
+    assert len(records) == 65
+    assert len({r.id for r in records}) == 65
+    assert all(r.passed for r in records)
+    for k in range(1, 6):
+        level = [r for r in records if r.id.startswith(f"repr.k{k}.")]
+        assert len(level) == k + 10  # k + 9 certificate items and the verdict
+        assert level[-1].id == f"repr.k{k}.certificate"
 
 
 def test_cli_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["verify", "melnikov", "--config", str(bad)]) == 2
-    assert "error" in capsys.readouterr().err
+    for text in ("{not json", "[1, 2]"):
+        bad.write_text(text)
+        assert main(["verify", "melnikov", "--config", str(bad)]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, key", [({"tolerances": {}}, "tolerances"),
+                                      ({"samples": 5}, "samples")])
+def test_config_rejects_unknown_keys(tmp_path, capsys, raw, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=key):
+        Config.from_file(str(path))
+    assert main(["verify", "melnikov", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err

@@ -21,12 +21,12 @@ from orbitdepth.representation import (
     epsilon_bracket,
     expected_corner_scalar,
     expected_v_corner_matrix,
-    impossibility_check,
     rho,
     verify_v_images,
 )
+import orbitdepth.representation as representation
 from orbitdepth.words import (
-    D2, G, X_ELT, Z_ELT, commutator, random_word, v_k,
+    D2, G, X_ELT, Z_ELT, RhoGen, commutator, random_word, v_k,
     exponent_sums_rho,
 )
 
@@ -43,6 +43,21 @@ def test_laurent_ring():
     assert p.evaluate(Fraction(2), Fraction(3)) == Fraction(1, 3)
     with pytest.raises(ValueError):
         (a + c).unit_inverse()
+    assert (-a).unit_inverse() == -A_INV
+    with pytest.raises(ValueError):
+        (2 * a).unit_inverse()
+
+
+def _int_coefficients(m: RepMatrix) -> bool:
+    return all(type(coeff) is int
+               for p in m.entries.values() for coeff in p.terms.values())
+
+
+def test_integer_coefficients():
+    for k in (1, 2, 3, 4):
+        rep = Representation(k)
+        assert all(_int_coefficients(m) for m in rep.inverses.values())
+        assert _int_coefficients(rep.v_image(k + 2))
 
 
 def test_base_matrices_small():
@@ -158,28 +173,62 @@ def test_evaluation_homomorphism():
         assert lhs == prod
 
 
-def test_impossibility():
-    assert impossibility_check([(1, 1, 0)])
-    assert impossibility_check([(3, 1, 1), (-3, 1, 1)])
-    with pytest.raises(ValueError):
-        impossibility_check([(1, 0, 0)])
-    rng = random.Random(SEED + 3)
-    for _ in range(100):
-        terms = []
-        for _ in range(rng.randint(1, 6)):
-            while True:
-                m, n = rng.randint(-4, 4), rng.randint(-4, 4)
-                if (m, n) != (0, 0):
-                    break
-            terms.append((rng.randint(-5, 5) or 1, m, n))
-        assert impossibility_check(terms)
-
-
 def test_certificates():
     for k in (1, 2, 3):
-        cert = depth_certificate(k, samples=15, seed=SEED)
+        cert = depth_certificate(k)
         assert cert.passed
+        assert len(cert.items) == k + 9
         d = cert.to_dict()
-        assert d["k"] == k and d["pass"] and d["seed"] == SEED
-    cert = depth_certificate(1, samples=0, seed=SEED)
-    assert cert.passed  # image checks only
+        assert d["k"] == k and d["pass"] and len(d["checks"]) == k + 9
+
+
+# Mutation tests: each feeds a wrong representation or constant and sees the
+# certificate go red, with the item count unchanged and no exception.
+
+LEMMA_SHAPE = "generator images in the corner-lemma group"
+LEMMA = "corner lemma on the generator images"
+
+
+def _mutant(k: int, gen: RhoGen, image: RepMatrix) -> Representation:
+    rep = Representation(k)
+    rep.images[gen] = image
+    rep.inverses[gen] = image.inverse_upper()
+    return rep
+
+
+def _red(cert) -> set:
+    assert len(cert.items) == cert.k + 9
+    assert not cert.passed
+    return {it.name for it in cert.items if not it.passed}
+
+
+def test_certificate_mutant_b_drops_a_j2_term():
+    for k in (1, 2, 3):
+        for j in range(1, k + 1):
+            beta = RepMatrix.zero(2 ** k)
+            for i in range(1, k + 1):
+                if i != j:
+                    beta = beta + representation.b_tensor(k, (i,)).matrix()
+            rep = _mutant(k, RhoGen.B2, RepMatrix.identity(2 ** k) + beta)
+            assert not verify_v_images(k, rep=rep).passed
+            assert f"rho_{k}(v_{k+2})" in _red(depth_certificate(k, rep=rep))
+
+
+def test_certificate_mutant_corner_scalar(monkeypatch):
+    monkeypatch.setattr(representation, "expected_corner_scalar",
+                        lambda k: 2 * alternate_corner_scalar(k) * A_PARAM)
+    assert "v_4 outside K" in _red(depth_certificate(2))
+
+
+def test_certificate_mutant_middle_diagonal():
+    A = Representation(2).A
+    entries = dict(A.entries)
+    entries[(1, 1)] = C_PARAM
+    red = _red(depth_certificate(2, rep=_mutant(2, RhoGen.X, RepMatrix(4, entries))))
+    assert LEMMA_SHAPE in red and LEMMA not in red
+
+
+def test_certificate_mutant_diagonal_exponents():
+    A = Representation(2).A
+    red = _red(depth_certificate(2, rep=_mutant(2, RhoGen.X, A * A)))
+    assert LEMMA in red and LEMMA_SHAPE not in red
