@@ -31,7 +31,6 @@ from .ratfunc import (
 
 # (2 pi i)^i factors are omitted from every RatFunc here; the numeric layer
 # multiplies them back in.
-TWO_PI_I_POWER_OMITTED = True
 
 
 class DependentCoefficients(ValueError):
@@ -49,9 +48,6 @@ class Deformation:
 
     def coefficients(self) -> Tuple[RatFunc, RatFunc, RatFunc]:
         return self.a1, self.a2, self.a3
-
-    def scaled(self, c) -> "Deformation":
-        return Deformation(self.a1 * c, self.a2 * c, self.a3 * c, self.provenance)
 
 
 def deformation(a1, a2, a3, provenance: str = "raw") -> Deformation:

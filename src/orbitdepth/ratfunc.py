@@ -1,9 +1,11 @@
 """Exact univariate rational functions in t over the rationals.
 
-Thin wrapper over sympy expressions kept in cancelled numerator/denominator
-form, so equality is structural and every operation stays exact.  Used for
-the Melnikov coefficients a_i(t), the beta periods and the Wronskian
-hierarchy.
+Thin wrapper over one element of sympy's QQ(t) field
+(`sympy.polys.fields`).  Field elements stay in canonical form: numerator
+and denominator are coprime integer polynomials and the denominator has a
+positive leading coefficient, so equality is structural and every operation
+stays exact.  Used for the Melnikov coefficients a_i(t), the beta periods
+and the Wronskian hierarchy.
 """
 
 from __future__ import annotations
@@ -11,14 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy as sp
+from sympy.integrals.rationaltools import ratint_ratpart
 from sympy.parsing.sympy_parser import (
     convert_xor,
     implicit_multiplication_application,
     parse_expr,
     standard_transformations,
 )
+from sympy.polys.fields import FracElement, field
 
 T = sp.Symbol("t")
+K, _T = field("t", sp.QQ)
 
 _TRANSFORMS = standard_transformations + (
     convert_xor,
@@ -26,114 +31,101 @@ _TRANSFORMS = standard_transformations + (
 )
 
 
-def _to_expr(value) -> sp.Expr:
+def _to_field(value) -> FracElement:
     if isinstance(value, RatFunc):
-        return value.expr
-    if isinstance(value, Fraction):
-        return sp.Rational(value.numerator, value.denominator)
-    if isinstance(value, (int, sp.Expr)):
-        return sp.sympify(value)
+        return value.value
+    if isinstance(value, FracElement) and value.field == K:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return K(sp.QQ(value.numerator, value.denominator))
     if isinstance(value, str):
-        return parse_rational(value).expr
+        return parse_rational(value).value
+    if isinstance(value, sp.Expr):
+        if value.has(sp.Float):  # K.from_expr would read 0.5 as 1/2
+            raise ValueError(f"not a rational function of t: {value!r}")
+        try:
+            f = K.from_expr(value)
+        except ValueError:
+            raise ValueError(f"not a rational function of t: {value!r}") from None
+        # from_expr leaves 1/(1-t) with the denominator -t + 1
+        return K.new(f.numer, f.denom)
     raise TypeError(f"cannot interpret {value!r} as a rational function")
 
 
 class RatFunc:
     """Rational function in t with exact rational coefficients."""
 
-    __slots__ = ("expr",)
+    __slots__ = ("value",)
 
     def __init__(self, value=0):
-        expr = sp.cancel(sp.together(_to_expr(value)))
-        if not expr.is_rational_function(T):
-            raise ValueError(f"not a rational function of t: {value!r}")
-        self.expr = expr
+        self.value = _to_field(value)
 
     @staticmethod
     def t() -> "RatFunc":
-        return RatFunc(T)
+        return RatFunc(_T)
 
     def __add__(self, other):
-        return RatFunc(self.expr + _to_expr(other))
+        return RatFunc(self.value + _to_field(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return RatFunc(self.expr - _to_expr(other))
+        return RatFunc(self.value - _to_field(other))
 
     def __rsub__(self, other):
-        return RatFunc(_to_expr(other) - self.expr)
+        return RatFunc(_to_field(other) - self.value)
 
     def __mul__(self, other):
-        return RatFunc(self.expr * _to_expr(other))
+        return RatFunc(self.value * _to_field(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _to_expr(other)
-        if sp.cancel(o) == 0:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.expr / o)
+        return RatFunc(self.value / _to_field(other))
 
     def __rtruediv__(self, other):
-        if self.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(_to_expr(other) / self.expr)
+        return RatFunc(_to_field(other) / self.value)
 
     def __neg__(self):
-        return RatFunc(-self.expr)
+        return RatFunc(-self.value)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("only integer powers")
-        return RatFunc(self.expr ** n)
+        if n < 0:  # K's own negative powers can leave a negative denominator
+            return RatFunc(K.one / self.value ** -n)
+        return RatFunc(self.value ** n)
 
     def __eq__(self, other) -> bool:
         try:
-            o = _to_expr(other)
-        except TypeError:
+            o = _to_field(other)
+        except (TypeError, ValueError):
             return NotImplemented
-        return sp.cancel(self.expr - o) == 0
+        return self.value == o
 
     def __hash__(self):
-        return hash(self.expr)
+        # a constant equals the int or Fraction of its value: hash like it
+        if self.is_constant():
+            return hash(Fraction(int(self.value.numer.LC), int(self.value.denom.LC)))
+        return hash(self.value)
 
     def diff(self) -> "RatFunc":
-        return RatFunc(sp.diff(self.expr, T))
+        return RatFunc(self.value.diff(_T))
 
     def is_zero(self) -> bool:
-        return self.expr == 0
+        return self.value.numer.is_zero
 
     def is_constant(self) -> bool:
-        return T not in self.expr.free_symbols
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return sp.Rational(self.expr)
+        return self.value.numer.is_ground and self.value.denom.is_ground
 
     def evaluate(self, t0):
         """Numeric evaluation (works for complex t0)."""
-        num, den = sp.fraction(self.expr)
-        return complex(num.subs(T, t0)) / complex(den.subs(T, t0))
-
-    def evaluate_exact(self, t0: Fraction):
-        v = self.expr.subs(T, sp.Rational(t0.numerator, t0.denominator))
-        return Fraction(int(sp.numer(v)), int(sp.denom(v)))
-
-    def as_coeff_lists(self):
-        """(numerator, denominator) coefficient lists, highest degree first."""
-        num, den = sp.fraction(self.expr)
-        pn = sp.Poly(num, T)
-        pd = sp.Poly(den, T)
-        return (
-            [complex(c) for c in pn.all_coeffs()],
-            [complex(c) for c in pd.all_coeffs()],
-        )
+        return self.callable()(t0)
 
     def callable(self):
         """Fast complex-scalar evaluator (Horner on both polynomials)."""
-        num, den = self.as_coeff_lists()
+        num, den = ([complex(c) for c in p.to_dense()]
+                    for p in (self.value.numer, self.value.denom))
 
         def f(tval):
             pn = 0j
@@ -147,10 +139,10 @@ class RatFunc:
         return f
 
     def __repr__(self):
-        return f"RatFunc({sp.sstr(self.expr)})"
+        return f"RatFunc({self})"
 
     def __str__(self):
-        return sp.sstr(self.expr)
+        return str(self.value.as_expr())
 
 
 def parse_rational(text: str) -> RatFunc:
@@ -169,17 +161,25 @@ class NonRationalAntiderivative(ValueError):
 def rational_antiderivative(f: RatFunc) -> RatFunc:
     """Antiderivative with zero constant term at t = 0 when that value is
     finite, otherwise the bare antiderivative; fails if any residue of f is
-    nonzero (which would force logarithms)."""
-    F = sp.integrate(f.expr, T)
-    if F.atoms(sp.log, sp.atan, sp.atan2):
+    nonzero (which would force logarithms).
+
+    After polynomial division, Hermite (Horowitz-Ostrogradsky) reduction
+    writes the proper part as A' + B with B of squarefree denominator; every
+    pole of a nonzero such B has a nonzero residue (Bronstein, Symbolic
+    Integration I, ch. 2), so the antiderivative is rational iff B = 0.
+    """
+    num, den = (sp.Poly(p.as_expr(), T, domain=sp.QQ)
+                for p in (f.value.numer, f.value.denom))
+    quotient, rest = num.div(den)
+    rational, logarithmic = ratint_ratpart(rest, den, T)
+    if logarithmic != 0:
         raise NonRationalAntiderivative(
             f"antiderivative of {f} is not a rational function"
         )
-    F = sp.cancel(sp.together(F))
-    num, den = sp.fraction(F)
-    at0 = den.subs(T, 0)
-    if at0 != 0:
-        F = F - sp.Rational(sp.nsimplify(num.subs(T, 0)), sp.nsimplify(at0))
+    F = RatFunc(quotient.integrate().as_expr() + rational).value
+    at0 = F.denom(0)
+    if at0:
+        F -= F.numer(0) / at0
     return RatFunc(F)
 
 

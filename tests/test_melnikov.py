@@ -12,6 +12,7 @@ from orbitdepth.ratfunc import (
 )
 from orbitdepth.melnikov import (
     FLAGSHIP,
+    Deformation,
     DependentCoefficients,
     Kind,
     beta_periods,
@@ -43,10 +44,15 @@ def test_parse_and_arithmetic():
     g = parse_rational("(t^2+1)/(t-2)")
     assert g * (T - 2) == T * T + 1
     assert parse_rational("t/2 + 1/2").evaluate(3.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        parse_rational("sin(t)")
+    # only QQ(t): no second variable, no floats, no irrationals
+    for text in ("sin(t)", "x+t", "0.5*t", "sqrt(2)*t"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
     with pytest.raises(ZeroDivisionError):
         f / RatFunc(0)
+    with pytest.raises(ZeroDivisionError):
+        RatFunc(0) ** -1
+    assert (1 - T) ** -1 == parse_rational("1/(1-t)") == -1 / (T - 1)
 
 
 def test_wronskian_identities():
@@ -62,11 +68,31 @@ def test_wronskian_identities():
         assert wronskian(f, g * h) == g * wronskian(f, h) + h * wronskian(f, g) + f.diff() * g * h
 
 
+def test_equal_implies_same_hash():
+    rng = random.Random(SEED)
+    pairs = [(RatFunc(1), 1), (RatFunc(Fraction(1, 2)), Fraction(1, 2)),
+             (RatFunc(0), 0), (-T / (2 - 2 * T), T / (2 * T - 2)),
+             (parse_rational("(t^2-1)/(t-1)"), T + 1)]
+    for _ in range(20):
+        f, g = random_ratfunc(rng), random_ratfunc(rng)
+        pairs.append((f * g / g if not g.is_zero() else f, f))
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+
+
 def test_rational_antiderivative():
     assert rational_antiderivative(T) == T * T / 2
     assert rational_antiderivative(RatFunc(1) / (T * T)) == -1 / T
-    with pytest.raises(NonRationalAntiderivative):
-        rational_antiderivative(RatFunc(1) / T)
+    assert rational_antiderivative(2 * T / (T * T + 1) ** 2) == T * T / (T * T + 1)
+    # the last one has a nonzero rational part next to its atan part
+    for text in ("1/t", "1/(t^2+1)", "(t^3+1)/(t^2+1)^2"):
+        with pytest.raises(NonRationalAntiderivative):
+            rational_antiderivative(parse_rational(text))
+    rng = random.Random(SEED)
+    for _ in range(20):
+        g = random_ratfunc(rng) / (T - rng.choice((1, 2, -3))) ** rng.randint(0, 2)
+        F = rational_antiderivative(g.diff())  # g - g(0): g is finite at 0
+        assert (F - g).is_constant() and F.evaluate(0) == 0
 
 
 def test_beta_periods():
@@ -130,8 +156,10 @@ def test_classify():
     assert classify(deformation("t^2", "t^2+2t", "t")).kind is Kind.ORDER2_NONZERO
     # invariance under global scaling
     for c in (Fraction(3), Fraction(-1, 7)):
-        assert classify(FLAGSHIP.scaled(c)).kind is Kind.LENGTH3
-        assert classify(deformation("t", "1", "t-1").scaled(c)).kind is Kind.INTEGRABLE_CANDIDATE
+        for d, kind in [(FLAGSHIP, Kind.LENGTH3),
+                        (deformation("t", "1", "t-1"), Kind.INTEGRABLE_CANDIDATE)]:
+            scaled = Deformation(*(a * c for a in d.coefficients()))
+            assert classify(scaled).kind is kind
 
 
 def test_center_family():

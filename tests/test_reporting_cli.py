@@ -83,6 +83,9 @@ def test_cli_mel_errors(capsys):
     assert main(["mel", "build", "--alpha1", "t", "--alpha2", "t",
                  "--c0", "0", "--lambda", "1"]) == 2
     assert "error" in capsys.readouterr().err
+    for f in ("x+t", "0.5*t", "sqrt(2)*t"):
+        assert main(["mel", "wronskian", "--f", f, "--g", "t^2"]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_cli_num(capsys, tmp_path):
