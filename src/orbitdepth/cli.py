@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .words import (
@@ -354,15 +355,10 @@ def cmd_num_center_check(args):
 
 def _config_from_args(args) -> Config:
     cfg = Config.from_file(args.config) if args.config else Config()
-    for key in ("seed", "t0", "k_max"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    if getattr(args, "eps_grid", None):
-        cfg.eps_grid = [float(x) for x in args.eps_grid.split(",")]
-    if getattr(args, "output_dir", None):
-        cfg.output_dir = args.output_dir
-    return cfg
+    flags = {key: getattr(args, key) for key in ("seed", "t0", "k_max", "output_dir")}
+    if args.eps_grid:
+        flags["eps_grid"] = [float(x) for x in args.eps_grid.split(",")]
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_verify(args):
@@ -525,12 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already
-        raise
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
     except (ValueError, KeyError) as exc:

@@ -14,7 +14,7 @@ int -> int dictionaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Dict, Optional
 
 from .words import Gen, Word, v_k
@@ -103,7 +103,6 @@ class TruncatedSeries:
             other_by_deg.setdefault(mono_degree(m), []).append((m, c))
         for m1, c1 in self.coeffs.items():
             d1 = deg_cache[m1]
-            shift = _BASE ** 0
             for d2, items in other_by_deg.items():
                 if d1 + d2 > N:
                     continue
@@ -230,12 +229,14 @@ def graded_triviality_check(w: Word, endo, degree: int) -> bool:
 # ---------------------------------------------------------------------------
 # Leading Lie terms and the graded ideal spanned by the orbit generators.
 #
-# The degree-d component of the Lie ideal generated by elements p_1, p_2, ...
-# (in the free Lie algebra on the five generators) is spanned by iterated
-# brackets [X_{a_r}, [ ... [X_{a_1}, p_i] ... ]].  Leading terms of elements
-# of K = [orbit, group] all lie in that ideal for p in {X_g, lead(v_1), ...},
-# so "leading terms agree modulo the ideal" is an exact necessary condition
-# for equality modulo K.
+# The degree-d part I_d of the Lie ideal generated by homogeneous elements
+# p_1, p_2, ... (in the free Lie algebra on the five generators) is spanned
+# by [X_a, I_{d-1}] for a = 0..4 together with the p_i of degree d, so the
+# ideal is built one degree at a time as an integer echelon basis: each new
+# bracket is reduced fraction-free against the basis before it is kept.
+# Leading terms of elements of K = [orbit, group] all lie in that ideal for
+# p in {X_g, lead(v_1), ...}, so "leading terms agree modulo the ideal" is an
+# exact necessary condition for equality modulo K.
 
 
 def bracket(p: Dict[int, int], q: Dict[int, int]) -> Dict[int, int]:
@@ -262,78 +263,73 @@ def generator_vector(g: int) -> Dict[int, int]:
     return {mono_append(MONO_ONE, g): 1}
 
 
-def lie_ideal_span(seeds: list, degree: int) -> list:
-    """Spanning vectors of the degree-`degree` part of the Lie ideal.
+def _reduce(basis: Dict[int, Dict[int, int]], row: Dict[int, int]) -> Dict[int, int]:
+    """Primitive remainder of `row` against an echelon `basis`; {} if in its span.
 
-    `seeds` are homogeneous Lie elements; the span is built by all chains of
-    ad(X_a) applications that reach the requested degree.
+    `basis` maps each pivot (the least monomial of a row) to its row.  Each
+    step clears the pivot p of the row with row := a*row - b*lead, where
+    a/b = lead[p]/row[p] in lowest terms, so every coefficient stays an
+    integer.
     """
-    out = []
-    frontier = [(s, min(mono_degree(m) for m in s)) for s in seeds if s]
-    for s, d in frontier:
-        if d == degree:
-            out.append(s)
-    while frontier:
-        nxt = []
-        for s, d in frontier:
-            if d >= degree:
-                continue
-            for g in range(NGENS):
-                b = bracket(generator_vector(g), s)
-                if not b:
-                    continue
-                if d + 1 == degree:
-                    out.append(b)
-                else:
-                    nxt.append((b, d + 1))
-        frontier = nxt
-    return out
+    row = dict(row)
+    while row:
+        p = min(row)
+        lead = basis.get(p)
+        if lead is None:
+            g = gcd(*row.values())
+            return {m: c // g for m, c in row.items()}
+        g = gcd(lead[p], row[p])
+        a, b = lead[p] // g, row[p] // g
+        if a != 1:
+            for m in row:
+                row[m] *= a
+        for m, c in lead.items():
+            v = row.get(m, 0) - b * c
+            if v:
+                row[m] = v
+            else:
+                del row[m]
+    return {}
+
+
+def _echelon(rows) -> Dict[int, Dict[int, int]]:
+    """Integer echelon basis of the span of `rows`, keyed by pivot."""
+    basis: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        r = _reduce(basis, row)
+        if r:
+            basis[min(r)] = r
+    return basis
+
+
+def lie_ideal_span(seeds: list, degree: int) -> list:
+    """Basis of the degree-`degree` part of the Lie ideal generated by `seeds`.
+
+    `seeds` are homogeneous Lie elements.  I_d is the echelon basis of the
+    brackets [X_a, b], b in I_{d-1}, plus the seeds of degree d.
+    """
+    basis: Dict[int, Dict[int, int]] = {}
+    for d in range(1, degree + 1):
+        rows = [bracket(generator_vector(g), b) for b in basis.values() for g in range(NGENS)]
+        basis = _echelon(rows + [s for s in seeds if s and mono_degree(min(s)) == d])
+    return list(basis.values())
 
 
 def in_span(vectors: list, target: Dict[int, int]) -> bool:
-    """Exact rational membership of target in the span of sparse vectors."""
-    if not target:
-        return True
-    basis: Dict[int, Dict[int, Fraction]] = {}  # pivot monomial -> row
-
-    def reduce_row(row: Dict[int, Fraction]):
-        while row:
-            pivot = min(row)
-            if pivot not in basis:
-                return row, pivot
-            lead = basis[pivot]
-            factor = row[pivot] / lead[pivot]
-            for m, c in lead.items():
-                v = row.get(m, Fraction(0)) - factor * c
-                if v:
-                    row[m] = v
-                else:
-                    row.pop(m, None)
-        return None, None
-
-    for vec in vectors:
-        row = {m: Fraction(c) for m, c in vec.items()}
-        row, pivot = reduce_row(row)
-        if row is not None:
-            basis[pivot] = row
-    trow = {m: Fraction(c) for m, c in target.items()}
-    trow, _ = reduce_row(trow)
-    return trow is None
+    """Exact integer membership of target in the span of sparse vectors."""
+    return not _reduce(_echelon(vectors), target)
 
 
-def orbit_leading_ideal_span(degree: int, v_max: int | None = None) -> list:
-    """Span of leading terms available from the orbit generators at `degree`.
+def orbit_leading_ideal_span(degree: int) -> list:
+    """Basis of the leading terms available from the orbit generators at `degree`.
 
     Seeds are X_g and the leading Lie terms of v_1 .. v_{degree-1}; a K
     element whose Magnus expansion starts at `degree` has its leading term in
     this span.
     """
-    if v_max is None:
-        v_max = degree - 1
     seeds = [generator_vector(Gen.G)]
-    for j in range(1, min(v_max, degree - 1) + 1):
-        rep = depth_lower_bound(v_k(j), j)
-        seeds.append(rep.leading_part)
+    for j in range(1, degree):
+        seeds.append(depth_lower_bound(v_k(j), j).leading_part)
     return lie_ideal_span(seeds, degree)
 
 

@@ -8,6 +8,8 @@ layer; `run_suite` runs one suite or all of them and writes a JSON report.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, asdict, fields
@@ -49,7 +51,7 @@ from .magnus import (
     leading_terms_agree_mod_orbit_ideal,
     magnus,
 )
-from .representation import depth_certificate
+from .representation import DEFAULT_K_MAX, depth_certificate
 from .melnikov import (
     FLAGSHIP,
     Kind,
@@ -118,6 +120,14 @@ class RunManifest:
         return asdict(self)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass
 class Config:
     seed: int = DEFAULT_SEED
@@ -127,6 +137,23 @@ class Config:
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID
     output_dir: str = "."
     plots: bool = False
+
+    def __post_init__(self):
+        checks = {
+            "seed": (_is_int(self.seed), "an int"),
+            "t0": (_is_real(self.t0), "a real number"),
+            "k_max": (_is_int(self.k_max) and 1 <= self.k_max <= DEFAULT_K_MAX,
+                      f"an int in 1..{DEFAULT_K_MAX}"),
+            "magnus_degree": (_is_int(self.magnus_degree) and self.magnus_degree >= 3,
+                              "an int >= 3"),
+            "eps_grid": (isinstance(self.eps_grid, (list, tuple))
+                         and len(self.eps_grid) >= 5
+                         and all(_is_real(e) and e > 0 for e in self.eps_grid),
+                         "at least 5 positive numbers"),
+        }
+        for key, (ok, want) in checks.items():
+            if not ok:
+                raise ValueError(f"config {key} must be {want}, got {getattr(self, key)!r}")
 
     @staticmethod
     def from_file(path: str) -> "Config":

@@ -409,8 +409,11 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
     rep = rep or Representation(k)
     ident = RepMatrix.identity(rep.n)
     report = VImageReport(k, i_max)
+    d = rep.C  # d_{i-1}(z); the chain is walked once for every i
     for i in range(2, i_max + 1):
-        img = rep.v_image(i)
+        if i > 2:
+            d = commutator_matrix(rep.B, d)
+        img = commutator_matrix(rep.A, d)
         if i == k + 2:
             expected = ident + expected_v_corner_matrix(k)
             ok = img == expected

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from sympy import divisors, mobius
 
 from orbitdepth.magnus import (
     TruncatedSeries,
@@ -13,6 +14,7 @@ from orbitdepth.magnus import (
     generator_vector,
     magnus,
     mono_format,
+    orbit_leading_ideal_span,
 )
 from orbitdepth.words import (
     D0, D1, D2, D3, G, Z_ELT,
@@ -116,6 +118,28 @@ def test_span_membership():
     assert in_span(span, bracket(generator_vector(Gen.D1), x_g))
     assert not in_span(span, bracket(generator_vector(Gen.D1),
                                      generator_vector(Gen.D2)))
+
+
+def _witt(n: int, d: int) -> int:
+    """Dimension of the degree-d part of the free Lie algebra on n letters."""
+    return sum(mobius(e) * n ** (d // e) for e in divisors(d)) // d
+
+
+def test_ideal_of_x_g_matches_witt():
+    # the ideal of X_g is the kernel of the projection onto the free Lie
+    # algebra on d0..d3, so its degree-d basis has W(5, d) - W(4, d) vectors
+    sizes = [len(lie_ideal_span([generator_vector(Gen.G)], d)) for d in range(1, 6)]
+    assert sizes == [_witt(5, d) - _witt(4, d) for d in range(1, 6)]
+    assert sizes == [1, 4, 20, 90, 420]
+
+
+def test_orbit_ideal_check_can_fail_and_reaches_degree_6():
+    # lead(v_i) is not in the ideal built from X_g and lead(v_1..v_{i-1}),
+    # so the agreement check is not vacuous at any degree
+    for i in range(2, 6):
+        lead = depth_lower_bound(v_k(i), i).leading_part
+        assert not in_span(orbit_leading_ideal_span(i), lead)
+    assert leading_terms_agree_mod_orbit_ideal(var_iterate(6), v_k(6), 6)
 
 
 def test_unitriangular_matrix_oracle():

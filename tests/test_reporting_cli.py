@@ -138,12 +138,26 @@ def test_repr_suite_records():
         assert level[-1].id == f"repr.k{k}.certificate"
 
 
-def test_cli_malformed_config(tmp_path, capsys):
+def test_cli_malformed_config(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
     bad = tmp_path / "bad.json"
-    for text in ("{not json", "[1, 2]"):
-        bad.write_text(text)
-        assert main(["verify", "melnikov", "--config", str(bad)]) == 2
+    texts = ["{not json", "[1, 2]"] + [json.dumps(raw) for raw in (
+        {"k_max": 0}, {"k_max": 9}, {"k_max": 2.0}, {"t0": "0.36"},
+        {"t0": None}, {"magnus_degree": 2}, {"seed": "7"}, {"seed": True},
+        {"eps_grid": [1e-3, 2e-3, 4e-3, 8e-3]}, {"eps_grid": [1e-3, 2e-3, 4e-3, 8e-3, 0]},
+        {"eps_grid": 0.001})]
+    for suite in ("repr", "numeric", "orbit"):
+        for text in texts:
+            bad.write_text(text)
+            assert main(["verify", suite, "--config", str(bad)]) == 2, text
+            assert "error" in capsys.readouterr().err
+            assert not out_dir.exists(), text
+    # flag overrides go through the same validation
+    for flags in (["--k-max", "0"], ["--eps-grid", "0.001,0.002"], ["--t0", "nan"]):
+        assert main(["verify", "repr", *flags]) == 2, flags
         assert "error" in capsys.readouterr().err
+        assert not out_dir.exists(), flags
 
 
 @pytest.mark.parametrize("raw, key", [({"tolerances": {}}, "tolerances"),
