@@ -13,6 +13,15 @@ the point along the same leaf onto the new fiber (a Newton-controlled
 correction of size O(eps), so the composition is the genuine holonomy
 through the fixed transversal at the base point).
 
+Each entry of an eps array is its own leaf, and all leaves travel
+together: the ODE state stacks the dependent coordinates and the
+omega-quadratures of the n leaves as 4n real components, so every segment
+and every fiber slide is one DOP853 solve for the whole +-eps grid (a
+scalar eps is the n = 1 case).  scipy's step control bounds the RMS error
+norm of the stacked state rather than of each leaf alone; the
+grid-vs-scalar test in tests/test_holonomy.py guards the accuracy of each
+leaf.
+
 Order-by-order coefficients come from symmetric eps / -eps evaluations:
 odd and even parts are fitted separately against (eps, eps^3, eps^5) and
 (eps^2, eps^4, eps^6), and half-grid refits give a stability diagnostic.
@@ -59,22 +68,24 @@ def _coefficient_callables(d: Deformation):
 
 
 class LeafField:
-    """Right-hand sides of the leaf equation for a fixed deformation."""
+    """Right-hand sides of the leaf equation for a fixed deformation, one
+    leaf per entry of the eps array."""
 
-    def __init__(self, d: Deformation, eps: complex):
+    def __init__(self, d: Deformation, eps: np.ndarray):
         self.a1, self.a2, self.a3 = _coefficient_callables(d)
-        self.eps = complex(eps)
+        self.eps = np.asarray(eps, dtype=complex)
 
-    def slope_and_form(self, x: complex, y: complex, chart: str):
-        """(d(dep)/d(indep), omega(tangent)/d(indep)) on the perturbed leaf.
+    def slope_and_form(self, x, y, chart: str):
+        """(d(dep)/d(indep), omega(tangent)/d(indep)) on the perturbed leaves.
 
         The second value integrates to int omega along the trajectory, so
         F(end) - F(start) = -eps * int omega without cancellation error.
         """
         eps = self.eps
-        fval = (x * x - 1.0) * (y * y - 1.0)
-        fx = 2.0 * x * (y * y - 1.0)
-        fy = 2.0 * y * (x * x - 1.0)
+        xx, yy = x * x - 1.0, y * y - 1.0
+        fval = xx * yy
+        fx = 2.0 * x * yy
+        fy = 2.0 * y * xx
         p = self.a1(fval) / (x + 1.0) + self.a3(fval) / (x - 1.0)
         q = self.a2(fval) / (y - 1.0)
         if chart == "x":
@@ -83,155 +94,135 @@ class LeafField:
         slope = -(fy + eps * q) / (fx + eps * p)
         return slope, q + p * slope
 
-    def slope(self, x: complex, y: complex, chart: str) -> complex:
-        return self.slope_and_form(x, y, chart)[0]
 
+def _solve_leaves(field: LeafField, chart: str, path, dep0: np.ndarray, what: str):
+    """Transport (dependent coordinate, omega-quadrature) of every leaf while
+    the chart coordinate follows path(s) = (w, dw/ds), s in [0, 1].
 
-def _integrate_segment(seg: Segment, field: LeafField, dep0: complex):
-    """Transport (dependent coordinate, omega-quadrature) along a segment."""
-    chart = seg.chart
+    The real state of 4n components is the complex vector (dep, J) of 2n
+    entries viewed as (Re, Im) pairs, so no copy is made either way.
+    Raises TransportError, naming `what`, when the solver fails.
+    """
+    n = dep0.size
 
     def rhs(s, u):
-        dep = complex(u[0], u[1])
-        w = seg.independent(s)
-        dw = seg.independent_derivative(s)
+        dep = u.view(complex)[:n]
+        w, dw = path(s)
         if chart == "x":
             slope, form = field.slope_and_form(w, dep, "x")
         else:
             slope, form = field.slope_and_form(dep, w, "y")
-        dv = dw * slope
-        dj = dw * form
-        return (dv.real, dv.imag, dj.real, dj.imag)
+        return np.concatenate((dw * slope, dw * form)).view(float)
 
     sol = solve_ivp(
         rhs,
         (0.0, 1.0),
-        (dep0.real, dep0.imag, 0.0, 0.0),
+        np.concatenate((dep0, np.zeros(n, complex))).view(float),
         method="DOP853",
         rtol=ODE_RTOL,
         atol=ODE_ATOL,
-        dense_output=False,
     )
     if not sol.success:
-        raise TransportError(f"leaf transport failed on {seg!r}: {sol.message}")
-    return complex(sol.y[0, -1], sol.y[1, -1]), complex(sol.y[2, -1], sol.y[3, -1])
+        raise TransportError(f"{what} failed: {sol.message}")
+    u = np.ascontiguousarray(sol.y[:, -1]).view(complex)
+    return u[:n], u[n:]
 
 
-def _slide_to_fiber(point: Tuple[complex, complex], field: LeafField,
-                    slide_chart: str, target: complex):
-    """Move along the leaf until the slide_chart coordinate equals target.
+def _slide_to_fiber(x: np.ndarray, y: np.ndarray, field: LeafField,
+                    slide_chart: str, target: complex, tol: float):
+    """Move each leaf along itself until its slide_chart coordinate equals
+    target.
 
     Used at chart switches: the slide integrates the leaf equation with the
     slide-chart coordinate moving linearly onto the new fiber, so it lands
-    there exactly (up to solver tolerance).  Returns the new point and the
-    omega-quadrature picked up on the way.
+    there exactly (up to solver tolerance).  A leaf within `tol` of the
+    fiber slides with span 0 and stays where it is.  Returns the new points
+    and the omega-quadrature picked up on the way.
     """
-    x, y = point
     cur = x if slide_chart == "x" else y
-    span = target - cur
-    if abs(span) < 1e-15:
-        return x, y, 0.0 + 0.0j
-    dep0 = y if slide_chart == "x" else x
-
-    def rhs(u, st):
-        dep = complex(st[0], st[1])
-        w = cur + span * u
-        if slide_chart == "x":
-            slope, form = field.slope_and_form(w, dep, "x")
-        else:
-            slope, form = field.slope_and_form(dep, w, "y")
-        dv = span * slope
-        dj = span * form
-        return (dv.real, dv.imag, dj.real, dj.imag)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        (dep0.real, dep0.imag, 0.0, 0.0),
-        method="DOP853",
-        rtol=ODE_RTOL,
-        atol=ODE_ATOL,
+    span = np.where(np.abs(target - cur) > tol, target - cur, 0.0)
+    if not span.any():
+        return x, y, 0.0
+    dep1, jtot = _solve_leaves(
+        field, slide_chart, lambda s: (cur + span * s, span),
+        y if slide_chart == "x" else x, "fiber slide",
     )
-    if not sol.success:
-        raise TransportError(f"fiber slide failed: {sol.message}")
-    dep1 = complex(sol.y[0, -1], sol.y[1, -1])
-    jtot = complex(sol.y[2, -1], sol.y[3, -1])
+    w1 = np.where(span != 0, target, cur)
     if slide_chart == "x":
-        return target, dep1, jtot
-    return dep1, target, jtot
+        return w1, dep1, jtot
+    return dep1, w1, jtot
 
 
-def transport(cycle: Cycle, d: Deformation, eps: complex):
-    """Endpoint (x, y) and omega-quadrature of the perturbed leaf over the
-    cycle's base chain."""
+def _fiber(seg: Segment, s: float) -> complex:
+    return complex(np.asarray(seg.independent(s)).reshape(-1)[0])
+
+
+def _like(eps, values):
+    """A Python complex for a scalar eps, the array of leaves for a grid."""
+    return complex(np.ravel(values)[0]) if np.ndim(eps) == 0 else values
+
+
+def transport(cycle: Cycle, d: Deformation, eps):
+    """Endpoints (x, y) and omega-quadratures of the perturbed leaves over
+    the cycle's base chain, one leaf per entry of eps (scalars for a scalar
+    eps).  Every segment and slide is one ODE solve for the whole grid."""
+    grid = np.atleast_1d(np.asarray(eps, dtype=complex))
+    n = grid.size
     if not cycle.segments:
         p = cycle.base_point
-        return p.x, p.y, 0.0 + 0.0j
-    field = LeafField(d, eps)
+        return tuple(_like(eps, np.full(n, v, complex)) for v in (p.x, p.y, 0.0))
+    field = LeafField(d, grid)
     first = cycle.segments[0]
     start = first.start_point()
-    x, y = start.x, start.y
-    jtot = 0.0 + 0.0j
+    x, y = np.full(n, start.x, complex), np.full(n, start.y, complex)
+    jtot = np.zeros(n, complex)
     for seg in cycle.segments:
-        w0 = complex(np.asarray(seg.independent(0.0)).reshape(-1)[0])
-        if seg.chart == "x":
-            if abs(x - w0) > 1e-13:
-                x, y, dj = _slide_to_fiber((x, y), field, "x", w0)
-                jtot += dj
-            dep0 = y
-        else:
-            if abs(y - w0) > 1e-13:
-                x, y, dj = _slide_to_fiber((x, y), field, "y", w0)
-                jtot += dj
-            dep0 = x
-        dep1, dj = _integrate_segment(seg, field, dep0)
+        x, y, dj = _slide_to_fiber(x, y, field, seg.chart, _fiber(seg, 0.0), 1e-13)
         jtot += dj
-        w1 = complex(np.asarray(seg.independent(1.0)).reshape(-1)[0])
-        if seg.chart == "x":
-            x, y = w1, dep1
-        else:
-            x, y = dep1, w1
+        dep1, dj = _solve_leaves(
+            field, seg.chart, lambda s: (seg.independent(s), seg.independent_derivative(s)),
+            y if seg.chart == "x" else x, f"leaf transport on {seg!r}",
+        )
+        jtot += dj
+        w1 = np.full(n, _fiber(seg, 1.0))
+        x, y = (w1, dep1) if seg.chart == "x" else (dep1, w1)
     # land exactly on the starting fiber
-    w_start = complex(np.asarray(first.independent(0.0)).reshape(-1)[0])
-    if first.chart == "x":
-        if abs(x - w_start) > 1e-14:
-            x, y, dj = _slide_to_fiber((x, y), field, "x", w_start)
-            jtot += dj
-    else:
-        if abs(y - w_start) > 1e-14:
-            x, y, dj = _slide_to_fiber((x, y), field, "y", w_start)
-            jtot += dj
-    return x, y, jtot
+    x, y, dj = _slide_to_fiber(x, y, field, first.chart, _fiber(first, 0.0), 1e-14)
+    jtot += dj
+    return _like(eps, x), _like(eps, y), _like(eps, jtot)
 
 
-def holonomy(w: Word, t0: complex, eps: complex, d: Deformation,
-             factory: Optional[CycleFactory] = None) -> complex:
+def holonomy(w: Word, t0: complex, eps, d: Deformation,
+             factory: Optional[CycleFactory] = None):
     """Return-map image F(endpoint) of t0 along the word's cycle."""
     factory = factory or CycleFactory(t0)
     cycle = factory.cycle_of_word(w)
     return holonomy_along(cycle, d, eps)
 
 
-def holonomy_along(cycle: Cycle, d: Deformation, eps: complex) -> complex:
+def holonomy_along(cycle: Cycle, d: Deformation, eps):
     x, y, _ = transport(cycle, d, eps)
     return curve_f(x, y)
 
 
-def holonomy_displacement(cycle: Cycle, d: Deformation, eps: complex) -> complex:
-    """P(t0, eps) - t0 computed as -eps * int omega along the trajectory.
+def holonomy_displacement(cycle: Cycle, d: Deformation, eps):
+    """P(t0, eps) - t0 computed as -eps * int omega along each trajectory.
 
     Exactly equal to F(endpoint) - t0 (dF = -eps omega on the leaf) but free
     of the cancellation between two O(t0) values, so small coefficients fit
-    cleanly; the direct difference cross-checks it to roundoff.
+    cleanly; the direct difference cross-checks it to roundoff, leaf by leaf.
     """
     x, y, j = transport(cycle, d, eps)
-    disp = -eps * j
+    disp = -np.asarray(eps) * j
     direct = curve_f(x, y) - cycle.t
-    if abs(direct - disp) > 1e-10 * max(1.0, abs(cycle.t)):
+    bad = np.flatnonzero(np.abs(direct - disp) > 1e-10 * max(1.0, abs(cycle.t)))
+    if bad.size:
+        i = bad[0]
         raise TransportError(
-            f"displacement mismatch: quadrature {disp}, direct {direct}"
+            f"displacement mismatch at eps = {np.ravel(eps)[i]}: quadrature "
+            f"{np.ravel(disp)[i]}, direct {np.ravel(direct)[i]}"
         )
-    return disp
+    return _like(eps, disp)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +275,8 @@ def melnikov_fit(w: Word, t0: complex, d: Deformation,
     factory = factory or CycleFactory(t0)
     cycle = factory.cycle_of_word(w)
     eps = np.asarray(sorted(eps_grid), dtype=float)
-    plus = np.array([holonomy_displacement(cycle, d, e) for e in eps])
-    minus = np.array([holonomy_displacement(cycle, d, -e) for e in eps])
+    vals = holonomy_displacement(cycle, d, np.concatenate([eps, -eps]))
+    plus, minus = vals[:len(eps)], vals[len(eps):]
     odd = (plus - minus) / 2.0
     even = (plus + minus) / 2.0
 

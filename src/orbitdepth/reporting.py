@@ -376,15 +376,15 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
     for name, v in cs.items():
         rec.add(f"num.cauchy.{name}", "holomorphic iterated integral vanishes",
                 abs(v), 1e-8, expected="0", computed=f"{abs(v):.2e}",
-                runtime_ms=ms / 3)
+                runtime_ms=ms)
 
     fac = CycleFactory(t0)
-    sh = shuffle_defect(fac.based_loop(2), eta(2), eta(3))
+    (sh, ms) = _timed(lambda: shuffle_defect(fac.based_loop(2), eta(2), eta(3)))
     rec.add("num.shuffle", "length-2 shuffle relation on a based loop",
-            sh, 1e-8, computed=f"{sh:.2e}")
-    dd = determinant_defect(X_ELT, Z_ELT, t0, 2, 3, factory=fac)
+            sh, 1e-8, computed=f"{sh:.2e}", runtime_ms=ms)
+    (dd, ms) = _timed(lambda: determinant_defect(X_ELT, Z_ELT, t0, 2, 3, factory=fac))
     rec.add("num.determinant", "commutator double integral equals the period determinant",
-            dd, 1e-6, computed=f"{dd:.2e}")
+            dd, 1e-6, computed=f"{dd:.2e}", runtime_ms=ms)
 
     # flagship fit
     (fit, ms) = _timed(lambda: melnikov_fit(GAMMA_WORD, t0, FLAGSHIP,
@@ -393,11 +393,12 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
     rec.add("num.flagship.c1", "order-1 coefficient vanishes at fit resolution",
             abs(fit.c1), bound, computed=f"{abs(fit.c1):.2e}", runtime_ms=ms)
     rec.add("num.flagship.c2", "order-2 coefficient vanishes at fit resolution",
-            abs(fit.c2), bound, computed=f"{abs(fit.c2):.2e}")
+            abs(fit.c2), bound, computed=f"{abs(fit.c2):.2e}", runtime_ms=ms)
     rec.add_bool("num.flagship.c3",
                  "order-3 coefficient is nonzero and half-grid stable to 0.5%",
                  (not fit.is_zero(3)) and fit.stable(3, 5e-3),
-                 computed=f"c3 = {fit.c3:.6f}, spread {fit.stability[3]:.2e}")
+                 computed=f"c3 = {fit.c3:.6f}, spread {fit.stability[3]:.2e}",
+                 runtime_ms=ms)
 
     # v3 cross-check
     (fit3, ms) = _timed(lambda: melnikov_fit(v_k(3), t0, FLAGSHIP,
@@ -411,37 +412,39 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
 
     # center checks
     d0 = center_family("t", 1, 1, 0)
-    cyc = fac.cycle_of_word(GAMMA_WORD)
-    worst = max(abs(holonomy_along(cyc, d0, e) - t0) for e in (0.01, 0.02, 0.05))
+    (returns, ms) = _timed(lambda: holonomy_along(fac.cycle_of_word(GAMMA_WORD), d0,
+                                                  np.array([0.01, 0.02, 0.05])))
+    worst = float(np.max(np.abs(returns - t0)))
     rec.add("num.center.exact", "the lam = 0 member preserves the center",
-            worst, 1e-10, computed=f"{worst:.2e}")
+            worst, 1e-10, computed=f"{worst:.2e}", runtime_ms=ms)
 
     (rep1, ms) = _timed(lambda: m3_center_crosscheck("t", 0, 1, 1, t0, eps_grid=cfg.eps_grid))
     rec.add("num.center.order3", rep1.name, rep1.error, rep1.tolerance,
             expected=f"{rep1.expected:.6f}", computed=f"{rep1.computed:.6f}",
             runtime_ms=ms)
 
-    d11 = center_family("t", 0, 1, 1)
-    d22 = center_family("t", 0, 2, 2)
-    f11 = melnikov_fit(GAMMA_WORD, t0, d11, eps_grid=cfg.eps_grid, factory=fac)
-    f22 = melnikov_fit(GAMMA_WORD, t0, d22, eps_grid=cfg.eps_grid, factory=fac)
+    def center_fit(lambda1, lam):
+        return _timed(lambda: melnikov_fit(GAMMA_WORD, t0, center_family("t", 0, lambda1, lam),
+                                           eps_grid=cfg.eps_grid, factory=fac))
+
+    (f11, ms11), (f22, ms22), (f21, ms21) = center_fit(1, 1), center_fit(2, 2), center_fit(1, 2)
     ratio = f22.c3 / f11.c3
     rec.add("num.center.quadratic_scaling",
             "doubling both integrability witnesses multiplies the order-3 term by 4",
-            abs(ratio - 4), 4 * 1e-2, expected="4", computed=f"{ratio:.6f}")
-    d21 = center_family("t", 0, 1, 2)
-    f21 = melnikov_fit(GAMMA_WORD, t0, d21, eps_grid=cfg.eps_grid, factory=fac)
+            abs(ratio - 4), 4 * 1e-2, expected="4", computed=f"{ratio:.6f}",
+            runtime_ms=ms11 + ms22)
     ratio2 = f21.c3 / f11.c3
     rec.add("num.center.witness_scaling",
             "doubling lam alone doubles the order-3 term (prefactor -lam*lambda1)",
-            abs(ratio2 - 2), 2e-2, expected="2", computed=f"{ratio2:.6f}")
+            abs(ratio2 - 2), 2e-2, expected="2", computed=f"{ratio2:.6f}",
+            runtime_ms=ms11 + ms21)
 
     # second-order assembly
     (reports, ms) = _timed(lambda: m2_assembly_check(FLAGSHIP, t0))
     for r in reports:
         rec.add(f"num.m2.{r.name.replace(' ', '_')}", r.name, r.error, r.tolerance,
                 expected=str(r.expected), computed=f"{r.computed:.3e}",
-                runtime_ms=ms / len(reports))
+                runtime_ms=ms)
     return rec.records
 
 
@@ -455,7 +458,12 @@ SUITES: Dict[str, Callable[[Config], List[CheckRecord]]] = {
 
 def run_suite(name: str, cfg: Optional[Config] = None,
               out_path: Optional[str] = None) -> tuple:
-    """Run one suite (or 'all'); returns (exit_code, records, report_path)."""
+    """Run one suite (or 'all'); returns (exit_code, records, report_path).
+
+    A suite that raises contributes one failed `<suite>.error` record
+    carrying the exception; the other suites still run and the report is
+    still written.
+    """
     cfg = cfg or Config()
     names = list(SUITES) if name == "all" else [name]
     for n in names:
@@ -463,7 +471,14 @@ def run_suite(name: str, cfg: Optional[Config] = None,
             raise KeyError(f"unknown suite {n!r}; choose from {sorted(SUITES)} or 'all'")
     records: List[CheckRecord] = []
     for n in names:
-        records.extend(SUITES[n](cfg))
+        start = time.perf_counter()
+        try:
+            records.extend(SUITES[n](cfg))
+        except Exception as exc:  # a suite that raises is a failed check, not a lost report
+            records.append(Recorder().add_bool(
+                f"{n}.error", f"the {n} suite runs to completion", False,
+                computed=f"{type(exc).__name__}: {exc}",
+                runtime_ms=(time.perf_counter() - start) * 1e3))
     manifest = RunManifest(
         version=__version__,
         seed=cfg.seed,

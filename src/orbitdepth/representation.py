@@ -384,6 +384,7 @@ class VImageReport:
     k: int
     i_max: int
     items: List[CheckItem] = field(default_factory=list)
+    corner_image: Optional[RepMatrix] = None  # rho_k(v_{k+2}) from the chain
 
     @property
     def passed(self) -> bool:
@@ -415,6 +416,7 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
             d = commutator_matrix(rep.B, d)
         img = commutator_matrix(rep.A, d)
         if i == k + 2:
+            report.corner_image = img
             expected = ident + expected_v_corner_matrix(k)
             ok = img == expected
             detail = f"corner = k!(1/c-1)(1/a-1) at (1, {rep.n})"
@@ -530,7 +532,8 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
     """
     rep = rep or Representation(k)
     cert = Certificate(k)
-    cert.items.extend(verify_v_images(k, rep=rep).items)
+    table = verify_v_images(k, rep=rep)
+    cert.items.extend(table.items)
     ident = RepMatrix.identity(rep.n)
     unit_corner = corner_tensor(k)
     kappa = expected_corner_scalar(k)
@@ -567,7 +570,7 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
     at_one = (Fraction(1), Fraction(1))
     separated = (
         all(q.evaluate(*at_one) == 0 for q in quotients)
-        and rep.v_image(k + 2) == ident + unit_corner.scale(kappa * one)
+        and table.corner_image == ident + unit_corner.scale(kappa * one)
         and not kappa.is_zero()
         and one.evaluate(*at_one) == 1
     )

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from orbitdepth.curves import Cycle, CycleFactory, oval_connector
+import orbitdepth.holonomy as holonomy_module
+from orbitdepth.curves import Cycle, CycleFactory, curve_f, oval_connector
 from orbitdepth.holonomy import (
+    DEFAULT_EPS_GRID,
+    TransportError,
     resolved_sign,
     holonomy,
     holonomy_along,
@@ -10,6 +13,7 @@ from orbitdepth.holonomy import (
     m2_assembly_check,
     m3_center_crosscheck,
     melnikov_fit,
+    transport,
 )
 from orbitdepth.melnikov import FLAGSHIP, center_family, deformation, mv
 from orbitdepth.words import D2, Gen, Word, Z_ELT, commutator, v_k
@@ -34,6 +38,42 @@ def test_real_system_real_return(factory):
     h = holonomy(GAMMA, T0, 0.01, FLAGSHIP, factory=factory)
     assert h.imag == 0.0
     assert h != T0
+    eps = np.array(DEFAULT_EPS_GRID)
+    grid = holonomy(GAMMA, T0, np.concatenate([eps, -eps]), FLAGSHIP, factory=factory)
+    assert np.all(grid.imag == 0.0)
+    assert np.all(grid != T0)
+
+
+@pytest.mark.parametrize("w", [GAMMA, v_k(2)], ids=["gamma", "v2"])
+def test_grid_matches_scalar_calls(factory, w):
+    # one stacked solve per segment must reproduce each leaf transported alone
+    cyc = factory.cycle_of_word(w)
+    eps = np.array([0.004, -0.004, 0.02, -0.02])
+    x, y, j = transport(cyc, FLAGSHIP, eps)
+    disp = holonomy_displacement(cyc, FLAGSHIP, eps)
+    for i, e in enumerate(eps):
+        xs, ys, js = transport(cyc, FLAGSHIP, e)
+        assert max(abs(x[i] - xs), abs(y[i] - ys), abs(j[i] - js)) < 1e-11
+        assert abs(disp[i] - holonomy_displacement(cyc, FLAGSHIP, e)) < 1e-11
+
+
+def test_scalar_eps_returns_python_complex(factory):
+    cyc = factory.cycle_of_word(GAMMA)
+    values = transport(cyc, FLAGSHIP, 0.01) + (
+        holonomy_along(cyc, FLAGSHIP, 0.01), holonomy_displacement(cyc, FLAGSHIP, 0.01))
+    assert all(type(v) is complex for v in values)
+
+
+def test_corrupted_level_names_eps(factory, monkeypatch):
+    cyc = factory.cycle_of_word(GAMMA)
+    shifted = Cycle(cyc.segments, cyc.t + 1e-6, cyc.base_point, label="shifted")
+    with pytest.raises(TransportError, match=r"eps = 0\.004"):
+        holonomy_displacement(shifted, FLAGSHIP, np.array([0.004, 0.02]))
+    # the check is per leaf: a mismatch on the last leaf alone is caught
+    monkeypatch.setattr(holonomy_module, "curve_f",
+                        lambda x, y: curve_f(x, y) + np.array([0.0, 1e-6]))
+    with pytest.raises(TransportError, match=r"eps = 0\.02"):
+        holonomy_displacement(cyc, FLAGSHIP, np.array([0.004, 0.02]))
 
 
 def test_displacement_consistency(factory):
@@ -85,8 +125,8 @@ def test_base_point_robustness(factory):
         label="rebased",
     )
     eps = np.array([1e-3 * 2 ** j for j in range(6)])
-    base_vals = np.array([holonomy_displacement(cycle, FLAGSHIP, e) for e in eps])
-    moved_vals = np.array([holonomy_displacement(moved, FLAGSHIP, e) for e in eps])
+    base_vals = holonomy_displacement(cycle, FLAGSHIP, eps)
+    moved_vals = holonomy_displacement(moved, FLAGSHIP, eps)
     c2_base = np.linalg.lstsq(
         np.stack([eps ** 2, eps ** 3, eps ** 4], axis=1), base_vals, rcond=None)[0][0]
     c2_moved = np.linalg.lstsq(
@@ -104,8 +144,8 @@ def test_v3_sign_calibrated_value(factory):
 def test_center_exactness(factory):
     d0 = center_family("t", 1, 1, 0)
     cyc = factory.cycle_of_word(GAMMA)
-    for eps in (0.01, 0.02, 0.05):
-        assert abs(holonomy_along(cyc, d0, eps) - T0) <= 1e-10
+    returns = holonomy_along(cyc, d0, np.array([0.01, 0.02, 0.05]))
+    assert np.all(np.abs(returns - T0) <= 1e-10)
 
 
 def test_center_crosscheck():

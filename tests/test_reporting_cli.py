@@ -4,7 +4,8 @@ import os
 import pytest
 
 from orbitdepth.cli import main
-from orbitdepth.reporting import Config, repr_suite, run_suite
+from orbitdepth import reporting
+from orbitdepth.reporting import Config, numeric_suite, repr_suite, run_suite
 
 
 def test_run_suite_unknown_name():
@@ -136,6 +137,34 @@ def test_repr_suite_records():
         level = [r for r in records if r.id.startswith(f"repr.k{k}.")]
         assert len(level) == k + 10  # k + 9 certificate items and the verdict
         assert level[-1].id == f"repr.k{k}.certificate"
+
+
+def test_numeric_suite_records():
+    records = numeric_suite(Config())
+    assert len(records) == 20
+    assert len({r.id for r in records}) == 20
+    assert all(r.passed for r in records)
+    assert all(r.runtime_ms > 0 for r in records), [
+        r.id for r in records if not r.runtime_ms > 0]
+
+
+def test_run_suite_turns_a_raise_into_a_failed_record(tmp_path, monkeypatch):
+    def crashing(cfg):
+        raise RuntimeError("leaf transport failed")
+
+    def fine(cfg):
+        return [reporting.Recorder().add_bool("fine.check", "a passing check", True)]
+
+    monkeypatch.setattr(reporting, "SUITES", {"crashing": crashing, "fine": fine})
+    path = tmp_path / "report.json"
+    code, records, out = run_suite("all", Config(), str(path))
+    assert code == 1 and out == str(path)
+    assert [r.id for r in records] == ["crashing.error", "fine.check"]
+    assert not records[0].passed and records[1].passed
+    assert records[0].computed == "RuntimeError: leaf transport failed"
+    report = json.loads(path.read_text())
+    assert report["pass"] is False
+    assert [c["id"] for c in report["checks"]] == ["crashing.error", "fine.check"]
 
 
 def test_cli_malformed_config(tmp_path, capsys, monkeypatch):
