@@ -43,14 +43,6 @@ def curve_f(x: complex, y: complex) -> complex:
     return (x * x - 1.0) * (y * y - 1.0)
 
 
-def f_x(x: complex, y: complex) -> complex:
-    return 2.0 * x * (y * y - 1.0)
-
-
-def f_y(x: complex, y: complex) -> complex:
-    return 2.0 * y * (x * x - 1.0)
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     x: complex
@@ -77,16 +69,6 @@ def dependent_roots(w: complex, t: complex, chart: str) -> Tuple[complex, comple
         raise ZeroDivisionError("independent coordinate at a puncture")
     r = cmath.sqrt(1.0 + t / denom)
     return r, -r
-
-
-def _newton_polish(w, d, t, chart, iters=4):
-    """Newton on the dependent coordinate d over fixed independent w."""
-    a = w * w - 1.0
-    for _ in range(iters):
-        f = a * (d * d - 1.0) - t
-        fp = 2.0 * a * d
-        d = d - f / fp
-    return d
 
 
 class BasePath:

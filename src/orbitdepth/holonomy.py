@@ -22,9 +22,27 @@ norm of the stacked state rather than of each leaf alone; the
 grid-vs-scalar test in tests/test_holonomy.py guards the accuracy of each
 leaf.
 
-Order-by-order coefficients come from symmetric eps / -eps evaluations:
-odd and even parts are fitted separately against (eps, eps^3, eps^5) and
-(eps^2, eps^4, eps^6), and half-grid refits give a stability diagnostic.
+The return map P(t, eps) - t = c1 eps + c2 eps^2 + c3 eps^3 + ... has its
+coefficients computed two independent ways.
+
+Jets (`melnikov_jet`, Francoise's recursion for the successive derivatives
+of a first return map): on each segment the leaf's dependent coordinate is
+u0 + eps u1 + eps^2 u2, with u0 the base segment's own curve point.  Order j
+is a linear ODE u_j' = g_dep u_j + r_j, r_j the eps^j part of the slope with
+u_j set to 0, and 1/F_dep solves its homogeneous part (F_dep = dF/d(dep) on
+the base curve; the unperturbed leaf at level t + tau lies at
+u0 + tau / F_dep to first order), so
+u_j = (F_dep(0) u_j(0) + int F_dep r_j) / F_dep in closed form.  The eps^j
+coefficient J_j of int omega gives c_{j+1} = -J_j.  Everything runs on the
+Chebyshev-Lobatto panels of `integrals`, and the panels double until the
+coefficients are stable.  A chart switch needs no slide: the next segment's
+independent path is shifted by the leaf's O(eps) offset delta, w + delta (1 - s),
+so the leaf starts on it with the new dependent coordinate (the old
+independent one) exactly on the base curve, and ends on the base fiber.
+
+Fits (`melnikov_fit`, the direct path): symmetric eps / -eps transports,
+with odd and even parts fitted separately against (eps, eps^3, eps^5) and
+(eps^2, eps^4, eps^6), and half-grid refits as a stability diagnostic.
 """
 
 from __future__ import annotations
@@ -36,7 +54,15 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .curves import Cycle, CycleFactory, Segment, curve_f, real_oval
-from .integrals import eta, iterated_integral, moment_integral
+from .integrals import (
+    _NODES,
+    _QMAT,
+    QuadratureError,
+    _segment_panels,
+    eta,
+    iterated_integral,
+    moment_integral,
+)
 from .melnikov import Deformation, center_family, classify, m3_tilde_coefficient, Kind
 from .ratfunc import RatFunc, wronskian
 from .words import Gen, Word
@@ -226,6 +252,159 @@ def holonomy_displacement(cycle: Cycle, d: Deformation, eps):
 
 
 # ---------------------------------------------------------------------------
+# eps-jets of the leaf on the collocation panels.
+#
+# An eps-series is an array whose axis 0 is the power of eps, truncated
+# after JET_TERMS coefficients; the other axes are the panel nodes.
+
+JET_TERMS = 3  # eps^0..eps^2 of int omega give c1..c3
+JET_TOL = 1e-10
+JET_MAX_ROUNDS = 5
+
+
+def _mul(a, b):
+    out = a * b[0]
+    for i in range(1, len(a)):
+        out[i:] += a[:-i] * b[i]
+    return out
+
+
+def _recip(a):
+    out = np.empty_like(a)
+    out[0] = 1.0 / a[0]
+    for k in range(1, len(a)):
+        out[k] = -out[0] * (a[1:k + 1] * out[k - 1::-1]).sum(axis=0)
+    return out
+
+
+def _plus(a, c):
+    """a + c for a constant c."""
+    out = a.copy()
+    out[0] = out[0] + c
+    return out
+
+
+def _eps_times(a):
+    return np.concatenate([np.zeros_like(a[:1]), a[:-1]])
+
+
+def _poly_at(coeffs, z):
+    out = np.zeros_like(z)
+    for c in coeffs:
+        out = _plus(_mul(out, z), c)
+    return out
+
+
+def _rat_at(dense, z):
+    """A rational function, given by RatFunc.dense(), at the series z."""
+    num, den = dense
+    if len(den) == 1:
+        return _poly_at(num, z) / den[0]
+    return _mul(_poly_at(num, z), _recip(_poly_at(den, z)))
+
+
+def _leaf_series(chart: str, w, dw, dep, dense):
+    """eps-series of (d(dep)/ds, omega(tangent)) on the leaf through (w, dep)
+    while the independent coordinate moves at dw (all three are series)."""
+    x, y = (w, dep) if chart == "x" else (dep, w)
+    xx, yy = _plus(_mul(x, x), -1.0), _plus(_mul(y, y), -1.0)
+    f = _mul(xx, yy)
+    a1, a2, a3 = (_rat_at(c, f) for c in dense)
+    p = _mul(a1, _recip(_plus(x, 1.0))) + _mul(a3, _recip(_plus(x, -1.0)))
+    q = _mul(a2, _recip(_plus(y, -1.0)))
+    fx, fy = 2.0 * _mul(x, yy), 2.0 * _mul(y, xx)
+    f_ind, f_dep, p_ind, p_dep = (fx, fy, p, q) if chart == "x" else (fy, fx, q, p)
+    slope = -_mul(f_ind + _eps_times(p_ind), _recip(f_dep + _eps_times(p_dep)))
+    return _mul(slope, dw), _mul(p_ind + _mul(p_dep, slope), dw)
+
+
+def _segment_jet(seg: Segment, npan: int, dense, offset: np.ndarray, dep0: np.ndarray):
+    """Carry the leaf's jet over one segment on npan collocation panels.
+
+    The independent coordinate follows the base path shifted by
+    offset * (1 - s), so the leaf ends on the base fiber; dep0 is the jet of
+    the dependent coordinate at s = 0 minus the base value.  Returns the jet
+    of the dependent coordinate at s = 1 (minus the base) and of int omega.
+    """
+    h = 1.0 / npan
+    s = (np.arange(npan)[:, None] + _NODES) * h
+    w = offset[:, None, None] * (1.0 - s)
+    w[0] = seg.independent(s)
+    dw = np.broadcast_to(-offset[:, None, None], w.shape).copy()
+    dw[0] = seg.independent_derivative(s)
+    u = np.zeros_like(w)
+    u[0] = seg.dependent(s)
+    f_dep = 2.0 * u[0] * (w[0] * w[0] - 1.0)  # dF/d(dep): F is symmetric in x, y
+
+    def cumulative(g):
+        within = h * (g @ _QMAT.T)
+        before = np.concatenate(([0.0], np.cumsum(within[:-1, -1])))
+        return before[:, None] + within
+
+    for j in range(1, JET_TERMS):
+        # r_j: the eps^j coefficient of the slope while u_j is still 0
+        r = _leaf_series(seg.chart, w[:j + 1], dw[:j + 1], u[:j + 1], dense)[0][j]
+        u[j] = (f_dep[0, 0] * dep0[j] + cumulative(f_dep * r)) / f_dep
+    form = _leaf_series(seg.chart, w, dw, u, dense)[1]
+    end = u[:, -1, -1].copy()
+    end[0] = 0.0
+    return end, h * (form @ _QMAT[-1]).sum(axis=1)
+
+
+def _switch_chart(dep: np.ndarray):
+    """(offset, dep0) at a chart switch: the leaf's dependent jet becomes the
+    offset of the new independent coordinate, and the new dependent
+    coordinate (the old independent one) starts on the base curve."""
+    return dep, np.zeros_like(dep)
+
+
+def _cycle_jet(cycle: Cycle, dense, rounds: int) -> np.ndarray:
+    chart = cycle.segments[0].chart
+    dep = np.zeros(JET_TERMS, complex)
+    jtot = np.zeros(JET_TERMS, complex)
+    for seg in cycle.segments:
+        offset = np.zeros(JET_TERMS, complex)
+        if seg.chart != chart:
+            offset, dep = _switch_chart(dep)
+            chart = seg.chart
+        dep, dj = _segment_jet(seg, _segment_panels(seg, rounds), dense, offset, dep)
+        jtot += dj
+    return -jtot
+
+
+def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:
+    """(c1, c2, c3) of P(t, eps) - t = c1 eps + c2 eps^2 + c3 eps^3 + ...
+    along the cycle: c_{j+1} = -(eps^j coefficient of int omega).
+
+    The leaf starts on the base curve over the first segment's start and
+    returns to the same fiber, which needs the first and last segments in
+    one chart.  Panels double until every coefficient is stable to JET_TOL,
+    as in integrals.iterated_integral; QuadratureError if they never are.
+    """
+    if not cycle.segments:
+        return 0j, 0j, 0j
+    if cycle.segments[0].chart != cycle.segments[-1].chart:
+        raise ValueError("the first and last segments of the cycle must share a chart")
+    dense = [a.dense() for a in d.coefficients()]
+    prev = None
+    for rounds in range(JET_MAX_ROUNDS):
+        c = _cycle_jet(cycle, dense, rounds)
+        if prev is not None:
+            delta = np.max(np.abs(c - prev))
+            if delta <= JET_TOL * max(1.0, np.max(np.abs(c))):
+                return tuple(complex(v) for v in c)
+        prev = c
+    raise QuadratureError(f"Melnikov jet did not stabilize to {JET_TOL:g} "
+                          f"(last delta {delta:.3g})")
+
+
+def melnikov_jet(w: Word, t0: complex, d: Deformation,
+                 factory: Optional[CycleFactory] = None) -> Tuple[complex, complex, complex]:
+    """(c1, c2, c3) of the return map along the word's cycle, from eps-jets."""
+    return jet_along((factory or CycleFactory(t0)).cycle_of_word(w), d)
+
+
+# ---------------------------------------------------------------------------
 # eps-power fits.
 
 
@@ -377,16 +556,14 @@ def m3_center_prediction(A, lam, t0: float, lambda1=1) -> complex:
 
 
 def m3_center_crosscheck(A, c1, lambda1, lam, t0: float,
-                         eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
                          rel_tol: float = 5e-3) -> CheckReport:
-    """Fitted order-3 coefficient of the center family against the closed
-    prefactor times the numeric double integral (both through independent
-    code paths; the resolved global sign relates them)."""
+    """Order-3 jet coefficient of the center family along the oval against
+    the closed prefactor times the numeric double integral (both through
+    independent code paths; the resolved global sign relates them)."""
     d = center_family(A, c1, lambda1, lam)
-    fit = melnikov_fit(Word.gen(Gen.G), t0, d, eps_grid=eps_grid)
+    c3 = melnikov_jet(Word.gen(Gen.G), t0, d)[2]
     predicted = RESOLVED_HOLONOMY_SIGN * m3_center_prediction(A, lam, t0, lambda1)
     if predicted == 0:
-        err = abs(fit.c3)
-        return CheckReport("order-3 center cross-check", fit.c3, predicted, err, 1e-9)
-    err = abs(fit.c3 - predicted) / abs(predicted)
-    return CheckReport("order-3 center cross-check", fit.c3, predicted, err, rel_tol)
+        return CheckReport("order-3 center cross-check", c3, predicted, abs(c3), 1e-9)
+    err = abs(c3 - predicted) / abs(predicted)
+    return CheckReport("order-3 center cross-check", c3, predicted, err, rel_tol)

@@ -122,10 +122,14 @@ class RatFunc:
         """Numeric evaluation (works for complex t0)."""
         return self.callable()(t0)
 
+    def dense(self):
+        """Complex coefficients of numerator and denominator, highest first."""
+        return tuple([complex(c) for c in p.to_dense()]
+                     for p in (self.value.numer, self.value.denom))
+
     def callable(self):
         """Fast complex-scalar evaluator (Horner on both polynomials)."""
-        num, den = ([complex(c) for c in p.to_dense()]
-                    for p in (self.value.numer, self.value.denom))
+        num, den = self.dense()
 
         def f(tval):
             pn = 0j

@@ -20,6 +20,7 @@ and rho_k(v_{k+2}), whose corner is kappa * 1, lies outside it.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -377,6 +378,11 @@ class CheckItem:
     name: str
     passed: bool
     detail: str = ""
+    runtime_ms: float = 0.0
+
+
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1e3
 
 
 @dataclass
@@ -412,6 +418,7 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
     report = VImageReport(k, i_max)
     d = rep.C  # d_{i-1}(z); the chain is walked once for every i
     for i in range(2, i_max + 1):
+        start = time.perf_counter()
         if i > 2:
             d = commutator_matrix(rep.B, d)
         img = commutator_matrix(rep.A, d)
@@ -420,33 +427,27 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
             expected = ident + expected_v_corner_matrix(k)
             ok = img == expected
             detail = f"corner = k!(1/c-1)(1/a-1) at (1, {rep.n})"
-            report.items.append(
-                CheckItem(f"rho_{k}(v_{i}) = I + corner", ok and img != ident, "corner nonzero")
-            )
+            report.items.append(CheckItem(f"rho_{k}(v_{i}) = I + corner", ok and img != ident,
+                                          "corner nonzero", _ms_since(start)))
         else:
             expected = ident
             ok = img == expected
             detail = "identity"
-        report.items.append(CheckItem(f"rho_{k}(v_{i})", ok, detail))
+        report.items.append(CheckItem(f"rho_{k}(v_{i})", ok, detail, _ms_since(start)))
         if not ok:
             diff = img - expected
             report.items[-1].detail = f"mismatch entries: {sorted(diff.entries)[:4]}"
     # word-path cross-check at the distinguished index
-    word_img = rep(v_k(k + 2))
-    report.items.append(
-        CheckItem(
-            f"rho_{k}(v_{k+2}) via word product",
-            word_img == ident + expected_v_corner_matrix(k),
-            "matrix recursion agrees with the word image",
-        )
-    )
-    report.items.append(
-        CheckItem(
-            f"corner scalar relation at k={k}",
-            expected_corner_scalar(k) == alternate_corner_scalar(k) * A_PARAM,
-            "k!(1/c-1)(1-a) = a * k!(1/c-1)(1/a-1)",
-        )
-    )
+    start = time.perf_counter()
+    ok = rep(v_k(k + 2)) == ident + expected_v_corner_matrix(k)
+    report.items.append(CheckItem(f"rho_{k}(v_{k+2}) via word product", ok,
+                                  "matrix recursion agrees with the word image",
+                                  _ms_since(start)))
+    start = time.perf_counter()
+    ok = expected_corner_scalar(k) == alternate_corner_scalar(k) * A_PARAM
+    report.items.append(CheckItem(f"corner scalar relation at k={k}", ok,
+                                  "k!(1/c-1)(1-a) = a * k!(1/c-1)(1/a-1)",
+                                  _ms_since(start)))
     return report
 
 
@@ -537,16 +538,19 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
     ident = RepMatrix.identity(rep.n)
     unit_corner = corner_tensor(k)
     kappa = expected_corner_scalar(k)
-    v_corner = ident + unit_corner.scale(kappa)
 
+    start = time.perf_counter()
     bad = [RHO_NAMES[g] for g, s in rep.images.items() if not _has_lemma_shape(s)]
     cert.items.append(CheckItem(
         "generator images in the corner-lemma group",
         not bad,
         f"not upper triangular with diagonal (a^m, 1, ..., 1, c^n): {bad}" if bad
         else "every generator image is upper triangular with diagonal (a^m, 1, ..., 1, c^n)",
+        _ms_since(start),
     ))
 
+    start = time.perf_counter()
+    v_corner = ident + unit_corner.scale(kappa)
     quotients = []
     bad = []
     for g, s in rep.images.items():
@@ -564,8 +568,10 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
         not bad,
         f"[S, N] != I + kappa (a^m c^-n - 1) E_1n for {bad}" if bad
         else "[S, N] = I + kappa (a^m c^-n - 1) E_1n, (m, n) the exponent sums",
+        _ms_since(start),
     ))
 
+    start = time.perf_counter()
     one = LaurentPoly2.one()
     at_one = (Fraction(1), Fraction(1))
     separated = (
@@ -579,5 +585,6 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
         separated,
         f"commutator corners lie in kappa * aug; rho(v_{k + 2}) has corner kappa * 1, "
         "kappa != 0, 1 not in aug",
+        _ms_since(start),
     ))
     return cert

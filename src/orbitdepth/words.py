@@ -135,10 +135,6 @@ def commutator(u: Word, v: Word) -> Word:
     return u * v * u.inverse() * v.inverse()
 
 
-def reduce_letters(letters: Iterable[Letter]) -> Word:
-    return Word(letters)
-
-
 @dataclass(frozen=True)
 class Endo:
     """Endomorphism of the free group given by generator images."""

@@ -10,12 +10,17 @@ from orbitdepth.holonomy import (
     holonomy,
     holonomy_along,
     holonomy_displacement,
+    jet_along,
     m2_assembly_check,
     m3_center_crosscheck,
+    m3_center_prediction,
     melnikov_fit,
+    melnikov_jet,
     transport,
 )
+from orbitdepth.integrals import QuadratureError
 from orbitdepth.melnikov import FLAGSHIP, center_family, deformation, mv
+from orbitdepth.reporting import Config, numeric_suite
 from orbitdepth.words import D2, Gen, Word, Z_ELT, commutator, v_k
 
 T0 = 0.36
@@ -26,6 +31,15 @@ TWO_PI_I = 2j * np.pi
 @pytest.fixture(scope="module")
 def factory():
     return CycleFactory(T0)
+
+
+@pytest.fixture(scope="module")
+def v3_jet(factory):
+    return melnikov_jet(v_k(3), T0, FLAGSHIP, factory=factory)
+
+
+def close_to(value, reference, rel):
+    return abs(value - reference) <= rel * abs(reference)
 
 
 def test_unperturbed_identity(factory):
@@ -90,6 +104,7 @@ def test_flagship_fit(factory):
     assert not fit.is_zero(3)
     assert fit.stable(3, 5e-3)
     assert fit.c3.real < 0 and abs(fit.c3.imag) < 1e-9
+    assert close_to(fit.c3, melnikov_jet(GAMMA, T0, FLAGSHIP, factory=factory)[2], 5e-3)
 
 
 def test_v2_fit_order2_vanishes(factory):
@@ -134,11 +149,12 @@ def test_base_point_robustness(factory):
     assert abs(c2_moved - c2_base) / abs(c2_base) < 5e-3
 
 
-def test_v3_sign_calibrated_value(factory):
+def test_v3_sign_calibrated_value(factory, v3_jet):
     fit = melnikov_fit(v_k(3), T0, FLAGSHIP, factory=factory)
     sym = mv(3, FLAGSHIP).evaluate(T0)  # t0^2
     expected = resolved_sign(3) * TWO_PI_I ** 3 * sym
     assert abs(fit.c3 - expected) / abs(expected) < 5e-3
+    assert close_to(fit.c3, v3_jet[2], 5e-3)
 
 
 def test_center_exactness(factory):
@@ -159,6 +175,9 @@ def test_center_witness_scalings(factory):
     f22 = melnikov_fit(GAMMA, T0, center_family("t", 0, 2, 2), factory=factory)
     assert abs(f21.c3 / f11.c3 - 2) < 2e-2   # linear in lam alone
     assert abs(f22.c3 / f11.c3 - 4) < 4e-2   # quadratic on the diagonal
+    for fit, (lambda1, lam) in ((f11, (1, 1)), (f21, (1, 2)), (f22, (2, 2))):
+        jet = melnikov_jet(GAMMA, T0, center_family("t", 0, lambda1, lam), factory=factory)
+        assert close_to(fit.c3, jet[2], 5e-3)
 
 
 def test_m2_assembly():
@@ -186,3 +205,52 @@ def test_center_fit_all_zero(factory):
     d0 = center_family("t", 1, 1, 0)
     fit = melnikov_fit(GAMMA, T0, d0, factory=factory)
     assert fit.is_zero(1) and fit.is_zero(2) and fit.is_zero(3)
+
+
+# ---------------------------------------------------------------------------
+# eps-jets against closed forms
+
+
+def test_v3_jet_matches_closed_form(v3_jet):
+    expected = resolved_sign(3) * TWO_PI_I ** 3 * mv(3, FLAGSHIP).evaluate(T0)
+    assert close_to(v3_jet[2], expected, 1e-8)
+
+
+def test_commutator_jet_matches_wronskian(factory):
+    c2 = melnikov_jet(commutator(D2, Z_ELT), T0, FLAGSHIP, factory=factory)[1]
+    assert close_to(c2, resolved_sign(2) * TWO_PI_I ** 2 * T0 ** 2, 1e-8)
+
+
+@pytest.mark.parametrize("A, lambda1, lam", [("t", 1, 1), ("t^2+t", 1, 2)])
+def test_center_jet_matches_prediction(factory, A, lambda1, lam):
+    # A = t^2 + t makes a2 = 1/(2t + 1) a proper rational function
+    c3 = melnikov_jet(GAMMA, T0, center_family(A, 0, lambda1, lam), factory=factory)[2]
+    assert close_to(c3, resolved_sign(3) * m3_center_prediction(A, lam, T0, lambda1), 1e-8)
+
+
+def test_flagship_jet_starts_at_order_3(factory):
+    c1, c2, c3 = melnikov_jet(GAMMA, T0, FLAGSHIP, factory=factory)
+    assert abs(c1) <= 1e-12 and abs(c2) <= 1e-12
+    assert abs(c3) > 0.1
+
+
+def test_jet_cycle_shapes(factory):
+    assert melnikov_jet(Word(), T0, FLAGSHIP, factory=factory) == (0j, 0j, 0j)
+    oval = factory.cycle_of_word(GAMMA)  # charts y, x, x, y, y, x, x, y
+    with pytest.raises(ValueError, match="chart"):
+        jet_along(Cycle(oval.segments[:-1], T0, oval.base_point), FLAGSHIP)
+
+
+def test_unstable_jet_raises(factory, monkeypatch):
+    monkeypatch.setattr(holonomy_module, "_cycle_jet",
+                        lambda cycle, dense, rounds: np.full(3, 1e-6 * rounds, complex))
+    with pytest.raises(QuadratureError, match="did not stabilize"):
+        melnikov_jet(GAMMA, T0, FLAGSHIP, factory=factory)
+
+
+def test_dropping_the_chart_switch_offset_turns_checks_red(monkeypatch):
+    monkeypatch.setattr(holonomy_module, "_switch_chart",
+                        lambda dep: (np.zeros_like(dep), np.zeros_like(dep)))
+    records = {r.id: r for r in numeric_suite(Config())}
+    assert not records["num.v3_crosscheck"].passed
+    assert not records["num.flagship.c3"].passed

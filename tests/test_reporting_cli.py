@@ -1,7 +1,12 @@
 import json
 import os
+import platform
+import re
 
+import numpy as np
 import pytest
+import scipy
+import sympy
 
 from orbitdepth.cli import main
 from orbitdepth import reporting
@@ -25,6 +30,19 @@ def test_suite_report_schema(tmp_path):
                 "passed", "runtime_ms"} <= set(rec)
     ids = [r["id"] for r in data["checks"]]
     assert len(ids) == len(set(ids))
+
+
+def test_report_manifest_records_the_environment(tmp_path):
+    _, _, path = run_suite("melnikov", Config(), str(tmp_path / "rep.json"))
+    manifest = json.loads(open(path).read())["manifest"]
+    assert {"version", "seed", "t0", "k_max", "magnus_degree", "eps_grid", "suites",
+            "timestamp", "python", "numpy", "scipy", "sympy", "cpu_count",
+            "commit"} == set(manifest)
+    assert manifest["python"] == platform.python_version()
+    assert (manifest["numpy"], manifest["scipy"], manifest["sympy"]) == (
+        np.__version__, scipy.__version__, sympy.__version__)
+    assert manifest["cpu_count"] == os.cpu_count()
+    assert manifest["commit"] == "unknown" or re.fullmatch(r"[0-9a-f]{40}", manifest["commit"])
 
 
 def test_suite_rerun_deterministic(tmp_path):
@@ -133,6 +151,8 @@ def test_repr_suite_records():
     assert len(records) == 65
     assert len({r.id for r in records}) == 65
     assert all(r.passed for r in records)
+    assert all(r.runtime_ms > 0 for r in records), [
+        r.id for r in records if not r.runtime_ms > 0]
     for k in range(1, 6):
         level = [r for r in records if r.id.startswith(f"repr.k{k}.")]
         assert len(level) == k + 10  # k + 9 certificate items and the verdict
