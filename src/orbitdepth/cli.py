@@ -6,7 +6,7 @@ Subcommand tree:
     repr   {matrices, check-v, comm-scalar, certificate}
     mel    {wronskian, build, classify, mv, center}
     num    {pairing, iterated, cauchy-suite, fit, holonomy, center-check}
-    verify {orbit, repr, melnikov, numeric, all}
+    verify {orbit, repr, melnikov, numeric, all} [--trace]
     report --out FILE --format {json,csv}
 
 All numeric subcommands emit JSON records; `num fit` can also write a CSV
@@ -65,7 +65,7 @@ from .integrals import (
     PAIRING_LOOP0,
 )
 from .holonomy import holonomy, m3_center_crosscheck, melnikov_fit
-from .reporting import Config, run_suite, summary_table
+from .reporting import Config, run_suite, summary_table, trace_tree
 
 
 def _emit(obj, args):
@@ -370,6 +370,8 @@ def cmd_verify(args):
         return 2
     print(summary_table(records))
     print(f"report: {path}")
+    if args.trace:
+        print(trace_tree(records))
     return code
 
 
@@ -504,6 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--eps-grid")
     ver.add_argument("--output-dir")
     ver.add_argument("--out")
+    ver.add_argument("--trace", action="store_true",
+                     help="print each suite's record runtimes after the report")
     ver.set_defaults(func=cmd_verify)
 
     repo = sub.add_parser("report", help="run everything and write a report")

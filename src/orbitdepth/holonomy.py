@@ -5,22 +5,25 @@ A leaf of the perturbed foliation satisfies
 
     (F_x + eps P) dx + (F_y + eps Q) dy = 0,
 
-so along a segment whose independent coordinate follows the base path the
-dependent coordinate obeys an explicit ODE.  Transport starts at the exact
-curve point over the base point, follows every segment of a cycle, and the
-return value is F at the endpoint; chart switches between segments slide
-the point along the same leaf onto the new fiber (a Newton-controlled
-correction of size O(eps), so the composition is the genuine holonomy
-through the fixed transversal at the base point).
+so along a segment whose independent coordinate w follows the base path
+the dependent coordinate u has an explicit slope, and integrated along the
+leaf the equation reads F(w, u) = F(start) - eps J with J = int omega.
+Transport starts at the exact curve point over the base point, follows
+every segment of a cycle, and the return value is F at the endpoint.
 
-Each entry of an eps array is its own leaf, and all leaves travel
-together: the ODE state stacks the dependent coordinates and the
-omega-quadratures of the n leaves as 4n real components, so every segment
-and every fiber slide is one DOP853 solve for the whole +-eps grid (a
-scalar eps is the n = 1 case).  scipy's step control bounds the RMS error
-norm of the stacked state rather than of each leaf alone; the
-grid-vs-scalar test in tests/test_holonomy.py guards the accuracy of each
-leaf.
+Each segment runs on the Chebyshev-Lobatto panels of `integrals`, with
+every leaf of an eps grid in one array (a scalar eps is the n = 1 case).
+A fixed point on the level relation alternates u <- the root of
+(w^2 - 1)(u^2 - 1) = F(start) - eps J nearest the last iterate (the base
+curve to begin with) and J <- the running int of omega; each doubling of a
+segment's panels starts from the previous count's J, and the panels
+double until two counts agree on every leaf's endpoint and J.  The
+endpoint carried on is that of the differential form, u(0) + int slope dw,
+not the root, so the displacement check F(end) - t = -eps int omega in
+`holonomy_displacement` compares two independently integrated quantities.
+A chart switch needs no slide: the next segment's independent path is
+shifted by the leaf's offset delta from the base path at its start,
+w + delta (1 - s), so every leaf ends on the base fiber.
 
 The return map P(t, eps) - t = c1 eps + c2 eps^2 + c3 eps^3 + ... has its
 coefficients computed two independent ways.
@@ -35,10 +38,10 @@ u0 + tau / F_dep to first order), so
 u_j = (F_dep(0) u_j(0) + int F_dep r_j) / F_dep in closed form.  The eps^j
 coefficient J_j of int omega gives c_{j+1} = -J_j.  Everything runs on the
 Chebyshev-Lobatto panels of `integrals`, and the panels double until the
-coefficients are stable.  A chart switch needs no slide: the next segment's
-independent path is shifted by the leaf's O(eps) offset delta, w + delta (1 - s),
-so the leaf starts on it with the new dependent coordinate (the old
-independent one) exactly on the base curve, and ends on the base fiber.
+coefficients are stable.  Chart switches shift the next segment's path as
+the transport does, with the leaf's O(eps) offset as delta, so the leaf
+starts on it with the new dependent coordinate (the old independent one)
+exactly on the base curve.
 
 Fits (`melnikov_fit`, the direct path): symmetric eps / -eps transports,
 with odd and even parts fitted separately against (eps, eps^3, eps^5) and
@@ -51,14 +54,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .curves import Cycle, CycleFactory, Segment, curve_f, real_oval
 from .integrals import (
     _NODES,
-    _QMAT,
     QuadratureError,
+    _cumulative,
+    _panel_nodes,
     _segment_panels,
+    _split_panels,
     eta,
     iterated_integral,
     moment_integral,
@@ -67,8 +71,10 @@ from .melnikov import Deformation, center_family, classify, m3_tilde_coefficient
 from .ratfunc import RatFunc, wronskian
 from .words import Gen, Word
 
-ODE_RTOL = 1e-13
-ODE_ATOL = 1e-14
+FIX_RTOL = 1e-15  # the level fixed point settles when J moves less than this, relative
+FIX_MAX_ITERATIONS = 60
+SEGMENT_ATOL = 1e-13  # endpoints and int omega agree between two panel counts
+SEGMENT_MAX_ROUNDS = 6
 DEFAULT_EPS_GRID = tuple(1e-3 * 2 ** j for j in range(6))
 
 # Fitted coefficients of order mu equal (-1)^mu times the nested-Wronskian
@@ -121,66 +127,67 @@ class LeafField:
         return slope, q + p * slope
 
 
-def _solve_leaves(field: LeafField, chart: str, path, dep0: np.ndarray, what: str):
-    """Transport (dependent coordinate, omega-quadrature) of every leaf while
-    the chart coordinate follows path(s) = (w, dw/ds), s in [0, 1].
+def _check_closing_chart(cycle: Cycle):
+    """A leaf leaves and returns through one fiber only when the cycle's
+    first and last segments share a chart."""
+    if cycle.segments[0].chart != cycle.segments[-1].chart:
+        raise ValueError("the first and last segments of the cycle must share a chart")
 
-    The real state of 4n components is the complex vector (dep, J) of 2n
-    entries viewed as (Re, Im) pairs, so no copy is made either way.
-    Raises TransportError, naming `what`, when the solver fails.
+
+def _segment_leaves(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray,
+                    npan: int, j: np.ndarray):
+    """Every leaf through (x, y) over one segment on npan collocation panels.
+
+    The fixed point on F(w, u) = F(x, y) - eps J starts from the running
+    int omega `j` at the nodes (leaves, panels, nodes) and stops when no
+    leaf's J moves by more than FIX_RTOL of the largest |J|; TransportError,
+    naming the segment and the slowest leaf's eps, past FIX_MAX_ITERATIONS.
+    Returns the dependent coordinate at s = 1 of the differential form,
+    u(0) + int slope dw, and the converged j.
     """
-    n = dep0.size
-
-    def rhs(s, u):
-        dep = u.view(complex)[:n]
-        w, dw = path(s)
-        if chart == "x":
-            slope, form = field.slope_and_form(w, dep, "x")
-        else:
-            slope, form = field.slope_and_form(dep, w, "y")
-        return np.concatenate((dw * slope, dw * form)).view(float)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.concatenate((dep0, np.zeros(n, complex))).view(float),
-        method="DOP853",
-        rtol=ODE_RTOL,
-        atol=ODE_ATOL,
-    )
-    if not sol.success:
-        raise TransportError(f"{what} failed: {sol.message}")
-    u = np.ascontiguousarray(sol.y[:, -1]).view(complex)
-    return u[:n], u[n:]
-
-
-def _slide_to_fiber(x: np.ndarray, y: np.ndarray, field: LeafField,
-                    slide_chart: str, target: complex, tol: float):
-    """Move each leaf along itself until its slide_chart coordinate equals
-    target.
-
-    Used at chart switches: the slide integrates the leaf equation with the
-    slide-chart coordinate moving linearly onto the new fiber, so it lands
-    there exactly (up to solver tolerance).  A leaf within `tol` of the
-    fiber slides with span 0 and stays where it is.  Returns the new points
-    and the omega-quadrature picked up on the way.
-    """
-    cur = x if slide_chart == "x" else y
-    span = np.where(np.abs(target - cur) > tol, target - cur, 0.0)
-    if not span.any():
-        return x, y, 0.0
-    dep1, jtot = _solve_leaves(
-        field, slide_chart, lambda s: (cur + span * s, span),
-        y if slide_chart == "x" else x, "fiber slide",
-    )
-    w1 = np.where(span != 0, target, cur)
-    if slide_chart == "x":
-        return w1, dep1, jtot
-    return dep1, w1, jtot
+    w0, u0 = (x, y) if seg.chart == "x" else (y, x)
+    h = 1.0 / npan
+    s = _panel_nodes(npan)
+    delta = (w0 - seg.independent(0.0))[:, None, None]
+    w = seg.independent(s) + delta * (1.0 - s)
+    dw = seg.independent_derivative(s) - delta
+    a = w * w - 1.0
+    level = curve_f(w0, u0)[:, None, None]
+    u = np.broadcast_to(seg.dependent(s), w.shape)
+    for _ in range(FIX_MAX_ITERATIONS):
+        r = np.sqrt(1.0 + (level - field.eps * j) / a)
+        u = np.where(r.real * u.real + r.imag * u.imag >= 0.0, r, -r)  # |r - u| <= |r + u|
+        slope, form = field.slope_and_form(*((w, u) if seg.chart == "x" else (u, w)), seg.chart)
+        j, prev = _cumulative(form * dw, h), j
+        change = np.abs(j - prev).max(axis=(1, 2))
+        if np.all(change <= FIX_RTOL * np.abs(j).max()):
+            return u0 + _cumulative(slope * dw, h)[:, -1, -1], j
+    i = int(np.argmax(change))
+    eps = field.eps.ravel()[i]
+    raise TransportError(
+        f"level fixed point on {seg!r} did not settle in {FIX_MAX_ITERATIONS} iterations "
+        f"at eps = {eps.real if eps.imag == 0 else eps} (last change {change[i]:.3g})")
 
 
-def _fiber(seg: Segment, s: float) -> complex:
-    return complex(np.asarray(seg.independent(s)).reshape(-1)[0])
+def _segment_transport(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray):
+    """_segment_leaves with the panels of the segment doubling, each count
+    starting from the last one's J on the half panels, until the endpoints
+    and int omega of every leaf agree to SEGMENT_ATOL between two
+    consecutive counts; QuadratureError past SEGMENT_MAX_ROUNDS."""
+    prev, delta = None, np.inf
+    j = np.zeros((x.size, _segment_panels(seg, 0), _NODES.size), complex)
+    for rounds in range(SEGMENT_MAX_ROUNDS):
+        if rounds:
+            j = _split_panels(j)
+        end, j = _segment_leaves(seg, field, x, y, _segment_panels(seg, rounds), j)
+        cur = end, j[:, -1, -1]
+        if prev is not None:
+            delta = max(np.abs(c - p).max() for c, p in zip(cur, prev))
+            if delta <= SEGMENT_ATOL:
+                return cur
+        prev = cur
+    raise QuadratureError(f"leaf transport on {seg!r} did not stabilize to {SEGMENT_ATOL:g} "
+                          f"in {SEGMENT_MAX_ROUNDS} panel rounds (last delta {delta:.3g})")
 
 
 def _like(eps, values):
@@ -191,30 +198,22 @@ def _like(eps, values):
 def transport(cycle: Cycle, d: Deformation, eps):
     """Endpoints (x, y) and omega-quadratures of the perturbed leaves over
     the cycle's base chain, one leaf per entry of eps (scalars for a scalar
-    eps).  Every segment and slide is one ODE solve for the whole grid."""
+    eps).  Every segment carries the whole grid as one array."""
     grid = np.atleast_1d(np.asarray(eps, dtype=complex))
     n = grid.size
     if not cycle.segments:
         p = cycle.base_point
         return tuple(_like(eps, np.full(n, v, complex)) for v in (p.x, p.y, 0.0))
-    field = LeafField(d, grid)
-    first = cycle.segments[0]
-    start = first.start_point()
+    _check_closing_chart(cycle)
+    field = LeafField(d, grid[:, None, None])
+    start = cycle.segments[0].start_point()
     x, y = np.full(n, start.x, complex), np.full(n, start.y, complex)
     jtot = np.zeros(n, complex)
     for seg in cycle.segments:
-        x, y, dj = _slide_to_fiber(x, y, field, seg.chart, _fiber(seg, 0.0), 1e-13)
+        dep1, dj = _segment_transport(seg, field, x, y)
         jtot += dj
-        dep1, dj = _solve_leaves(
-            field, seg.chart, lambda s: (seg.independent(s), seg.independent_derivative(s)),
-            y if seg.chart == "x" else x, f"leaf transport on {seg!r}",
-        )
-        jtot += dj
-        w1 = np.full(n, _fiber(seg, 1.0))
+        w1 = np.full(n, seg.independent(1.0), complex)
         x, y = (w1, dep1) if seg.chart == "x" else (dep1, w1)
-    # land exactly on the starting fiber
-    x, y, dj = _slide_to_fiber(x, y, field, first.chart, _fiber(first, 0.0), 1e-14)
-    jtot += dj
     return _like(eps, x), _like(eps, y), _like(eps, jtot)
 
 
@@ -327,7 +326,7 @@ def _segment_jet(seg: Segment, npan: int, dense, offset: np.ndarray, dep0: np.nd
     of the dependent coordinate at s = 1 (minus the base) and of int omega.
     """
     h = 1.0 / npan
-    s = (np.arange(npan)[:, None] + _NODES) * h
+    s = _panel_nodes(npan)
     w = offset[:, None, None] * (1.0 - s)
     w[0] = seg.independent(s)
     dw = np.broadcast_to(-offset[:, None, None], w.shape).copy()
@@ -335,20 +334,14 @@ def _segment_jet(seg: Segment, npan: int, dense, offset: np.ndarray, dep0: np.nd
     u = np.zeros_like(w)
     u[0] = seg.dependent(s)
     f_dep = 2.0 * u[0] * (w[0] * w[0] - 1.0)  # dF/d(dep): F is symmetric in x, y
-
-    def cumulative(g):
-        within = h * (g @ _QMAT.T)
-        before = np.concatenate(([0.0], np.cumsum(within[:-1, -1])))
-        return before[:, None] + within
-
     for j in range(1, JET_TERMS):
         # r_j: the eps^j coefficient of the slope while u_j is still 0
         r = _leaf_series(seg.chart, w[:j + 1], dw[:j + 1], u[:j + 1], dense)[0][j]
-        u[j] = (f_dep[0, 0] * dep0[j] + cumulative(f_dep * r)) / f_dep
+        u[j] = (f_dep[0, 0] * dep0[j] + _cumulative(f_dep * r, h)) / f_dep
     form = _leaf_series(seg.chart, w, dw, u, dense)[1]
     end = u[:, -1, -1].copy()
     end[0] = 0.0
-    return end, h * (form @ _QMAT[-1]).sum(axis=1)
+    return end, _cumulative(form, h)[:, -1, -1]
 
 
 def _switch_chart(dep: np.ndarray):
@@ -383,8 +376,7 @@ def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:
     """
     if not cycle.segments:
         return 0j, 0j, 0j
-    if cycle.segments[0].chart != cycle.segments[-1].chart:
-        raise ValueError("the first and last segments of the cycle must share a chart")
+    _check_closing_chart(cycle)
     dense = [a.dense() for a in d.coefficients()]
     prev = None
     for rounds in range(JET_MAX_ROUNDS):

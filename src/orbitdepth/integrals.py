@@ -53,6 +53,25 @@ def _chebyshev_cumulative(n: int):
 _NODES, _QMAT = _chebyshev_cumulative(_CHEB_N)
 
 
+def _chebyshev_halves(n: int) -> np.ndarray:
+    """H[k] interpolates values at the nodes of a panel onto the nodes of
+    its k-th half (k = 0, 1)."""
+    xi = -np.cos(np.pi * np.arange(n + 1) / n)
+    inv_v = np.linalg.inv(np.cos(np.outer(np.arccos(xi), np.arange(n + 1))))
+    return np.stack([np.cos(np.outer(np.arccos((xi + c) / 2.0), np.arange(n + 1))) @ inv_v
+                     for c in (-1.0, 1.0)])
+
+
+_HALVES = _chebyshev_halves(_CHEB_N)
+
+
+def _split_panels(g: np.ndarray) -> np.ndarray:
+    """Values at the nodes of npan panels (axes -2, -1) interpolated onto the
+    nodes of the 2 npan half panels."""
+    halves = np.stack([g @ m.T for m in _HALVES], axis=-2)
+    return halves.reshape(g.shape[:-2] + (2 * g.shape[-2], g.shape[-1]))
+
+
 class PoleOnPathError(RuntimeError):
     pass
 
@@ -127,27 +146,37 @@ def _segment_panels(seg: Segment, rounds: int) -> int:
     return base * (1 << rounds)
 
 
+def _cumulative(g, h: float):
+    """Running integral of g over consecutive panels of width h: g has the
+    panels on axis -2 and the nodes on axis -1 (any leading axes), and the
+    result holds int_0^s g at every node, the within-panel _QMAT rule plus
+    the totals of the panels before."""
+    within = h * (g @ _QMAT.T)
+    totals = within[..., -1]
+    before = np.concatenate((np.zeros_like(totals[..., :1]),
+                             np.cumsum(totals[..., :-1], axis=-1)), axis=-1)
+    return within + before[..., None]
+
+
+def _panel_nodes(npan: int) -> np.ndarray:
+    """Parameters s of the collocation nodes of npan equal panels of [0, 1],
+    one row per panel."""
+    return (np.arange(npan)[:, None] + _NODES) * (1.0 / npan)
+
+
 def _sweep(cycle: Cycle, forms: Sequence[Form], inits: Sequence[complex],
            rounds: int) -> complex:
-    m = len(forms)
-    prefixes = np.zeros(m, dtype=complex)
-    prefixes[:] = [complex(v) for v in inits]
+    prefixes = [complex(v) for v in inits]
     for seg in cycle.segments:
         npan = _segment_panels(seg, rounds)
-        edges = np.linspace(0.0, 1.0, npan + 1)
-        for p in range(npan):
-            s0, s1 = edges[p], edges[p + 1]
-            h = s1 - s0
-            s_nodes = s0 + _NODES * h
-            x, y, dxds, dyds = seg.frame(s_nodes)
-            acc = None
-            for j, form in enumerate(forms):
-                g = form.values(x, y, dxds, dyds)
-                if j > 0:
-                    g = g * acc
-                partial = prefixes[j] + h * (_QMAT @ g)
-                acc = partial
-                prefixes[j] = partial[-1]
+        x, y, dxds, dyds = seg.frame(_panel_nodes(npan))
+        acc = None
+        for j, form in enumerate(forms):
+            g = form.values(x, y, dxds, dyds)
+            if j > 0:
+                g = g * acc
+            acc = prefixes[j] + _cumulative(g, 1.0 / npan)
+            prefixes[j] = acc[-1, -1]
     return complex(prefixes[-1])
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy
 import sympy
 
 from . import __version__
@@ -123,7 +122,6 @@ class RunManifest:
     timestamp: str
     python: str
     numpy: str
-    scipy: str
     sympy: str
     cpu_count: int
     commit: str
@@ -150,7 +148,6 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "sympy": sympy.__version__,
         "cpu_count": os.cpu_count(),
         "commit": _git_commit(),
@@ -542,6 +539,27 @@ def run_suite(name: str, cfg: Optional[Config] = None,
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
     return (0 if report["pass"] else 1), records, path
+
+
+# Record ids start with a prefix of their suite; a suite that raised leaves
+# one `<suite>.error` record.
+_SUITE_OF_PREFIX = {"mel": "melnikov", "num": "numeric"}
+
+
+def trace_tree(records: List[CheckRecord]) -> str:
+    """Suite -> record tree of the runtime_ms values in the records, with
+    each suite's sum.  Records that share one computation each carry its
+    time, so a sum can count that time more than once."""
+    suites: Dict[str, List[CheckRecord]] = {}
+    for r in records:
+        prefix = r.id.split(".", 1)[0]
+        suites.setdefault(_SUITE_OF_PREFIX.get(prefix, prefix), []).append(r)
+    width = max(len(r.id) for r in records) + 2
+    lines = []
+    for name, recs in suites.items():
+        lines.append(f"{name:<{width + 2}} {sum(r.runtime_ms for r in recs):10.1f} ms")
+        lines.extend(f"  {r.id:<{width}} {r.runtime_ms:10.1f} ms" for r in recs)
+    return "\n".join(lines)
 
 
 def summary_table(records: List[CheckRecord]) -> str:

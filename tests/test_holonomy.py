@@ -90,6 +90,45 @@ def test_corrupted_level_names_eps(factory, monkeypatch):
         holonomy_displacement(cyc, FLAGSHIP, np.array([0.004, 0.02]))
 
 
+def test_perturbed_slope_turns_the_displacement_check_red(factory, monkeypatch):
+    # the endpoint comes from the slope and the displacement from the form,
+    # so an error in the slope alone is caught by the 1e-10 comparison
+    cyc = factory.cycle_of_word(GAMMA)
+    slope_and_form = holonomy_module.LeafField.slope_and_form
+
+    def perturbed(self, x, y, chart):
+        slope, form = slope_and_form(self, x, y, chart)
+        return slope * (1.0 + 1e-8), form
+
+    monkeypatch.setattr(holonomy_module.LeafField, "slope_and_form", perturbed)
+    with pytest.raises(TransportError, match="displacement mismatch"):
+        holonomy_displacement(cyc, FLAGSHIP, np.array([0.004, 0.02]))
+
+
+def test_unsettled_fixed_point_names_eps(factory, monkeypatch):
+    cyc = factory.cycle_of_word(GAMMA)
+    monkeypatch.setattr(holonomy_module, "FIX_MAX_ITERATIONS", 1)
+    with pytest.raises(TransportError, match=r"Segment.* eps = 0\.02 "):
+        transport(cyc, FLAGSHIP, 0.02)
+    # with two iterations the eps = 0 leaf has settled and the other is named
+    monkeypatch.setattr(holonomy_module, "FIX_MAX_ITERATIONS", 2)
+    with pytest.raises(TransportError, match=r"eps = 0\.02 "):
+        transport(cyc, FLAGSHIP, np.array([0.0, 0.02]))
+
+
+def test_unstable_transport_raises(factory, monkeypatch):
+    # one panel count can never be compared with another
+    monkeypatch.setattr(holonomy_module, "SEGMENT_MAX_ROUNDS", 1)
+    with pytest.raises(QuadratureError, match="did not stabilize"):
+        transport(factory.cycle_of_word(GAMMA), FLAGSHIP, 0.02)
+
+
+def test_transport_cycle_shapes(factory):
+    oval = factory.cycle_of_word(GAMMA)
+    with pytest.raises(ValueError, match="chart"):
+        transport(Cycle(oval.segments[:-1], T0, oval.base_point), FLAGSHIP, 0.01)
+
+
 def test_displacement_consistency(factory):
     cyc = factory.cycle_of_word(v_k(2))
     for eps in (0.004, 0.02):
@@ -118,6 +157,10 @@ def test_commutator_fit_matches_wronskian(factory):
     fit = melnikov_fit(w, T0, FLAGSHIP, factory=factory)
     expected = resolved_sign(2) * TWO_PI_I ** 2 * (T0 ** 2)  # W(-t^2, t) = t^2
     assert abs(fit.c2 - expected) / abs(expected) < 5e-3
+    # the direct transport and the jets agree order by order (c1 vanishes in both)
+    jet = melnikov_jet(w, T0, FLAGSHIP, factory=factory)
+    assert fit.is_zero(1) and abs(jet[0]) <= 1e-12
+    assert close_to(fit.c2, jet[1], 5e-3) and close_to(fit.c3, jet[2], 5e-3)
 
 
 def test_reversal_negates_leading(factory):

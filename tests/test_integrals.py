@@ -6,6 +6,11 @@ import pytest
 
 from orbitdepth.curves import CycleFactory, Line, Segment, Cycle, real_oval, vanishing_loop
 from orbitdepth.integrals import (
+    _NODES,
+    _QMAT,
+    _cumulative,
+    _panel_nodes,
+    _split_panels,
     PAIRING_EXPECTED,
     PAIRING_LOOP0,
     PoleOnPathError,
@@ -25,6 +30,30 @@ from orbitdepth.words import D1, D2, D3, X_ELT, Z_ELT, Gen, random_word
 SEED = 20259
 T0 = 0.36
 TWO_PI_I = 2j * np.pi
+
+
+def test_cumulative_matches_the_panel_loop():
+    # the vectorized running integral against a prefix carried panel by panel
+    npan = 6
+    h = 1.0 / npan
+    s = _panel_nodes(npan)
+    g = np.stack([np.exp(2j * s), 1.0 / (s + 0.5)])
+    ref = np.empty_like(g)
+    prefix = np.zeros(2, complex)
+    for p in range(npan):
+        ref[:, p] = prefix[:, None] + h * (g[:, p] @ _QMAT.T)
+        prefix = ref[:, p, -1]
+    assert np.max(np.abs(_cumulative(g, h) - ref)) <= 1e-14
+    exact = np.stack([(np.exp(2j * s) - 1.0) / 2j, np.log(2.0 * s + 1.0)])
+    assert np.max(np.abs(_cumulative(g, h) - exact)) <= 1e-13
+
+
+def test_split_panels_interpolates_onto_half_panels():
+    s = _panel_nodes(6)
+    halves = _split_panels(np.stack([np.exp(2j * s), 1.0 / (s + 0.5)]))
+    fine = _panel_nodes(12)
+    assert halves.shape == (2, 12, _NODES.size)
+    assert np.max(np.abs(halves - np.stack([np.exp(2j * fine), 1.0 / (fine + 0.5)]))) <= 1e-13
 
 
 def test_pairing_table():

@@ -2,12 +2,15 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 import sympy
 
+import orbitdepth
 from orbitdepth.cli import main
 from orbitdepth import reporting
 from orbitdepth.reporting import Config, numeric_suite, repr_suite, run_suite
@@ -36,13 +39,38 @@ def test_report_manifest_records_the_environment(tmp_path):
     _, _, path = run_suite("melnikov", Config(), str(tmp_path / "rep.json"))
     manifest = json.loads(open(path).read())["manifest"]
     assert {"version", "seed", "t0", "k_max", "magnus_degree", "eps_grid", "suites",
-            "timestamp", "python", "numpy", "scipy", "sympy", "cpu_count",
+            "timestamp", "python", "numpy", "sympy", "cpu_count",
             "commit"} == set(manifest)
     assert manifest["python"] == platform.python_version()
-    assert (manifest["numpy"], manifest["scipy"], manifest["sympy"]) == (
-        np.__version__, scipy.__version__, sympy.__version__)
+    assert (manifest["numpy"], manifest["sympy"]) == (np.__version__, sympy.__version__)
     assert manifest["cpu_count"] == os.cpu_count()
     assert manifest["commit"] == "unknown" or re.fullmatch(r"[0-9a-f]{40}", manifest["commit"])
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(orbitdepth.__file__).resolve().parents[1])
+    code = ("import sys, orbitdepth.cli, orbitdepth.reporting; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_verify_trace_prints_every_record_and_suite_total(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reporting, "SUITES", {"repr": reporting.repr_suite,
+                                              "melnikov": reporting.melnikov_suite})
+    path = tmp_path / "rep.json"
+    assert main(["verify", "all", "--k-max", "2", "--out", str(path), "--trace"]) == 0
+    out = capsys.readouterr().out
+    tree = out[out.index(f"report: {path}"):]
+    checks = json.loads(path.read_text())["checks"]
+    for rec in checks:
+        assert re.search(rf"^  {re.escape(rec['id'])} +{rec['runtime_ms']:.1f} ms$", tree, re.M)
+    for suite, prefix in (("repr", "repr."), ("melnikov", "mel.")):
+        total = sum(r["runtime_ms"] for r in checks if r["id"].startswith(prefix))
+        assert re.search(rf"^{suite} +{total:.1f} ms$", tree, re.M)
 
 
 def test_suite_rerun_deterministic(tmp_path):
