@@ -11,8 +11,12 @@ Melnikov term over the orbit element v_i is the nested Wronskian
     mv(2) = W(beta1, beta3),
     mv(i) = W(beta1, W(beta2, ... W(beta2, beta3) ...))   (i-2 inner beta2).
 
-Everything here is exact rational-function arithmetic; the numeric layer
-restores the (2 pi i)^i factors.
+The inner Wronskians of mv(i) are those of mv(i-1) plus one more, so
+`mv_chain` walks them once and returns the whole list mv(2), ..., mv(n);
+`classify`, `make_length3` and `hierarchy_collapse_check` each take their
+terms from one such chain.  Everything here is exact rational-function
+arithmetic in `ratfunc`'s ZZ(t); the numeric layer restores the (2 pi i)^i
+factors.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .ratfunc import (
     RatFunc,
@@ -75,15 +79,27 @@ def compose_leading(mu1: int, m1: RatFunc, mu2: int, m2: RatFunc):
     return mu1 + mu2, w, w.is_zero()
 
 
-def mv(i: int, d: Deformation) -> RatFunc:
-    """Nested-Wronskian leading coefficient over v_i ((2 pi i)^i omitted)."""
-    if i < 2:
+def mv_chain(n: int, d: Deformation) -> List[RatFunc]:
+    """[mv(2), ..., mv(n)] from one walk down the inner Wronskians.
+
+    The beta periods are taken once and each inner W(beta2, .) is computed
+    once: 2n - 3 Wronskians in all, where separate `mv(i)` calls for
+    i = 2..n would take n(n - 1)/2.
+    """
+    if n < 2:
         raise ValueError("mv is defined for i >= 2")
     b1, b2, b3 = beta_periods(d)
     inner = b3
-    for _ in range(i - 2):
+    out = [wronskian(b1, inner)]
+    for _ in range(n - 2):
         inner = wronskian(b2, inner)
-    return wronskian(b1, inner)
+        out.append(wronskian(b1, inner))
+    return out
+
+
+def mv(i: int, d: Deformation) -> RatFunc:
+    """Nested-Wronskian leading coefficient over v_i ((2 pi i)^i omitted)."""
+    return mv_chain(i, d)[-1]
 
 
 def make_length3(alpha1, alpha2, c0, lam) -> Deformation:
@@ -110,8 +126,9 @@ def make_length3(alpha1, alpha2, c0, lam) -> Deformation:
     a1 = a3 + alpha1
     a2 = alpha1 * lam
     d = Deformation(a1, a2, a3, provenance=f"pert3({alpha1}, {alpha2}, {c0}, {lam})")
-    assert mv(2, d).is_zero(), "construction must kill the order-2 term"
-    assert not mv(3, d).is_zero(), "construction must keep the order-3 term"
+    m2, m3 = mv_chain(3, d)
+    assert m2.is_zero(), "construction must kill the order-2 term"
+    assert not m3.is_zero(), "construction must keep the order-3 term"
     return d
 
 
@@ -138,12 +155,17 @@ def classify(d: Deformation) -> Classification:
     both ratios (a1-a3)/a2 and W(a1,a3)/a2 are constants lambda1, lambda2
     and the deformation is an integrability candidate.
     """
+    return _classify(d, mv_chain(3, d))
+
+
+def _classify(d: Deformation, chain: List[RatFunc]) -> Classification:
+    """`classify` on the chain's first two terms, mv(2) and mv(3)."""
     a1, a2, a3 = d.coefficients()
     if a2.is_zero() or (a1 - a3).is_zero():
         return Classification(Kind.SYMMETRIC_CENTER)
-    if not mv(2, d).is_zero():
+    if not chain[0].is_zero():
         return Classification(Kind.ORDER2_NONZERO)
-    if not mv(3, d).is_zero():
+    if not chain[1].is_zero():
         return Classification(Kind.LENGTH3)
     lam1 = (a1 - a3) / a2
     lam2 = wronskian(a1, a3) / a2
@@ -201,21 +223,22 @@ def hierarchy_collapse_check(d: Deformation, i_max: int = 6) -> bool:
     Also verifies the constant-ratio recursion when the integrability
     witnesses exist: W(beta2, beta3) = (lambda2/lambda1) beta3 (so each
     extra inner Wronskian multiplies the hierarchy by that constant) and
-    mv(i+1) = (lambda2/lambda1) mv(i) exactly.
+    mv(i+1) = (lambda2/lambda1) mv(i) exactly.  All terms come from one
+    `mv_chain`.
     """
-    if not (mv(2, d).is_zero() and mv(3, d).is_zero()):
+    chain = mv_chain(max(i_max, 3), d)  # chain[i - 2] is mv(i)
+    if not (chain[0].is_zero() and chain[1].is_zero()):
         raise ValueError("precondition mv(2) = mv(3) = 0 fails")
-    for i in range(4, i_max + 1):
-        if not mv(i, d).is_zero():
-            return False
-    cls = classify(d)
+    if not all(m.is_zero() for m in chain[2:]):
+        return False
+    cls = _classify(d, chain)
     if cls.kind is Kind.INTEGRABLE_CANDIDATE:
         b1, b2, b3 = beta_periods(d)
         multiplier = cls.lambda2 / cls.lambda1
         if wronskian(b2, b3) != b3 * multiplier:
             return False
         for i in range(2, i_max):
-            if mv(i + 1, d) != mv(i, d) * multiplier:
+            if chain[i - 1] != chain[i - 2] * multiplier:
                 return False
     return True
 

@@ -1,11 +1,16 @@
 """Exact univariate rational functions in t over the rationals.
 
-Thin wrapper over one element of sympy's QQ(t) field
-(`sympy.polys.fields`).  Field elements stay in canonical form: numerator
-and denominator are coprime integer polynomials and the denominator has a
-positive leading coefficient, so equality is structural and every operation
-stays exact.  Used for the Melnikov coefficients a_i(t), the beta periods
-and the Wronskian hierarchy.
+Thin wrapper over one element of sympy's ZZ(t) field
+(`sympy.polys.fields`), which is the field of rational functions with
+rational coefficients: a fraction constant such as 1/2 is a numerator 1 over
+a denominator 2.  Field elements stay in canonical form: numerator and
+denominator are coprime integer polynomials with Python int coefficients and
+the denominator has a positive leading coefficient, so equality is
+structural and every operation stays exact.  Over ZZ no operation has to
+clear coefficient denominators first, as QQ(t) does on every cancel.
+Antiderivatives come from Hermite reduction on polynomials of `QQ[t]`
+(`rational_antiderivative`).  Used for the Melnikov coefficients a_i(t),
+the beta periods and the Wronskian hierarchy.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy as sp
-from sympy.integrals.rationaltools import ratint_ratpart
 from sympy.parsing.sympy_parser import (
     convert_xor,
     implicit_multiplication_application,
@@ -21,9 +25,11 @@ from sympy.parsing.sympy_parser import (
     standard_transformations,
 )
 from sympy.polys.fields import FracElement, field
+from sympy.polys.rings import PolyElement, ring
 
 T = sp.Symbol("t")
-K, _T = field("t", sp.QQ)
+K, _T = field("t", sp.ZZ)
+_QQT, _Q = ring("t", sp.QQ)  # where Hermite reduction divides
 
 _TRANSFORMS = standard_transformations + (
     convert_xor,
@@ -36,7 +42,9 @@ def _to_field(value) -> FracElement:
         return value.value
     if isinstance(value, FracElement) and value.field == K:
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
+        return K(value)
+    if isinstance(value, Fraction):
         return K(sp.QQ(value.numerator, value.denominator))
     if isinstance(value, str):
         return parse_rational(value).value
@@ -162,28 +170,51 @@ class NonRationalAntiderivative(ValueError):
     """The antiderivative has logarithmic (or worse) parts."""
 
 
+def _from_qqt(num: PolyElement, den: PolyElement) -> FracElement:
+    """num / den, two polynomials of QQ[t], as a canonical element of K."""
+    cn, num = num.clear_denoms()
+    cd, den = den.clear_denoms()
+    return K.new(num.set_ring(K.ring) * cd, den.set_ring(K.ring) * cn)
+
+
 def rational_antiderivative(f: RatFunc) -> RatFunc:
     """Antiderivative with zero constant term at t = 0 when that value is
     finite, otherwise the bare antiderivative; fails if any residue of f is
     nonzero (which would force logarithms).
 
-    After polynomial division, Hermite (Horowitz-Ostrogradsky) reduction
-    writes the proper part as A' + B with B of squarefree denominator; every
-    pole of a nonzero such B has a nonzero residue (Bronstein, Symbolic
-    Integration I, ch. 2), so the antiderivative is rational iff B = 0.
+    After polynomial division, Mack's linear Hermite reduction (Bronstein,
+    Symbolic Integration I, sec. 2.2) writes the proper part A/D as g' + h
+    with g proper and h = A*/D* proper over the squarefree part D* of D.
+    Every pole of a nonzero such h has a nonzero residue, so the
+    antiderivative is rational iff A* = 0.  Each step peels one power off
+    the repeated factors D- = gcd(D, D'): it solves
+    B (-D* D-'/D-) + C D-* = A with deg B < deg D-* (D-* the squarefree part
+    of D-, coprime to the first factor), adds B/D- to g and continues with
+    A = C - B' D*/D-*.
     """
-    num, den = (sp.Poly(p.as_expr(), T, domain=sp.QQ)
-                for p in (f.value.numer, f.value.denom))
-    quotient, rest = num.div(den)
-    rational, logarithmic = ratint_ratpart(rest, den, T)
-    if logarithmic != 0:
+    num, den = (p.set_ring(_QQT) for p in (f.value.numer, f.value.denom))
+    quotient, a = num.quo(den), num.rem(den)
+    F = _from_qqt(_QQT.from_dict({(k + 1,): c / (k + 1) for (k,), c in quotient.items()}),
+                  _QQT.one)
+    d_minus = den.gcd(den.diff(_Q))
+    d_star = den.quo(d_minus)
+    while d_minus.degree() > 0:
+        d_minus2 = d_minus.gcd(d_minus.diff(_Q))
+        d_minus_star = d_minus.quo(d_minus2)
+        u = -(d_star * d_minus.diff(_Q)).quo(d_minus)
+        s, _ = u.half_gcdex(d_minus_star)  # s u = 1 mod D-*: the gcd is 1
+        b = (s * a).rem(d_minus_star)
+        c = (a - b * u).quo(d_minus_star)
+        a = c - b.diff(_Q) * d_star.quo(d_minus_star)
+        F += _from_qqt(b, d_minus)
+        d_minus = d_minus2
+    if a:
         raise NonRationalAntiderivative(
             f"antiderivative of {f} is not a rational function"
         )
-    F = RatFunc(quotient.integrate().as_expr() + rational).value
     at0 = F.denom(0)
     if at0:
-        F -= F.numer(0) / at0
+        F -= sp.QQ(F.numer(0), at0)  # QQ: two ints under / would give a float
     return RatFunc(F)
 
 

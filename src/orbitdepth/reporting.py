@@ -252,8 +252,8 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
     rec = Recorder()
     rng = __import__("random").Random(cfg.seed)
 
-    M0, M1, M = mon0(), mon1(), m_endo()
-    images_ok = (
+    (M0, M1, M), setup_ms = _timed(lambda: (mon0(), mon1(), m_endo()))
+    (images_ok, ms) = _timed(lambda: (
         M1.of_gen(Gen.G) == GAMMA_WORD
         and all(M1.of_gen(g) == GAMMA_WORD * Word.gen(g) for g in list(Gen)[1:])
         and M0.of_gen(Gen.G) == DELTA * GAMMA_WORD
@@ -261,70 +261,76 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
         and M0.of_gen(Gen.D1) == D0 * D1 * D0.inverse()
         and M0.of_gen(Gen.D2) == (D0 * D1) * D2 * (D0 * D1).inverse()
         and M0.of_gen(Gen.D3) == (D0 * D1 * D2) * D3 * (D0 * D1 * D2).inverse()
-    )
-    rec.add_bool("orbit.monodromy_images", "generator images of the two monodromies", images_ok)
+    ))
+    rec.add_bool("orbit.monodromy_images", "generator images of the two monodromies", images_ok,
+                 runtime_ms=setup_ms + ms)
 
     conj = D0 * D1
-    ok = all(
+    (ok, ms) = _timed(lambda: all(
         M(w) == conj.inverse() * M0(w) * conj
         for w in (random_word(rng) for _ in range(100))
-    )
+    ))
     rec.add_bool("orbit.m_is_conjugated_mon0",
                  "M equals Mon0 conjugated by d0 d1 on 100 seeded words", ok,
-                 params={"seed": cfg.seed})
+                 params={"seed": cfg.seed}, runtime_ms=ms)
 
     inv0, inv1 = mon0_inverse(), mon1_inverse()
-    ok = all(inv0(M0(w)) == w and M0(inv0(w)) == w and inv1(M1(w)) == w
-             for w in (random_word(rng) for _ in range(100)))
-    rec.add_bool("orbit.automorphisms", "explicit inverses invert the monodromies", ok)
+    (ok, ms) = _timed(lambda: all(
+        inv0(M0(w)) == w and M0(inv0(w)) == w and inv1(M1(w)) == w
+        for w in (random_word(rng) for _ in range(100))))
+    rec.add_bool("orbit.automorphisms", "explicit inverses invert the monodromies", ok,
+                 runtime_ms=ms)
 
-    ok = all(
+    (ok, ms) = _timed(lambda: all(
         project_mod_gamma_subgroup(M1(w)) == project_mod_gamma_subgroup(w)
         for w in (random_word(rng) for _ in range(100))
-    )
+    ))
     rec.add_bool("orbit.mon1_trivial_mod_gamma",
-                 "the induced action on the quotient by <g, D> is trivial", ok)
+                 "the induced action on the quotient by <g, D> is trivial", ok, runtime_ms=ms)
 
-    idents = variation_mod_k_identities(5)
+    # each identity record carries the shared construction time too
+    (idents, setup_ms) = _timed(lambda: variation_mod_k_identities(5))
     for ident in idents:
+        (ok, ms) = _timed(ident.holds)
         rec.add_bool(f"orbit.identity.{ident.name}",
                      "exact word identity with orbit-commutator corrections",
-                     ident.holds(), params={"k_factors": list(ident.k_factors)})
+                     ok, params={"k_factors": list(ident.k_factors)},
+                     runtime_ms=setup_ms + ms)
 
-    rho_v2 = format_rho_word(rewrite_to_rho_alphabet(v_k(2)))
+    (rho_v2, ms) = _timed(lambda: format_rho_word(rewrite_to_rho_alphabet(v_k(2))))
     rec.add_bool("orbit.v2_rho_form", "v2 in the alternate basis is x z x^-1 z^-1",
-                 rho_v2 == "x z x^-1 z^-1", computed=rho_v2)
+                 rho_v2 == "x z x^-1 z^-1", computed=rho_v2, runtime_ms=ms)
 
     for i in range(1, 6):
-        rep = depth_lower_bound(v_k(i), i)
+        (rep, ms) = _timed(lambda: depth_lower_bound(v_k(i), i))
         rec.add_bool(f"orbit.depth_v{i}", f"v_{i} sits at lower-central level {i} exactly",
-                     rep.depth == i, computed=rep.describe())
-        repv = depth_lower_bound(var_iterate(i), i - 1 if i > 1 else 1)
+                     rep.depth == i, computed=rep.describe(), runtime_ms=ms)
+        (repv, ms) = _timed(lambda: depth_lower_bound(var_iterate(i), i - 1 if i > 1 else 1))
         deep_enough = repv.depth is None if i > 1 else repv.depth == 1
         rec.add_bool(f"orbit.depth_var{i}", f"var^{i}(g) lies in lower-central level >= {i}",
-                     deep_enough, computed=repv.describe())
+                     deep_enough, computed=repv.describe(), runtime_ms=ms)
 
-    diff = (magnus(var(v_k(2)), 4) - magnus(v_k(3), 4)).lowest_degree()
+    (diff, ms) = _timed(lambda: (magnus(var(v_k(2)), 4) - magnus(v_k(3), 4)).lowest_degree())
     rec.add_bool("orbit.var_step_degree3",
                  "one variation step from v2 matches v3 through degree 3",
-                 diff == 4, computed=f"first difference at degree {diff}")
+                 diff == 4, computed=f"first difference at degree {diff}", runtime_ms=ms)
 
     n = cfg.magnus_degree
-    rep = depth_lower_bound(v_k(n - 2), n)
+    (rep, ms) = _timed(lambda: depth_lower_bound(v_k(n - 2), n))
     rec.add_bool("orbit.depth_headroom",
                  f"the configured truncation {n} certifies v_{n-2} exactly",
-                 rep.depth == n - 2, computed=rep.describe())
+                 rep.depth == n - 2, computed=rep.describe(), runtime_ms=ms)
 
     for i in range(2, 6):
-        ok = leading_terms_agree_mod_orbit_ideal(var_iterate(i), v_k(i), i)
+        (ok, ms) = _timed(lambda: leading_terms_agree_mod_orbit_ideal(var_iterate(i), v_k(i), i))
         rec.add_bool(f"orbit.leading_mod_ideal_{i}",
                      f"leading terms of var^{i}(g) and v_{i} agree modulo the orbit ideal",
-                     ok)
+                     ok, runtime_ms=ms)
 
     for i, w in [(2, v_k(2)), (3, d_k(3, Z_ELT)), (4, v_k(4))]:
-        ok = graded_triviality_check(w, mon0(), i + 2)
+        (ok, ms) = _timed(lambda: graded_triviality_check(w, mon0(), i + 2))
         rec.add_bool(f"orbit.graded_triviality_{i}",
-                     "the saddle monodromy fixes lower-central classes", ok)
+                     "the saddle monodromy fixes lower-central classes", ok, runtime_ms=ms)
 
     return rec.records
 
@@ -348,32 +354,42 @@ def melnikov_suite(cfg: Config) -> List[CheckRecord]:
     rec = Recorder()
     d = FLAGSHIP
     t = RatFunc.t()
+    (coeffs, ms) = _timed(lambda: make_length3("t", "t^2", 1, 1).coefficients())
     rec.add_bool("mel.flagship_coefficients",
                  "construction from (t, t^2, 1, 1) gives (t^2+2t, t, t^2+t)",
-                 make_length3("t", "t^2", 1, 1).coefficients() == d.coefficients())
+                 coeffs == d.coefficients(), runtime_ms=ms)
+    (m2, ms) = _timed(lambda: mv(2, d))
     rec.add_bool("mel.flagship_mv2", "order-2 hierarchy term vanishes identically",
-                 mv(2, d).is_zero())
+                 m2.is_zero(), runtime_ms=ms)
+    (m3, ms) = _timed(lambda: mv(3, d))
     rec.add_bool("mel.flagship_mv3", "order-3 hierarchy term equals t^2",
-                 mv(3, d) == t * t, computed=str(mv(3, d)))
+                 m3 == t * t, computed=str(m3), runtime_ms=ms)
     for i in (4, 5, 6):
+        (mi, ms) = _timed(lambda: mv(i, d))
         rec.add_bool(f"mel.flagship_mv{i}", f"order-{i} hierarchy term vanishes",
-                     mv(i, d).is_zero())
+                     mi.is_zero(), runtime_ms=ms)
+    (cls, ms) = _timed(lambda: classify(d))
     rec.add_bool("mel.flagship_class", "flagship classifies as length-3",
-                 classify(d).kind is Kind.LENGTH3)
+                 cls.kind is Kind.LENGTH3, runtime_ms=ms)
 
-    cf = center_family("t", 0, 1, 1)
+    (cf, setup_ms) = _timed(lambda: center_family("t", 0, 1, 1))
+    (ok, ms) = _timed(lambda: hierarchy_collapse_check(cf, 6))
     rec.add_bool("mel.center_collapse",
                  "order-2 and order-3 vanishing collapses the whole hierarchy",
-                 hierarchy_collapse_check(cf, 6))
-    cls = classify(cf)
-    lam2 = cls.lambda2
-    b1, b2, b3 = beta_periods(cf)
+                 ok, runtime_ms=setup_ms + ms)
+
+    def recursion():
+        cls = classify(cf)
+        b1, b2, b3 = beta_periods(cf)
+        return wronskian(b2, b3) == b3 * (cls.lambda2 / cls.lambda1)
+
+    (ok, ms) = _timed(recursion)
     rec.add_bool("mel.center_recursion",
                  "the inner Wronskian multiplies the hierarchy by lambda2/lambda1",
-                 wronskian(b2, b3) == b3 * (cls.lambda2 / cls.lambda1))
-    sym = classify(deformation(1, 0, 1))
+                 ok, runtime_ms=setup_ms + ms)
+    (sym, ms) = _timed(lambda: classify(deformation(1, 0, 1)))
     rec.add_bool("mel.symmetric", "zero middle coefficient forces the symmetric center",
-                 sym.kind is Kind.SYMMETRIC_CENTER)
+                 sym.kind is Kind.SYMMETRIC_CENTER, runtime_ms=ms)
     return rec.records
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from sympy.integrals.rationaltools import ratint
 
 from orbitdepth.ratfunc import (
     NonRationalAntiderivative,
@@ -26,6 +28,7 @@ from orbitdepth.melnikov import (
     m3_tilde_coefficient,
     make_length3,
     mv,
+    mv_chain,
 )
 
 SEED = 20259
@@ -207,3 +210,133 @@ def test_m2_symbolic_collapse():
     assert asm.coefficient("I23") == T * T
     # a generic order-2-nonzero deformation does not collapse
     assert not m2_collapses_to_single_wronskian(deformation("t^2", "t^2+2t", "t"))
+
+
+# ---------------------------------------------------------------------------
+# Hermite reduction on fixed inputs: polynomial parts next to linear and
+# irreducible-quadratic factors of multiplicity up to 4 in f = g'.
+
+HERMITE_PRIMITIVES = (
+    "t^3 + 1/(t-1)",
+    "(t^2+3)/(t+2)^3",
+    "t/(t^2+1)^3",
+    "(2t-1)/((t-1)^2 (t^2+t+1)^2) + t^2/2",
+    "1/((t+1)^3 (t^2+2)) - 3t",
+    "(t^4-t)/((t-3)^3 (t^2+1)^3) + 5t^2 - 1/2",
+)
+
+
+def _coefficients(f):
+    return [c for p in (f.value.numer, f.value.denom) for c in p.coeffs()]
+
+
+@pytest.mark.parametrize("text", HERMITE_PRIMITIVES)
+def test_hermite_reduction_inverts_diff(text):
+    g = parse_rational(text)
+    f = g.diff()
+    F = rational_antiderivative(f)
+    assert F.diff() == f
+    assert (F - g).is_constant()
+    # sympy's own rational integration, used here only as a reference
+    assert (F - RatFunc(ratint(sp.sympify(str(f)), sp.Symbol("t")))).is_constant()
+    assert all(type(c) is int for c in _coefficients(F))
+
+
+@pytest.mark.parametrize("text", HERMITE_PRIMITIVES)
+@pytest.mark.parametrize("residual", ["1/(t-2)", "-3/(2t)", "1/(t^2+1)", "(t-1)/(2t^2+2)"])
+def test_hermite_reduction_rejects_a_residue(text, residual):
+    with pytest.raises(NonRationalAntiderivative):
+        rational_antiderivative(parse_rational(text).diff() + parse_rational(residual))
+
+
+def test_hermite_reduction_is_exact():
+    F = rational_antiderivative(1 / (T + 2) ** 2)
+    assert F == T / (2 * T + 4)
+    assert F.value.numer(0) == 0 and type(F.value.numer(0)) is int
+    assert _coefficients(F) == [1, 2, 4]
+    assert all(type(c) is int for c in _coefficients(F))
+    # F(0) = -3^-40 has no exact float, and none that sympy rounds back
+    big = 3 ** 40
+    F = rational_antiderivative(1 / (T + big) ** 2)
+    assert F == T / (big * T + big * big) and F.value.numer(0) == 0
+
+
+# ---------------------------------------------------------------------------
+# The Wronskian chain against the nested definition.
+
+
+def nested_mv(i, d, swap=False):
+    """mv(i) by the nested definition; swap exchanges beta2 and beta3."""
+    b1, b2, b3 = beta_periods(d)
+    if swap:
+        b2, b3 = b3, b2
+    inner = b3
+    for _ in range(i - 2):
+        inner = wronskian(b2, inner)
+    return wronskian(b1, inner)
+
+
+RAW = deformation("t^2", "t^2+2t", "t")
+CHAIN_CASES = {
+    "flagship": lambda: FLAGSHIP,
+    "length3": lambda: make_length3("t^2+1", "t", 2, Fraction(3, 2)),
+    "center": lambda: center_family("t^2+t", 1, Fraction(1, 2), 2),
+    "raw": lambda: RAW,
+}
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_mv_chain_matches_nested_definition(case):
+    d = CHAIN_CASES[case]()
+    chain = mv_chain(7, d)
+    assert chain == [nested_mv(i, d) for i in range(2, 8)]
+    assert [mv(i, d) for i in range(2, 8)] == chain
+
+
+def test_mv_chain_comparison_can_fail():
+    assert not mv(2, RAW).is_zero()
+    assert mv_chain(7, RAW) != [nested_mv(i, RAW, swap=True) for i in range(2, 8)]
+
+
+def test_mv_chain_work(monkeypatch):
+    import orbitdepth.melnikov as melnikov
+
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return wronskian(f, g)
+
+    monkeypatch.setattr(melnikov, "wronskian", counted)
+    for n in range(2, 8):
+        calls.clear()
+        mv_chain(n, FLAGSHIP)
+        assert len(calls) == 2 * n - 3  # no inner Wronskian after the last mv
+    d = center_family("t^2+t", 0, 2, 3)
+    calls.clear()
+    assert hierarchy_collapse_check(d, 6)
+    # the chain to mv(6), W(a1, a3) for lambda2 and W(beta2, beta3)
+    assert len(calls) == 9 + 2
+    with pytest.raises(ValueError):
+        mv_chain(1, FLAGSHIP)
+
+
+# ---------------------------------------------------------------------------
+# Canonical form in ZZ(t).
+
+
+def test_canonical_form():
+    a, b = 1 / (1 - T), -1 / (T - 1)
+    assert a == b and hash(a) == hash(b)
+    half = RatFunc(3) / RatFunc(-6)
+    assert half == Fraction(-1, 2) and hash(half) == hash(Fraction(-1, 2))
+    assert _coefficients(half) == [-1, 2]
+    rng = random.Random(SEED)
+    samples = [a, half, T / (-2 * T - 3), RatFunc(Fraction(-4, 6)) * T, 1 / (2 - T) ** 3,
+               parse_rational("(1-t^2)/(3-6t)")]
+    for _ in range(20):
+        f, g = random_ratfunc(rng), random_ratfunc(rng)
+        samples += [f - g, f * g, wronskian(f, g)] + ([f / g] if not g.is_zero() else [])
+    for f in samples:
+        assert f.value.denom.LC > 0
+        assert all(type(c) is int for c in _coefficients(f))

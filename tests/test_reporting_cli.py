@@ -73,6 +73,23 @@ def test_verify_trace_prints_every_record_and_suite_total(tmp_path, capsys, monk
         assert re.search(rf"^{suite} +{total:.1f} ms$", tree, re.M)
 
 
+def test_exact_suites_time_every_record(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reporting, "SUITES", {"orbit": reporting.orbit_suite,
+                                              "melnikov": reporting.melnikov_suite})
+    path = tmp_path / "rep.json"
+    assert main(["verify", "all", "--out", str(path), "--trace"]) == 0
+    out = capsys.readouterr().out
+    tree = out[out.index(f"report: {path}"):]
+    checks = json.loads(path.read_text())["checks"]
+    for suite, prefix, count in (("orbit", "orbit.", 36), ("melnikov", "mel.", 10)):
+        records = [r for r in checks if r["id"].startswith(prefix)]
+        assert len(records) == count
+        assert all(r["runtime_ms"] > 0 for r in records), [
+            r["id"] for r in records if not r["runtime_ms"] > 0]
+        shown = re.search(rf"^{suite} +([0-9.]+) ms$", tree, re.M)
+        assert shown and float(shown.group(1)) > 0
+
+
 def test_suite_rerun_deterministic(tmp_path):
     cfg = Config(k_max=2)
     _, rec1, _ = run_suite("orbit", cfg, str(tmp_path / "a.json"))
