@@ -1,8 +1,9 @@
 """The infinite-depth certificate, level by level.
 
-For every k the 2^k x 2^k representation over Laurent polynomials in (a, c)
-kills every orbit generator except v_{k+2}, whose image is the identity
-plus a single corner entry kappa = k!(1/c-1)(1-a).  Every generator image
+For every k the 2^k x 2^k representation over Laurent polynomials in (a, c),
+held as one integer matrix per monomial a^m c^n, kills every orbit
+generator except v_{k+2}, whose image is the identity plus a single corner
+entry kappa = k!(1/c-1)(1-a).  Every generator image
 is upper triangular with diagonal (a^m, 1, ..., 1, c^n), so the commutator
 of any image with that corner matrix has corner kappa (a^m c^-n - 1), which
 vanishes at (a, c) = (1, 1).  The corner of v_{k+2} itself is kappa * 1,
@@ -32,7 +33,7 @@ for k in range(1, k_max + 1):
     print(f"  image table rho(v_i), i = 2..{k+4}: {status}")
     corner = expected_corner_scalar(k)
     print(f"  corner of rho(v_{k+2}) - I: {corner!r}")
-    print(f"    at (a, c) = (2, 3): {corner.evaluate(Fraction(2), Fraction(3))}")
+    print(f"    at (a, c) = (2, 3): {corner.evaluate(Fraction(2), Fraction(3))[0][0]}")
     cert = depth_certificate(k, rep)
     print(f"  separation certificate (v-image table and corner lemma,"
           f" {len(cert.items)} items): pass = {cert.passed}")

@@ -5,7 +5,8 @@ Subpackages split by layer:
 * :mod:`orbitdepth.words` - exact free-group algebra and monodromy operators
 * :mod:`orbitdepth.magnus` - truncated Magnus expansion, lower-central depth
 * :mod:`orbitdepth.laurent` / :mod:`orbitdepth.representation` - exact
-  2^k x 2^k matrix representations over Laurent polynomials in (a, c)
+  2^k x 2^k matrix representations over Laurent polynomials in (a, c),
+  stored as one int64 matrix per monomial
 * :mod:`orbitdepth.ratfunc` / :mod:`orbitdepth.melnikov` - exact rational
   calculus for Wronskians and Melnikov leading terms
 * :mod:`orbitdepth.curves`, :mod:`orbitdepth.integrals`,

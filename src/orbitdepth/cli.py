@@ -122,7 +122,7 @@ def cmd_orbit_project(args):
 def cmd_repr_matrices(args):
     A, B, C = base_matrices(args.k)
     def render(m):
-        return {f"{i},{j}": repr(p) for (i, j), p in sorted(m.entries.items())}
+        return {f"{i},{j}": repr(m.entry(i, j)) for i, j in m.nonzero()}
     _emit({"k": args.k, "A": render(A), "B": render(B), "C": render(C)}, args)
 
 

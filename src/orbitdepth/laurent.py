@@ -1,137 +1,104 @@
-"""Exact bivariate Laurent polynomials in the representation parameters (a, c).
+"""Integer Laurent polynomials in the representation parameters (a, c), graded.
 
-Coefficients are exact Python integers or fractions; monomials a^m c^n with
-m, n of either sign are dict keys, so all ring identities are literal
-dictionary equalities.
+An element of M_n(Z[a^+-1, c^+-1]) is stored by grade: a dict from a monomial
+a^m c^n, the key (m, n), to its n x n int64 coefficient matrix, zero
+matrices dropped.  A 1 x 1 element is a Laurent scalar.  A product is a
+convolution over the live monomials, one integer matrix product per pair of
+grades; the representations keep at most four monomials live, so a product
+costs a few array operations where entry-by-entry polynomial arithmetic
+made thousands of Python calls.
+
+int64 cannot grow like Python integers, so `product` bounds every entry of
+the result before it multiplies and raises `OverflowError` instead of
+wrapping: all arithmetic here is exact or raises.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Tuple
 
+import numpy as np
+
 Monomial = Tuple[int, int]
+Graded = Dict[Monomial, np.ndarray]
+
+# Bound on |entry| of any product and of every partial sum in it.
+PRODUCT_LIMIT = 2 ** 62
+
+# Up to this size numpy's dense integer `@` beats pairing the nonzeros.
+DENSE_MAX = 32
 
 
-class LaurentPoly2:
-    """Sparse Laurent polynomial sum_{m,n} coeff * a^m c^n."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Monomial, object] | None = None):
-        self.terms = {}
-        if terms:
-            for mn, c in terms.items():
-                if c:
-                    self.terms[mn] = c
-
-    @staticmethod
-    def const(c) -> "LaurentPoly2":
-        return LaurentPoly2({(0, 0): c} if c else {})
-
-    @staticmethod
-    def monomial(m: int, n: int, c=1) -> "LaurentPoly2":
-        return LaurentPoly2({(m, n): c} if c else {})
-
-    @staticmethod
-    def zero() -> "LaurentPoly2":
-        return LaurentPoly2()
-
-    @staticmethod
-    def one() -> "LaurentPoly2":
-        return LaurentPoly2({(0, 0): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly2.const(other)
-        return isinstance(other, LaurentPoly2) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "LaurentPoly2":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly2.const(other)
-        out = dict(self.terms)
-        for mn, c in other.terms.items():
-            v = out.get(mn, 0) + c
-            if v:
-                out[mn] = v
-            else:
-                out.pop(mn, None)
-        res = LaurentPoly2()
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "LaurentPoly2":
-        res = LaurentPoly2()
-        res.terms = {mn: -c for mn, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other) -> "LaurentPoly2":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly2.const(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly2":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentPoly2()
-            res = LaurentPoly2()
-            res.terms = {mn: c * other for mn, c in self.terms.items()}
-            return res
-        out: Dict[Monomial, object] = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                key = (m1 + m2, n1 + n2)
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        res = LaurentPoly2()
-        res.terms = out
-        return res
-
-    __rmul__ = __mul__
-
-    def unit_inverse(self) -> "LaurentPoly2":
-        """Inverse of a unit of Z[a^+-1, c^+-1], i.e. of +-a^m c^n."""
-        if len(self.terms) != 1:
-            raise ValueError("only monomials are invertible as Laurent units")
-        ((m, n), c), = self.terms.items()
-        if c not in (1, -1):
-            raise ValueError(f"coefficient {c} is not a unit of the integers")
-        return LaurentPoly2.monomial(-m, -n, int(c))
-
-    def evaluate(self, a, c):
-        """Exact evaluation; a, c are Fractions (or floats/complex)."""
-        total = 0
-        for (m, n), coeff in self.terms.items():
-            total += coeff * a ** m * c ** n
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (m, n), c in sorted(self.terms.items()):
-            s = str(c)
-            if m:
-                s += f"*a^{m}" if m != 1 else "*a"
-            if n:
-                s += f"*c^{n}" if n != 1 else "*c"
-            parts.append(s)
-        return " + ".join(parts)
+def _max_abs(x: np.ndarray) -> int:
+    return max(int(x.max()), -int(x.min()))
 
 
-A_PARAM = LaurentPoly2.monomial(1, 0)
-C_PARAM = LaurentPoly2.monomial(0, 1)
-A_INV = LaurentPoly2.monomial(-1, 0)
-C_INV = LaurentPoly2.monomial(0, -1)
+def _row_norm(x: np.ndarray) -> int:
+    """max_i sum_j |x_ij|, or n max |x_ij| >= it where the sum could wrap."""
+    top = _max_abs(x) * x.shape[1]
+    return top if top >= 2 ** 63 else int(np.abs(x).sum(axis=1).max())
+
+
+def _by_rows(y: np.ndarray):
+    """y's nonzeros as row-major flat indices k n + j, and where row k starts."""
+    yf = np.flatnonzero(y != 0)
+    return yf, np.searchsorted(yf, np.arange(len(y) + 1) * len(y))
+
+
+def _add_product(out: np.ndarray, x: np.ndarray, y: np.ndarray, y_rows) -> None:
+    """out += x @ y over the integers; a 1 x 1 factor scales the other.
+
+    numpy has no integer BLAS, and above DENSE_MAX the representations'
+    matrices are mostly zeros, so there each nonzero x[i, k] is paired with
+    the nonzeros of row k of y (`y_rows = _by_rows(y)`) and the pair
+    products accumulate at (i, j).
+    """
+    n = len(out)
+    if x.shape != y.shape:
+        out += x * y
+    elif n <= DENSE_MAX:
+        out += x @ y
+    else:
+        yf, row_start = y_rows
+        xf = np.flatnonzero(x != 0)  # i n + k
+        xk = xf % n
+        counts = np.diff(row_start)[xk]
+        ends = np.cumsum(counts)
+        pick = np.arange(counts.sum()) + np.repeat(row_start[xk] - (ends - counts), counts)
+        np.add.at(out.reshape(-1), np.repeat(xf - xk, counts) + yf[pick] % n,
+                  np.repeat(x.ravel()[xf], counts) * y.ravel()[yf[pick]])
+
+
+def product(x: Graded, y: Graded) -> Graded:
+    """The graded product sum_{p, q} x_p y_q a^(p+q), zero grades dropped.
+
+    Raises OverflowError unless (sum_p max row-abs-sum of x_p) times
+    (sum_q max |entry| of y_q), which bounds every entry of every grade of
+    the result and every partial sum, is below 2^62.
+    """
+    bound = sum(map(_row_norm, x.values())) * sum(map(_max_abs, y.values()))
+    if bound >= PRODUCT_LIMIT:
+        raise OverflowError(f"int64 product bound {bound:.3g} reaches 2^62")
+    n = max((len(a) for a in (*x.values(), *y.values())), default=0)
+    rows = {q: _by_rows(b) if len(b) > DENSE_MAX else None for q, b in y.items()}
+    out: Graded = {}
+    for (m1, n1), a in x.items():
+        for (m2, n2), b in y.items():
+            g = (m1 + m2, n1 + n2)
+            if g not in out:
+                out[g] = np.zeros((n, n), dtype=np.int64)
+            _add_product(out[g], a, b, rows[m2, n2])
+    return {g: z for g, z in out.items() if z.any()}
+
+
+def laurent_str(terms: Dict[Monomial, int]) -> str:
+    """'coeff*a^m*c^n' terms in monomial order, joined by ' + '; '0' if none."""
+    parts = []
+    for (m, n), coeff in sorted(terms.items()):
+        s = str(coeff)
+        if m:
+            s += f"*a^{m}" if m != 1 else "*a"
+        if n:
+            s += f"*c^{n}" if n != 1 else "*c"
+        parts.append(s)
+    return " + ".join(parts) or "0"

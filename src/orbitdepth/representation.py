@@ -7,8 +7,11 @@ the 2^k x 2^k matrices are built from A_0 = a, B_0 = 1, C_0 = c by
     C_{k+1} = diag(I, C_k),
 
 equivalently A_k = I + (a-1) F2^x k, B_k = I + sum_j b_j, C_k = I + (c-1)
-E2^x k in tensor notation.  All matrices here are upper triangular with
-monomial diagonal, which keeps exact inversion cheap.
+E2^x k in tensor notation.  A matrix is a `RepMatrix`: one int64 coefficient
+matrix per live monomial a^m c^n (`laurent` holds the graded product and its
+overflow guard); the same type at size 1 x 1 holds the Laurent scalars.
+Every matrix here is upper triangular with monomial diagonal, so its exact
+inverse is a short product of powers of a nilpotent matrix.
 
 The certificate content: rho_k(v_i) = I for i != k+2, and rho_k(v_{k+2})
 is I plus the single corner entry kappa = k!(1/c-1)(1-a).  By the corner
@@ -23,10 +26,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .laurent import A_INV, A_PARAM, C_INV, C_PARAM, LaurentPoly2
+import numpy as np
+
+from .laurent import Graded, laurent_str, product
 from .words import (
     RHO_NAMES,
     RhoGen,
@@ -50,201 +56,148 @@ def _check_level(k: int, k_max: int = DEFAULT_K_MAX):
 
 
 class RepMatrix:
-    """Sparse square matrix with LaurentPoly2 entries."""
+    """Square matrix over Z[a^+-1, c^+-1], stored by grade.
+
+    `entries` maps a monomial (m, n) to the n x n int64 coefficient matrix
+    of a^m c^n, zero matrices dropped (see `laurent`).  A 1 x 1 RepMatrix is
+    a Laurent scalar and prints as its polynomial; multiplying by one, or by
+    an int, scales.  An int added or compared stands for that multiple of
+    the identity.
+    """
 
     __slots__ = ("n", "entries")
 
-    def __init__(self, n: int, entries: Dict[Tuple[int, int], LaurentPoly2] | None = None):
+    def __init__(self, n: int, entries: Graded | None = None):
         self.n = n
         self.entries = {}
-        if entries:
-            for ij, p in entries.items():
-                if p:
-                    self.entries[ij] = p
+        for g, x in (entries or {}).items():
+            x = np.asarray(x, dtype=np.int64)
+            if x.any():
+                self.entries[g] = x
+
+    @staticmethod
+    def monomial(m: int, n: int, coeff: int = 1, size: int = 1) -> "RepMatrix":
+        """coeff * a^m c^n times the size x size identity."""
+        return RepMatrix(size, {(m, n): coeff * np.eye(size, dtype=np.int64)})
 
     @staticmethod
     def identity(n: int) -> "RepMatrix":
-        return RepMatrix(n, {(i, i): LaurentPoly2.one() for i in range(n)})
+        return RepMatrix.monomial(0, 0, 1, n)
 
     @staticmethod
     def zero(n: int) -> "RepMatrix":
         return RepMatrix(n)
 
+    def _lift(self, other, size: int):
+        return RepMatrix.monomial(0, 0, other, size) if isinstance(other, int) else other
+
     def __eq__(self, other) -> bool:
+        other = self._lift(other, self.n)
         return (
             isinstance(other, RepMatrix)
             and self.n == other.n
-            and self.entries == other.entries
+            and self.entries.keys() == other.entries.keys()
+            and all(np.array_equal(x, other.entries[g]) for g, x in self.entries.items())
         )
 
-    def __add__(self, other: "RepMatrix") -> "RepMatrix":
+    def __add__(self, other) -> "RepMatrix":
         out = dict(self.entries)
-        for ij, p in other.entries.items():
-            v = out.get(ij, LaurentPoly2.zero()) + p
-            if v:
-                out[ij] = v
-            else:
-                out.pop(ij, None)
+        for g, y in self._lift(other, self.n).entries.items():
+            out[g] = out[g] + y if g in out else y
         return RepMatrix(self.n, out)
 
-    def __sub__(self, other: "RepMatrix") -> "RepMatrix":
-        out = dict(self.entries)
-        for ij, p in other.entries.items():
-            v = out.get(ij, LaurentPoly2.zero()) - p
-            if v:
-                out[ij] = v
-            else:
-                out.pop(ij, None)
-        return RepMatrix(self.n, out)
+    def __neg__(self) -> "RepMatrix":
+        return RepMatrix(self.n, {g: -x for g, x in self.entries.items()})
 
-    def scale(self, s) -> "RepMatrix":
-        return RepMatrix(self.n, {ij: p * s for ij, p in self.entries.items()})
+    def __sub__(self, other) -> "RepMatrix":
+        return self + -self._lift(other, self.n)
 
-    def __mul__(self, other: "RepMatrix") -> "RepMatrix":
-        rows: Dict[int, list] = {}
-        for (i, j), p in self.entries.items():
-            rows.setdefault(i, []).append((j, p))
-        cols: Dict[int, list] = {}
-        for (i, j), p in other.entries.items():
-            cols.setdefault(i, []).append((j, p))
-        out: Dict[Tuple[int, int], LaurentPoly2] = {}
-        for i, row in rows.items():
-            for k, p in row:
-                for j, q in cols.get(k, ()):
-                    key = (i, j)
-                    v = out.get(key, LaurentPoly2.zero()) + p * q
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
-        return RepMatrix(self.n, out)
+    def __rsub__(self, other) -> "RepMatrix":
+        return -self + other
+
+    def __mul__(self, other) -> "RepMatrix":
+        other = self._lift(other, 1)
+        return RepMatrix(max(self.n, other.n), product(self.entries, other.entries))
+
+    __rmul__ = __mul__  # only ints multiply from the left, and they commute
+
+    def is_zero(self) -> bool:
+        return not self.entries
 
     def is_identity(self) -> bool:
         return self == RepMatrix.identity(self.n)
 
-    def diagonal(self) -> List[LaurentPoly2]:
-        return [self.entries.get((i, i), LaurentPoly2.zero()) for i in range(self.n)]
+    def entry(self, i: int, j: int) -> "RepMatrix":
+        """Entry (i, j) as a Laurent scalar."""
+        return RepMatrix(1, {g: x[i:i + 1, j:j + 1] for g, x in self.entries.items()})
+
+    def diagonal(self) -> List["RepMatrix"]:
+        return [self.entry(i, i) for i in range(self.n)]
+
+    def nonzero(self) -> List[Tuple[int, int]]:
+        """Positions (i, j) of the nonzero entries in row-major order."""
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        for x in self.entries.values():
+            mask |= x != 0
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
 
     def is_upper_triangular(self) -> bool:
-        return all(i <= j for i, j in self.entries)
+        return not any(np.tril(x, -1).any() for x in self.entries.values())
 
     def inverse_upper(self) -> "RepMatrix":
         """Exact inverse for upper-triangular matrices with unit-monomial
-        diagonal (back substitution column by column)."""
+        diagonal D: with X = -D^-1 (M - D), nilpotent,
+        M^-1 = (I + X)(I + X^2)(I + X^4)... D^-1."""
         if not self.is_upper_triangular():
             raise ValueError("inverse_upper requires an upper-triangular matrix")
+        diag = {g: np.diag(x) for g, x in self.entries.items()}
+        live = sum((d != 0).astype(np.int64) for d in diag.values())
+        if not (np.all(live == 1) and all(np.abs(d).max() <= 1 for d in diag.values())):
+            raise ValueError("inverse_upper requires +-monomials on the diagonal")
         n = self.n
-        diag_inv = [self.entries[(i, i)].unit_inverse() for i in range(n)]
-        rows: Dict[int, list] = {}
-        for (i, j), p in self.entries.items():
-            if i != j:
-                rows.setdefault(i, []).append((j, p))
-        out: Dict[Tuple[int, int], LaurentPoly2] = {}
-        for j in range(n):
-            col: Dict[int, LaurentPoly2] = {j: diag_inv[j]}
-            for i in range(j - 1, -1, -1):
-                s = LaurentPoly2.zero()
-                for k, p in rows.get(i, ()):
-                    if k <= j and k in col:
-                        s = s + p * col[k]
-                if s:
-                    col[i] = -(diag_inv[i] * s)
-            for i, p in col.items():
-                if p:
-                    out[(i, j)] = p
-        return RepMatrix(n, out)
+        d = RepMatrix(n, {g: np.diag(v) for g, v in diag.items()})
+        d_inv = RepMatrix(n, {(-m, -l): np.diag(v) for (m, l), v in diag.items()})
+        x = -(d_inv * (self - d))
+        inv = RepMatrix.identity(n)
+        while not x.is_zero():
+            inv = inv + inv * x
+            x = x * x
+        return inv * d_inv
 
     def evaluate(self, a, c):
-        """Dense numeric/exact evaluation as a list of lists."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for (i, j), p in self.entries.items():
-            rows[i][j] = p.evaluate(a, c)
-        return rows
+        """Entries at (a, c) as a list of rows; exact for Fraction a, c."""
+        out = np.zeros((self.n, self.n), dtype=object)
+        for (m, n), x in self.entries.items():
+            out = out + x.astype(object) * (a ** m * c ** n)
+        return out.tolist()
 
     def __repr__(self):
-        return f"RepMatrix(n={self.n}, nnz={len(self.entries)})"
+        if self.n == 1:
+            return laurent_str({g: int(x[0, 0]) for g, x in self.entries.items()})
+        return f"RepMatrix(n={self.n}, monomials={sorted(self.entries)})"
 
 
-def commutator_matrix(u: RepMatrix, v: RepMatrix) -> RepMatrix:
-    return u * v * u.inverse_upper() * v.inverse_upper()
+A_PARAM = RepMatrix.monomial(1, 0)
+C_PARAM = RepMatrix.monomial(0, 1)
+A_INV = RepMatrix.monomial(-1, 0)
+C_INV = RepMatrix.monomial(0, -1)
 
 
-# ---------------------------------------------------------------------------
-# Tensor words: formal tensor products of the 2x2 seeds.
-
-I2 = "I2"
-J2 = "J2"
-E2 = "E2"
-F2 = "F2"
-
-_SEED_ENTRIES = {
-    I2: {(0, 0): 1, (1, 1): 1},
-    J2: {(0, 1): 1},
-    E2: {(1, 1): 1},
-    F2: {(0, 0): 1},
-}
-
-
-@dataclass(frozen=True)
-class TensorWord:
-    """A k-fold tensor product of 2x2 seed matrices, first factor outermost."""
-
-    factors: Tuple[str, ...]
-
-    def matrix(self) -> RepMatrix:
-        entries = {(0, 0): 1}
-        for f in self.factors:
-            seed = _SEED_ENTRIES[f]
-            new = {}
-            for (i, j), c in entries.items():
-                for (si, sj), sc in seed.items():
-                    new[(2 * i + si, 2 * j + sj)] = c * sc
-            entries = new
-        n = 2 ** len(self.factors)
-        return RepMatrix(n, {ij: LaurentPoly2.const(c) for ij, c in entries.items()})
-
-
-def b_tensor(k: int, positions: Tuple[int, ...]) -> TensorWord:
-    """I2 tensor word with J2 at the given 1-based positions."""
-    return TensorWord(tuple(J2 if i + 1 in positions else I2 for i in range(k)))
-
-
-def e_tensor(k: int, positions: Tuple[int, ...]) -> TensorWord:
-    """E2 tensor word with J2 at the given 1-based positions."""
-    return TensorWord(tuple(J2 if i + 1 in positions else E2 for i in range(k)))
-
-
-def alpha_tensor(k: int) -> RepMatrix:
-    return TensorWord((F2,) * k).matrix()
-
-
-def gamma_tensor(k: int) -> RepMatrix:
-    """E2^x k; named gamma-tensor to keep it apart from the oval cycle."""
-    return TensorWord((E2,) * k).matrix()
+def commutator_matrix(u: RepMatrix, v: RepMatrix,
+                      u_inv: RepMatrix | None = None,
+                      v_inv: RepMatrix | None = None) -> RepMatrix:
+    """[u, v] = u v u^-1 v^-1; the inverses are computed unless given."""
+    u_inv = u.inverse_upper() if u_inv is None else u_inv
+    v_inv = v.inverse_upper() if v_inv is None else v_inv
+    return u * v * u_inv * v_inv
 
 
 def corner_tensor(k: int) -> RepMatrix:
-    return TensorWord((J2,) * k).matrix()
-
-
-def beta_matrix(k: int) -> RepMatrix:
-    out = RepMatrix.zero(2 ** k)
-    for j in range(1, k + 1):
-        out = out + b_tensor(k, (j,)).matrix()
-    return out
-
-
-def epsilon_bracket(k: int, l: int) -> RepMatrix:
-    """eps^[l] = l! sum over e-tensors with l J2 factors; zero for l > k."""
-    from itertools import combinations
-
+    """J2^(x k) = E_1n, the single entry 1 at (1, 2^k)."""
     n = 2 ** k
-    if l > k:
-        return RepMatrix.zero(n)
-    out = RepMatrix.zero(n)
-    for positions in combinations(range(1, k + 1), l):
-        out = out + e_tensor(k, positions).matrix()
-    return out.scale(factorial(l))
+    e = np.zeros((n, n), dtype=np.int64)
+    e[0, -1] = 1
+    return RepMatrix(n, {(0, 0): e})
 
 
 # ---------------------------------------------------------------------------
@@ -254,47 +207,20 @@ def epsilon_bracket(k: int, l: int) -> RepMatrix:
 def base_matrices(k: int, k_max: int = DEFAULT_K_MAX) -> Tuple[RepMatrix, RepMatrix, RepMatrix]:
     """(A_k, B_k, C_k) by the block recursion from the 1x1 seeds a, 1, c."""
     _check_level(k, k_max)
-    A = RepMatrix(1, {(0, 0): A_PARAM})
-    B = RepMatrix(1, {(0, 0): LaurentPoly2.one()})
-    C = RepMatrix(1, {(0, 0): C_PARAM})
+    A, B, C = A_PARAM, RepMatrix.identity(1), C_PARAM
     for _ in range(k):
-        n = A.n
-        ident = RepMatrix.identity(n)
-        A = _block_diag(A, ident)
-        B = _block_upper(B, ident, B)
-        C = _block_diag(ident, C)
+        ident, zero = RepMatrix.identity(A.n), RepMatrix.zero(A.n)
+        A, B, C = _block_upper(A, zero, ident), _block_upper(B, ident, B), _block_upper(ident, zero, C)
     return A, B, C
-
-
-def base_matrices_closed_form(k: int) -> Tuple[RepMatrix, RepMatrix, RepMatrix]:
-    """A_k = I + (a-1) alpha, B_k = I + beta, C_k = I + (c-1) gamma-tensor."""
-    n = 2 ** k
-    ident = RepMatrix.identity(n)
-    A = ident + alpha_tensor(k).scale(A_PARAM - 1)
-    B = ident + beta_matrix(k)
-    C = ident + gamma_tensor(k).scale(C_PARAM - 1)
-    return A, B, C
-
-
-def _block_diag(tl: RepMatrix, br: RepMatrix) -> RepMatrix:
-    n = tl.n
-    out = {}
-    for (i, j), p in tl.entries.items():
-        out[(i, j)] = p
-    for (i, j), p in br.entries.items():
-        out[(i + n, j + n)] = p
-    return RepMatrix(2 * n, out)
 
 
 def _block_upper(tl: RepMatrix, tr: RepMatrix, br: RepMatrix) -> RepMatrix:
+    """[[tl, tr], [0, br]]."""
     n = tl.n
     out = {}
-    for (i, j), p in tl.entries.items():
-        out[(i, j)] = p
-    for (i, j), p in tr.entries.items():
-        out[(i, j + n)] = p
-    for (i, j), p in br.entries.items():
-        out[(i + n, j + n)] = p
+    for block, (r, c) in ((tl, (0, 0)), (tr, (0, n)), (br, (n, n))):
+        for g, x in block.entries.items():
+            out.setdefault(g, np.zeros((2 * n, 2 * n), dtype=np.int64))[r:r + n, c:c + n] = x
     return RepMatrix(2 * n, out)
 
 
@@ -341,17 +267,27 @@ class Representation:
             raise ValueError("i must be >= 1")
         if i == 1:
             return RepMatrix.identity(self.n)
-        d = self.C
-        for _ in range(i - 2):
-            d = commutator_matrix(self.B, d)
-        return commutator_matrix(self.A, d)
+        return next(islice(_v_chain(self), i - 2, None))
+
+
+def _v_chain(rep: Representation):
+    """rho(v_2), rho(v_3), ...: d = C, d = [B, d], rho(v_i) = [A, d].
+
+    Each d^-1 is carried as [d', B] = [B, d']^-1 instead of inverted.
+    """
+    a_inv, b_inv = rep.A.inverse_upper(), rep.B.inverse_upper()
+    d, d_inv = rep.C, rep.C.inverse_upper()
+    while True:
+        yield commutator_matrix(rep.A, d, a_inv, d_inv)
+        d, d_inv = (commutator_matrix(rep.B, d, b_inv, d_inv),
+                    commutator_matrix(d, rep.B, d_inv, b_inv))
 
 
 def rho(k: int, w: Word, k_max: int = DEFAULT_K_MAX) -> RepMatrix:
     return Representation(k, k_max)(w)
 
 
-def expected_corner_scalar(k: int) -> LaurentPoly2:
+def expected_corner_scalar(k: int) -> RepMatrix:
     """(1/c - 1)(1 - a) k!  -- the exact corner of rho_k(v_{k+2}).
 
     With the commutator convention [u, v] = u v u^-1 v^-1 (the one forced by
@@ -361,16 +297,16 @@ def expected_corner_scalar(k: int) -> LaurentPoly2:
     word product and the matrix recursion agree on this exactly; the tests
     pin the relation corner = a * (1/c-1)(1/a-1) k! as well.
     """
-    return (C_INV - 1) * (LaurentPoly2.one() - A_PARAM) * factorial(k)
+    return (C_INV - 1) * (1 - A_PARAM) * factorial(k)
 
 
-def alternate_corner_scalar(k: int) -> LaurentPoly2:
+def alternate_corner_scalar(k: int) -> RepMatrix:
     """(1/c - 1)(1/a - 1) k!; equals expected_corner_scalar(k) / a."""
     return (C_INV - 1) * (A_INV - 1) * factorial(k)
 
 
 def expected_v_corner_matrix(k: int) -> RepMatrix:
-    return corner_tensor(k).scale(expected_corner_scalar(k))
+    return corner_tensor(k) * expected_corner_scalar(k)
 
 
 @dataclass
@@ -383,6 +319,16 @@ class CheckItem:
 
 def _ms_since(start: float) -> float:
     return (time.perf_counter() - start) * 1e3
+
+
+def _attempt(compute):
+    """(compute(), "") or (None, the error) when exact arithmetic fails: an
+    image with no exact inverse (ValueError) or an int64 product bound
+    reached (OverflowError).  A failing level gives red items."""
+    try:
+        return compute(), ""
+    except (OverflowError, ValueError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -415,33 +361,36 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
         raise ValueError("i_max must reach k+2")
     rep = rep or Representation(k)
     ident = RepMatrix.identity(rep.n)
+    corner = ident + expected_v_corner_matrix(k)
     report = VImageReport(k, i_max)
-    d = rep.C  # d_{i-1}(z); the chain is walked once for every i
+    chain = _v_chain(rep)  # walked once for every i
+    error = ""  # once a step fails, every later row is red with its error
     for i in range(2, i_max + 1):
         start = time.perf_counter()
-        if i > 2:
-            d = commutator_matrix(rep.B, d)
-        img = commutator_matrix(rep.A, d)
+        img = None
+        if not error:
+            img, error = _attempt(lambda: next(chain))
         if i == k + 2:
             report.corner_image = img
-            expected = ident + expected_v_corner_matrix(k)
+            expected = corner
             ok = img == expected
             detail = f"corner = k!(1/c-1)(1/a-1) at (1, {rep.n})"
             report.items.append(CheckItem(f"rho_{k}(v_{i}) = I + corner", ok and img != ident,
-                                          "corner nonzero", _ms_since(start)))
+                                          error or "corner nonzero", _ms_since(start)))
         else:
             expected = ident
             ok = img == expected
             detail = "identity"
+        if error:
+            detail = error
+        elif not ok:
+            detail = f"mismatch entries: {(img - expected).nonzero()[:4]}"
         report.items.append(CheckItem(f"rho_{k}(v_{i})", ok, detail, _ms_since(start)))
-        if not ok:
-            diff = img - expected
-            report.items[-1].detail = f"mismatch entries: {sorted(diff.entries)[:4]}"
     # word-path cross-check at the distinguished index
     start = time.perf_counter()
-    ok = rep(v_k(k + 2)) == ident + expected_v_corner_matrix(k)
-    report.items.append(CheckItem(f"rho_{k}(v_{k+2}) via word product", ok,
-                                  "matrix recursion agrees with the word image",
+    word_image, error = _attempt(lambda: rep(v_k(k + 2)))
+    report.items.append(CheckItem(f"rho_{k}(v_{k+2}) via word product", word_image == corner,
+                                  error or "matrix recursion agrees with the word image",
                                   _ms_since(start)))
     start = time.perf_counter()
     ok = expected_corner_scalar(k) == alternate_corner_scalar(k) * A_PARAM
@@ -462,14 +411,12 @@ def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
     mat_s = rep(s)
     mat_v = RepMatrix.identity(rep.n) + expected_v_corner_matrix(k)
     comm = commutator_matrix(mat_s, mat_v)
-    corner = comm.entries.get((0, rep.n - 1), LaurentPoly2.zero())
-    rest = dict(comm.entries)
-    rest.pop((0, rep.n - 1), None)
-    if RepMatrix(rep.n, rest) != RepMatrix.identity(rep.n):
+    corner = comm.entry(0, rep.n - 1)
+    if comm - corner_tensor(k) * corner != RepMatrix.identity(rep.n):
         raise AssertionError(
             f"commutator of rho(s) with rho(v_{k+2}) is not I + corner for s={s!r}"
         )
-    expected = (LaurentPoly2.monomial(m, -n) - 1) * expected_corner_scalar(k)
+    expected = (RepMatrix.monomial(m, -n) - 1) * expected_corner_scalar(k)
     if corner != expected:
         raise AssertionError(
             f"corner scalar mismatch for s={s!r}: got {corner!r}, expected {expected!r}"
@@ -497,12 +444,12 @@ class Certificate:
         }
 
 
-def _is_power(p: LaurentPoly2, axis: int) -> bool:
-    """Whether p is a^m (axis 0) or c^n (axis 1) for some integer exponent."""
-    if len(p.terms) != 1:
+def _is_power(p: RepMatrix, axis: int) -> bool:
+    """Whether the scalar p is a^m (axis 0) or c^n (axis 1) for some exponent."""
+    if len(p.entries) != 1:
         return False
-    (mn, coeff), = p.terms.items()
-    return coeff == 1 and mn[1 - axis] == 0
+    (mn, coeff), = p.entries.items()
+    return coeff[0, 0] == 1 and mn[1 - axis] == 0
 
 
 def _has_lemma_shape(s: RepMatrix) -> bool:
@@ -550,35 +497,36 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
     ))
 
     start = time.perf_counter()
-    v_corner = ident + unit_corner.scale(kappa)
+    v_corner = ident + unit_corner * kappa
+    v_inv, _ = _attempt(v_corner.inverse_upper)
     quotients = []
     bad = []
+    errors = []
     for g, s in rep.images.items():
         m, n = exponent_sums_rho(rho_to_delta_alphabet(Word.gen(g)))
-        q = LaurentPoly2.monomial(m, -n) - 1
+        q = RepMatrix.monomial(m, -n) - 1
         quotients.append(q)
-        try:
-            ok = commutator_matrix(s, v_corner) == ident + unit_corner.scale(kappa * q)
-        except ValueError:  # s has no exact upper-triangular inverse
-            ok = False
-        if not ok:
+        comm, error = _attempt(lambda: commutator_matrix(s, v_corner, v_inv=v_inv))
+        if comm != ident + unit_corner * (kappa * q):
             bad.append(RHO_NAMES[g])
+            if error:
+                errors.append(f"{RHO_NAMES[g]}: {error}")
     cert.items.append(CheckItem(
         "corner lemma on the generator images",
         not bad,
-        f"[S, N] != I + kappa (a^m c^-n - 1) E_1n for {bad}" if bad
-        else "[S, N] = I + kappa (a^m c^-n - 1) E_1n, (m, n) the exponent sums",
+        f"[S, N] != I + kappa (a^m c^-n - 1) E_1n for {bad}" + "".join(f"; {e}" for e in errors)
+        if bad else "[S, N] = I + kappa (a^m c^-n - 1) E_1n, (m, n) the exponent sums",
         _ms_since(start),
     ))
 
     start = time.perf_counter()
-    one = LaurentPoly2.one()
+    one = RepMatrix.identity(1)
     at_one = (Fraction(1), Fraction(1))
     separated = (
-        all(q.evaluate(*at_one) == 0 for q in quotients)
-        and table.corner_image == ident + unit_corner.scale(kappa * one)
+        all(q.evaluate(*at_one) == [[0]] for q in quotients)
+        and table.corner_image == ident + unit_corner * (kappa * one)
         and not kappa.is_zero()
-        and one.evaluate(*at_one) == 1
+        and one.evaluate(*at_one) == [[1]]
     )
     cert.items.append(CheckItem(
         f"v_{k+2} outside K",

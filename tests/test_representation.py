@@ -1,24 +1,29 @@
 import random
+import time
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from math import factorial
 
+import numpy as np
 import pytest
 
-from orbitdepth.laurent import A_INV, A_PARAM, C_INV, C_PARAM, LaurentPoly2
+from orbitdepth.laurent import product
 from orbitdepth.representation import (
+    A_INV,
+    A_PARAM,
+    C_INV,
+    C_PARAM,
     DEFAULT_K_MAX,
     LevelRangeError,
     RepMatrix,
     Representation,
     alternate_corner_scalar,
     base_matrices,
-    base_matrices_closed_form,
-    beta_matrix,
     commutator_matrix,
     commutator_scalar,
     corner_tensor,
     depth_certificate,
-    epsilon_bracket,
     expected_corner_scalar,
     expected_v_corner_matrix,
     rho,
@@ -32,25 +37,66 @@ from orbitdepth.words import (
 
 SEED = 20259
 
+# Tensor words: k-fold Kronecker products of 2x2 integer seeds, first factor
+# outermost.  They give the closed forms the block recursion is checked
+# against.
+_SEEDS = {
+    "I2": np.eye(2, dtype=np.int64),
+    "J2": np.array([[0, 1], [0, 0]], dtype=np.int64),
+    "E2": np.array([[0, 0], [0, 1]], dtype=np.int64),
+    "F2": np.array([[1, 0], [0, 0]], dtype=np.int64),
+}
+
+
+def _tensor(factors) -> RepMatrix:
+    m = reduce(np.kron, (_SEEDS[f] for f in factors), np.ones((1, 1), dtype=np.int64))
+    return RepMatrix(len(m), {(0, 0): m})
+
+
+def b_tensor(k: int, j: int) -> RepMatrix:
+    """I2 tensor word with J2 at the 1-based position j."""
+    return _tensor("J2" if i == j else "I2" for i in range(1, k + 1))
+
+
+def beta_matrix(k: int) -> RepMatrix:
+    return reduce(RepMatrix.__add__, (b_tensor(k, j) for j in range(1, k + 1)))
+
+
+def epsilon_bracket(k: int, l: int) -> RepMatrix:
+    """eps^[l] = l! sum over E2 tensor words with l J2 factors; 0 for l > k."""
+    out = RepMatrix.zero(2 ** k)
+    for positions in combinations(range(1, k + 1), l):
+        out = out + _tensor("J2" if i in positions else "E2" for i in range(1, k + 1))
+    return out * factorial(l)
+
+
+def base_matrices_closed_form(k: int):
+    """A_k = I + (a-1) F2^x k, B_k = I + beta, C_k = I + (c-1) E2^x k."""
+    ident = RepMatrix.identity(2 ** k)
+    return (ident + _tensor(["F2"] * k) * (A_PARAM - 1),
+            ident + beta_matrix(k),
+            ident + _tensor(["E2"] * k) * (C_PARAM - 1))
+
 
 def test_laurent_ring():
     a, c = A_PARAM, C_PARAM
-    one = LaurentPoly2.one()
+    one = RepMatrix.identity(1)
     assert (a - 1) * (a - 1) == a * a - 2 * a + 1
     assert a * A_INV == one
-    assert (a * c).unit_inverse() == A_INV * C_INV
+    assert (a * c).inverse_upper() == A_INV * C_INV
     p = (C_INV - 1) * (A_INV - 1)
-    assert p.evaluate(Fraction(2), Fraction(3)) == Fraction(1, 3)
+    assert p.evaluate(Fraction(2), Fraction(3)) == [[Fraction(1, 3)]]
     with pytest.raises(ValueError):
-        (a + c).unit_inverse()
-    assert (-a).unit_inverse() == -A_INV
+        (a + c).inverse_upper()
+    assert (-a).inverse_upper() == -A_INV
     with pytest.raises(ValueError):
-        (2 * a).unit_inverse()
+        (2 * a).inverse_upper()
+    assert repr((C_INV - 1) * (1 - a)) == "1*c^-1 + -1 + -1*a*c^-1 + 1*a"
+    assert repr(a - a) == "0"
 
 
 def _int_coefficients(m: RepMatrix) -> bool:
-    return all(type(coeff) is int
-               for p in m.entries.values() for coeff in p.terms.values())
+    return all(x.dtype == np.int64 for x in m.entries.values())
 
 
 def test_integer_coefficients():
@@ -84,7 +130,7 @@ def test_beta_nilpotency():
         power = RepMatrix.identity(2 ** k)
         for _ in range(k):
             power = power * b
-        assert power == corner_tensor(k).scale(factorial(k))
+        assert power == corner_tensor(k) * factorial(k)
         assert (power * b) == RepMatrix.zero(2 ** k)
 
 
@@ -94,13 +140,13 @@ def test_iterated_commutators():
         d = C
         for l in range(1, k + 1):
             d = commutator_matrix(B, d)
-            expected = RepMatrix.identity(2 ** k) - epsilon_bracket(k, l).scale(C_INV - 1)
+            expected = RepMatrix.identity(2 ** k) - epsilon_bracket(k, l) * (C_INV - 1)
             assert d == expected
 
 
 def test_rho_examples():
     m = rho(1, commutator(D2, Z_ELT))
-    assert m.entries[(0, 1)] == LaurentPoly2.one() - C_INV  # -(1/c - 1)
+    assert m.entry(0, 1) == 1 - C_INV  # -(1/c - 1)
     assert rho(2, G).is_identity()
     assert rho(2, D2 * D2.inverse()).is_identity()
 
@@ -124,10 +170,10 @@ def test_diagonal_structure():
         img = rep(s)
         assert img.is_upper_triangular()
         diag = img.diagonal()
-        assert diag[0] == LaurentPoly2.monomial(m, 0)
-        assert diag[-1] == LaurentPoly2.monomial(0, n)
+        assert diag[0] == RepMatrix.monomial(m, 0)
+        assert diag[-1] == RepMatrix.monomial(0, n)
         for d in diag[1:-1]:
-            assert d == LaurentPoly2.one()
+            assert d == RepMatrix.identity(1)
 
 
 def test_v_images():
@@ -143,8 +189,8 @@ def test_corner_scalar_value():
     # k!(1/c-1)(1-a), equal to a times the (1/c-1)(1/a-1) k! normalization
     for k in (1, 2, 3):
         assert expected_corner_scalar(k) == alternate_corner_scalar(k) * A_PARAM
-    assert expected_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == 4
-    assert alternate_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == 2
+    assert expected_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == [[4]]
+    assert alternate_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == [[2]]
 
 
 def test_commutator_scalar():
@@ -158,19 +204,45 @@ def test_commutator_scalar():
 
 
 def test_evaluation_homomorphism():
+    # Fraction arithmetic on the evaluated matrices is the oracle that is
+    # independent of the graded int64 product.
     rng = random.Random(SEED + 2)
-    rep = Representation(2)
     a0 = Fraction(3, 2)
     c0 = Fraction(-5, 7)
-    for _ in range(10):
-        u = random_word(rng, 8)
-        v = random_word(rng, 8)
-        lhs = rep(u * v).evaluate(a0, c0)
-        m1 = rep(u).evaluate(a0, c0)
-        m2 = rep(v).evaluate(a0, c0)
-        prod = [[sum(m1[i][k] * m2[k][j] for k in range(4)) for j in range(4)]
-                for i in range(4)]
-        assert lhs == prod
+    for k in (1, 2, 3, 4):
+        rep = Representation(k)
+        n = rep.n
+        for _ in range(10):
+            u = random_word(rng, 8)
+            v = random_word(rng, 8)
+            lhs = rep(u * v).evaluate(a0, c0)
+            m1 = rep(u).evaluate(a0, c0)
+            m2 = rep(v).evaluate(a0, c0)
+            prod = [[sum(m1[i][l] * m2[l][j] for l in range(n)) for j in range(n)]
+                    for i in range(n)]
+            assert lhs == prod
+
+
+def test_sparse_product_matches_dense():
+    # above DENSE_MAX the product pairs nonzeros; numpy's dense @ is the reference
+    rng = np.random.default_rng(SEED)
+    for n in (64, 128):
+        for density in (0.01, 0.2, 1.0):
+            x, y = (rng.integers(-9, 10, (n, n)) * (rng.random((n, n)) < density)
+                    for _ in range(2))
+            got = product({(0, 0): x, (1, 0): y}, {(0, -1): y})
+            assert set(got) == {(0, -1), (1, -1)}
+            assert np.array_equal(got[0, -1], x @ y)
+            assert np.array_equal(got[1, -1], y @ y)
+
+
+def test_product_overflow_guard():
+    big = np.array([[2 ** 31]], dtype=np.int64)
+    assert product({(0, 0): big}, {(0, 0): big - 1})[0, 0] == 2 ** 62 - 2 ** 31
+    with pytest.raises(OverflowError):
+        product({(0, 0): big}, {(0, 0): big})
+    with pytest.raises(OverflowError):  # the bound sums over monomial pairs
+        product({(0, 0): big, (1, 0): big}, {(0, 0): big // 2 + 1})
 
 
 def test_certificates():
@@ -180,6 +252,16 @@ def test_certificates():
         assert len(cert.items) == k + 9
         d = cert.to_dict()
         assert d["k"] == k and d["pass"] and len(d["checks"]) == k + 9
+
+
+def test_certificates_reach_k_7():
+    start = time.perf_counter()
+    for k in (6, 7):
+        cert = depth_certificate(k)
+        assert cert.passed, [it for it in cert.items if not it.passed]
+        assert len(cert.items) == k + 9
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"depth_certificate(6) and (7) took {elapsed:.2f}s, budget 10s"
 
 
 # Mutation tests: each feeds a wrong representation or constant and sees the
@@ -208,7 +290,7 @@ def test_certificate_mutant_b_drops_a_j2_term():
             beta = RepMatrix.zero(2 ** k)
             for i in range(1, k + 1):
                 if i != j:
-                    beta = beta + representation.b_tensor(k, (i,)).matrix()
+                    beta = beta + b_tensor(k, i)
             rep = _mutant(k, RhoGen.B2, RepMatrix.identity(2 ** k) + beta)
             assert not verify_v_images(k, rep=rep).passed
             assert f"rho_{k}(v_{k+2})" in _red(depth_certificate(k, rep=rep))
@@ -220,11 +302,18 @@ def test_certificate_mutant_corner_scalar(monkeypatch):
     assert "v_4 outside K" in _red(depth_certificate(2))
 
 
+def _unit(n: int, i: int, j: int) -> np.ndarray:
+    e = np.zeros((n, n), dtype=np.int64)
+    e[i, j] = 1
+    return e
+
+
 def test_certificate_mutant_middle_diagonal():
     A = Representation(2).A
-    entries = dict(A.entries)
-    entries[(1, 1)] = C_PARAM
-    red = _red(depth_certificate(2, rep=_mutant(2, RhoGen.X, RepMatrix(4, entries))))
+    e11 = _unit(4, 1, 1)
+    mutant = A + RepMatrix(4, {(0, 0): -e11, (0, 1): e11})  # entry (1, 1): 1 -> c
+    assert mutant.entry(1, 1) == C_PARAM
+    red = _red(depth_certificate(2, rep=_mutant(2, RhoGen.X, mutant)))
     assert LEMMA_SHAPE in red and LEMMA not in red
 
 
@@ -232,3 +321,26 @@ def test_certificate_mutant_diagonal_exponents():
     A = Representation(2).A
     red = _red(depth_certificate(2, rep=_mutant(2, RhoGen.X, A * A)))
     assert LEMMA in red and LEMMA_SHAPE not in red
+
+
+def test_certificate_mutant_overflow():
+    # x -> A + 2^40 E_12 keeps the lemma's shape and has the exact inverse
+    # A^-1 - 2^40 a^-1 E_12, but products with it would wrap int64: the
+    # guard turns the items red instead
+    k = 2
+    rep = Representation(k)
+    e12 = _unit(4, 0, 1)
+    image = rep.A + RepMatrix(4, {(0, 0): 2 ** 40 * e12})
+    inverse = rep.inverses[RhoGen.X] + RepMatrix(4, {(-1, 0): -2 ** 40 * e12})
+    at = (Fraction(3, 2), Fraction(-5, 7))
+    m1, m2 = image.evaluate(*at), inverse.evaluate(*at)
+    assert [[sum(m1[i][l] * m2[l][j] for l in range(4)) for j in range(4)]
+            for i in range(4)] == np.eye(4, dtype=int).tolist()
+    rep.images[RhoGen.X], rep.inverses[RhoGen.X] = image, inverse
+    cert = depth_certificate(k, rep=rep)
+    red = _red(cert)
+    assert LEMMA_SHAPE not in red
+    for name in (LEMMA, f"rho_{k}(v_2)", f"rho_{k}(v_{k+2}) via word product"):
+        assert name in red
+        detail = next(it.detail for it in cert.items if it.name == name)
+        assert "OverflowError" in detail, (name, detail)
