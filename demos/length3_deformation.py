@@ -36,7 +36,7 @@ print(f"  a1 = {cf.a1},  a2 = {cf.a2},  a3 = {cf.a3}")
 cls = classify(cf)
 print(f"  classification: {cls.kind.value} with witnesses "
       f"lambda1 = {cls.lambda1}, lambda2 = {cls.lambda2}")
-print("  hierarchy collapses through order 6:", hierarchy_collapse_check(cf, 6))
+print("  hierarchy collapses at every order:", hierarchy_collapse_check(cf))
 
 print("\nSymmetric degenerations classify separately:")
 from orbitdepth.melnikov import deformation

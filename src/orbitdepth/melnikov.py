@@ -14,14 +14,17 @@ Melnikov term over the orbit element v_i is the nested Wronskian
 The inner Wronskians of mv(i) are those of mv(i-1) plus one more, so
 `mv_chain` walks them once and returns the whole list mv(2), ..., mv(n);
 `classify`, `make_length3` and `hierarchy_collapse_check` each take their
-terms from one such chain.  Everything here is exact rational-function
-arithmetic in `ratfunc`'s ZZ(t); the numeric layer restores the (2 pi i)^i
-factors.
+terms from one such chain.  Once mv(2) = mv(3) = 0 the hierarchy collapses
+at every order: beta3 and W(beta2, beta3) are then constant multiples of
+beta1, so every inner Wronskian is too; `hierarchy_collapse_check`
+certifies this two-line lemma instead of walking mv(i) order by order.
+Everything here is exact rational-function arithmetic in `ratfunc`'s
+ZZ(t); the numeric layer restores the (2 pi i)^i factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -64,19 +67,6 @@ FLAGSHIP = deformation("t^2+2t", "t", "t^2+t", provenance="pert3(t, t^2, 1, 1)")
 def beta_periods(d: Deformation) -> Tuple[RatFunc, RatFunc, RatFunc]:
     """(beta1, beta2, beta3) = (a2, a2 - a3, a1 - a3), 2 pi i dropped."""
     return d.a2, d.a2 - d.a3, d.a1 - d.a3
-
-
-def compose_leading(mu1: int, m1: RatFunc, mu2: int, m2: RatFunc):
-    """Leading term of the return map of a commutator loop.
-
-    If the two loops have leading terms (mu1, M1) and (mu2, M2), the
-    commutator has order mu1 + mu2 with leading coefficient W(M1, M2); the
-    boolean in the result flags an identically vanishing Wronskian.
-    """
-    if m1.is_zero() or m2.is_zero():
-        raise ValueError("leading terms must be nonzero")
-    w = wronskian(m1, m2)
-    return mu1 + mu2, w, w.is_zero()
 
 
 def mv_chain(n: int, d: Deformation) -> List[RatFunc]:
@@ -218,68 +208,30 @@ def m3_tilde_coefficient(A, lam, lambda1=1) -> RatFunc:
 
 
 def hierarchy_collapse_check(d: Deformation, i_max: int = 6) -> bool:
-    """mv(2) = mv(3) = 0 forces mv(i) = 0 for all i up to i_max.
+    """The collapse lemma: mv(2) = mv(3) = 0 forces mv(i) = 0 for every i.
 
-    Also verifies the constant-ratio recursion when the integrability
-    witnesses exist: W(beta2, beta3) = (lambda2/lambda1) beta3 (so each
-    extra inner Wronskian multiplies the hierarchy by that constant) and
-    mv(i+1) = (lambda2/lambda1) mv(i) exactly.  All terms come from one
-    `mv_chain`.
+    Write w_2 = beta3 and w_{i+1} = W(beta2, w_i), so mv(i) = W(beta1, w_i).
+    If beta3 = lambda beta1 and W(beta2, beta3) = mu beta1 with lambda, mu
+    constants, then W(beta2, beta1) = (mu/lambda) beta1 for lambda != 0, so
+    by induction every w_i is a constant times beta1 and every mv(i) =
+    W(beta1, c beta1) vanishes; beta1 = 0 or beta3 = 0 gives mv(i) = 0
+    outright.  For beta1 != 0 the two proportionalities are exactly what
+    mv(2) = mv(3) = 0 says, and both are certified here as constant
+    quotients in ZZ(t).  For integrability candidates it also checks
+    W(beta2, beta3) = (lambda2/lambda1) beta3, the constant by which each
+    extra inner Wronskian multiplies the hierarchy.  Raises ValueError when
+    mv(2) or mv(3) is nonzero.
     """
-    chain = mv_chain(max(i_max, 3), d)  # chain[i - 2] is mv(i)
+    # i_max no longer changes the result; it stays because outside callers pass it
+    chain = mv_chain(3, d)
     if not (chain[0].is_zero() and chain[1].is_zero()):
         raise ValueError("precondition mv(2) = mv(3) = 0 fails")
-    if not all(m.is_zero() for m in chain[2:]):
+    b1, b2, b3 = beta_periods(d)
+    inner = wronskian(b2, b3)
+    if not (b1.is_zero() or b3.is_zero()
+            or ((b3 / b1).is_constant() and (inner / b1).is_constant())):
         return False
     cls = _classify(d, chain)
     if cls.kind is Kind.INTEGRABLE_CANDIDATE:
-        b1, b2, b3 = beta_periods(d)
-        multiplier = cls.lambda2 / cls.lambda1
-        if wronskian(b2, b3) != b3 * multiplier:
-            return False
-        for i in range(2, i_max):
-            if chain[i - 1] != chain[i - 2] * multiplier:
-                return False
+        return inner == b3 * (cls.lambda2 / cls.lambda1)
     return True
-
-
-# ---------------------------------------------------------------------------
-# Symbolic second-order assembly.  The order-2 coefficient of the return map
-# along the oval is sum_{i<j} W(a_i, a_j) I_ij with I_ij the double integral
-# of phi_i dphi_j; the side relations are I_23 = -I_32 (exact term d(phi2
-# phi3)) and I_13 = 0 (x-holomorphic integrand).  Under mv(2) = 0 the sum
-# collapses to W(a1, a2) (I_12 + I_32).
-
-
-@dataclass
-class SecondOrderAssembly:
-    terms: dict = field(default_factory=dict)  # symbol -> RatFunc coefficient
-
-    def coefficient(self, symbol: str) -> RatFunc:
-        return self.terms.get(symbol, RatFunc(0))
-
-
-def m2_symbolic(d: Deformation) -> SecondOrderAssembly:
-    a1, a2, a3 = d.coefficients()
-    return SecondOrderAssembly(
-        {
-            "I12": wronskian(a1, a2),
-            "I13": wronskian(a1, a3),
-            "I23": wronskian(a2, a3),
-        }
-    )
-
-
-def m2_collapses_to_single_wronskian(d: Deformation) -> bool:
-    """Exact term-level identity: with W(a2, a1 - a3) = 0 the assembly equals
-    W(a1, a2) (I12 + I32) modulo the side relations."""
-    if not mv(2, d).is_zero():
-        return False
-    asm = m2_symbolic(d)
-    # substitute I23 -> -I32, then compare coefficients against the target
-    coeff_i12 = asm.coefficient("I12")
-    coeff_i32 = -asm.coefficient("I23")
-    w12 = wronskian(d.a1, d.a2)
-    # I13 carries W(a1, a3); it is discharged by the vanishing of the
-    # x-holomorphic double integral, recorded as a side relation.
-    return coeff_i12 == w12 and coeff_i32 == w12

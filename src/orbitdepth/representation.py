@@ -522,17 +522,18 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
     start = time.perf_counter()
     one = RepMatrix.identity(1)
     at_one = (Fraction(1), Fraction(1))
-    separated = (
-        all(q.evaluate(*at_one) == [[0]] for q in quotients)
-        and table.corner_image == ident + unit_corner * (kappa * one)
-        and not kappa.is_zero()
-        and one.evaluate(*at_one) == [[1]]
-    )
-    cert.items.append(CheckItem(
-        f"v_{k+2} outside K",
-        separated,
-        f"commutator corners lie in kappa * aug; rho(v_{k + 2}) has corner kappa * 1, "
-        "kappa != 0, 1 not in aug",
-        _ms_since(start),
-    ))
+    conditions = {
+        "commutator corners lie in kappa * aug":
+            all(q.evaluate(*at_one) == [[0]] for q in quotients),
+        f"rho(v_{k + 2}) has corner kappa * 1":
+            table.corner_image == ident + unit_corner * (kappa * one),
+        "kappa != 0": not kappa.is_zero(),
+        "1 not in aug": one.evaluate(*at_one) == [[1]],
+    }
+    failed = [name for name, ok in conditions.items() if not ok]
+    detail = "; ".join(conditions) if not failed else "failed: " + "; ".join(failed)
+    if table.corner_image is None:  # the chain raised; its row carries the error
+        detail += "; " + next(it.detail for it in table.items
+                              if it.name == f"rho_{k}(v_{k + 2}) = I + corner")
+    cert.items.append(CheckItem(f"v_{k+2} outside K", not failed, detail, _ms_since(start)))
     return cert

@@ -122,14 +122,6 @@ X_ELT = D1 * D2
 Z_ELT = D2 * D3
 
 
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    return u.inverse()
-
-
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1 (so [d2, d3] d3 reduces to d2 d3 d2^-1)."""
     return u * v * u.inverse() * v.inverse()
@@ -209,7 +201,7 @@ def mon1_inverse() -> Endo:
 
 
 def mon0_inverse() -> Endo:
-    """Explicit inverse of mon0 (checked against it in the tests)."""
+    """Explicit inverse of mon0 (checked on the generators by the orbit suite)."""
     return endo_from_map(
         {
             Gen.G: (D3 * D2 * D1 * D0).inverse() * G,

@@ -20,11 +20,8 @@ from orbitdepth.melnikov import (
     beta_periods,
     center_family,
     classify,
-    compose_leading,
     deformation,
     hierarchy_collapse_check,
-    m2_collapses_to_single_wronskian,
-    m2_symbolic,
     m3_tilde_coefficient,
     make_length3,
     mv,
@@ -105,15 +102,6 @@ def test_beta_periods():
     assert beta_periods(deformation(a, a, a)) == (a, RatFunc(0), RatFunc(0))
 
 
-def test_compose_leading():
-    assert compose_leading(1, T, 1, T * T) == (2, T * T, False)
-    mu, w, vanished = compose_leading(1, T + 1, 1, T + 1)
-    assert (mu, vanished) == (2, True) and w.is_zero()
-    assert compose_leading(2, T, 3, T * T)[0] == 5
-    with pytest.raises(ValueError):
-        compose_leading(1, RatFunc(0), 1, T)
-
-
 def test_mv_flagship():
     assert mv(2, FLAGSHIP).is_zero()
     assert mv(3, FLAGSHIP) == T * T
@@ -121,14 +109,6 @@ def test_mv_flagship():
         assert mv(i, FLAGSHIP).is_zero()
     with pytest.raises(ValueError):
         mv(1, FLAGSHIP)
-
-
-def test_mv_dual_route():
-    # mv(3) via the nested definition and via pairwise composition
-    b1, b2, b3 = beta_periods(FLAGSHIP)
-    mu_inner, inner, _ = compose_leading(1, b2, 1, b3)
-    mu, outer, _ = compose_leading(1, b1, mu_inner, inner)
-    assert (mu, outer) == (3, mv(3, FLAGSHIP))
 
 
 def test_make_length3():
@@ -195,21 +175,23 @@ def test_m3_tilde_coefficient():
 
 
 def test_hierarchy_collapse():
-    assert hierarchy_collapse_check(deformation("t", "1", "t-1"), 6)
-    assert hierarchy_collapse_check(deformation(1, 0, 1), 6)
-    assert hierarchy_collapse_check(center_family("t^2+t", 0, 2, 3), 6)
+    assert hierarchy_collapse_check(deformation("t", "1", "t-1"))
+    assert hierarchy_collapse_check(deformation(1, 0, 1))
+    assert hierarchy_collapse_check(center_family("t^2+t", 0, 2, 3))
     with pytest.raises(ValueError):
-        hierarchy_collapse_check(FLAGSHIP, 6)
+        hierarchy_collapse_check(FLAGSHIP)
 
 
-def test_m2_symbolic_collapse():
-    assert m2_collapses_to_single_wronskian(FLAGSHIP)
-    asm = m2_symbolic(FLAGSHIP)
-    assert asm.coefficient("I12") == -T * T
-    assert asm.coefficient("I13") == T * T
-    assert asm.coefficient("I23") == T * T
-    # a generic order-2-nonzero deformation does not collapse
-    assert not m2_collapses_to_single_wronskian(deformation("t^2", "t^2+2t", "t"))
+def test_hierarchy_collapse_mutant_chain(monkeypatch):
+    # with mv(2) and mv(3) reported as zero the precondition passes, but the
+    # flagship's W(beta2, beta3) = t^2 is no constant multiple of beta1 = t
+    import orbitdepth.melnikov as melnikov
+
+    monkeypatch.setattr(melnikov, "mv_chain", lambda n, d: [RatFunc(0)] * (n - 1))
+    assert hierarchy_collapse_check(FLAGSHIP) is False
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        hierarchy_collapse_check(FLAGSHIP)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +296,9 @@ def test_mv_chain_work(monkeypatch):
         assert len(calls) == 2 * n - 3  # no inner Wronskian after the last mv
     d = center_family("t^2+t", 0, 2, 3)
     calls.clear()
-    assert hierarchy_collapse_check(d, 6)
-    # the chain to mv(6), W(a1, a3) for lambda2 and W(beta2, beta3)
-    assert len(calls) == 9 + 2
+    assert hierarchy_collapse_check(d)
+    # the chain to mv(3), W(beta2, beta3) and W(a1, a3) for lambda2
+    assert len(calls) == 3 + 2
     with pytest.raises(ValueError):
         mv_chain(1, FLAGSHIP)
 

@@ -14,6 +14,8 @@ import orbitdepth
 from orbitdepth.cli import main
 from orbitdepth import reporting
 from orbitdepth.reporting import Config, numeric_suite, repr_suite, run_suite
+from orbitdepth import words
+from orbitdepth.words import D1, D3, G, Endo, Gen
 
 
 def test_run_suite_unknown_name():
@@ -96,6 +98,35 @@ def test_suite_rerun_deterministic(tmp_path):
     _, rec2, _ = run_suite("orbit", cfg, str(tmp_path / "b.json"))
     assert [(r.id, r.passed, r.error) for r in rec1] == \
            [(r.id, r.passed, r.error) for r in rec2]
+
+
+def test_orbit_suite_is_seed_independent():
+    def outcome(seed):
+        return [(r.id, r.passed, r.computed, r.params)
+                for r in reporting.orbit_suite(Config(seed=seed))]
+
+    assert outcome(1) == outcome(2)
+
+
+def _with_image(endo, g, image):
+    images = list(endo.images)
+    images[g] = image
+    return Endo(tuple(images))
+
+
+@pytest.mark.parametrize("name, mutant, red", [
+    ("mon0_inverse", lambda: _with_image(words.mon0_inverse(), Gen.D1, D1),
+     {"orbit.automorphisms"}),
+    ("m_endo", lambda: _with_image(words.m_endo(), Gen.D3, D3),
+     {"orbit.m_is_conjugated_mon0"}),
+    ("mon1", lambda: _with_image(words.mon1(), Gen.D2, G * D3),
+     {"orbit.monodromy_images", "orbit.automorphisms", "orbit.mon1_trivial_mod_gamma"}),
+], ids=["mon0_inverse", "m_endo", "mon1"])
+def test_orbit_generator_records_catch_one_wrong_image(monkeypatch, name, mutant, red):
+    monkeypatch.setattr(reporting, name, mutant)
+    records = reporting.orbit_suite(Config())
+    assert len(records) == 36
+    assert {r.id for r in records if not r.passed} == red
 
 
 def test_cli_orbit(capsys):

@@ -299,7 +299,11 @@ def test_certificate_mutant_b_drops_a_j2_term():
 def test_certificate_mutant_corner_scalar(monkeypatch):
     monkeypatch.setattr(representation, "expected_corner_scalar",
                         lambda k: 2 * alternate_corner_scalar(k) * A_PARAM)
-    assert "v_4 outside K" in _red(depth_certificate(2))
+    cert = depth_certificate(2)
+    assert "v_4 outside K" in _red(cert)
+    # only the corner condition fails: kappa doubled is still nonzero
+    detail = next(it.detail for it in cert.items if it.name == "v_4 outside K")
+    assert detail == "failed: rho(v_4) has corner kappa * 1"
 
 
 def _unit(n: int, i: int, j: int) -> np.ndarray:
@@ -340,7 +344,10 @@ def test_certificate_mutant_overflow():
     cert = depth_certificate(k, rep=rep)
     red = _red(cert)
     assert LEMMA_SHAPE not in red
-    for name in (LEMMA, f"rho_{k}(v_2)", f"rho_{k}(v_{k+2}) via word product"):
+    for name in (LEMMA, f"rho_{k}(v_2)", f"rho_{k}(v_{k+2}) via word product",
+                 f"v_{k+2} outside K"):
         assert name in red
         detail = next(it.detail for it in cert.items if it.name == name)
         assert "OverflowError" in detail, (name, detail)
+    # the separation item names the condition the raising chain left unmet
+    assert detail.startswith(f"failed: rho(v_{k+2}) has corner kappa * 1; OverflowError")

@@ -6,7 +6,7 @@ from orbitdepth.words import (
     D0, D1, D2, D3, DELTA, G, X_ELT, Z_ELT,
     Gen, Word, WordSyntaxError,
     abelianize, commutator, d_k, format_rho_word, format_word,
-    m_endo, mon0, mon0_inverse, mon1, mon1_inverse, multiply, invert,
+    m_endo, mon0, mon0_inverse, mon1, mon1_inverse,
     parse_word, project_mod_gamma_subgroup, random_word,
     rewrite_to_rho_alphabet, rho_to_delta_alphabet, exponent_sums_rho,
     v_k, var, var_iterate, variation_mod_k_identities,
@@ -28,9 +28,7 @@ def test_reduction():
 
 
 def test_group_axioms():
-    assert multiply(D1, invert(D1)).is_identity()
     assert commutator(D2, D3) == D2 * D3 * D2.inverse() * D3.inverse()
-    assert invert(D0 * D1) == D1.inverse() * D0.inverse()
     for u in words(30):
         assert (u * u.inverse()).is_identity()
         assert commutator(u, u).is_identity()
