@@ -5,8 +5,12 @@ Subpackages split by layer:
 * :mod:`orbitdepth.words` - exact free-group algebra and monodromy operators
 * :mod:`orbitdepth.magnus` - truncated Magnus expansion, lower-central depth
 * :mod:`orbitdepth.laurent` / :mod:`orbitdepth.representation` - exact
-  2^k x 2^k matrix representations over Laurent polynomials in (a, c),
-  stored as one int64 matrix per monomial
+  (k+1) x (k+1) matrix representations over Laurent polynomials in (a, c),
+  stored as one int64 matrix per monomial: A = diag(a, 1, ..., 1),
+  B = I + N (N the Jordan block), C = diag(1, ..., 1, c), sending v_{k+2}
+  to I + kappa E_{0,k} with kappa = (1/c-1)(1-a); the injective algebra map
+  Phi(X)(S, T) = (|T|-|S|)! X(|S|, |T|) (Stanley, Enumerative
+  Combinatorics I, §3.6) carries them onto the paper's 2^k x 2^k matrices
 * :mod:`orbitdepth.ratfunc` / :mod:`orbitdepth.melnikov` - exact rational
   calculus for Wronskians and Melnikov leading terms
 * :mod:`orbitdepth.curves`, :mod:`orbitdepth.integrals`,

@@ -4,9 +4,10 @@ An element of M_n(Z[a^+-1, c^+-1]) is stored by grade: a dict from a monomial
 a^m c^n, the key (m, n), to its n x n int64 coefficient matrix, zero
 matrices dropped.  A 1 x 1 element is a Laurent scalar.  A product is a
 convolution over the live monomials, one integer matrix product per pair of
-grades; the representations keep at most four monomials live, so a product
-costs a few array operations where entry-by-entry polynomial arithmetic
-made thousands of Python calls.
+grades (numpy's dense integer `@`: rho_k's matrices are (k+1) x (k+1)); the
+representations keep at most four monomials live, so a product costs a few
+array operations where entry-by-entry polynomial arithmetic made thousands
+of Python calls.
 
 int64 cannot grow like Python integers, so `product` bounds every entry of
 the result before it multiplies and raises `OverflowError` instead of
@@ -25,9 +26,6 @@ Graded = Dict[Monomial, np.ndarray]
 # Bound on |entry| of any product and of every partial sum in it.
 PRODUCT_LIMIT = 2 ** 62
 
-# Up to this size numpy's dense integer `@` beats pairing the nonzeros.
-DENSE_MAX = 32
-
 
 def _max_abs(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min()))
@@ -37,36 +35,6 @@ def _row_norm(x: np.ndarray) -> int:
     """max_i sum_j |x_ij|, or n max |x_ij| >= it where the sum could wrap."""
     top = _max_abs(x) * x.shape[1]
     return top if top >= 2 ** 63 else int(np.abs(x).sum(axis=1).max())
-
-
-def _by_rows(y: np.ndarray):
-    """y's nonzeros as row-major flat indices k n + j, and where row k starts."""
-    yf = np.flatnonzero(y != 0)
-    return yf, np.searchsorted(yf, np.arange(len(y) + 1) * len(y))
-
-
-def _add_product(out: np.ndarray, x: np.ndarray, y: np.ndarray, y_rows) -> None:
-    """out += x @ y over the integers; a 1 x 1 factor scales the other.
-
-    numpy has no integer BLAS, and above DENSE_MAX the representations'
-    matrices are mostly zeros, so there each nonzero x[i, k] is paired with
-    the nonzeros of row k of y (`y_rows = _by_rows(y)`) and the pair
-    products accumulate at (i, j).
-    """
-    n = len(out)
-    if x.shape != y.shape:
-        out += x * y
-    elif n <= DENSE_MAX:
-        out += x @ y
-    else:
-        yf, row_start = y_rows
-        xf = np.flatnonzero(x != 0)  # i n + k
-        xk = xf % n
-        counts = np.diff(row_start)[xk]
-        ends = np.cumsum(counts)
-        pick = np.arange(counts.sum()) + np.repeat(row_start[xk] - (ends - counts), counts)
-        np.add.at(out.reshape(-1), np.repeat(xf - xk, counts) + yf[pick] % n,
-                  np.repeat(x.ravel()[xf], counts) * y.ravel()[yf[pick]])
 
 
 def product(x: Graded, y: Graded) -> Graded:
@@ -80,14 +48,13 @@ def product(x: Graded, y: Graded) -> Graded:
     if bound >= PRODUCT_LIMIT:
         raise OverflowError(f"int64 product bound {bound:.3g} reaches 2^62")
     n = max((len(a) for a in (*x.values(), *y.values())), default=0)
-    rows = {q: _by_rows(b) if len(b) > DENSE_MAX else None for q, b in y.items()}
     out: Graded = {}
     for (m1, n1), a in x.items():
         for (m2, n2), b in y.items():
             g = (m1 + m2, n1 + n2)
             if g not in out:
                 out[g] = np.zeros((n, n), dtype=np.int64)
-            _add_product(out[g], a, b, rows[m2, n2])
+            out[g] += a @ b if a.shape == b.shape else a * b  # 1 x 1 scales
     return {g: z for g, z in out.items() if z.any()}
 
 

@@ -1,24 +1,34 @@
 """Exact matrix representations rho_k separating v_{k+2} from the rest.
 
-rho_k sends the free basis (g, D, x, d2, z) to (I, I, A_k, B_k, C_k) where
-the 2^k x 2^k matrices are built from A_0 = a, B_0 = 1, C_0 = c by
+rho_k sends the free basis (g, D, x, d2, z) to (I, I, A, B, C), the
+(k+1) x (k+1) matrices
 
-    A_{k+1} = diag(A_k, I),  B_{k+1} = [[B_k, I], [0, B_k]],
-    C_{k+1} = diag(I, C_k),
+    A = diag(a, 1, ..., 1),  B = I + N,  C = diag(1, ..., 1, c),
 
-equivalently A_k = I + (a-1) F2^x k, B_k = I + sum_j b_j, C_k = I + (c-1)
-E2^x k in tensor notation.  A matrix is a `RepMatrix`: one int64 coefficient
-matrix per live monomial a^m c^n (`laurent` holds the graded product and its
-overflow guard); the same type at size 1 x 1 holds the Laurent scalars.
-Every matrix here is upper triangular with monomial diagonal, so its exact
-inverse is a short product of powers of a nilpotent matrix.
+with N the single nilpotent Jordan block (ones on the superdiagonal).  The
+paper's 2^k x 2^k matrices, built from A_0 = a, B_0 = 1, C_0 = c by
+A_{k+1} = diag(A_k, I), B_{k+1} = [[B_k, I], [0, B_k]], C_{k+1} = diag(I, C_k),
+have rows and columns indexed by subsets of {1..k}, and their entry at
+S ⊆ T depends only on (|S|, |T|).  The map Phi(X)(S, T) = (|T|-|S|)!
+X(|S|, |T|) from upper-triangular (k+1) x (k+1) matrices into the incidence
+algebra of the Boolean lattice (Stanley, Enumerative Combinatorics I, §3.6)
+is an injective algebra map sending A, B, C onto them.  So rho_k(w) = I in
+one form exactly when it is in the other, and Phi(E_{0,k}) is k! times the
+2^k corner.
+
+A matrix is a `RepMatrix`: one int64 coefficient matrix per live monomial
+a^m c^n (`laurent` holds the graded product and its overflow guard); the
+same type at size 1 x 1 holds the Laurent scalars.  Every matrix here is
+upper triangular with monomial diagonal, so its exact inverse is a short
+product of powers of a nilpotent matrix.
 
 The certificate content: rho_k(v_i) = I for i != k+2, and rho_k(v_{k+2})
-is I plus the single corner entry kappa = k!(1/c-1)(1-a).  By the corner
-lemma (see `depth_certificate`) the commutator of any rho_k(s) with that
-image is I plus a corner kappa (a^m c^-n - 1), so all of rho_k(K) has corners
-in kappa times the ideal of Laurent polynomials vanishing at (a, c) = (1, 1),
-and rho_k(v_{k+2}), whose corner is kappa * 1, lies outside it.
+is I plus the single corner entry kappa = (1/c-1)(1-a) at (0, k).  By the
+corner lemma (see `depth_certificate`) the commutator of any rho_k(s) with
+that image is I plus a corner kappa (a^m c^-n - 1), so all of rho_k(K) has
+corners in kappa times the ideal of Laurent polynomials vanishing at
+(a, c) = (1, 1), and rho_k(v_{k+2}), whose corner is kappa * 1, lies
+outside it.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import factorial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -193,10 +202,15 @@ def commutator_matrix(u: RepMatrix, v: RepMatrix,
 
 
 def corner_tensor(k: int) -> RepMatrix:
-    """J2^(x k) = E_1n, the single entry 1 at (1, 2^k)."""
-    n = 2 ** k
+    """E_{0,k}, the single entry 1 at (0, k) of a (k+1) x (k+1) matrix
+    (E_1n in the 1-based notation of the certificate items)."""
+    return _unit(k + 1, 0, k)
+
+
+def _unit(n: int, i: int, j: int) -> RepMatrix:
+    """E_ij, the single entry 1 at (i, j) of an n x n matrix."""
     e = np.zeros((n, n), dtype=np.int64)
-    e[0, -1] = 1
+    e[i, j] = 1
     return RepMatrix(n, {(0, 0): e})
 
 
@@ -205,23 +219,14 @@ def corner_tensor(k: int) -> RepMatrix:
 
 
 def base_matrices(k: int, k_max: int = DEFAULT_K_MAX) -> Tuple[RepMatrix, RepMatrix, RepMatrix]:
-    """(A_k, B_k, C_k) by the block recursion from the 1x1 seeds a, 1, c."""
+    """(A, B, C) = (diag(a, 1, ..., 1), I + N, diag(1, ..., 1, c)) of size k + 1."""
     _check_level(k, k_max)
-    A, B, C = A_PARAM, RepMatrix.identity(1), C_PARAM
-    for _ in range(k):
-        ident, zero = RepMatrix.identity(A.n), RepMatrix.zero(A.n)
-        A, B, C = _block_upper(A, zero, ident), _block_upper(B, ident, B), _block_upper(ident, zero, C)
-    return A, B, C
-
-
-def _block_upper(tl: RepMatrix, tr: RepMatrix, br: RepMatrix) -> RepMatrix:
-    """[[tl, tr], [0, br]]."""
-    n = tl.n
-    out = {}
-    for block, (r, c) in ((tl, (0, 0)), (tr, (0, n)), (br, (n, n))):
-        for g, x in block.entries.items():
-            out.setdefault(g, np.zeros((2 * n, 2 * n), dtype=np.int64))[r:r + n, c:c + n] = x
-    return RepMatrix(2 * n, out)
+    n = k + 1
+    ident = RepMatrix.identity(n)
+    jordan = RepMatrix(n, {(0, 0): np.eye(n, k=1, dtype=np.int64)})
+    return (ident + _unit(n, 0, 0) * (A_PARAM - 1),
+            ident + jordan,
+            ident + _unit(n, k, k) * (C_PARAM - 1))
 
 
 class Representation:
@@ -230,7 +235,7 @@ class Representation:
     def __init__(self, k: int, k_max: int = DEFAULT_K_MAX):
         _check_level(k, k_max)
         self.k = k
-        self.n = 2 ** k
+        self.n = k + 1
         A, B, C = base_matrices(k, k_max)
         ident = RepMatrix.identity(self.n)
         self.images = {
@@ -288,21 +293,21 @@ def rho(k: int, w: Word, k_max: int = DEFAULT_K_MAX) -> RepMatrix:
 
 
 def expected_corner_scalar(k: int) -> RepMatrix:
-    """(1/c - 1)(1 - a) k!  -- the exact corner of rho_k(v_{k+2}).
+    """(1/c - 1)(1 - a)  -- the exact corner of rho_k(v_{k+2}), at every k.
 
     With the commutator convention [u, v] = u v u^-1 v^-1 (the one forced by
     M(d3) = [d2, d3] d3 = d2 d3 d2^-1) the nested commutator
-    [A, [B, [...[B, C]]...]] works out to I - (1/c-1)(a-1) alpha eps^[l],
-    i.e. the corner is a times the often-quoted (1/c-1)(1/a-1) k!.  Both the
-    word product and the matrix recursion agree on this exactly; the tests
-    pin the relation corner = a * (1/c-1)(1/a-1) k! as well.
+    [A, [B, [...[B, C]]...]] works out to I + (1/c-1)(1-a) E_{0,k}, i.e. the
+    corner is a times the often-quoted (1/c-1)(1/a-1).  Both the word
+    product and the matrix recursion agree on this exactly; the 2^k form
+    carries k! times it (see the module docstring).
     """
-    return (C_INV - 1) * (1 - A_PARAM) * factorial(k)
+    return (C_INV - 1) * (1 - A_PARAM)
 
 
 def alternate_corner_scalar(k: int) -> RepMatrix:
-    """(1/c - 1)(1/a - 1) k!; equals expected_corner_scalar(k) / a."""
-    return (C_INV - 1) * (A_INV - 1) * factorial(k)
+    """(1/c - 1)(1/a - 1); equals expected_corner_scalar(k) / a."""
+    return (C_INV - 1) * (A_INV - 1)
 
 
 def expected_v_corner_matrix(k: int) -> RepMatrix:
@@ -374,7 +379,7 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
             report.corner_image = img
             expected = corner
             ok = img == expected
-            detail = f"corner = k!(1/c-1)(1/a-1) at (1, {rep.n})"
+            detail = f"corner = {expected_corner_scalar(k)!r} at (1, {rep.n})"
             report.items.append(CheckItem(f"rho_{k}(v_{i}) = I + corner", ok and img != ident,
                                           error or "corner nonzero", _ms_since(start)))
         else:
@@ -395,7 +400,7 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
     start = time.perf_counter()
     ok = expected_corner_scalar(k) == alternate_corner_scalar(k) * A_PARAM
     report.items.append(CheckItem(f"corner scalar relation at k={k}", ok,
-                                  "k!(1/c-1)(1-a) = a * k!(1/c-1)(1/a-1)",
+                                  "(1/c-1)(1-a) = a * (1/c-1)(1/a-1)",
                                   _ms_since(start)))
     return report
 
@@ -404,7 +409,7 @@ def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
     """Corner scalar of [rho(s), rho(v_{k+2})].
 
     Returns (m, n, scalar) and asserts the commutator is the identity plus a
-    single corner entry equal to (a^m c^-n - 1)(1/c-1)(1/a-1) k!.
+    single corner entry equal to (a^m c^-n - 1) expected_corner_scalar(k).
     """
     rep = rep or Representation(k)
     m, n = exponent_sums_rho(s)

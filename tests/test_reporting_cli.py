@@ -145,6 +145,11 @@ def test_cli_orbit(capsys):
 
 
 def test_cli_repr(capsys):
+    assert main(["repr", "matrices", "--k", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["A"] == {"0,0": "1*a", "1,1": "1", "2,2": "1"}
+    assert out["B"] == {"0,0": "1", "0,1": "1", "1,1": "1", "1,2": "1", "2,2": "1"}
+    assert out["C"] == {"0,0": "1", "1,1": "1", "2,2": "1*c"}
     assert main(["repr", "check-v", "--k", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] is True

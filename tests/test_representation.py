@@ -2,7 +2,6 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -37,9 +36,53 @@ from orbitdepth.words import (
 
 SEED = 20259
 
+# The paper's 2^k x 2^k form, kept as an oracle.  Rows and columns are
+# indexed by subsets of {1..k} as bit masks; the block recursion builds
+# A_k, B_k, C_k from the 1 x 1 seeds a, 1, c.
+
+
+def _block_upper(tl: RepMatrix, tr: RepMatrix, br: RepMatrix) -> RepMatrix:
+    """[[tl, tr], [0, br]]."""
+    n = tl.n
+    out = {}
+    for block, (r, c) in ((tl, (0, 0)), (tr, (0, n)), (br, (n, n))):
+        for g, x in block.entries.items():
+            out.setdefault(g, np.zeros((2 * n, 2 * n), dtype=np.int64))[r:r + n, c:c + n] = x
+    return RepMatrix(2 * n, out)
+
+
+def block_recursion(k: int):
+    """A_{k+1} = diag(A_k, I), B_{k+1} = [[B_k, I], [0, B_k]], C_{k+1} = diag(I, C_k)."""
+    A, B, C = A_PARAM, RepMatrix.identity(1), C_PARAM
+    for _ in range(k):
+        ident, zero = RepMatrix.identity(A.n), RepMatrix.zero(A.n)
+        A, B, C = _block_upper(A, zero, ident), _block_upper(B, ident, B), _block_upper(ident, zero, C)
+    return A, B, C
+
+
+def oracle_v_images(k: int, i_max: int):
+    """rho_k(v_2..v_{i_max}) in the 2^k form: d = C, d = [B, d], v_i = [A, d]."""
+    A, B, d = block_recursion(k)
+    out = []
+    for _ in range(2, i_max + 1):
+        out.append(commutator_matrix(A, d))
+        d = commutator_matrix(B, d)
+    return out
+
+
+def phi(x: RepMatrix, k: int) -> RepMatrix:
+    """Phi(X)(S, T) = (|T|-|S|)! X(|S|, |T|) for S a subset of T, else 0."""
+    sets = np.arange(2 ** k)
+    size = np.array([bin(s).count("1") for s in sets])
+    rows, cols = size[:, None], size[None, :]
+    subset = (sets[:, None] & sets[None, :]) == sets[:, None]
+    weight = np.array([factorial(d) for d in range(k + 1)])[np.maximum(cols - rows, 0)] * subset
+    return RepMatrix(2 ** k, {g: weight * y[rows, cols] for g, y in x.entries.items()})
+
+
 # Tensor words: k-fold Kronecker products of 2x2 integer seeds, first factor
-# outermost.  They give the closed forms the block recursion is checked
-# against.
+# outermost.  They give closed forms of the 2^k matrices, independent of
+# both the block recursion and Phi.
 _SEEDS = {
     "I2": np.eye(2, dtype=np.int64),
     "J2": np.array([[0, 1], [0, 0]], dtype=np.int64),
@@ -53,29 +96,22 @@ def _tensor(factors) -> RepMatrix:
     return RepMatrix(len(m), {(0, 0): m})
 
 
-def b_tensor(k: int, j: int) -> RepMatrix:
-    """I2 tensor word with J2 at the 1-based position j."""
-    return _tensor("J2" if i == j else "I2" for i in range(1, k + 1))
-
-
-def beta_matrix(k: int) -> RepMatrix:
-    return reduce(RepMatrix.__add__, (b_tensor(k, j) for j in range(1, k + 1)))
-
-
-def epsilon_bracket(k: int, l: int) -> RepMatrix:
-    """eps^[l] = l! sum over E2 tensor words with l J2 factors; 0 for l > k."""
-    out = RepMatrix.zero(2 ** k)
-    for positions in combinations(range(1, k + 1), l):
-        out = out + _tensor("J2" if i in positions else "E2" for i in range(1, k + 1))
-    return out * factorial(l)
-
-
 def base_matrices_closed_form(k: int):
-    """A_k = I + (a-1) F2^x k, B_k = I + beta, C_k = I + (c-1) E2^x k."""
+    """A_k = I + (a-1) F2^x k, B_k = I + sum_j (J2 at j), C_k = I + (c-1) E2^x k."""
     ident = RepMatrix.identity(2 ** k)
+    beta = RepMatrix.zero(2 ** k)
+    for j in range(k):
+        beta = beta + _tensor("J2" if i == j else "I2" for i in range(k))
     return (ident + _tensor(["F2"] * k) * (A_PARAM - 1),
-            ident + beta_matrix(k),
+            ident + beta,
             ident + _tensor(["E2"] * k) * (C_PARAM - 1))
+
+
+def _e(n: int, i: int, j: int) -> RepMatrix:
+    """E_ij in size n."""
+    e = np.zeros((n, n), dtype=np.int64)
+    e[i, j] = 1
+    return RepMatrix(n, {(0, 0): e})
 
 
 def test_laurent_ring():
@@ -111,8 +147,10 @@ def test_base_matrices_small():
     assert A1.evaluate(Fraction(5), Fraction(7)) == [[5, 0], [0, 1]]
     assert B1.evaluate(Fraction(5), Fraction(7)) == [[1, 1], [0, 1]]
     assert C1.evaluate(Fraction(5), Fraction(7)) == [[1, 0], [0, 7]]
-    _, _, C2 = base_matrices(2)
-    assert [repr(p) for p in C2.diagonal()] == ["1", "1", "1", "1*c"]
+    A2, B2, C2 = base_matrices(2)
+    assert [repr(p) for p in A2.diagonal()] == ["1*a", "1", "1"]
+    assert B2.evaluate(Fraction(5), Fraction(7)) == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    assert [repr(p) for p in C2.diagonal()] == ["1", "1", "1*c"]
     with pytest.raises(LevelRangeError):
         base_matrices(0)
     with pytest.raises(LevelRangeError):
@@ -120,28 +158,42 @@ def test_base_matrices_small():
 
 
 def test_closed_forms_match_recursion():
+    # Phi carries the (k+1) form onto the tensor closed forms of the 2^k form
     for k in range(1, 7):
-        assert base_matrices(k) == base_matrices_closed_form(k)
+        assert tuple(phi(m, k) for m in base_matrices(k)) == base_matrices_closed_form(k)
+
+
+def test_phi_maps_onto_the_block_recursion():
+    for k in range(1, 6):
+        assert tuple(phi(m, k) for m in base_matrices(k)) == block_recursion(k)
+    for k in range(1, 5):
+        rep = Representation(k)
+        for i, oracle in enumerate(oracle_v_images(k, k + 4), start=2):
+            assert phi(rep.v_image(i), k) == oracle, (k, i)
+        # the (k+1) corner kappa E_{0,k} is the 2^k corner k! kappa E_1n
+        kappa = expected_corner_scalar(k)
+        assert phi(expected_v_corner_matrix(k), k) == _e(2 ** k, 0, 2 ** k - 1) * (factorial(k) * kappa)
 
 
 def test_beta_nilpotency():
-    for k in range(1, 7):
-        b = beta_matrix(k)
-        power = RepMatrix.identity(2 ** k)
+    # N = B - I is the Jordan block: N^k = E_{0,k}, N^{k+1} = 0
+    for k in range(1, DEFAULT_K_MAX + 1):
+        n = base_matrices(k)[1] - 1
+        power = RepMatrix.identity(k + 1)
         for _ in range(k):
-            power = power * b
-        assert power == corner_tensor(k) * factorial(k)
-        assert (power * b) == RepMatrix.zero(2 ** k)
+            power = power * n
+        assert power == corner_tensor(k)
+        assert power * n == RepMatrix.zero(k + 1)
 
 
 def test_iterated_commutators():
+    # d_l = [B, d_{l-1}] from d_0 = C is I - (1/c - 1) E_{k-l,k}
     for k in (1, 2, 3, 4):
         _, B, C = base_matrices(k)
         d = C
         for l in range(1, k + 1):
             d = commutator_matrix(B, d)
-            expected = RepMatrix.identity(2 ** k) - epsilon_bracket(k, l) * (C_INV - 1)
-            assert d == expected
+            assert d == RepMatrix.identity(k + 1) - _e(k + 1, k - l, k) * (C_INV - 1)
 
 
 def test_rho_examples():
@@ -180,17 +232,22 @@ def test_v_images():
     for k in (1, 2, 3, 4):
         report = verify_v_images(k)
         assert report.passed, report.first_failure()
+        row = next(it for it in report.items if it.name == f"rho_{k}(v_{k + 2})")
+        assert repr(expected_corner_scalar(k)) in row.detail
+        assert row.detail.endswith(f"at (1, {k + 1})")
     # negative control: v_3 at level 2 is not the distinguished image
     rep = Representation(2)
-    assert rep(v_k(3)) != RepMatrix.identity(4) + expected_v_corner_matrix(2)
+    assert rep(v_k(3)) != RepMatrix.identity(3) + expected_v_corner_matrix(2)
 
 
 def test_corner_scalar_value():
-    # k!(1/c-1)(1-a), equal to a times the (1/c-1)(1/a-1) k! normalization
+    # (1/c-1)(1-a) at every level, equal to a times the (1/c-1)(1/a-1)
+    # normalization
     for k in (1, 2, 3):
         assert expected_corner_scalar(k) == alternate_corner_scalar(k) * A_PARAM
-    assert expected_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == [[4]]
-    assert alternate_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == [[2]]
+        assert expected_corner_scalar(k) == expected_corner_scalar(1)
+    assert expected_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == [[Fraction(2, 3)]]
+    assert alternate_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == [[Fraction(1, 3)]]
 
 
 def test_commutator_scalar():
@@ -223,19 +280,6 @@ def test_evaluation_homomorphism():
             assert lhs == prod
 
 
-def test_sparse_product_matches_dense():
-    # above DENSE_MAX the product pairs nonzeros; numpy's dense @ is the reference
-    rng = np.random.default_rng(SEED)
-    for n in (64, 128):
-        for density in (0.01, 0.2, 1.0):
-            x, y = (rng.integers(-9, 10, (n, n)) * (rng.random((n, n)) < density)
-                    for _ in range(2))
-            got = product({(0, 0): x, (1, 0): y}, {(0, -1): y})
-            assert set(got) == {(0, -1), (1, -1)}
-            assert np.array_equal(got[0, -1], x @ y)
-            assert np.array_equal(got[1, -1], y @ y)
-
-
 def test_product_overflow_guard():
     big = np.array([[2 ** 31]], dtype=np.int64)
     assert product({(0, 0): big}, {(0, 0): big - 1})[0, 0] == 2 ** 62 - 2 ** 31
@@ -256,12 +300,12 @@ def test_certificates():
 
 def test_certificates_reach_k_7():
     start = time.perf_counter()
-    for k in (6, 7):
+    for k in (6, 7, 8):
         cert = depth_certificate(k)
         assert cert.passed, [it for it in cert.items if not it.passed]
         assert len(cert.items) == k + 9
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"depth_certificate(6) and (7) took {elapsed:.2f}s, budget 10s"
+    assert elapsed < 2.0, f"depth_certificate(6), (7) and (8) took {elapsed:.2f}s, budget 2s"
 
 
 # Mutation tests: each feeds a wrong representation or constant and sees the
@@ -284,14 +328,12 @@ def _red(cert) -> set:
     return {it.name for it in cert.items if not it.passed}
 
 
-def test_certificate_mutant_b_drops_a_j2_term():
+def test_certificate_mutant_b_drops_a_link():
+    # B = I + N with the superdiagonal entry (j-1, j) dropped: N^k = 0, so
+    # the chain never reaches the corner
     for k in (1, 2, 3):
         for j in range(1, k + 1):
-            beta = RepMatrix.zero(2 ** k)
-            for i in range(1, k + 1):
-                if i != j:
-                    beta = beta + b_tensor(k, i)
-            rep = _mutant(k, RhoGen.B2, RepMatrix.identity(2 ** k) + beta)
+            rep = _mutant(k, RhoGen.B2, Representation(k).B - _e(k + 1, j - 1, j))
             assert not verify_v_images(k, rep=rep).passed
             assert f"rho_{k}(v_{k+2})" in _red(depth_certificate(k, rep=rep))
 
@@ -306,16 +348,9 @@ def test_certificate_mutant_corner_scalar(monkeypatch):
     assert detail == "failed: rho(v_4) has corner kappa * 1"
 
 
-def _unit(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=np.int64)
-    e[i, j] = 1
-    return e
-
-
 def test_certificate_mutant_middle_diagonal():
     A = Representation(2).A
-    e11 = _unit(4, 1, 1)
-    mutant = A + RepMatrix(4, {(0, 0): -e11, (0, 1): e11})  # entry (1, 1): 1 -> c
+    mutant = A + _e(3, 1, 1) * (C_PARAM - 1)  # entry (1, 1): 1 -> c
     assert mutant.entry(1, 1) == C_PARAM
     red = _red(depth_certificate(2, rep=_mutant(2, RhoGen.X, mutant)))
     assert LEMMA_SHAPE in red and LEMMA not in red
@@ -333,13 +368,12 @@ def test_certificate_mutant_overflow():
     # guard turns the items red instead
     k = 2
     rep = Representation(k)
-    e12 = _unit(4, 0, 1)
-    image = rep.A + RepMatrix(4, {(0, 0): 2 ** 40 * e12})
-    inverse = rep.inverses[RhoGen.X] + RepMatrix(4, {(-1, 0): -2 ** 40 * e12})
+    image = rep.A + _e(3, 0, 1) * 2 ** 40
+    inverse = rep.inverses[RhoGen.X] + _e(3, 0, 1) * RepMatrix.monomial(-1, 0, -2 ** 40)
     at = (Fraction(3, 2), Fraction(-5, 7))
     m1, m2 = image.evaluate(*at), inverse.evaluate(*at)
-    assert [[sum(m1[i][l] * m2[l][j] for l in range(4)) for j in range(4)]
-            for i in range(4)] == np.eye(4, dtype=int).tolist()
+    assert [[sum(m1[i][l] * m2[l][j] for l in range(3)) for j in range(3)]
+            for i in range(3)] == np.eye(3, dtype=int).tolist()
     rep.images[RhoGen.X], rep.inverses[RhoGen.X] = image, inverse
     cert = depth_certificate(k, rep=rep)
     red = _red(cert)
