@@ -19,7 +19,8 @@ at every order: beta3 and W(beta2, beta3) are then constant multiples of
 beta1, so every inner Wronskian is too; `hierarchy_collapse_check`
 certifies this two-line lemma instead of walking mv(i) order by order.
 Everything here is exact rational-function arithmetic in `ratfunc`'s
-ZZ(t); the numeric layer restores the (2 pi i)^i factors.
+ZZ(t), whose numerators and denominators are tuples of Python ints; the
+numeric layer restores the (2 pi i)^i factors.
 """
 
 from __future__ import annotations

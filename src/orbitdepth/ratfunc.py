@@ -1,130 +1,280 @@
 """Exact univariate rational functions in t over the rationals.
 
-Thin wrapper over one element of sympy's ZZ(t) field
-(`sympy.polys.fields`), which is the field of rational functions with
-rational coefficients: a fraction constant such as 1/2 is a numerator 1 over
-a denominator 2.  Field elements stay in canonical form: numerator and
-denominator are coprime integer polynomials with Python int coefficients and
-the denominator has a positive leading coefficient, so equality is
-structural and every operation stays exact.  Over ZZ no operation has to
-clear coefficient denominators first, as QQ(t) does on every cancel.
-Antiderivatives come from Hermite reduction on polynomials of `QQ[t]`
-(`rational_antiderivative`).  Used for the Melnikov coefficients a_i(t),
-the beta periods and the Wronskian hierarchy.
+A polynomial of ZZ[t] is a tuple of Python ints, constant term first, with
+no trailing zero; the zero polynomial is the empty tuple.  A `RatFunc` is a
+numerator and a denominator of ZZ[t] in canonical form: they are coprime
+(integer content included), so a fraction constant such as 1/2 is the
+numerator 1 over the denominator 2, and the denominator has a positive
+leading coefficient.  Equality is then structural and every operation stays
+exact.  Each result is cancelled once, by a primitive-PRS gcd (Knuth, TAOCP
+vol. 2, sec. 4.6.1).  Antiderivatives come from Hermite reduction on
+polynomials with `Fraction` coefficients (`rational_antiderivative`).  Used
+for the Melnikov coefficients a_i(t), the beta periods and the Wronskian
+hierarchy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-import sympy as sp
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    implicit_multiplication_application,
-    parse_expr,
-    standard_transformations,
-)
-from sympy.polys.fields import FracElement, field
-from sympy.polys.rings import PolyElement, ring
-
-T = sp.Symbol("t")
-K, _T = field("t", sp.ZZ)
-_QQT, _Q = ring("t", sp.QQ)  # where Hermite reduction divides
-
-_TRANSFORMS = standard_transformations + (
-    convert_xor,
-    implicit_multiplication_application,
-)
+# ---------------------------------------------------------------------------
+# Polynomials: tuples of coefficients, constant term first, no trailing zero.
+# The ring operations work for int and Fraction coefficients alike.
 
 
-def _to_field(value) -> FracElement:
+def _trim(c: list) -> tuple:
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _padd(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    c = list(a)
+    for i, x in enumerate(b):
+        c[i] += x
+    return _trim(c)
+
+
+def _pneg(a: tuple) -> tuple:
+    return tuple([-x for x in a])
+
+
+def _psub(a: tuple, b: tuple) -> tuple:
+    return _padd(a, _pneg(b))
+
+
+def _pmul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    if len(a) == 1:
+        return tuple([a[0] * y for y in b])
+    if len(b) == 1:
+        return tuple([x * b[0] for x in a])
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+    return tuple(c)
+
+
+def _pdiff(a: tuple) -> tuple:
+    return tuple([k * a[k] for k in range(1, len(a))])
+
+
+def _primitive(a: tuple) -> tuple:
+    """a divided by its content, so that the gcd of its coefficients is 1."""
+    c = gcd(*a)
+    return a if c == 1 else tuple([x // c for x in a])
+
+
+def _prem(a: tuple, b: tuple) -> tuple:
+    """A nonzero integer multiple of the remainder of a by b, in ZZ[t].
+
+    Each step scales by lc(b) and cancels the leading term, so no division
+    is needed: lc(b)^k a = q b + r with deg r < deg b.
+    """
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) > db:
+        lr, shift = r[-1], len(r) - 1 - db
+        r = [lb * x for x in r]
+        for j, y in enumerate(b):
+            r[shift + j] -= lr * y
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _pquo(a: tuple, b: tuple) -> tuple:
+    """The exact quotient a / b in ZZ[t]; ArithmeticError if b does not divide a."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(r) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + db], lb)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q[i] = c
+        if c:
+            for j in range(db):
+                r[i + j] -= c * b[j]
+    if any(r[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(q)
+
+
+def _pgcd(a: tuple, b: tuple) -> tuple:
+    """gcd of two nonzero polynomials of ZZ[t], content included, with a
+    positive leading coefficient: the primitive PRS on their primitive parts
+    times the gcd of their contents."""
+    c = gcd(*a, *b)
+    if len(a) == 1 or len(b) == 1:
+        return (c,)
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _prem(a, b)
+        if not r:
+            break
+        if len(r) == 1:  # a nonzero constant remainder: coprime
+            return (c,)
+        a, b = b, _primitive(r)
+    if b[-1] < 0:
+        b = _pneg(b)
+    return b if c == 1 else tuple([c * x for x in b])
+
+
+# ---------------------------------------------------------------------------
+# Pairs (numerator, denominator) of ZZ[t], not yet cancelled.
+
+
+def _canonical(num: tuple, den: tuple):
+    """(num, den) cancelled to coprime polynomials, den with lc > 0."""
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return (), (1,)
+    if den != (1,):
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num, den = _pquo(num, g), _pquo(den, g)
+        elif g[0] != 1:
+            k = g[0]
+            num, den = tuple([x // k for x in num]), tuple([x // k for x in den])
+        if den[-1] < 0:
+            num, den = _pneg(num), _pneg(den)
+    return num, den
+
+
+def _sum(x, y):
+    (a, b), (c, d) = x, y
+    if b == d:
+        return _padd(a, c), b
+    return _padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d)
+
+
+def _neg(x):
+    return _pneg(x[0]), x[1]
+
+
+def _prod(x, y):
+    return _pmul(x[0], y[0]), _pmul(x[1], y[1])
+
+
+def _quot(x, y):
+    if not y[0]:
+        raise ZeroDivisionError("division by the zero rational function")
+    return _pmul(x[0], y[1]), _pmul(x[1], y[0])
+
+
+def _power(x, n: int):
+    if not isinstance(n, int):
+        raise TypeError("only integer powers")
+    num, den = x
+    if n < 0:
+        if not num:
+            raise ZeroDivisionError("zero to a negative power")
+        num, den, n = den, num, -n
+    p, q = (1,), (1,)
+    for _ in range(n):
+        p, q = _pmul(p, num), _pmul(q, den)
+    return p, q
+
+
+def _coerce(value):
+    """The canonical pair of a RatFunc, an int, a Fraction or a string."""
     if isinstance(value, RatFunc):
-        return value.value
-    if isinstance(value, FracElement) and value.field == K:
-        return value
+        return value.num, value.den
     if isinstance(value, int):
-        return K(value)
+        return ((value,) if value else ()), (1,)
     if isinstance(value, Fraction):
-        return K(sp.QQ(value.numerator, value.denominator))
+        return ((value.numerator,) if value else ()), (value.denominator,)
     if isinstance(value, str):
-        return parse_rational(value).value
-    if isinstance(value, sp.Expr):
-        if value.has(sp.Float):  # K.from_expr would read 0.5 as 1/2
-            raise ValueError(f"not a rational function of t: {value!r}")
-        try:
-            f = K.from_expr(value)
-        except ValueError:
-            raise ValueError(f"not a rational function of t: {value!r}") from None
-        # from_expr leaves 1/(1-t) with the denominator -t + 1
-        return K.new(f.numer, f.denom)
+        f = parse_rational(value)
+        return f.num, f.den
     raise TypeError(f"cannot interpret {value!r} as a rational function")
 
 
 class RatFunc:
-    """Rational function in t with exact rational coefficients."""
+    """Rational function in t with exact rational coefficients.
 
-    __slots__ = ("value",)
+    `num` and `den` are the coefficient tuples (constant term first) of the
+    coprime integer numerator and denominator, `den` with a positive leading
+    coefficient.  The constructor takes a RatFunc, an int, a Fraction, a
+    string for `parse_rational`, or a pair (num, den) of such tuples, which
+    it cancels to that form.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, value=0):
-        self.value = _to_field(value)
+        if isinstance(value, tuple):
+            self.num, self.den = _canonical(*value)
+        else:
+            self.num, self.den = _coerce(value)
 
     @staticmethod
     def t() -> "RatFunc":
-        return RatFunc(_T)
+        return RatFunc(((0, 1), (1,)))
 
     def __add__(self, other):
-        return RatFunc(self.value + _to_field(other))
+        return RatFunc(_sum((self.num, self.den), _coerce(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return RatFunc(self.value - _to_field(other))
+        return RatFunc(_sum((self.num, self.den), _neg(_coerce(other))))
 
     def __rsub__(self, other):
-        return RatFunc(_to_field(other) - self.value)
+        return RatFunc(_sum(_coerce(other), _neg((self.num, self.den))))
 
     def __mul__(self, other):
-        return RatFunc(self.value * _to_field(other))
+        return RatFunc(_prod((self.num, self.den), _coerce(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return RatFunc(self.value / _to_field(other))
+        return RatFunc(_quot((self.num, self.den), _coerce(other)))
 
     def __rtruediv__(self, other):
-        return RatFunc(_to_field(other) / self.value)
+        return RatFunc(_quot(_coerce(other), (self.num, self.den)))
 
     def __neg__(self):
-        return RatFunc(-self.value)
+        return RatFunc(_neg((self.num, self.den)))
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("only integer powers")
-        if n < 0:  # K's own negative powers can leave a negative denominator
-            return RatFunc(K.one / self.value ** -n)
-        return RatFunc(self.value ** n)
+        return RatFunc(_power((self.num, self.den), n))
 
     def __eq__(self, other) -> bool:
         try:
-            o = _to_field(other)
+            o = _coerce(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self.value == o
+        return (self.num, self.den) == o
 
     def __hash__(self):
         # a constant equals the int or Fraction of its value: hash like it
         if self.is_constant():
-            return hash(Fraction(int(self.value.numer.LC), int(self.value.denom.LC)))
-        return hash(self.value)
+            return hash(Fraction(self.num[0] if self.num else 0, self.den[0]))
+        return hash((self.num, self.den))
 
     def diff(self) -> "RatFunc":
-        return RatFunc(self.value.diff(_T))
+        a, b = self.num, self.den
+        if len(b) == 1:
+            return RatFunc((_pdiff(a), b))
+        return RatFunc((_psub(_pmul(_pdiff(a), b), _pmul(a, _pdiff(b))), _pmul(b, b)))
 
     def is_zero(self) -> bool:
-        return self.value.numer.is_zero
+        return not self.num
 
     def is_constant(self) -> bool:
-        return self.value.numer.is_ground and self.value.denom.is_ground
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def evaluate(self, t0):
         """Numeric evaluation (works for complex t0)."""
@@ -132,8 +282,7 @@ class RatFunc:
 
     def dense(self):
         """Complex coefficients of numerator and denominator, highest first."""
-        return tuple([complex(c) for c in p.to_dense()]
-                     for p in (self.value.numer, self.value.denom))
+        return tuple([complex(c) for c in reversed(p)] for p in (self.num, self.den))
 
     def callable(self):
         """Fast complex-scalar evaluator (Horner on both polynomials)."""
@@ -154,27 +303,219 @@ class RatFunc:
         return f"RatFunc({self})"
 
     def __str__(self):
-        return str(self.value.as_expr())
+        num, den = self.num, self.den
+        if len(den) == 1:
+            return _format_poly(num, den[0])
+        top = _format_poly(num)
+        bottom = _format_poly(den)
+        if _terms(num) > 1:
+            top = f"({top})"
+        if _terms(den) > 1 or den[-1] != 1:
+            bottom = f"({bottom})"
+        return f"{top}/{bottom}"
+
+
+# ---------------------------------------------------------------------------
+# Printing, in Python's operator syntax, which parse_rational reads back.
+
+
+def _terms(a: tuple) -> int:
+    return sum(1 for x in a if x)
+
+
+def _format_poly(a: tuple, divisor: int = 1) -> str:
+    """'3*t**2/2 - t + 1/2': the terms of a / divisor, highest degree first."""
+    if not a:
+        return "0"
+    out = []
+    for k in range(len(a) - 1, -1, -1):
+        if not a[k]:
+            continue
+        c = Fraction(a[k], divisor)
+        p, q = abs(c.numerator), c.denominator
+        mono = "" if k == 0 else "t" if k == 1 else f"t**{k}"
+        if not mono:
+            term = str(p)
+        elif p == 1:
+            term = mono
+        else:
+            term = f"{p}*{mono}"
+        if q != 1:
+            term = f"{term}/{q}"
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        out.append(term)
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Parsing by recursive descent:
+#
+#   expr   := term (('+' | '-') term)*
+#   term   := factor (('*' | '/') factor | factor)*   (juxtaposition multiplies)
+#   factor := ('+' | '-') factor | atom (('^' | '**') exponent)?
+#   atom   := integer | 't' | '(' expr ')'
+#   exponent := integer, signed, possibly in parentheses
+#
+# Intermediate values are uncancelled pairs with nonzero denominators; the
+# result is cancelled once.
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str):
+        raise ValueError(f"cannot parse rational function {self.text!r}: "
+                         f"{message} at position {self.pos}")
+
+    def peek(self) -> str:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expr(self):
+        value = self.term()
+        while (ch := self.peek()) in ("+", "-"):
+            self.pos += 1
+            rhs = self.term()
+            value = _sum(value, rhs if ch == "+" else _neg(rhs))
+        return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            ch = self.peek()
+            if ch == "*" and not self.text.startswith("**", self.pos):
+                self.pos += 1
+                value = _prod(value, self.factor())
+            elif ch == "/":
+                self.pos += 1
+                value = _quot(value, self.factor())
+            elif ch and ch in "t(0123456789":
+                value = _prod(value, self.factor())
+            else:
+                return value
+
+    def factor(self):
+        ch = self.peek()
+        if ch in ("+", "-"):
+            self.pos += 1
+            value = self.factor()
+            return value if ch == "+" else _neg(value)
+        value = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+        elif self.text.startswith("**", self.pos):
+            self.pos += 2
+        else:
+            return value
+        return _power(value, self.exponent())
+
+    def exponent(self) -> int:
+        if self.peek() == "(":
+            self.pos += 1
+            n = self.exponent()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            return n
+        sign = self.peek()
+        if sign in ("+", "-"):
+            self.pos += 1
+        n = self.integer("expected an integer exponent")
+        return -n if sign == "-" else n
+
+    def integer(self, message: str) -> int:
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
+            self.pos += 1
+        if self.pos == start:
+            self.error(message)
+        return int(self.text[start:self.pos])
+
+    def atom(self):
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            value = self.expr()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.pos += 1
+            return value
+        if ch == "t":
+            self.pos += 1
+            return (0, 1), (1,)
+        n = self.integer("expected an integer, t or '('")
+        return ((n,) if n else ()), (1,)
 
 
 def parse_rational(text: str) -> RatFunc:
-    """Parse expressions like 't^2+2t' or '(t^2+1)/(t-2)'."""
+    """Parse expressions like 't^2+2t', '(t^2+1)/(t-2)' or 't**2/2 - 1/2'.
+
+    Integer literals, t, + - * /, ^ or ** with an integer exponent,
+    parentheses and juxtaposition (2t, 2(t+1), (t+1)(t-1)); ValueError for
+    anything else, and for a zero denominator.
+    """
+    p = _Parser(text)
     try:
-        expr = parse_expr(text, local_dict={"t": T}, transformations=_TRANSFORMS)
-    except Exception as exc:  # sympy raises various subclasses
-        raise ValueError(f"cannot parse rational function {text!r}: {exc}") from exc
-    return RatFunc(expr)
+        pair = p.expr()
+    except ZeroDivisionError as exc:
+        raise ValueError(f"cannot parse rational function {text!r}: {exc}") from None
+    if p.peek():
+        p.error("unexpected character")
+    return RatFunc(pair)
+
+
+# ---------------------------------------------------------------------------
+# Antiderivatives, on polynomials with Fraction coefficients.
 
 
 class NonRationalAntiderivative(ValueError):
     """The antiderivative has logarithmic (or worse) parts."""
 
 
-def _from_qqt(num: PolyElement, den: PolyElement) -> FracElement:
-    """num / den, two polynomials of QQ[t], as a canonical element of K."""
-    cn, num = num.clear_denoms()
-    cd, den = den.clear_denoms()
-    return K.new(num.set_ring(K.ring) * cd, den.set_ring(K.ring) * cn)
+def _qdivmod(a: tuple, b: tuple):
+    """Quotient and remainder of a by b over the rationals."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(r) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db] / lb
+        q[i] = c
+        if c:
+            for j in range(db + 1):
+                r[i + j] -= c * b[j]
+    return _trim(q), _trim(r[:db])
+
+
+def _qgcd(a: tuple, b: tuple) -> tuple:
+    """Monic gcd over the rationals, by Euclid."""
+    while b:
+        a, b = b, _qdivmod(a, b)[1]
+    return tuple([x / a[-1] for x in a])
+
+
+def _qinverse(u: tuple, m: tuple) -> tuple:
+    """s with s u = 1 mod m, for u coprime to m (extended Euclid)."""
+    r0, r1 = m, _qdivmod(u, m)[1]
+    s0, s1 = (), (Fraction(1),)
+    while r1:  # s0 u = r0 and s1 u = r1 mod m
+        q, r = _qdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1))
+    return tuple([x / r0[0] for x in s0])
+
+
+def _from_fractions(num: tuple, den: tuple) -> RatFunc:
+    """num / den, two polynomials with Fraction coefficients, as a RatFunc."""
+    scale = lcm(*(x.denominator for x in num + den))
+    return RatFunc((tuple([int(x * scale) for x in num]),
+                    tuple([int(x * scale) for x in den])))
 
 
 def rational_antiderivative(f: RatFunc) -> RatFunc:
@@ -192,30 +533,29 @@ def rational_antiderivative(f: RatFunc) -> RatFunc:
     of D-, coprime to the first factor), adds B/D- to g and continues with
     A = C - B' D*/D-*.
     """
-    num, den = (p.set_ring(_QQT) for p in (f.value.numer, f.value.denom))
-    quotient, a = num.quo(den), num.rem(den)
-    F = _from_qqt(_QQT.from_dict({(k + 1,): c / (k + 1) for (k,), c in quotient.items()}),
-                  _QQT.one)
-    d_minus = den.gcd(den.diff(_Q))
-    d_star = den.quo(d_minus)
-    while d_minus.degree() > 0:
-        d_minus2 = d_minus.gcd(d_minus.diff(_Q))
-        d_minus_star = d_minus.quo(d_minus2)
-        u = -(d_star * d_minus.diff(_Q)).quo(d_minus)
-        s, _ = u.half_gcdex(d_minus_star)  # s u = 1 mod D-*: the gcd is 1
-        b = (s * a).rem(d_minus_star)
-        c = (a - b * u).quo(d_minus_star)
-        a = c - b.diff(_Q) * d_star.quo(d_minus_star)
-        F += _from_qqt(b, d_minus)
+    num, den = (tuple(map(Fraction, p)) for p in (f.num, f.den))
+    quotient, a = _qdivmod(num, den)
+    F = _from_fractions((Fraction(0),) + tuple([c / (k + 1) for k, c in enumerate(quotient)]),
+                        (Fraction(1),))
+    d_minus = _qgcd(den, _pdiff(den))
+    d_star = _qdivmod(den, d_minus)[0]
+    while len(d_minus) > 1:
+        d_minus2 = _qgcd(d_minus, _pdiff(d_minus))
+        d_minus_star = _qdivmod(d_minus, d_minus2)[0]
+        u = _pneg(_qdivmod(_pmul(d_star, _pdiff(d_minus)), d_minus)[0])
+        s = _qinverse(u, d_minus_star)  # the gcd of u and D-* is 1
+        b = _qdivmod(_pmul(s, a), d_minus_star)[1]
+        c = _qdivmod(_psub(a, _pmul(b, u)), d_minus_star)[0]
+        a = _psub(c, _pmul(_pdiff(b), _qdivmod(d_star, d_minus_star)[0]))
+        F += _from_fractions(b, d_minus)
         d_minus = d_minus2
     if a:
         raise NonRationalAntiderivative(
             f"antiderivative of {f} is not a rational function"
         )
-    at0 = F.denom(0)
-    if at0:
-        F -= sp.QQ(F.numer(0), at0)  # QQ: two ints under / would give a float
-    return RatFunc(F)
+    if F.den[0]:  # F(0) is finite: F(0) = num[0] / den[0], exactly
+        F -= Fraction(F.num[0] if F.num else 0, F.den[0])
+    return F
 
 
 def wronskian(f: RatFunc, g: RatFunc) -> RatFunc:

@@ -209,7 +209,8 @@ HERMITE_PRIMITIVES = (
 
 
 def _coefficients(f):
-    return [c for p in (f.value.numer, f.value.denom) for c in p.coeffs()]
+    """The nonzero coefficients of numerator and denominator, highest first."""
+    return [c for p in (f.num, f.den) for c in reversed(p) if c]
 
 
 @pytest.mark.parametrize("text", HERMITE_PRIMITIVES)
@@ -220,7 +221,7 @@ def test_hermite_reduction_inverts_diff(text):
     assert F.diff() == f
     assert (F - g).is_constant()
     # sympy's own rational integration, used here only as a reference
-    assert (F - RatFunc(ratint(sp.sympify(str(f)), sp.Symbol("t")))).is_constant()
+    assert (F - RatFunc(str(ratint(sp.sympify(str(f)), sp.Symbol("t"))))).is_constant()
     assert all(type(c) is int for c in _coefficients(F))
 
 
@@ -234,13 +235,13 @@ def test_hermite_reduction_rejects_a_residue(text, residual):
 def test_hermite_reduction_is_exact():
     F = rational_antiderivative(1 / (T + 2) ** 2)
     assert F == T / (2 * T + 4)
-    assert F.value.numer(0) == 0 and type(F.value.numer(0)) is int
+    assert F.num[0] == 0 and type(F.num[0]) is int
     assert _coefficients(F) == [1, 2, 4]
     assert all(type(c) is int for c in _coefficients(F))
     # F(0) = -3^-40 has no exact float, and none that sympy rounds back
     big = 3 ** 40
     F = rational_antiderivative(1 / (T + big) ** 2)
-    assert F == T / (big * T + big * big) and F.value.numer(0) == 0
+    assert F == T / (big * T + big * big) and F.num[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -320,5 +321,5 @@ def test_canonical_form():
         f, g = random_ratfunc(rng), random_ratfunc(rng)
         samples += [f - g, f * g, wronskian(f, g)] + ([f / g] if not g.is_zero() else [])
     for f in samples:
-        assert f.value.denom.LC > 0
+        assert f.den[-1] > 0
         assert all(type(c) is int for c in _coefficients(f))

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import sympy
 
 import orbitdepth
 from orbitdepth.cli import main
@@ -41,23 +40,31 @@ def test_report_manifest_records_the_environment(tmp_path):
     _, _, path = run_suite("melnikov", Config(), str(tmp_path / "rep.json"))
     manifest = json.loads(open(path).read())["manifest"]
     assert {"version", "seed", "t0", "k_max", "magnus_degree", "eps_grid", "suites",
-            "timestamp", "python", "numpy", "sympy", "cpu_count",
+            "timestamp", "python", "numpy", "cpu_count",
             "commit"} == set(manifest)
     assert manifest["python"] == platform.python_version()
-    assert (manifest["numpy"], manifest["sympy"]) == (np.__version__, sympy.__version__)
+    assert manifest["numpy"] == np.__version__
     assert manifest["cpu_count"] == os.cpu_count()
     assert manifest["commit"] == "unknown" or re.fullmatch(r"[0-9a-f]{40}", manifest["commit"])
 
 
-def test_package_imports_without_scipy():
+def _modules_loaded_by_the_package(top: str) -> str:
+    """Modules under `top` that importing the CLI and reporting loads."""
     src = str(Path(orbitdepth.__file__).resolve().parents[1])
     code = ("import sys, orbitdepth.cli, orbitdepth.reporting; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout.strip()
+
+
+def test_package_imports_without_scipy():
+    assert _modules_loaded_by_the_package("scipy") == "[]"
+
+
+def test_package_imports_without_sympy():
+    assert _modules_loaded_by_the_package("sympy") == "[]"
 
 
 def test_verify_trace_prints_every_record_and_suite_total(tmp_path, capsys, monkeypatch):
