@@ -182,8 +182,12 @@ def _power(x, n: int):
             raise ZeroDivisionError("zero to a negative power")
         num, den, n = den, num, -n
     p, q = (1,), (1,)
-    for _ in range(n):
-        p, q = _pmul(p, num), _pmul(q, den)
+    while n:  # square and multiply: t^n costs O(n), not O(n^2)
+        if n & 1:
+            p, q = _pmul(p, num), _pmul(q, den)
+        n >>= 1
+        if n:
+            num, den = _pmul(num, num), _pmul(den, den)
     return p, q
 
 
@@ -459,12 +463,13 @@ def parse_rational(text: str) -> RatFunc:
 
     Integer literals, t, + - * /, ^ or ** with an integer exponent,
     parentheses and juxtaposition (2t, 2(t+1), (t+1)(t-1)); ValueError for
-    anything else, and for a zero denominator.
+    anything else, for a zero denominator and for nesting deeper than the
+    interpreter's recursion limit.
     """
     p = _Parser(text)
     try:
         pair = p.expr()
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, RecursionError) as exc:  # 1/0; nesting too deep
         raise ValueError(f"cannot parse rational function {text!r}: {exc}") from None
     if p.peek():
         p.error("unexpected character")

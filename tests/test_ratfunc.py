@@ -110,7 +110,9 @@ ACCEPTED = {
 }
 
 REJECTED = ("x+t", "0.5*t", "sqrt(2)*t", "sin(t)", "", "t^t", "t^(1/2)", "t^2.5",
-            "1/0", "1/(t-t)", "0^-1", "(t+1", "t+", "t**", "t!", "2 ** t", "t^^2")
+            "1/0", "1/(t-t)", "0^-1", "(t+1", "t+", "t**", "t!", "2 ** t", "t^^2",
+            pytest.param("(" * 1000 + "t" + ")" * 1000, id="deep parentheses"),
+            pytest.param("-" * 5000 + "t", id="deep signs"))
 
 
 @pytest.mark.parametrize("text", ACCEPTED)
@@ -118,6 +120,12 @@ def test_parser_accepts(text):
     f = parse_rational(text)
     assert (f.num, f.den) == oracle_pair(ACCEPTED[text])
     assert RatFunc(text) == f
+
+
+def test_parser_high_powers():
+    f = parse_rational("t^-99999 + 1")
+    assert f.num == (1,) + (0,) * 99998 + (1,) and f.den == (0,) * 99999 + (1,)
+    assert parse_rational("(t+1)^7") == (T + 1) ** 3 * (T + 1) ** 4
 
 
 @pytest.mark.parametrize("text", REJECTED)
