@@ -364,7 +364,10 @@ def _format_poly(a: tuple, divisor: int = 1) -> str:
 #   exponent := integer, signed, possibly in parentheses
 #
 # Intermediate values are uncancelled pairs with nonzero denominators; the
-# result is cancelled once.
+# result is cancelled once.  A power is refused before it is expanded when its
+# dense result would exceed _MAX_POWER_WORDS (t^1000000000 would fill memory).
+
+_MAX_POWER_WORDS = 1 << 18  # t^262143 or (t+1)^4000 still parse
 
 
 class _Parser:
@@ -417,7 +420,17 @@ class _Parser:
             self.pos += 2
         else:
             return value
-        return _power(value, self.exponent())
+        return self.power(value, self.exponent())
+
+    def power(self, value, n: int):
+        """value ** n, refused when the dense result would take more than
+        _MAX_POWER_WORDS 64-bit words: at most |n| deg + 1 coefficients of at
+        most |n| log2(l1 norm) + 1 bits each."""
+        degree = max(map(len, value)) - 1
+        bits = max((sum(map(abs, p)) - 1).bit_length() for p in value)
+        if (abs(n) * degree + 1) * (abs(n) * bits // 64 + 1) > _MAX_POWER_WORDS:
+            self.error(f"power {n} too large")
+        return _power(value, n)
 
     def exponent(self) -> int:
         if self.peek() == "(":
@@ -463,8 +476,9 @@ def parse_rational(text: str) -> RatFunc:
 
     Integer literals, t, + - * /, ^ or ** with an integer exponent,
     parentheses and juxtaposition (2t, 2(t+1), (t+1)(t-1)); ValueError for
-    anything else, for a zero denominator and for nesting deeper than the
-    interpreter's recursion limit.
+    anything else, for a zero denominator, for a power whose expansion would
+    exceed _MAX_POWER_WORDS and for nesting deeper than the interpreter's
+    recursion limit.
     """
     p = _Parser(text)
     try:
@@ -498,13 +512,6 @@ def _qdivmod(a: tuple, b: tuple):
     return _trim(q), _trim(r[:db])
 
 
-def _qgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd over the rationals, by Euclid."""
-    while b:
-        a, b = b, _qdivmod(a, b)[1]
-    return tuple([x / a[-1] for x in a])
-
-
 def _qinverse(u: tuple, m: tuple) -> tuple:
     """s with s u = 1 mod m, for u coprime to m (extended Euclid)."""
     r0, r1 = m, _qdivmod(u, m)[1]
@@ -517,7 +524,8 @@ def _qinverse(u: tuple, m: tuple) -> tuple:
 
 
 def _from_fractions(num: tuple, den: tuple) -> RatFunc:
-    """num / den, two polynomials with Fraction coefficients, as a RatFunc."""
+    """num / den, two polynomials with Fraction or int coefficients, as a
+    RatFunc."""
     scale = lcm(*(x.denominator for x in num + den))
     return RatFunc((tuple([int(x * scale) for x in num]),
                     tuple([int(x * scale) for x in den])))
@@ -542,11 +550,12 @@ def rational_antiderivative(f: RatFunc) -> RatFunc:
     quotient, a = _qdivmod(num, den)
     F = _from_fractions((Fraction(0),) + tuple([c / (k + 1) for k, c in enumerate(quotient)]),
                         (Fraction(1),))
-    d_minus = _qgcd(den, _pdiff(den))
-    d_star = _qdivmod(den, d_minus)[0]
+    # the gcds and exact quotients stay in ZZ[t]: any associate of D- serves
+    d_minus = _pgcd(f.den, _pdiff(f.den)) if len(f.den) > 1 else (1,)
+    d_star = tuple(map(Fraction, _pquo(f.den, d_minus)))
     while len(d_minus) > 1:
-        d_minus2 = _qgcd(d_minus, _pdiff(d_minus))
-        d_minus_star = _qdivmod(d_minus, d_minus2)[0]
+        d_minus2 = _pgcd(d_minus, _pdiff(d_minus))
+        d_minus_star = tuple(map(Fraction, _pquo(d_minus, d_minus2)))
         u = _pneg(_qdivmod(_pmul(d_star, _pdiff(d_minus)), d_minus)[0])
         s = _qinverse(u, d_minus_star)  # the gcd of u and D-* is 1
         b = _qdivmod(_pmul(s, a), d_minus_star)[1]

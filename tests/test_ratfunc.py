@@ -111,6 +111,7 @@ ACCEPTED = {
 
 REJECTED = ("x+t", "0.5*t", "sqrt(2)*t", "sin(t)", "", "t^t", "t^(1/2)", "t^2.5",
             "1/0", "1/(t-t)", "0^-1", "(t+1", "t+", "t**", "t!", "2 ** t", "t^^2",
+            "t^1000000000", "(t+1)^-5000", "9^999999999", "((t^100)^100)^100",
             pytest.param("(" * 1000 + "t" + ")" * 1000, id="deep parentheses"),
             pytest.param("-" * 5000 + "t", id="deep signs"))
 
