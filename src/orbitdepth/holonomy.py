@@ -411,9 +411,6 @@ class MelnikovFit:
     stability: Dict[int, float]  # relative half-grid spread per order
     samples: List[Tuple[complex, complex]] = field(default_factory=list)
 
-    def coefficient(self, j: int) -> complex:
-        return {1: self.c1, 2: self.c2, 3: self.c3}[j]
-
     def is_zero(self, j: int) -> bool:
         return self.zero_flags[j]
 

@@ -7,15 +7,21 @@ lower-central-series level of w: depth j means w lies in L_j but not L_{j+1}
 (classical Magnus theorem), so degree detection is an exact membership
 certificate as long as j <= N.
 
-Monomials are packed into integers base (rank+1) so series are plain
-int -> int dictionaries.
+Monomials are packed into integers base (rank+1), and a series is stored
+by degree: parts[d] is the int -> int dictionary of its degree-d terms, so
+series arithmetic never recomputes a degree from a monomial.  Multiplying
+on the right by a letter is a recurrence over the parts, with no geometric
+series:
+
+    y = x (1 + X_g):       y_d = x_d + x_{d-1} X_g
+    y (1 + X_g) = x:       y_d = x_d - y_{d-1} X_g    (the letter g^-1)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .words import Gen, Word, v_k
 
@@ -51,114 +57,86 @@ def mono_format(mono: int) -> str:
     return "*".join(f"X[{GEN_NAMES[Gen(g)]}]" for g in mono_letters(mono)) or "1"
 
 
+def _acc(out: Dict[int, int], m: int, c: int) -> None:
+    """out[m] += c, dropping the entry when it cancels to zero."""
+    v = out.get(m, 0) + c
+    if v:
+        out[m] = v
+    else:
+        out.pop(m, None)
+
+
 class TruncatedSeries:
-    """Sparse noncommutative polynomial truncated at total degree N."""
+    """Sparse noncommutative polynomial truncated at total degree N.
 
-    __slots__ = ("coeffs", "degree")
+    parts[d] maps each packed monomial of degree d to its nonzero
+    coefficient, so N = len(parts) - 1.
+    """
 
-    def __init__(self, degree: int, coeffs: Optional[Dict[int, int]] = None):
-        self.degree = degree
-        self.coeffs = coeffs or {}
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: List[Dict[int, int]]):
+        self.parts = parts
+
+    @property
+    def degree(self) -> int:
+        return len(self.parts) - 1
 
     @staticmethod
     def one(degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(degree, {MONO_ONE: 1})
-
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.degree, dict(self.coeffs))
+        return TruncatedSeries([{MONO_ONE: 1}] + [{} for _ in range(degree)])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, TruncatedSeries) and self.parts == other.parts
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, 0) - c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return TruncatedSeries(min(self.degree, other.degree), out)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return TruncatedSeries(min(self.degree, other.degree), out)
+        out = []
+        for p, q in zip(self.parts, other.parts):
+            p = dict(p)
+            for m, c in q.items():
+                _acc(p, m, -c)
+            out.append(p)
+        return TruncatedSeries(out)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         N = min(self.degree, other.degree)
-        out: Dict[int, int] = {}
-        deg_cache = {m: mono_degree(m) for m in self.coeffs}
-        other_by_deg: Dict[int, list] = {}
-        for m, c in other.coeffs.items():
-            other_by_deg.setdefault(mono_degree(m), []).append((m, c))
-        for m1, c1 in self.coeffs.items():
-            d1 = deg_cache[m1]
-            for d2, items in other_by_deg.items():
-                if d1 + d2 > N:
-                    continue
-                base = m1 * (_BASE ** d2)
-                for m2, c2 in items:
-                    key = base + m2
-                    v = out.get(key, 0) + c1 * c2
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
-        return TruncatedSeries(N, out)
+        out: List[Dict[int, int]] = [{} for _ in range(N + 1)]
+        for d1, p in enumerate(self.parts[:N + 1]):
+            for d2, q in enumerate(other.parts[:N + 1 - d1]):
+                shift, part = _BASE ** d2, out[d1 + d2]
+                for m1, c1 in p.items():
+                    base = m1 * shift
+                    for m2, c2 in q.items():
+                        _acc(part, base + m2, c1 * c2)
+        return TruncatedSeries(out)
 
     def mul_letter(self, g: int, e: int) -> "TruncatedSeries":
-        """Multiply on the right by the image of g^e (e = +-1)."""
-        N = self.degree
-        out: Dict[int, int] = {}
+        """Multiply on the right by the image of g^e (e = +-1).
 
-        def add(m, c):
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-
-        for m, c in self.coeffs.items():
-            add(m, c)
-            d = mono_degree(m)
-            if e == 1:
-                if d + 1 <= N:
-                    add(mono_append(m, g), c)
-            else:
-                sign = -1
-                mm = m
-                for j in range(1, N - d + 1):
-                    mm = mono_append(mm, g)
-                    add(mm, sign * c)
-                    sign = -sign
-        return TruncatedSeries(N, out)
+        y = x (1 + X_g) gives y_d = x_d + x_{d-1} X_g, and y = x (1 + X_g)^-1,
+        that is y (1 + X_g) = x, gives y_d = x_d - y_{d-1} X_g.
+        """
+        x, letter = self.parts, g + 1
+        out = [dict(x[0])]
+        for d in range(1, len(x)):
+            part = dict(x[d])
+            for m, c in (x if e == 1 else out)[d - 1].items():
+                _acc(part, m * _BASE + letter, e * c)
+            out.append(part)
+        return TruncatedSeries(out)
 
     def homogeneous_part(self, d: int) -> Dict[int, int]:
-        return {m: c for m, c in self.coeffs.items() if mono_degree(m) == d}
+        return dict(self.parts[d])
 
     def lowest_degree(self) -> Optional[int]:
         """Lowest degree with a nonzero coefficient; None if zero."""
-        if not self.coeffs:
-            return None
-        return min(mono_degree(m) for m in self.coeffs)
+        return next((d for d, p in enumerate(self.parts) if p), None)
 
     def drop_constant(self) -> "TruncatedSeries":
-        out = dict(self.coeffs)
-        out.pop(MONO_ONE, None)
-        return TruncatedSeries(self.degree, out)
+        return TruncatedSeries([{}] + self.parts[1:])
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = sum(map(len, self.parts))
         return f"TruncatedSeries(degree={self.degree}, terms={n})"
 
 
@@ -181,11 +159,6 @@ class DepthReport:
     depth: Optional[int]  # None means no nonzero term up to the truncation
     is_identity: bool
     leading_part: Dict[int, int]
-
-    @property
-    def certified_exact(self) -> bool:
-        """True when the reported depth is an exact L_j certificate."""
-        return self.depth is not None
 
     def describe(self) -> str:
         if self.is_identity:
@@ -242,20 +215,12 @@ def graded_triviality_check(w: Word, endo, degree: int) -> bool:
 def bracket(p: Dict[int, int], q: Dict[int, int]) -> Dict[int, int]:
     """Lie bracket [p, q] = pq - qp of homogeneous tensor components."""
     out: Dict[int, int] = {}
-
-    def add(m, c):
-        v = out.get(m, 0) + c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-
+    sp = _BASE ** mono_degree(next(iter(p), MONO_ONE))
+    sq = _BASE ** mono_degree(next(iter(q), MONO_ONE))
     for m1, c1 in p.items():
-        d1 = mono_degree(m1)
         for m2, c2 in q.items():
-            d2 = mono_degree(m2)
-            add(m1 * (_BASE ** d2) + m2, c1 * c2)
-            add(m2 * (_BASE ** d1) + m1, -c1 * c2)
+            _acc(out, m1 * sq + m2, c1 * c2)
+            _acc(out, m2 * sp + m1, -c1 * c2)
     return out
 
 
@@ -284,11 +249,7 @@ def _reduce(basis: Dict[int, Dict[int, int]], row: Dict[int, int]) -> Dict[int, 
             for m in row:
                 row[m] *= a
         for m, c in lead.items():
-            v = row.get(m, 0) - b * c
-            if v:
-                row[m] = v
-            else:
-                del row[m]
+            _acc(row, m, -b * c)
     return {}
 
 

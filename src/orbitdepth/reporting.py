@@ -166,7 +166,6 @@ class Config:
     magnus_degree: int = 8
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID
     output_dir: str = "."
-    plots: bool = False
 
     def __post_init__(self):
         checks = {
@@ -227,10 +226,6 @@ class Recorder:
             computed=("true" if ok else "false") if computed is None else computed,
             params=params, runtime_ms=runtime_ms,
         )
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
 
 
 def _timed(fn):

@@ -289,50 +289,16 @@ RHO_NAMES = {
     RhoGen.Z: "z",
 }
 
+_RG, _RD, _RX, _RD2, _RZ = (Word.gen(r) for r in RhoGen)
+
+# Rewrite a word in the basis (g, D, x, d2, z) and reduce there:
 # d1 = x d2^-1, d3 = d2^-1 z, d0 = D z^-1 d2 x^-1 (from D = d0 d1 d2 d3).
-_RHO_OF_GEN = {
-    Gen.G: ((RhoGen.G, 1),),
-    Gen.D0: ((RhoGen.DELTA, 1), (RhoGen.Z, -1), (RhoGen.B2, 1), (RhoGen.X, -1)),
-    Gen.D1: ((RhoGen.X, 1), (RhoGen.B2, -1)),
-    Gen.D2: ((RhoGen.B2, 1),),
-    Gen.D3: ((RhoGen.B2, -1), (RhoGen.Z, 1)),
-}
+rewrite_to_rho_alphabet = Endo((
+    _RG, _RD * _RZ.inverse() * _RD2 * _RX.inverse(), _RX * _RD2.inverse(), _RD2,
+    _RD2.inverse() * _RZ))
 
-_GEN_OF_RHO = {
-    RhoGen.G: G,
-    RhoGen.DELTA: DELTA,
-    RhoGen.X: X_ELT,
-    RhoGen.B2: D2,
-    RhoGen.Z: Z_ELT,
-}
-
-
-class RhoWord(Word):
-    """Reduced word over the rho alphabet (free basis g, D, x, d2, z)."""
-
-    def __repr__(self):
-        return f"RhoWord({format_rho_word(self)!r})"
-
-
-def rewrite_to_rho_alphabet(w: Word) -> RhoWord:
-    """Rewrite a word in the basis (g, D, x, d2, z) and reduce there."""
-    parts: list[Letter] = []
-    for g, e in w.letters:
-        sub = _RHO_OF_GEN[Gen(g)]
-        if e == 1:
-            parts.extend(sub)
-        else:
-            parts.extend((rg, -re) for rg, re in reversed(sub))
-    return RhoWord(parts)
-
-
-def rho_to_delta_alphabet(w: Word) -> Word:
-    """Back-substitution from the rho alphabet; inverse of the rewrite."""
-    out = Word.identity()
-    for rg, e in w.letters:
-        img = _GEN_OF_RHO[RhoGen(rg)]
-        out = out * (img if e == 1 else img.inverse())
-    return out
+# Back-substitution from the rho alphabet; inverse of the rewrite.
+rho_to_delta_alphabet = Endo((G, DELTA, X_ELT, D2, Z_ELT))
 
 
 def exponent_sums_rho(w: Word):
@@ -343,31 +309,10 @@ def exponent_sums_rho(w: Word):
     return m, n
 
 
-# The quotient by the normal closure of {g, D} is free on d1, d2, d3;
-# d0 maps to the image of D d3^-1 d2^-1 d1^-1.
-_PROJ_OF_GEN = {
-    Gen.G: (),
-    Gen.D0: ((Gen.D3, -1), (Gen.D2, -1), (Gen.D1, -1)),
-    Gen.D1: ((Gen.D1, 1),),
-    Gen.D2: ((Gen.D2, 1),),
-    Gen.D3: ((Gen.D3, 1),),
-}
-
-
-def project_mod_gamma_subgroup(w: Word) -> Word:
-    """Image of w in the quotient by the normal closure of g and D.
-
-    The quotient is free on d1, d2, d3; the induced map sends g and D to
-    the identity and d0 to d3^-1 d2^-1 d1^-1.
-    """
-    parts: list[Letter] = []
-    for g, e in w.letters:
-        sub = _PROJ_OF_GEN[Gen(g)]
-        if e == 1:
-            parts.extend(sub)
-        else:
-            parts.extend((pg, -pe) for pg, pe in reversed(sub))
-    return Word(parts)
+# Image of a word in the quotient by the normal closure of g and D.  The
+# quotient is free on d1, d2, d3; the induced map sends g and D to the
+# identity and d0 to d3^-1 d2^-1 d1^-1.
+project_mod_gamma_subgroup = Endo((Word.identity(), (D1 * D2 * D3).inverse(), D1, D2, D3))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from orbitdepth.magnus import (
     lie_ideal_span,
     generator_vector,
     magnus,
+    mono_degree,
     mono_format,
+    mono_letters,
     orbit_leading_ideal_span,
 )
 from orbitdepth.words import (
@@ -25,15 +27,61 @@ from orbitdepth.words import (
 SEED = 20259
 
 
+def _terms(s):
+    """Every term of a series, as {printed monomial: coefficient}."""
+    return {mono_format(m): c for part in s.parts for m, c in part.items()}
+
+
 def test_magnus_basics():
     s = magnus(D0, 2)
-    assert {mono_format(m): c for m, c in s.coeffs.items()} == {"1": 1, "X[d0]": 1}
+    assert _terms(s) == {"1": 1, "X[d0]": 1}
     s = magnus(D0.inverse(), 2)
-    assert {mono_format(m): c for m, c in s.coeffs.items()} == {
-        "1": 1, "X[d0]": -1, "X[d0]*X[d0]": 1}
+    assert _terms(s) == {"1": 1, "X[d0]": -1, "X[d0]*X[d0]": 1}
     s = magnus(commutator(D2, D3), 2).drop_constant()
-    assert {mono_format(m): c for m, c in s.coeffs.items()} == {
-        "X[d2]*X[d3]": 1, "X[d3]*X[d2]": -1}
+    assert _terms(s) == {"X[d2]*X[d3]": 1, "X[d3]*X[d2]": -1}
+
+
+def _brute_magnus(w, N):
+    """Expand the product of the letter images over letter tuples.
+
+    g contributes 1 + X_g and g^-1 contributes sum_j (-X_g)^j; terms of total
+    degree above N are dropped.
+    """
+    out = {(): 1}
+    for g, e in w.letters:
+        if e == 1:
+            factor = {(): 1, (g,): 1}
+        else:
+            factor = {(g,) * j: (-1) ** j for j in range(N + 1)}
+        nxt = {}
+        for t1, c1 in out.items():
+            for t2, c2 in factor.items():
+                if len(t1) + len(t2) <= N:
+                    nxt[t1 + t2] = nxt.get(t1 + t2, 0) + c1 * c2
+        out = {t: c for t, c in nxt.items() if c}
+    return out
+
+
+def test_magnus_matches_brute_force_expansion():
+    rng = random.Random(SEED)
+    for _ in range(30):
+        w = random_word(rng, 8)
+        N = rng.randint(1, 5)
+        s = magnus(w, N)
+        assert s.degree == N
+        assert all(mono_degree(m) == d for d, part in enumerate(s.parts) for m in part)
+        flat = {mono_letters(m): c for part in s.parts for m, c in part.items()}
+        assert flat == _brute_magnus(w, N)
+        assert magnus(w.inverse(), N) * s == TruncatedSeries.one(N)
+
+
+def test_unequal_truncations_keep_the_smaller_degree():
+    diff = magnus(D0.inverse(), 2) - magnus(D1.inverse(), 5)
+    assert diff.degree == 2
+    assert all(mono_degree(m) <= 2 for part in diff.parts for m in part)
+    assert diff == magnus(D0.inverse(), 2) - magnus(D1.inverse(), 2)
+    assert (magnus(D1.inverse(), 2) - magnus(D1.inverse(), 5)).lowest_degree() is None
+    assert magnus(D0, 2) * magnus(D1.inverse(), 5) == magnus(D0 * D1.inverse(), 2)
 
 
 def test_multiplicativity():

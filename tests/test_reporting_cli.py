@@ -298,7 +298,8 @@ def test_cli_malformed_config(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("raw, key", [({"tolerances": {}}, "tolerances"),
-                                      ({"samples": 5}, "samples")])
+                                      ({"samples": 5}, "samples"),
+                                      ({"plots": True}, "plots")])
 def test_config_rejects_unknown_keys(tmp_path, capsys, raw, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
