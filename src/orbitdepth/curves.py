@@ -133,6 +133,7 @@ class Segment:
         self.reversed = False
         self._samples: Optional[np.ndarray] = None
         self._sgrid: Optional[np.ndarray] = None
+        self._dependents: Dict[tuple, np.ndarray] = {}  # shared with the reversed copies
         self._build_samples(dep_seed, min_samples)
 
     def _build_samples(self, dep_seed: complex, n: int):
@@ -181,8 +182,22 @@ class Segment:
         d = self.path.derivative(self._canonical_s(s))
         return -d if self.reversed else d
 
-    def dependent(self, s):
-        """Dependent coordinate at parameter s (scalar or array)."""
+    def dependent(self, s, key=None):
+        """Dependent coordinate at parameter s (scalar or array).
+
+        A cycle passes the same segments many times (the 96 segments of v_3
+        run over 14 paths), so with a `key` naming the array s (the panel
+        count for the collocation nodes of `integrals`) the Newton polish
+        runs once per direction and key, in a store shared with every
+        reversed copy of the segment, and the result is read-only.
+        """
+        if key is not None:
+            k = (self.reversed, key)
+            if k not in self._dependents:
+                d = self.dependent(s)
+                d.flags.writeable = False
+                self._dependents[k] = d
+            return self._dependents[k]
         cs = np.atleast_1d(np.asarray(self._canonical_s(s), dtype=float))
         idx = np.clip(np.rint(cs * (len(self._sgrid) - 1)).astype(int),
                       0, len(self._sgrid) - 1)
@@ -197,11 +212,12 @@ class Segment:
             return complex(d[0])
         return d
 
-    def frame(self, s):
-        """(x, y, dx/ds, dy/ds) with the chart resolved; s may be an array."""
+    def frame(self, s, key=None):
+        """(x, y, dx/ds, dy/ds) with the chart resolved; s may be an array,
+        and `key` is passed on to `dependent`."""
         w = self.independent(s)
         dw = self.independent_derivative(s)
-        d = self.dependent(s)
+        d = self.dependent(s, key)
         a = np.asarray(w, dtype=complex) ** 2 - 1.0
         # implicit derivative of the dependent coordinate
         dd = -dw * (2.0 * np.asarray(w, dtype=complex) * (np.asarray(d) ** 2 - 1.0)) / (2.0 * np.asarray(d) * a)
@@ -226,6 +242,7 @@ class Segment:
         out.reversed = not self.reversed
         out._samples = self._samples
         out._sgrid = self._sgrid
+        out._dependents = self._dependents
         return out
 
     def is_reverse_of(self, other: "Segment") -> bool:
@@ -371,7 +388,7 @@ def vanishing_loop(i: int, t: complex, with_tail: bool = False,
 
 
 class CycleFactory:
-    """Builds and caches based loops and tails at a fixed level t.
+    """Builds and caches based loops, tails and the real oval at a fixed level t.
 
     Sharing the cached segments lets concatenations cancel adjacent
     tail/tail^-1 pairs exactly (same segment object, opposite orientation).
@@ -385,6 +402,7 @@ class CycleFactory:
         self.p0 = base_point(t)
         self._lift_segments: Dict[int, Segment] = {}
         self._based: Dict[int, Cycle] = {}
+        self._oval: Optional[Cycle] = None
 
     def _lift_segment(self, sign: int) -> Segment:
         if sign not in self._lift_segments:
@@ -439,7 +457,9 @@ class CycleFactory:
         if w == Word.gen(Gen.G):
             if isinstance(self.t, complex) and self.t.imag:
                 raise ValueError("the oval word g needs real t")
-            return real_oval(float(self.t.real if isinstance(self.t, complex) else self.t))
+            if self._oval is None:
+                self._oval = real_oval(float(self.t.real if isinstance(self.t, complex) else self.t))
+            return self._oval
         if Gen.G in w.generators_used():
             raise ValueError("words mixing g with saddle letters have no cycle")
         segs: List[Segment] = []

@@ -153,7 +153,7 @@ def _segment_leaves(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray
     dw = seg.independent_derivative(s) - delta
     a = w * w - 1.0
     level = curve_f(w0, u0)[:, None, None]
-    u = np.broadcast_to(seg.dependent(s), w.shape)
+    u = np.broadcast_to(seg.dependent(s, key=npan), w.shape)
     for _ in range(FIX_MAX_ITERATIONS):
         r = np.sqrt(1.0 + (level - field.eps * j) / a)
         u = np.where(r.real * u.real + r.imag * u.imag >= 0.0, r, -r)  # |r - u| <= |r + u|
@@ -332,7 +332,7 @@ def _segment_jet(seg: Segment, npan: int, dense, offset: np.ndarray, dep0: np.nd
     dw = np.broadcast_to(-offset[:, None, None], w.shape).copy()
     dw[0] = seg.independent_derivative(s)
     u = np.zeros_like(w)
-    u[0] = seg.dependent(s)
+    u[0] = seg.dependent(s, key=npan)
     f_dep = 2.0 * u[0] * (w[0] * w[0] - 1.0)  # dF/d(dep): F is symmetric in x, y
     for j in range(1, JET_TERMS):
         # r_j: the eps^j coefficient of the slope while u_j is still 0

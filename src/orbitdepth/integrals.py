@@ -5,11 +5,23 @@ eta_i = df_i/f_i with f = (x+1, y-1, x-1, y+1); a moment integral
 phi_i dphi_j is the length-2 iterated integral of (eta_i, eta_j) with the
 inner accumulator seeded by the starting log value.
 
-Each segment is cut into panels and every panel uses a Chebyshev-Lobatto
-collocation rule whose cumulative-integration matrix gives the inner
-partial integrals of an iterated integral in the same sweep.  Panel counts
-double until the whole-cycle answer is stable, so analytic integrands
-converge spectrally; a pole-clearance check runs first.
+Each segment is cut into panels (12 per arc, 6 per line) and every panel
+uses a degree-32 Chebyshev-Lobatto collocation rule whose
+cumulative-integration matrix gives the inner partial integrals of an
+iterated integral in the same sweep; leaf transport and the eps-jets of
+`holonomy` run on the same rule.  Panel counts double until the
+whole-cycle answer is stable, so analytic integrands converge spectrally;
+a pole-clearance check runs first.
+
+A degree-n panel converges like rho^-n, rho the Bernstein-ellipse
+parameter of the nearest singularity (Trefethen, Approximation Theory and
+Approximation Practice, ch. 8).  The saddle loops are circles of radius
+sqrt(t)/2 = 0.3 around x = +-1 at t = 0.36, and the branch points
+x = +-sqrt(1 - t) = +-0.8 lie 0.1 from them; at degree 16 the v_3 jet
+needed four panel rounds to settle, at degree 32 the first doubling
+already agrees to its tolerance.  Each segment keeps the dependent
+coordinate at the nodes (`Segment.dependent` with the panel count as key),
+since a cycle passes the same paths many times.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from .words import Word, commutator
 
 TWO_PI_I = 2j * cmath.pi
 
-_CHEB_N = 16
+_CHEB_N = 32
 
 
 def _chebyshev_cumulative(n: int):
@@ -169,7 +181,7 @@ def _sweep(cycle: Cycle, forms: Sequence[Form], inits: Sequence[complex],
     prefixes = [complex(v) for v in inits]
     for seg in cycle.segments:
         npan = _segment_panels(seg, rounds)
-        x, y, dxds, dyds = seg.frame(_panel_nodes(npan))
+        x, y, dxds, dyds = seg.frame(_panel_nodes(npan), key=npan)
         acc = None
         for j, form in enumerate(forms):
             g = form.values(x, y, dxds, dyds)
@@ -180,10 +192,12 @@ def _sweep(cycle: Cycle, forms: Sequence[Form], inits: Sequence[complex],
     return complex(prefixes[-1])
 
 
+_CLEARANCE_S = np.linspace(0.0, 1.0, 129)
+
+
 def _check_clearance(cycle: Cycle, forms: Sequence[Form]):
     for seg in cycle.segments:
-        s = np.linspace(0.0, 1.0, 129)
-        x, y, _, _ = seg.frame(s)
+        x, y, _, _ = seg.frame(_CLEARANCE_S, key="clearance")
         for form in forms:
             c = form.pole_clearance(x, y)
             if c < MIN_POLE_CLEARANCE:
@@ -286,11 +300,12 @@ def cauchy_suite(t: float, tol: float = 1e-10) -> Dict[str, complex]:
     return out
 
 
-def v2_double_integral(t: complex, tol: float = 1e-9) -> complex:
+def v2_double_integral(t: complex, tol: float = 1e-9,
+                       factory: Optional[CycleFactory] = None) -> complex:
     """int over the cycle of [x, z] of dphi2 dphi3; equals 4 pi^2."""
     from .words import X_ELT, Z_ELT
 
-    factory = CycleFactory(t)
+    factory = factory or CycleFactory(t)
     cyc = factory.cycle_of_word(commutator(X_ELT, Z_ELT))
     return iterated_integral(cyc, [eta(2), eta(3)], tol=tol)
 
@@ -304,20 +319,25 @@ def shuffle_defect(cycle: Cycle, f1: Form, f2: Form, tol: float = 1e-10) -> floa
     return abs(a + b - p * q)
 
 
+def period_determinant(w1: Word, w2: Word, t: complex, i: int, j: int,
+                       factory: Optional[CycleFactory] = None,
+                       tol: float = 1e-9) -> complex:
+    """det [[int_{w1} eta_i, int_{w1} eta_j], [int_{w2} eta_i, int_{w2} eta_j]]."""
+    factory = factory or CycleFactory(t)
+
+    def periods(w):
+        cycle = factory.cycle_of_word(w)
+        return [iterated_integral(cycle, [eta(k)], tol=tol) for k in (i, j)]
+
+    (a, b), (c, d) = periods(w1), periods(w2)
+    return a * d - b * c
+
+
 def determinant_defect(w1: Word, w2: Word, t: complex, i: int, j: int,
                        factory: Optional[CycleFactory] = None,
                        tol: float = 1e-9) -> float:
-    """|int_{[w1,w2]} eta_i eta_j - det of the period matrix|."""
+    """|int_{[w1,w2]} eta_i eta_j - period_determinant|."""
     factory = factory or CycleFactory(t)
     comm_cycle = factory.cycle_of_word(commutator(w1, w2))
     lhs = iterated_integral(comm_cycle, [eta(i), eta(j)], tol=tol)
-    c1 = factory.cycle_of_word(w1)
-    c2 = factory.cycle_of_word(w2)
-    m = np.array(
-        [
-            [iterated_integral(c1, [eta(i)], tol=tol), iterated_integral(c1, [eta(j)], tol=tol)],
-            [iterated_integral(c2, [eta(i)], tol=tol), iterated_integral(c2, [eta(j)], tol=tol)],
-        ]
-    )
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return abs(lhs - det)
+    return abs(lhs - period_determinant(w1, w2, t, i, j, factory, tol))

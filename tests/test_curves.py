@@ -125,3 +125,22 @@ def test_branch_roots():
     assert abs(curve_f(0.5, r0) - T0) < 1e-15
     with pytest.raises(ZeroDivisionError):
         dependent_roots(1.0, T0, "x")
+
+
+def test_keyed_dependent_is_computed_once_per_direction():
+    seg = CycleFactory(T0).based_loop(2).segments[1]
+    s = np.linspace(0.0, 1.0, 33)
+    kept = seg.dependent(s, key="s33")
+    assert np.array_equal(kept, seg.dependent(s))
+    assert not kept.flags.writeable
+    assert seg.dependent(s, key="s33") is kept
+    rev = seg.reverse()
+    assert rev.reverse().dependent(s, key="s33") is kept  # the store is shared
+    back = rev.dependent(s, key="s33")
+    assert back is not kept and np.array_equal(back, seg.dependent(1.0 - s))
+
+
+def test_factory_keeps_one_oval():
+    fac = CycleFactory(T0)
+    gamma = Word.gen(Gen.G)
+    assert fac.cycle_of_word(gamma) is fac.cycle_of_word(gamma)

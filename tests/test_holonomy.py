@@ -291,6 +291,21 @@ def test_unstable_jet_raises(factory, monkeypatch):
         melnikov_jet(GAMMA, T0, FLAGSHIP, factory=factory)
 
 
+def test_v3_jet_settles_in_two_panel_rounds(factory, monkeypatch):
+    # degree-32 panels resolve the branch points 0.1 from the saddle loops at
+    # the base count: rounds 0 and 1 agree to JET_TOL, and no third round runs
+    rounds = []
+    cycle_jet = holonomy_module._cycle_jet
+
+    def counted(cycle, dense, r):
+        rounds.append(r)
+        return cycle_jet(cycle, dense, r)
+
+    monkeypatch.setattr(holonomy_module, "_cycle_jet", counted)
+    jet_along(factory.cycle_of_word(v_k(3)), FLAGSHIP)
+    assert rounds == [0, 1]
+
+
 def test_dropping_the_chart_switch_offset_turns_checks_red(monkeypatch):
     monkeypatch.setattr(holonomy_module, "_switch_chart",
                         lambda dep: (np.zeros_like(dep), np.zeros_like(dep)))

@@ -6,6 +6,7 @@ import pytest
 
 from orbitdepth.curves import CycleFactory, Line, Segment, Cycle, real_oval, vanishing_loop
 from orbitdepth.integrals import (
+    _CHEB_N,
     _NODES,
     _QMAT,
     _cumulative,
@@ -22,6 +23,7 @@ from orbitdepth.integrals import (
     moment_integral,
     oval_orientation_certificate,
     pairing_table,
+    period_determinant,
     shuffle_defect,
     v2_double_integral,
 )
@@ -54,6 +56,15 @@ def test_split_panels_interpolates_onto_half_panels():
     fine = _panel_nodes(12)
     assert halves.shape == (2, 12, _NODES.size)
     assert np.max(np.abs(halves - np.stack([np.exp(2j * fine), 1.0 / (fine + 0.5)]))) <= 1e-13
+
+
+def test_panel_rule_is_exact_on_polynomials_up_to_its_degree():
+    # guards the inverse Chebyshev-Vandermonde matrices behind _QMAT and _HALVES
+    halves = np.concatenate([_NODES / 2.0, 0.5 + _NODES / 2.0])
+    for m in range(_CHEB_N + 1):
+        g = _NODES ** m
+        assert np.max(np.abs(_QMAT @ g - _NODES ** (m + 1) / (m + 1))) <= 1e-13, m
+        assert np.max(np.abs(_split_panels(g[None, :]).ravel() - halves ** m)) <= 1e-13, m
 
 
 def test_pairing_table():
@@ -127,6 +138,8 @@ def test_determinant_identity():
         (D1 * D3, D2, 3, 2),
     ]:
         assert determinant_defect(w1, w2, T0, i, j, factory=fac) < 1e-6
+    # det [[int_x eta_2, int_x eta_3], [int_z eta_2, int_z eta_3]] = 4 pi^2
+    assert abs(period_determinant(X_ELT, Z_ELT, T0, 2, 3, factory=fac) - 4 * np.pi ** 2) < 1e-8
 
 
 def test_moment_integral_constant_drop():

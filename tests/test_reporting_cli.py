@@ -256,6 +256,17 @@ def test_numeric_suite_records():
         r.id for r in records if not r.runtime_ms > 0]
 
 
+def test_determinant_record_fails_on_its_own(monkeypatch):
+    # num.determinant compares the shared [x, z] double integral with the
+    # period determinant; a wrong determinant leaves num.v2_double_integral green
+    period_determinant = reporting.period_determinant
+    monkeypatch.setattr(reporting, "period_determinant",
+                        lambda *args, **kw: period_determinant(*args, **kw) + 1e-5)
+    records = {r.id: r for r in numeric_suite(Config())}
+    assert not records["num.determinant"].passed
+    assert records["num.v2_double_integral"].passed
+
+
 def test_run_suite_turns_a_raise_into_a_failed_record(tmp_path, monkeypatch):
     def crashing(cfg):
         raise RuntimeError("leaf transport failed")
