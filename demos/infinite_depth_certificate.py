@@ -36,7 +36,7 @@ for k in range(1, k_max + 1):
     table = verify_v_images(k)
     status = "all hold" if table.passed else f"FAILED: {table.first_failure()}"
     print(f"  image table rho(v_i), i = 2..{k+4}: {status}")
-    corner = expected_corner_scalar(k)
+    corner = expected_corner_scalar()
     print(f"  corner of rho(v_{k+2}) - I at (0, {k}): kappa = {corner!r}"
           f" (2^k form: k! kappa = {factorial(k)} kappa)")
     print(f"    at (a, c) = (2, 3): {corner.evaluate(Fraction(2), Fraction(3))[0][0]}")

@@ -1,9 +1,13 @@
 """Cycles on the complex curve (x^2 - 1)(y^2 - 1) = t.
 
 A cycle is a chain of segments; each segment projects to a parametrized
-path in one coordinate plane (over-x or over-y) while the other coordinate
-is tracked continuously on the curve by nearest-root continuation with
-Newton polish.  The pieces built here:
+path in one coordinate plane (over-x or over-y), and over a point w of the
+path the other coordinate is one of the two roots +-sqrt(1 + t/(w^2 - 1)).
+`nearest_root` is the one rule that picks between them, the root nearer a
+given value: a segment samples its path, keeps each sample's root nearer
+the previous sample's (doubling the samples until every step is
+unambiguous by BRANCH_SAFETY), and any other point of the segment takes the
+root nearer its closest sample.  The pieces built here:
 
 * the real oval through p0 = (-sqrt(1-t), 0) for 0 < t < 1, split into
   eight graph arcs between axis and diagonal points, oriented
@@ -24,7 +28,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -59,16 +63,24 @@ class CurvePoint:
         return self
 
 
-def dependent_roots(w: complex, t: complex, chart: str) -> Tuple[complex, complex]:
-    """Both roots of the dependent coordinate over w in the given chart.
+def _same_side(r, near):
+    """Re(r conj near) >= 0, i.e. |r - near| <= |r + near|, elementwise."""
+    return r.real * np.real(near) + r.imag * np.imag(near) >= 0.0
 
-    Over-x: y^2 = 1 + t/(x^2-1); over-y is the same with roles swapped
-    (the curve is symmetric under (x, y) -> (y, x))."""
-    denom = w * w - 1.0
-    if denom == 0:
-        raise ZeroDivisionError("independent coordinate at a puncture")
-    r = cmath.sqrt(1.0 + t / denom)
-    return r, -r
+
+def nearest_root(a, level, near):
+    """The root u of a (u^2 - 1) = level nearer `near`, elementwise.
+
+    With a = w^2 - 1 this is the dependent coordinate over w at that level
+    (over-x: y^2 = 1 + t/(x^2-1); over-y the same with roles swapped, the
+    curve being symmetric under (x, y) -> (y, x)): r = sqrt(1 + level/a) or
+    -r, keeping r on a tie.  ZeroDivisionError where w^2 = 1, a puncture.
+    """
+    a = np.asarray(a, dtype=complex)
+    if np.any(a == 0):
+        raise ZeroDivisionError("independent coordinate at a puncture (w^2 = 1)")
+    r = np.sqrt(1.0 + level / a)
+    return np.where(_same_side(r, near), r, -r)
 
 
 class BasePath:
@@ -122,8 +134,7 @@ class Segment:
     """One graph arc: independent coordinate follows `path`, the dependent
     one continues from `dep_seed` by nearest-root tracking."""
 
-    def __init__(self, chart: str, path: BasePath, t: complex, dep_seed: complex,
-                 min_samples: int = 64):
+    def __init__(self, chart: str, path: BasePath, t: complex, dep_seed: complex):
         if chart not in ("x", "y"):
             raise ValueError("chart must be 'x' or 'y'")
         self.chart = chart
@@ -134,32 +145,26 @@ class Segment:
         self._samples: Optional[np.ndarray] = None
         self._sgrid: Optional[np.ndarray] = None
         self._dependents: Dict[tuple, np.ndarray] = {}  # shared with the reversed copies
-        self._build_samples(dep_seed, min_samples)
+        self._build_samples(dep_seed)
 
-    def _build_samples(self, dep_seed: complex, n: int):
+    def _build_samples(self, dep_seed: complex):
+        """Roots at n + 1 equally spaced samples, n = 64, 128, ...: the first
+        nearer dep_seed, each later one nearer the one before (its sign flips
+        where r_i lies on the far side of r_{i-1}), until every step is
+        BRANCH_SAFETY times nearer the kept root than the other one."""
+        n = 64
         while True:
             s = np.linspace(0.0, 1.0, n + 1)
             w = np.asarray(self.path.value(s), dtype=complex)
-            dep = np.empty(n + 1, dtype=complex)
-            r0, r1 = dependent_roots(w[0], self.t, self.chart)
-            dep[0] = r0 if abs(r0 - dep_seed) <= abs(r1 - dep_seed) else r1
-            if abs(dep[0] - dep_seed) > 1e-6 * max(1.0, abs(dep_seed)):
+            r = nearest_root(w * w - 1.0, self.t, dep_seed)
+            if abs(r[0] - dep_seed) > 1e-6 * max(1.0, abs(dep_seed)):
                 raise BranchTrackingError(
                     f"seed {dep_seed} is not a root over the segment start"
                 )
-            ok = True
-            for i in range(1, n + 1):
-                ra, rb = dependent_roots(w[i], self.t, self.chart)
-                prev = dep[i - 1]
-                if abs(ra - prev) <= abs(rb - prev):
-                    pick, other = ra, rb
-                else:
-                    pick, other = rb, ra
-                if abs(pick - prev) * BRANCH_SAFETY > abs(other - prev):
-                    ok = False
-                    break
-                dep[i] = pick
-            if ok:
+            flips = np.where(_same_side(r[1:], r[:-1]), 1.0, -1.0)
+            dep = r * np.concatenate(([1.0], np.cumprod(flips)))
+            step, other = np.abs(dep[1:] - dep[:-1]), np.abs(dep[1:] + dep[:-1])
+            if np.all(step * BRANCH_SAFETY <= other):
                 self._sgrid = s
                 self._samples = dep
                 return
@@ -185,11 +190,12 @@ class Segment:
     def dependent(self, s, key=None):
         """Dependent coordinate at parameter s (scalar or array).
 
-        A cycle passes the same segments many times (the 96 segments of v_3
-        run over 14 paths), so with a `key` naming the array s (the panel
-        count for the collocation nodes of `integrals`) the Newton polish
-        runs once per direction and key, in a store shared with every
-        reversed copy of the segment, and the result is read-only.
+        Each point takes the root nearer its closest sample.  A cycle passes
+        the same segments many times (the 96 segments of v_3 run over 14
+        paths), so with a `key` naming the array s (the panel count for the
+        collocation nodes of `integrals`) the roots are taken once per
+        direction and key, in a store shared with every reversed copy of
+        the segment, and the result is read-only.
         """
         if key is not None:
             k = (self.reversed, key)
@@ -201,13 +207,8 @@ class Segment:
         cs = np.atleast_1d(np.asarray(self._canonical_s(s), dtype=float))
         idx = np.clip(np.rint(cs * (len(self._sgrid) - 1)).astype(int),
                       0, len(self._sgrid) - 1)
-        seed = self._samples[idx]
         w = np.asarray(self.path.value(cs), dtype=complex)
-        a = w * w - 1.0
-        d = seed.astype(complex)
-        for _ in range(4):
-            f = a * (d * d - 1.0) - self.t
-            d = d - f / (2.0 * a * d)
+        d = nearest_root(w * w - 1.0, self.t, self._samples[idx])
         if np.ndim(s) == 0:
             return complex(d[0])
         return d
@@ -312,7 +313,7 @@ def base_point(t: complex) -> CurvePoint:
     return CurvePoint(x0, 0.0, t).check()
 
 
-def real_oval(t: float, label: str = "gamma") -> Cycle:
+def real_oval(t: float) -> Cycle:
     """The real oval vanishing at the origin, counterclockwise from
     p0 = (-sqrt(1-t), 0); requires 0 < t < 1."""
     if not (isinstance(t, (int, float)) and 0.0 < t < 1.0):
@@ -330,7 +331,7 @@ def real_oval(t: float, label: str = "gamma") -> Cycle:
         Segment("x", Line(0.0, -dg), t, x0),        # -> (-dg, dg)
         Segment("y", Line(dg, 0.0), t, -dg),        # -> p0
     ]
-    return Cycle(segs, t, base_point(t), label=label).check_chain()
+    return Cycle(segs, t, base_point(t), label="gamma").check_chain()
 
 
 def oval_connector(t: float, y_from: float) -> Cycle:
@@ -338,7 +339,7 @@ def oval_connector(t: float, y_from: float) -> Cycle:
     x < 0 branch; used to move the base point for robustness checks."""
     if not -LIFT_Y * 2 <= y_from <= LIFT_Y * 2:
         raise ValueError("connector expects a small real y offset")
-    x_from = -np.sqrt(1.0 + t / (y_from ** 2 - 1.0))
+    x_from = complex(nearest_root(y_from ** 2 - 1.0, t, -1.0))
     seg = Segment("y", Line(y_from, 0.0), t, x_from)
     start = seg.start_point()
     return Cycle([seg], t, start, label=f"connector({y_from})")
@@ -358,28 +359,27 @@ def saddle_orientation(i: int) -> int:
     return 1 if sx * sy < 0 else -1
 
 
-def vanishing_loop(i: int, t: complex, with_tail: bool = False,
-                   factory: "CycleFactory | None" = None) -> Cycle:
+def _saddle_circle(i: int, t: complex, dep_seed: complex) -> Segment:
+    """The x-circle of loop i, from its top sx + i r with y = dep_seed."""
+    sx, _ = SADDLES[i]
+    th0 = cmath.pi / 2
+    arc = Arc(sx, loop_radius(t), th0, th0 + saddle_orientation(i) * 2 * cmath.pi)
+    return Segment("x", arc, t, dep_seed)
+
+
+def vanishing_loop(i: int, t: complex) -> Cycle:
     """Saddle loop i at level t; |t| <= 0.5 keeps it inside the saddle chart.
 
-    Without a tail the loop starts on top of its x-circle with the y-branch
-    nearest the saddle; with a tail it is based at p0.
+    The loop starts on top of its x-circle with the y-branch nearest the
+    saddle; `CycleFactory.based_loop` gives the same loop based at p0.
     """
     if i not in SADDLES:
         raise ValueError("loop index must be 0..3")
     if abs(t) > 0.5:
         raise ValueError("|t| too large for the saddle chart (limit 0.5)")
-    if with_tail:
-        return (factory or CycleFactory(t)).based_loop(i)
     sx, sy = SADDLES[i]
-    r = loop_radius(t)
-    orient = saddle_orientation(i)
-    th0 = cmath.pi / 2
-    arc = Arc(sx, r, th0, th0 + orient * 2 * cmath.pi)
-    xb = sx + 1j * r
-    ra, rb = dependent_roots(xb, t, "x")
-    seed = ra if abs(ra - sy) <= abs(rb - sy) else rb
-    seg = Segment("x", arc, t, seed)
+    xb = sx + 1j * loop_radius(t)
+    seg = _saddle_circle(i, t, complex(nearest_root(xb * xb - 1.0, t, sy)))
     end = seg.end_point()
     start = seg.start_point()
     if abs(end.y - start.y) > CLOSURE_TOL * 100:
@@ -394,11 +394,8 @@ class CycleFactory:
     tail/tail^-1 pairs exactly (same segment object, opposite orientation).
     """
 
-    def __init__(self, t: complex, lift_y: float = LIFT_Y,
-                 rect_height: float = RECT_HEIGHT):
+    def __init__(self, t: complex):
         self.t = t
-        self.lift = lift_y
-        self.height = rect_height
         self.p0 = base_point(t)
         self._lift_segments: Dict[int, Segment] = {}
         self._based: Dict[int, Cycle] = {}
@@ -406,18 +403,18 @@ class CycleFactory:
 
     def _lift_segment(self, sign: int) -> Segment:
         if sign not in self._lift_segments:
-            seg = Segment("y", Line(0.0, sign * self.lift), self.t, self.p0.x)
+            seg = Segment("y", Line(0.0, sign * LIFT_Y), self.t, self.p0.x)
             self._lift_segments[sign] = seg
         return self._lift_segments[sign]
 
     def _tail(self, i: int, sign: int) -> List[Segment]:
-        """p0 -> top of circle i, lifting first to y = sign * lift."""
+        """p0 -> top of circle i, lifting first to y = sign * LIFT_Y."""
         t = self.t
         sx, sy = SADDLES[i]
         r = loop_radius(t)
         lift = self._lift_segment(sign)
         p1 = lift.end_point()
-        h = self.height
+        h = RECT_HEIGHT
         x1 = p1.x
         seg1 = Segment("x", Line(x1, x1 + 1j * h), t, p1.y)
         seg2 = Segment("x", Line(x1 + 1j * h, sx + 1j * h), t,
@@ -442,17 +439,13 @@ class CycleFactory:
             raise BranchTrackingError(
                 f"no tail lift reaches the saddle branch for loop {i}"
             )
-        r = loop_radius(t)
-        orient = saddle_orientation(i)
-        th0 = cmath.pi / 2
-        arc = Arc(sx, r, th0, th0 + orient * 2 * cmath.pi)
-        circle = Segment("x", arc, t, arrival.y)
+        circle = _saddle_circle(i, t, arrival.y)
         segs = tail + [circle] + [s.reverse() for s in reversed(tail)]
         cyc = Cycle(segs, t, self.p0, label=f"delta{i}@p0").check_chain()
         self._based[i] = cyc
         return cyc
 
-    def cycle_of_word(self, w: Word, simplify: bool = True) -> Cycle:
+    def cycle_of_word(self, w: Word) -> Cycle:
         """Concatenated based loops realizing a word in d0..d3 (or exactly g)."""
         if w == Word.gen(Gen.G):
             if isinstance(self.t, complex) and self.t.imag:
@@ -467,13 +460,8 @@ class CycleFactory:
             loop = self.based_loop({Gen.D0: 0, Gen.D1: 1, Gen.D2: 2, Gen.D3: 3}[Gen(g)])
             cyc = loop if e == 1 else loop.reverse()
             segs.extend(cyc.segments)
-        out = Cycle(segs, self.t, self.p0, label=f"cycle({w!r})")
-        if simplify:
-            out = out.simplified()
+        out = Cycle(segs, self.t, self.p0, label=f"cycle({w!r})").simplified()
         if out.segments:
             out.check_chain()
         return out
 
-
-def cycle_of_word(w: Word, t: complex, simplify: bool = True) -> Cycle:
-    return CycleFactory(t).cycle_of_word(w, simplify=simplify)

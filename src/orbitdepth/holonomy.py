@@ -55,11 +55,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curves import Cycle, CycleFactory, Segment, curve_f, real_oval
+from .curves import Cycle, CycleFactory, Segment, curve_f, nearest_root, real_oval
 from .integrals import (
     _NODES,
     QuadratureError,
     _cumulative,
+    _double_until_stable,
     _panel_nodes,
     _segment_panels,
     _split_panels,
@@ -155,8 +156,7 @@ def _segment_leaves(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray
     level = curve_f(w0, u0)[:, None, None]
     u = np.broadcast_to(seg.dependent(s, key=npan), w.shape)
     for _ in range(FIX_MAX_ITERATIONS):
-        r = np.sqrt(1.0 + (level - field.eps * j) / a)
-        u = np.where(r.real * u.real + r.imag * u.imag >= 0.0, r, -r)  # |r - u| <= |r + u|
+        u = nearest_root(a, level - field.eps * j, u)
         slope, form = field.slope_and_form(*((w, u) if seg.chart == "x" else (u, w)), seg.chart)
         j, prev = _cumulative(form * dw, h), j
         change = np.abs(j - prev).max(axis=(1, 2))
@@ -173,7 +173,10 @@ def _segment_transport(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndar
     """_segment_leaves with the panels of the segment doubling, each count
     starting from the last one's J on the half panels, until the endpoints
     and int omega of every leaf agree to SEGMENT_ATOL between two
-    consecutive counts; QuadratureError past SEGMENT_MAX_ROUNDS."""
+    consecutive counts; QuadratureError past SEGMENT_MAX_ROUNDS.
+
+    Not integrals._double_until_stable: this test is absolute, and each
+    count is warm-started from the last one's J."""
     prev, delta = None, np.inf
     j = np.zeros((x.size, _segment_panels(seg, 0), _NODES.size), complex)
     for rounds in range(SEGMENT_MAX_ROUNDS):
@@ -258,7 +261,6 @@ def holonomy_displacement(cycle: Cycle, d: Deformation, eps):
 
 JET_TERMS = 3  # eps^0..eps^2 of int omega give c1..c3
 JET_TOL = 1e-10
-JET_MAX_ROUNDS = 5
 
 
 def _mul(a, b):
@@ -372,22 +374,16 @@ def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:
     The leaf starts on the base curve over the first segment's start and
     returns to the same fiber, which needs the first and last segments in
     one chart.  Panels double until every coefficient is stable to JET_TOL,
-    as in integrals.iterated_integral; QuadratureError if they never are.
+    by the loop of integrals.iterated_integral; QuadratureError if they
+    never are.
     """
     if not cycle.segments:
         return 0j, 0j, 0j
     _check_closing_chart(cycle)
     dense = [a.dense() for a in d.coefficients()]
-    prev = None
-    for rounds in range(JET_MAX_ROUNDS):
-        c = _cycle_jet(cycle, dense, rounds)
-        if prev is not None:
-            delta = np.max(np.abs(c - prev))
-            if delta <= JET_TOL * max(1.0, np.max(np.abs(c))):
-                return tuple(complex(v) for v in c)
-        prev = c
-    raise QuadratureError(f"Melnikov jet did not stabilize to {JET_TOL:g} "
-                          f"(last delta {delta:.3g})")
+    c = _double_until_stable(lambda rounds: _cycle_jet(cycle, dense, rounds),
+                             JET_TOL, "Melnikov jet")
+    return tuple(complex(v) for v in c)
 
 
 def melnikov_jet(w: Word, t0: complex, d: Deformation,

@@ -206,9 +206,27 @@ def _check_clearance(cycle: Cycle, forms: Sequence[Form]):
                 )
 
 
+_MAX_ROUNDS = 5
+
+
+def _double_until_stable(sweep, tol: float, what: str):
+    """sweep(rounds) for rounds = 0, 1, ... (panel counts doubling) until
+    two consecutive results agree, max|cur - prev| <= tol * max(1, max|cur|);
+    the last result, or QuadratureError after _MAX_ROUNDS."""
+    prev = None
+    for rounds in range(_MAX_ROUNDS):
+        cur = sweep(rounds)
+        if prev is not None:
+            delta = np.max(np.abs(cur - prev))
+            if delta <= tol * max(1.0, np.max(np.abs(cur))):
+                return cur
+        prev = cur
+    raise QuadratureError(f"{what} did not stabilize to {tol:g} (last delta {delta:.3g})")
+
+
 def iterated_integral(cycle: Cycle, forms: Sequence[Form],
                       inits: Optional[Sequence[complex]] = None,
-                      tol: float = 1e-10, max_rounds: int = 5) -> complex:
+                      tol: float = 1e-10) -> complex:
     """Iterated integral of the ordered forms along the cycle.
 
     The first form is accumulated first (innermost); with this convention
@@ -223,16 +241,8 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     inits = list(inits)
     inits[-1] = 0.0
     _check_clearance(cycle, forms)
-    prev = None
-    for rounds in range(max_rounds):
-        val = _sweep(cycle, forms, inits, rounds)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
-    raise QuadratureError(
-        f"iterated integral did not stabilize to {tol:g} "
-        f"(last delta {abs(val - prev):.3g})"
-    )
+    return _double_until_stable(lambda rounds: _sweep(cycle, forms, inits, rounds),
+                                tol, "iterated integral")
 
 
 def integrate_form(cycle: Cycle, form: Form, tol: float = 1e-10) -> complex:

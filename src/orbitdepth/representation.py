@@ -292,7 +292,7 @@ def rho(k: int, w: Word, k_max: int = DEFAULT_K_MAX) -> RepMatrix:
     return Representation(k, k_max)(w)
 
 
-def expected_corner_scalar(k: int) -> RepMatrix:
+def expected_corner_scalar() -> RepMatrix:
     """(1/c - 1)(1 - a)  -- the exact corner of rho_k(v_{k+2}), at every k.
 
     With the commutator convention [u, v] = u v u^-1 v^-1 (the one forced by
@@ -305,13 +305,13 @@ def expected_corner_scalar(k: int) -> RepMatrix:
     return (C_INV - 1) * (1 - A_PARAM)
 
 
-def alternate_corner_scalar(k: int) -> RepMatrix:
-    """(1/c - 1)(1/a - 1); equals expected_corner_scalar(k) / a."""
+def alternate_corner_scalar() -> RepMatrix:
+    """(1/c - 1)(1/a - 1); equals expected_corner_scalar() / a."""
     return (C_INV - 1) * (A_INV - 1)
 
 
 def expected_v_corner_matrix(k: int) -> RepMatrix:
-    return corner_tensor(k) * expected_corner_scalar(k)
+    return corner_tensor(k) * expected_corner_scalar()
 
 
 @dataclass
@@ -379,7 +379,7 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
             report.corner_image = img
             expected = corner
             ok = img == expected
-            detail = f"corner = {expected_corner_scalar(k)!r} at (1, {rep.n})"
+            detail = f"corner = {expected_corner_scalar()!r} at (1, {rep.n})"
             report.items.append(CheckItem(f"rho_{k}(v_{i}) = I + corner", ok and img != ident,
                                           error or "corner nonzero", _ms_since(start)))
         else:
@@ -398,7 +398,7 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
                                   error or "matrix recursion agrees with the word image",
                                   _ms_since(start)))
     start = time.perf_counter()
-    ok = expected_corner_scalar(k) == alternate_corner_scalar(k) * A_PARAM
+    ok = expected_corner_scalar() == alternate_corner_scalar() * A_PARAM
     report.items.append(CheckItem(f"corner scalar relation at k={k}", ok,
                                   "(1/c-1)(1-a) = a * (1/c-1)(1/a-1)",
                                   _ms_since(start)))
@@ -409,7 +409,7 @@ def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
     """Corner scalar of [rho(s), rho(v_{k+2})].
 
     Returns (m, n, scalar) and asserts the commutator is the identity plus a
-    single corner entry equal to (a^m c^-n - 1) expected_corner_scalar(k).
+    single corner entry equal to (a^m c^-n - 1) expected_corner_scalar().
     """
     rep = rep or Representation(k)
     m, n = exponent_sums_rho(s)
@@ -421,7 +421,7 @@ def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
         raise AssertionError(
             f"commutator of rho(s) with rho(v_{k+2}) is not I + corner for s={s!r}"
         )
-    expected = (RepMatrix.monomial(m, -n) - 1) * expected_corner_scalar(k)
+    expected = (RepMatrix.monomial(m, -n) - 1) * expected_corner_scalar()
     if corner != expected:
         raise AssertionError(
             f"corner scalar mismatch for s={s!r}: got {corner!r}, expected {expected!r}"
@@ -472,7 +472,7 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
     """Certificate that rho_k separates v_{k+2} from K = [orbit, group].
 
     The v-image table shows that rho_k kills every v_i except v_{k+2}, which
-    goes to N = I + kappa E_1n with kappa = expected_corner_scalar(k).  The
+    goes to N = I + kappa E_1n with kappa = expected_corner_scalar().  The
     corner lemma: if S is upper triangular with diagonal (a^m, 1, ..., 1,
     c^n), then S E_1n S^-1 = a^m c^-n E_1n, so [S, N] = I + kappa (a^m c^-n
     - 1) E_1n.  Such S form a group on which (m, n) is additive, so once the
@@ -489,7 +489,7 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
     cert.items.extend(table.items)
     ident = RepMatrix.identity(rep.n)
     unit_corner = corner_tensor(k)
-    kappa = expected_corner_scalar(k)
+    kappa = expected_corner_scalar()
 
     start = time.perf_counter()
     bad = [RHO_NAMES[g] for g, s in rep.images.items() if not _has_lemma_shape(s)]

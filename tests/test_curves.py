@@ -1,16 +1,30 @@
+import cmath
+
 import numpy as np
 import pytest
 
+from orbitdepth import curves
 from orbitdepth.curves import (
+    BRANCH_SAFETY,
+    Arc,
+    BranchTrackingError,
     CycleFactory,
+    Line,
+    Segment,
     base_point,
     curve_f,
-    cycle_of_word,
-    dependent_roots,
     loop_radius,
+    nearest_root,
     oval_connector,
     real_oval,
     vanishing_loop,
+)
+from orbitdepth.integrals import (
+    PAIRING_EXPECTED,
+    PAIRING_LOOP0,
+    _panel_nodes,
+    _segment_panels,
+    pairing_table,
 )
 from orbitdepth.words import D2, Gen, Word, v_k
 
@@ -120,11 +134,102 @@ def test_connector():
 
 
 def test_branch_roots():
-    r0, r1 = dependent_roots(0.5, T0, "x")
+    a = 0.5 ** 2 - 1.0
+    r0, r1 = nearest_root(a, T0, 1.0), nearest_root(a, T0, -1.0)
     assert r0 == -r1
     assert abs(curve_f(0.5, r0) - T0) < 1e-15
     with pytest.raises(ZeroDivisionError):
-        dependent_roots(1.0, T0, "x")
+        nearest_root(1.0 ** 2 - 1.0, T0, 1.0)
+    with pytest.raises(ZeroDivisionError):  # one puncture in an array is enough
+        nearest_root(np.array([a, 0.0]), T0, 1.0)
+    # elementwise: each entry is the root nearer its own `near`
+    a = np.array([-0.75, 0.5j, 2.0 - 1.0j])
+    near = np.array([-1.0, 1.0 + 1.0j, -2.0j])
+    for ai, ni, ri in zip(a, near, nearest_root(a, T0, near)):
+        assert abs(ri - ni) <= abs(-ri - ni)
+        assert abs(ai * (ri * ri - 1.0) - T0) < 1e-15
+
+
+def reference_samples(seg):
+    """The scalar tracker the vectorised sampler replaced: one sample at a
+    time, the root nearer the last one, from the segment's first root."""
+    n = 64
+    while True:
+        s = np.linspace(0.0, 1.0, n + 1)
+        w = np.asarray(seg.path.value(s), dtype=complex)
+        dep = [seg._samples[0]]
+        for wi in w:
+            r = cmath.sqrt(1.0 + seg.t / (wi * wi - 1.0))
+            pick, other = (r, -r) if abs(r - dep[-1]) <= abs(r + dep[-1]) else (-r, r)
+            if abs(pick - dep[-1]) * BRANCH_SAFETY > abs(other - dep[-1]):
+                break
+            dep.append(pick)
+        else:
+            return s, np.array(dep[1:])
+        n *= 2
+
+
+def curve_segments():
+    """Every distinct segment of the oval, the four based loops and the v_3
+    cycle at t = 0.36 and 0.25, and of the saddle loop at a complex level."""
+    segs = {}
+    for t in (T0, 0.25):
+        fac = CycleFactory(t)
+        cycles = [real_oval(t), fac.cycle_of_word(v_k(3))]
+        cycles += [fac.based_loop(i) for i in range(4)]
+        cycles += [vanishing_loop(i, t) for i in range(4)]
+        for cyc in cycles:
+            segs.update((seg.uid, seg) for seg in cyc.segments)
+    segs.update((seg.uid, seg) for seg in vanishing_loop(2, 0.2 + 0.1j).segments)
+    return list(segs.values())
+
+
+def test_sampler_matches_the_scalar_tracker():
+    # a line 0.004 from the branch point x = 0.8, where the samples double twice
+    z0 = 0.5 + 0.004j
+    near_branch = Segment("x", Line(z0, 1.1 + 0.004j), T0,
+                          complex(nearest_root(z0 * z0 - 1.0, T0, 1.0)))
+    assert len(near_branch._sgrid) == 257
+    # once around the branch point the root comes back as the other root,
+    # so the kept sign has to flip on the way
+    around_branch = Segment("x", Arc(0.8, 0.1, 0.0, 2 * np.pi), T0,
+                            complex(nearest_root(0.9 ** 2 - 1.0, T0, 1.0)))
+    start, end = around_branch.start_point(), around_branch.end_point()
+    assert abs(end.y + start.y) < 1e-14 and abs(start.y) > 0.9
+    for seg in curve_segments() + [near_branch, around_branch]:
+        s, dep = reference_samples(seg)
+        assert len(seg._sgrid) == len(s), seg
+        assert np.max(np.abs(seg._samples - dep)) <= 1e-14, seg
+
+
+def test_panel_nodes_lie_on_the_curve():
+    for seg in curve_segments():
+        for rounds in range(3):
+            npan = _segment_panels(seg, rounds)
+            x, y, _, _ = seg.frame(_panel_nodes(npan), key=npan)
+            assert np.max(np.abs(curve_f(x, y) - seg.t)) <= 1e-14 * max(1.0, abs(seg.t)), seg
+
+
+def pairing_error(t):
+    return max(abs(v - (PAIRING_LOOP0[j] if i == 0 else PAIRING_EXPECTED[(i, j)]))
+               for (i, j), v in pairing_table(t).items())
+
+
+def test_far_root_mutant_is_caught(monkeypatch):
+    near = curves.nearest_root
+    assert pairing_error(T0) <= 1e-9  # the num.pairing tolerance
+    # the far root everywhere: no segment starts at its seed
+    monkeypatch.setattr(curves, "nearest_root", lambda a, level, z: -near(a, level, z))
+    with pytest.raises(BranchTrackingError):
+        real_oval(T0)
+    with pytest.raises(BranchTrackingError):
+        CycleFactory(T0).based_loop(2)
+    with pytest.raises(BranchTrackingError):
+        pairing_table(T0)
+    # the far root at the panel nodes only (the samples stay right)
+    monkeypatch.setattr(curves, "nearest_root",
+                        lambda a, level, z: -near(a, level, z) if np.ndim(z) == 2 else near(a, level, z))
+    assert pairing_error(T0) > 1e-9
 
 
 def test_keyed_dependent_is_computed_once_per_direction():

@@ -152,10 +152,10 @@ def test_moment_integral_constant_drop():
 
 
 def test_pole_clearance():
-    from orbitdepth.curves import dependent_roots
+    from orbitdepth.curves import nearest_root
 
     z0 = 0.9 + 0.01j
-    seed = dependent_roots(z0, T0, "x")[0]
+    seed = complex(nearest_root(z0 * z0 - 1.0, T0, 1.0))
     seg = Segment("x", Line(z0, 1.1 + 0.01j), T0, dep_seed=seed)
     cyc = Cycle([seg], T0, seg.start_point())
     with pytest.raises(PoleOnPathError):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -232,6 +233,18 @@ def test_cli_verify_and_report(capsys, tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"k_max": 1, "seed": 7}))
     assert main(["verify", "repr", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    # report writes every record of every suite as one CSV row
+    assert main(["report", "--out", out_csv, "--format", "csv", "--k-max", "1"]) == 0
+    assert f"report: {out_csv}" in capsys.readouterr().out
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["id", "claim", "expected", "computed", "error",
+                       "tolerance", "pass", "runtime_ms"]
+    checks = json.loads((tmp_path / "report_orbit_repr_melnikov_numeric.json").read_text())["checks"]
+    assert [row[0] for row in rows[1:]] == [c["id"] for c in checks]
+    assert len(checks) == 77  # 36 orbit, 11 repr at k = 1, 10 melnikov, 20 numeric
+    assert all(row[6] == "True" for row in rows[1:])
 
 
 def test_repr_suite_records():

@@ -171,7 +171,7 @@ def test_phi_maps_onto_the_block_recursion():
         for i, oracle in enumerate(oracle_v_images(k, k + 4), start=2):
             assert phi(rep.v_image(i), k) == oracle, (k, i)
         # the (k+1) corner kappa E_{0,k} is the 2^k corner k! kappa E_1n
-        kappa = expected_corner_scalar(k)
+        kappa = expected_corner_scalar()
         assert phi(expected_v_corner_matrix(k), k) == _e(2 ** k, 0, 2 ** k - 1) * (factorial(k) * kappa)
 
 
@@ -233,7 +233,7 @@ def test_v_images():
         report = verify_v_images(k)
         assert report.passed, report.first_failure()
         row = next(it for it in report.items if it.name == f"rho_{k}(v_{k + 2})")
-        assert repr(expected_corner_scalar(k)) in row.detail
+        assert repr(expected_corner_scalar()) in row.detail
         assert row.detail.endswith(f"at (1, {k + 1})")
     # negative control: v_3 at level 2 is not the distinguished image
     rep = Representation(2)
@@ -241,19 +241,17 @@ def test_v_images():
 
 
 def test_corner_scalar_value():
-    # (1/c-1)(1-a) at every level, equal to a times the (1/c-1)(1/a-1)
-    # normalization
-    for k in (1, 2, 3):
-        assert expected_corner_scalar(k) == alternate_corner_scalar(k) * A_PARAM
-        assert expected_corner_scalar(k) == expected_corner_scalar(1)
-    assert expected_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == [[Fraction(2, 3)]]
-    assert alternate_corner_scalar(3).evaluate(Fraction(2), Fraction(3)) == [[Fraction(1, 3)]]
+    # (1/c-1)(1-a), one scalar for every level, equal to a times the
+    # (1/c-1)(1/a-1) normalization
+    assert expected_corner_scalar() == alternate_corner_scalar() * A_PARAM
+    assert expected_corner_scalar().evaluate(Fraction(2), Fraction(3)) == [[Fraction(2, 3)]]
+    assert alternate_corner_scalar().evaluate(Fraction(2), Fraction(3)) == [[Fraction(1, 3)]]
 
 
 def test_commutator_scalar():
     m, n, scalar = commutator_scalar(1, X_ELT)
     assert (m, n) == (1, 0)
-    assert scalar == (A_PARAM - 1) * expected_corner_scalar(1)
+    assert scalar == (A_PARAM - 1) * expected_corner_scalar()
     m, n, scalar = commutator_scalar(1, G)
     assert (m, n) == (0, 0) and scalar.is_zero()
     m, n, _ = commutator_scalar(2, Z_ELT.inverse() * X_ELT * X_ELT)
@@ -340,7 +338,7 @@ def test_certificate_mutant_b_drops_a_link():
 
 def test_certificate_mutant_corner_scalar(monkeypatch):
     monkeypatch.setattr(representation, "expected_corner_scalar",
-                        lambda k: 2 * alternate_corner_scalar(k) * A_PARAM)
+                        lambda: 2 * alternate_corner_scalar() * A_PARAM)
     cert = depth_certificate(2)
     assert "v_4 outside K" in _red(cert)
     # only the corner condition fails: kappa doubled is still nonzero
