@@ -1,10 +1,11 @@
 """Numerical reproduction on the curve (x^2-1)(y^2-1) = t at t0 = 0.36.
 
 Builds the oval and the saddle loops, reproduces the period table, the
-4 pi^2 double integral, the vanishing suite, and fits the return map of
-the flagship deformation: orders 1 and 2 vanish at fit resolution, order 3
-survives and matches the symbolic hierarchy after restoring (2 pi i)^3.
-The eps-jet of the leaf gives the same coefficient without a fit.
+4 pi^2 double integral, the vanishing suite, and the eps-jet of the
+flagship deformation's return map: orders 1 and 2 vanish, order 3 survives
+and matches the symbolic hierarchy after restoring (2 pi i)^3.  Direct
+transport of the leaves witnesses each jet: the remainder past c1..c3 is
+of order 4 in eps.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from orbitdepth.integrals import (
     oval_orientation_certificate,
     v2_double_integral,
 )
-from orbitdepth.holonomy import melnikov_fit, melnikov_jet, resolved_sign
+from orbitdepth.holonomy import WITNESS_EPS, jet_along, remainder_orders, resolved_sign
 from orbitdepth.melnikov import FLAGSHIP, mv
 from orbitdepth.words import Gen, Word, v_k
 
@@ -43,18 +44,20 @@ print("\nVanishing suite (all should be ~0):")
 for name, v in cauchy_suite(T0).items():
     print(f"  {name}: {abs(v):.2e}")
 
-print("\nReturn-map fit for the flagship deformation along the oval:")
+print("\nReturn-map jet for the flagship deformation along the oval:")
 fac = CycleFactory(T0)
-fit = melnikov_fit(Word.gen(Gen.G), T0, FLAGSHIP, factory=fac)
-print(f"  c1 = {abs(fit.c1):.2e} (zero: {fit.is_zero(1)})")
-print(f"  c2 = {abs(fit.c2):.2e} (zero: {fit.is_zero(2)})")
-print(f"  c3 = {fit.c3.real:+.6f} (nonzero, half-grid spread {fit.stability[3]:.1e})")
+oval = fac.cycle_of_word(Word.gen(Gen.G))
+c1, c2, c3 = jet = jet_along(oval, FLAGSHIP)
+print(f"  |c1| = {abs(c1):.2e}, |c2| = {abs(c2):.2e}, c3 = {c3.real:+.10f}")
+orders = remainder_orders(oval, FLAGSHIP, jet)
+print(f"  remainder order at eps = +-{WITNESS_EPS:g}: {orders[0]:.3f}, {orders[1]:.3f} (4 expected)")
 
 print("\nCross-check along the cycle of v_3:")
-fit3 = melnikov_fit(v_k(3), T0, FLAGSHIP, factory=fac)
-jet3 = melnikov_jet(v_k(3), T0, FLAGSHIP, factory=fac)[2]
+cycle3 = fac.cycle_of_word(v_k(3))
+jet3 = jet_along(cycle3, FLAGSHIP)
 sym = mv(3, FLAGSHIP).evaluate(T0)
 pred = resolved_sign(3) * (2j * np.pi) ** 3 * sym
-print(f"  fitted   c3 = {fit3.c3:.6f}  (relative error {abs(fit3.c3 - pred) / abs(pred):.2e})")
-print(f"  jet      c3 = {jet3:.10f}  (relative error {abs(jet3 - pred) / abs(pred):.2e})")
+print(f"  jet      c3 = {jet3[2]:.10f}  (relative error {abs(jet3[2] - pred) / abs(pred):.2e})")
 print(f"  predicted    {pred:.10f}  (sign-calibrated (2 pi i)^3 t0^2)")
+orders3 = remainder_orders(cycle3, FLAGSHIP, jet3)
+print(f"  remainder order at eps = +-{WITNESS_EPS:g}: {orders3[0]:.3f}, {orders3[1]:.3f} (4 expected)")

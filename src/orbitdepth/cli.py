@@ -5,12 +5,12 @@ Subcommand tree:
     orbit  {var, mon, depth, project}
     repr   {matrices, check-v, comm-scalar, certificate}
     mel    {wronskian, build, classify, mv, center}
-    num    {pairing, iterated, cauchy-suite, fit, holonomy, center-check}
+    num    {pairing, iterated, cauchy-suite, jet, holonomy, center-check}
     verify {orbit, repr, melnikov, numeric, all} [--trace]
     report --out FILE --format {json,csv}
 
-All numeric subcommands emit JSON records; `num fit` can also write a CSV
-of (eps, holonomy) samples and, with --plots, an SVG of the fit residuals.
+All numeric subcommands emit JSON records; `num jet` prints c1..c3 of the
+return map and the witness orders of the transported remainder past them.
 The OUTPUT_DIR environment variable overrides the output directory.
 """
 
@@ -20,7 +20,6 @@ import argparse
 import cmath
 import csv
 import json
-import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -64,7 +63,7 @@ from .integrals import (
     PAIRING_EXPECTED,
     PAIRING_LOOP0,
 )
-from .holonomy import holonomy, m3_center_crosscheck, melnikov_fit
+from .holonomy import holonomy, jet_along, m3_center_crosscheck, remainder_orders
 from .reporting import Config, run_suite, summary_table, trace_tree
 
 
@@ -274,57 +273,17 @@ def cmd_num_cauchy(args):
     return 0 if ok else 1
 
 
-def cmd_num_fit(args):
+def cmd_num_jet(args):
     d = _deformation_from_args(args)
-    w = parse_word(args.word)
-    from .holonomy import DEFAULT_EPS_GRID
-
-    grid = [float(x) for x in args.eps_grid.split(",")] if args.eps_grid else DEFAULT_EPS_GRID
-    fit = melnikov_fit(w, args.t, d, eps_grid=grid)
-    out = {
-        "check": "melnikov_fit",
-        "params": {"word": args.word, "t": args.t,
-                   "a1": args.a1, "a2": args.a2, "a3": args.a3,
-                   "eps_grid": list(fit.eps_grid)},
-        "c1": _complex_str(fit.c1),
-        "c2": _complex_str(fit.c2),
-        "c3": _complex_str(fit.c3),
-        "zero_flags": {str(j): bool(f) for j, f in fit.zero_flags.items()},
-        "stability": {str(j): float(s) for j, s in fit.stability.items()},
-    }
-    _emit(out, args)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "re_displacement", "im_displacement"])
-            for e, v in sorted(fit.samples):
-                writer.writerow([e, v.real, v.imag])
-    if args.plots:
-        _plot_fit(fit, args)
-
-
-def _plot_fit(fit, args):
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("matplotlib not installed; skipping plot", file=sys.stderr)
-        return
-    import numpy as np
-
-    eps = np.array([e for e, _ in sorted(fit.samples) if e > 0])
-    vals = np.array([v for e, v in sorted(fit.samples) if e > 0])
-    model = fit.c1 * eps + fit.c2 * eps ** 2 + fit.c3 * eps ** 3
-    fig, ax = plt.subplots(figsize=(5, 3.5))
-    ax.loglog(eps, np.abs(vals), "o-", label="|displacement|")
-    ax.loglog(eps, np.abs(vals - model), "s--", label="|residual past order 3|")
-    ax.set_xlabel("eps")
-    ax.legend()
-    out_dir = os.environ.get("OUTPUT_DIR", ".")
-    path = os.path.join(out_dir, "fit_residuals.svg")
-    fig.savefig(path, format="svg", bbox_inches="tight")
-    print(f"plot written to {path}", file=sys.stderr)
+    cycle = CycleFactory(args.t).cycle_of_word(parse_word(args.word))
+    jet = jet_along(cycle, d)
+    _emit({"check": "melnikov_jet",
+           "params": {"word": args.word, "t": args.t,
+                      "a1": args.a1, "a2": args.a2, "a3": args.a3},
+           "c1": _complex_str(jet[0]),
+           "c2": _complex_str(jet[1]),
+           "c3": _complex_str(jet[2]),
+           "remainder_orders": remainder_orders(cycle, d, jet)}, args)
 
 
 def cmd_num_holonomy(args):
@@ -356,8 +315,6 @@ def cmd_num_center_check(args):
 def _config_from_args(args) -> Config:
     cfg = Config.from_file(args.config) if args.config else Config()
     flags = {key: getattr(args, key) for key in ("seed", "t0", "k_max", "output_dir")}
-    if args.eps_grid:
-        flags["eps_grid"] = [float(x) for x in args.eps_grid.split(",")]
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -473,15 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     q = nsub.add_parser("cauchy-suite", help="the vanishing iterated integrals")
     q.add_argument("--t", type=float, required=True)
     q.set_defaults(func=cmd_num_cauchy)
-    q = nsub.add_parser("fit", help="eps-power fit of the return map")
+    q = nsub.add_parser("jet", help="return-map coefficients c1..c3 and their witness orders")
     q.add_argument("--word", required=True)
     q.add_argument("--t", type=float, required=True)
     for name in ("a1", "a2", "a3"):
         q.add_argument(f"--{name}", required=True)
-    q.add_argument("--eps-grid")
-    q.add_argument("--csv", help="write (eps, displacement) samples")
-    q.add_argument("--plots", action="store_true")
-    q.set_defaults(func=cmd_num_fit)
+    q.set_defaults(func=cmd_num_jet)
     q = nsub.add_parser("holonomy", help="single return-map evaluation")
     q.add_argument("--word", required=True)
     q.add_argument("--t", type=float, required=True)
@@ -503,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int)
     ver.add_argument("--t0", type=float)
     ver.add_argument("--k-max", dest="k_max", type=int)
-    ver.add_argument("--eps-grid")
     ver.add_argument("--output-dir")
     ver.add_argument("--out")
     ver.add_argument("--trace", action="store_true",
@@ -517,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     repo.add_argument("--seed", type=int)
     repo.add_argument("--t0", type=float)
     repo.add_argument("--k-max", dest="k_max", type=int)
-    repo.add_argument("--eps-grid")
     repo.add_argument("--output-dir")
     repo.set_defaults(func=cmd_report)
 

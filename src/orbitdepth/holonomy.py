@@ -12,7 +12,7 @@ Transport starts at the exact curve point over the base point, follows
 every segment of a cycle, and the return value is F at the endpoint.
 
 Each segment runs on the Chebyshev-Lobatto panels of `integrals`, with
-every leaf of an eps grid in one array (a scalar eps is the n = 1 case).
+every leaf of an eps array carried at once (a scalar eps is the n = 1 case).
 A fixed point on the level relation alternates u <- the root of
 (w^2 - 1)(u^2 - 1) = F(start) - eps J nearest the last iterate (the base
 curve to begin with) and J <- the running int of omega; each doubling of a
@@ -26,7 +26,7 @@ shifted by the leaf's offset delta from the base path at its start,
 w + delta (1 - s), so every leaf ends on the base fiber.
 
 The return map P(t, eps) - t = c1 eps + c2 eps^2 + c3 eps^3 + ... has its
-coefficients computed two independent ways.
+coefficients from one source, the jets, and direct transport witnesses them.
 
 Jets (`melnikov_jet`, Francoise's recursion for the successive derivatives
 of a first return map): on each segment the leaf's dependent coordinate is
@@ -43,15 +43,18 @@ the transport does, with the leaf's O(eps) offset as delta, so the leaf
 starts on it with the new dependent coordinate (the old independent one)
 exactly on the base curve.
 
-Fits (`melnikov_fit`, the direct path): symmetric eps / -eps transports,
-with odd and even parts fitted separately against (eps, eps^3, eps^5) and
-(eps^2, eps^4, eps^6), and half-grid refits as a stability diagnostic.
+Witness (`remainder_orders`, the direct path): the remainder
+R(eps) = |disp(eps) - (c1 eps + c2 eps^2 + c3 eps^3)| of the transported
+displacement past the jet is O(eps^4) when c1..c3 are right, so
+log2(R(E) / R(E/2)) must be 4 at E = +-WITNESS_EPS; an error in c_j leaves
+a term of order j that dominates R at small eps and pulls the order down.
+All four leaves +-E, +-E/2 run in one stacked transport.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -76,9 +79,8 @@ FIX_RTOL = 1e-15  # the level fixed point settles when J moves less than this, r
 FIX_MAX_ITERATIONS = 60
 SEGMENT_ATOL = 1e-13  # endpoints and int omega agree between two panel counts
 SEGMENT_MAX_ROUNDS = 6
-DEFAULT_EPS_GRID = tuple(1e-3 * 2 ** j for j in range(6))
 
-# Fitted coefficients of order mu equal (-1)^mu times the nested-Wronskian
+# Coefficients of order mu equal (-1)^mu times the nested-Wronskian
 # and double-integral predictions: the transport here expands the return map
 # of dF + eps omega = 0 in eps, and along its leaves dF = -eps omega, so the
 # order-1 displacement is -eps int omega while the classical normalization
@@ -88,8 +90,6 @@ DEFAULT_EPS_GRID = tuple(1e-3 * 2 ** j for j in range(6))
 def resolved_sign(order: int) -> int:
     return -1 if order % 2 else 1
 
-
-RESOLVED_HOLONOMY_SIGN = resolved_sign(3)  # odd orders; kept for reports
 
 
 class TransportError(RuntimeError):
@@ -237,8 +237,9 @@ def holonomy_displacement(cycle: Cycle, d: Deformation, eps):
     """P(t0, eps) - t0 computed as -eps * int omega along each trajectory.
 
     Exactly equal to F(endpoint) - t0 (dF = -eps omega on the leaf) but free
-    of the cancellation between two O(t0) values, so small coefficients fit
-    cleanly; the direct difference cross-checks it to roundoff, leaf by leaf.
+    of the cancellation between two O(t0) values, so the remainder past a
+    jet stays resolved; the direct difference cross-checks it to roundoff,
+    leaf by leaf.
     """
     x, y, j = transport(cycle, d, eps)
     disp = -np.asarray(eps) * j
@@ -393,92 +394,22 @@ def melnikov_jet(w: Word, t0: complex, d: Deformation,
 
 
 # ---------------------------------------------------------------------------
-# eps-power fits.
+# Direct transport as the jets' witness.
+
+WITNESS_EPS = 2e-3  # small enough that eps^4 dominates R, large enough that R >> roundoff
+WITNESS_ORDER_TOL = 0.1
 
 
-@dataclass
-class MelnikovFit:
-    t0: complex
-    eps_grid: Tuple[float, ...]
-    c1: complex
-    c2: complex
-    c3: complex
-    zero_flags: Dict[int, bool]
-    stability: Dict[int, float]  # relative half-grid spread per order
-    samples: List[Tuple[complex, complex]] = field(default_factory=list)
-
-    def is_zero(self, j: int) -> bool:
-        return self.zero_flags[j]
-
-    def stable(self, j: int, rel: float = 5e-3) -> bool:
-        return self.stability[j] <= rel
-
-
-def _fit_powers(eps: np.ndarray, vals: np.ndarray, powers: Sequence[int]) -> np.ndarray:
-    cols = np.stack([eps ** p for p in powers], axis=1)
-    scale = np.abs(cols).max(axis=0)
-    sol, *_ = np.linalg.lstsq(cols / scale, vals, rcond=None)
-    return sol / scale
-
-
-def melnikov_fit(w: Word, t0: complex, d: Deformation,
-                 eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-                 factory: Optional[CycleFactory] = None,
-                 zero_rel: float = 1e-7, zero_abs: float = 1e-9) -> MelnikovFit:
-    """Fit holonomy(t0, eps) - t0 = c1 eps + c2 eps^2 + c3 eps^3 + ...
-
-    Uses +-eps pairs so odd and even parts are fitted independently; at
-    least 5 grid points, geometrically spaced.  A coefficient is flagged
-    zero when its contribution at the top of the grid is below `zero_rel`
-    times the dominant contribution or below the absolute floor `zero_abs`
-    (exact centers leave only noise, with no dominant term to compare
-    against); half-grid refits give the stability figure.
-    """
-    if len(eps_grid) < 5:
-        raise ValueError("need at least 5 grid points")
-    factory = factory or CycleFactory(t0)
-    cycle = factory.cycle_of_word(w)
-    eps = np.asarray(sorted(eps_grid), dtype=float)
-    vals = holonomy_displacement(cycle, d, np.concatenate([eps, -eps]))
-    plus, minus = vals[:len(eps)], vals[len(eps):]
-    odd = (plus - minus) / 2.0
-    even = (plus + minus) / 2.0
-
-    def both_fits(sel, nterms):
-        o = _fit_powers(eps[sel], odd[sel], (1, 3, 5, 7)[:nterms])
-        e = _fit_powers(eps[sel], even[sel], (2, 4, 6, 8)[:nterms])
-        out = {1: o[0], 2: e[0]}
-        out[3] = o[1] if nterms > 1 else 0.0
-        return out
-
-    nfull = 4 if len(eps) >= 6 else 3
-    full = both_fits(slice(None), nfull)
-    half = len(eps) // 2
-    lo = both_fits(slice(0, max(3, len(eps) - half)), 3)
-    hi = both_fits(slice(min(half, len(eps) - 3), len(eps)), 3)
-
-    emax = eps[-1]
-    contributions = {j: abs(full[j]) * emax ** j for j in (1, 2, 3)}
-    dominant = max(max(contributions.values()), 1e-300)
-    threshold = max(zero_rel * dominant, zero_abs)
-    zero_flags = {j: contributions[j] <= threshold for j in (1, 2, 3)}
-    stability = {}
-    for j in (1, 2, 3):
-        ref = abs(full[j])
-        if ref == 0 or zero_flags[j]:
-            stability[j] = 0.0
-        else:
-            stability[j] = max(abs(lo[j] - full[j]), abs(hi[j] - full[j])) / ref
-    return MelnikovFit(
-        t0=t0,
-        eps_grid=tuple(eps),
-        c1=full[1],
-        c2=full[2],
-        c3=full[3],
-        zero_flags=zero_flags,
-        stability=stability,
-        samples=[(e, v) for e, v in zip(eps, plus)] + [(-e, v) for e, v in zip(eps, minus)],
-    )
+def remainder_orders(cycle: Cycle, d: Deformation, jet) -> Tuple[float, float]:
+    """Measured orders log2(R(E) / R(E/2)) at E = +WITNESS_EPS and -WITNESS_EPS,
+    with R(eps) = |disp(eps) - (c1 eps + c2 eps^2 + c3 eps^3)|, disp from
+    holonomy_displacement and (c1, c2, c3) = jet.  Correct coefficients give
+    orders within WITNESS_ORDER_TOL of 4.  R must stand above roundoff: where
+    the return map is the identity (an exact center) the orders mean nothing."""
+    eps = WITNESS_EPS * np.array([1.0, 0.5, -1.0, -0.5])
+    c1, c2, c3 = jet
+    rem = np.abs(holonomy_displacement(cycle, d, eps) - eps * (c1 + eps * (c2 + eps * c3)))
+    return float(np.log2(rem[0] / rem[1])), float(np.log2(rem[2] / rem[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +478,7 @@ def m3_center_crosscheck(A, c1, lambda1, lam, t0: float,
     independent code paths; the resolved global sign relates them)."""
     d = center_family(A, c1, lambda1, lam)
     c3 = melnikov_jet(Word.gen(Gen.G), t0, d)[2]
-    predicted = RESOLVED_HOLONOMY_SIGN * m3_center_prediction(A, lam, t0, lambda1)
+    predicted = resolved_sign(3) * m3_center_prediction(A, lam, t0, lambda1)
     if predicted == 0:
         return CheckReport("order-3 center cross-check", c3, predicted, abs(c3), 1e-9)
     err = abs(c3 - predicted) / abs(predicted)

@@ -195,9 +195,10 @@ def m3_tilde_coefficient(A, lam, lambda1=1) -> RatFunc:
     by A'(t) once more, times the numeric double integral of dphi2 dphi3
     over the oval.  The constant is -lambda2 = -lam*lambda1: expanding
     dphi = (c1/lam) alpha + dphi2 - lambda1 dphi3 leaves -lambda1 times the
-    dphi2 dphi3 integral, and the direct return-map fits confirm the
-    -lam*lambda1 scaling exactly (the widely quoted -lam^2 form agrees only
-    on the diagonal lambda1 = lam; see the ratio checks in the tests).
+    dphi2 dphi3 integral, and the return-map jets, witnessed by direct
+    transport, confirm the -lam*lambda1 scaling exactly (the widely quoted
+    -lam^2 form agrees only on the diagonal lambda1 = lam; see the ratio
+    checks in the tests).
     """
     A = RatFunc(A)
     lam = Fraction(lam)

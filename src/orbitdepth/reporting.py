@@ -16,7 +16,7 @@ import subprocess
 import time
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -79,13 +79,16 @@ from .integrals import (
     v2_double_integral,
 )
 from .holonomy import (
-    DEFAULT_EPS_GRID,
-    RESOLVED_HOLONOMY_SIGN,
+    JET_TOL,
+    WITNESS_EPS,
+    WITNESS_ORDER_TOL,
     holonomy_along,
+    jet_along,
     m2_assembly_check,
     m3_center_crosscheck,
-    melnikov_fit,
     melnikov_jet,
+    remainder_orders,
+    resolved_sign,
 )
 
 DEFAULT_SEED = 20259
@@ -115,7 +118,6 @@ class RunManifest:
     t0: float
     k_max: int
     magnus_degree: int
-    eps_grid: List[float]
     suites: List[str]
     timestamp: str
     python: str
@@ -164,7 +166,6 @@ class Config:
     t0: float = DEFAULT_T0
     k_max: int = 5
     magnus_degree: int = 8
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID
     output_dir: str = "."
 
     def __post_init__(self):
@@ -175,10 +176,6 @@ class Config:
                       f"an int in 1..{DEFAULT_K_MAX}"),
             "magnus_degree": (_is_int(self.magnus_degree) and self.magnus_degree >= 3,
                               "an int >= 3"),
-            "eps_grid": (isinstance(self.eps_grid, (list, tuple))
-                         and len(self.eps_grid) >= 5
-                         and all(_is_real(e) and e > 0 for e in self.eps_grid),
-                         "at least 5 positive numbers"),
         }
         for key, (ok, want) in checks.items():
             if not ok:
@@ -391,7 +388,7 @@ def melnikov_suite(cfg: Config) -> List[CheckRecord]:
 
 
 def numeric_suite(cfg: Config) -> List[CheckRecord]:
-    """Pairing table, iterated integrals, Melnikov jets and fits, center checks."""
+    """Pairing table, iterated integrals, Melnikov jets and their witness, center checks."""
     rec = Recorder()
     t0 = cfg.t0
 
@@ -435,32 +432,31 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
     rec.add("num.determinant", "commutator double integral equals the period determinant",
             dd, 1e-6, computed=f"{dd:.2e}", runtime_ms=v2_ms + ms)
 
-    # flagship fit, cross-checked against the jet
-    (fit, ms) = _timed(lambda: melnikov_fit(GAMMA_WORD, t0, FLAGSHIP,
-                                            eps_grid=cfg.eps_grid, factory=fac))
-    (jet, jet_ms) = _timed(lambda: melnikov_jet(GAMMA_WORD, t0, FLAGSHIP, factory=fac))
-    bound = 1e-7 * abs(fit.c3) * max(fit.eps_grid)
-    rec.add("num.flagship.c1", "order-1 coefficient vanishes at fit resolution",
-            abs(fit.c1), bound, computed=f"{abs(fit.c1):.2e}", runtime_ms=ms)
-    rec.add("num.flagship.c2", "order-2 coefficient vanishes at fit resolution",
-            abs(fit.c2), bound, computed=f"{abs(fit.c2):.2e}", runtime_ms=ms)
-    agrees = abs(fit.c3 - jet[2]) <= 5e-3 * abs(jet[2])
-    rec.add_bool("num.flagship.c3",
-                 "order-3 coefficient is nonzero, half-grid stable to 0.5% "
-                 "and within 0.5% of the jet",
-                 (not fit.is_zero(3)) and fit.stable(3, 5e-3) and agrees,
-                 computed=f"c3 = {fit.c3:.6f}, spread {fit.stability[3]:.2e}, "
-                          f"jet c3 = {jet[2]:.6f}",
-                 runtime_ms=ms + jet_ms)
+    # flagship jet, witnessed by direct transport
+    gamma = fac.cycle_of_word(GAMMA_WORD)
+    ((c1, c2, c3), jet_ms) = _timed(lambda: jet_along(gamma, FLAGSHIP))
+    bound = 1e-7 * abs(c3) * 0.032  # 1e-7 of |c3| at the eps scale 0.032
+    rec.add("num.flagship.c1", "order-1 coefficient vanishes",
+            abs(c1), bound, computed=f"{abs(c1):.2e}", runtime_ms=jet_ms)
+    rec.add("num.flagship.c2", "order-2 coefficient vanishes",
+            abs(c2), bound, computed=f"{abs(c2):.2e}", runtime_ms=jet_ms)
+    (orders, ms) = _timed(lambda: remainder_orders(gamma, FLAGSHIP, (c1, c2, c3)))
+    deviation = max(abs(o - 4) for o in orders) if abs(c3) > JET_TOL else math.inf
+    rec.add("num.flagship.c3",
+            "order-3 coefficient is nonzero, and the transported remainder past "
+            f"the jet is of order 4 at eps = +-{WITNESS_EPS:g}",
+            deviation, WITNESS_ORDER_TOL, expected="orders 4, 4",
+            computed=f"c3 = {c3:.6f}, orders {orders[0]:.3f}, {orders[1]:.3f}",
+            runtime_ms=jet_ms + ms)
 
     # v3 cross-check
     (jet3, ms) = _timed(lambda: melnikov_jet(v_k(3), t0, FLAGSHIP, factory=fac))
-    expected3 = RESOLVED_HOLONOMY_SIGN * (2j * np.pi) ** 3 * t0 ** 2
+    expected3 = resolved_sign(3) * (2j * np.pi) ** 3 * t0 ** 2
     err3 = abs(jet3[2] - expected3) / abs(expected3)
     rec.add("num.v3_crosscheck",
             "order-3 coefficient over v3 equals the sign-calibrated (2 pi i)^3 t0^2",
             err3, 5e-3, expected=f"{expected3:.6f}", computed=f"{jet3[2]:.6f}",
-            runtime_ms=ms, params={"resolved_sign": RESOLVED_HOLONOMY_SIGN})
+            runtime_ms=ms, params={"resolved_sign": resolved_sign(3)})
 
     # center checks
     d0 = center_family("t", 1, 1, 0)
@@ -538,7 +534,6 @@ def run_suite(name: str, cfg: Optional[Config] = None,
         t0=cfg.t0,
         k_max=cfg.k_max,
         magnus_degree=cfg.magnus_degree,
-        eps_grid=[float(e) for e in cfg.eps_grid],
         suites=names,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
         **_environment(),

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import orbitdepth.holonomy as holonomy_module
+from orbitdepth import reporting
 from orbitdepth.curves import Cycle, CycleFactory, curve_f, oval_connector
 from orbitdepth.holonomy import (
-    DEFAULT_EPS_GRID,
+    WITNESS_ORDER_TOL,
     TransportError,
     resolved_sign,
     holonomy,
@@ -14,8 +15,8 @@ from orbitdepth.holonomy import (
     m2_assembly_check,
     m3_center_crosscheck,
     m3_center_prediction,
-    melnikov_fit,
     melnikov_jet,
+    remainder_orders,
     transport,
 )
 from orbitdepth.integrals import QuadratureError
@@ -42,6 +43,11 @@ def close_to(value, reference, rel):
     return abs(value - reference) <= rel * abs(reference)
 
 
+def witnessed(cycle, d, jet):
+    """The transported remainder past the jet is of order 4 at +-WITNESS_EPS."""
+    return all(abs(order - 4) <= WITNESS_ORDER_TOL for order in remainder_orders(cycle, d, jet))
+
+
 def test_unperturbed_identity(factory):
     for w in (GAMMA, D2, v_k(2)):
         h = holonomy(w, T0, 0.0, FLAGSHIP, factory=factory)
@@ -52,7 +58,7 @@ def test_real_system_real_return(factory):
     h = holonomy(GAMMA, T0, 0.01, FLAGSHIP, factory=factory)
     assert h.imag == 0.0
     assert h != T0
-    eps = np.array(DEFAULT_EPS_GRID)
+    eps = 1e-3 * 2.0 ** np.arange(6)
     grid = holonomy(GAMMA, T0, np.concatenate([eps, -eps]), FLAGSHIP, factory=factory)
     assert np.all(grid.imag == 0.0)
     assert np.all(grid != T0)
@@ -138,36 +144,37 @@ def test_displacement_consistency(factory):
 
 
 def test_flagship_fit(factory):
-    fit = melnikov_fit(GAMMA, T0, FLAGSHIP, factory=factory)
-    assert fit.is_zero(1) and fit.is_zero(2)
-    assert not fit.is_zero(3)
-    assert fit.stable(3, 5e-3)
-    assert fit.c3.real < 0 and abs(fit.c3.imag) < 1e-9
-    assert close_to(fit.c3, melnikov_jet(GAMMA, T0, FLAGSHIP, factory=factory)[2], 5e-3)
+    cycle = factory.cycle_of_word(GAMMA)
+    jet = jet_along(cycle, FLAGSHIP)
+    assert jet[2].real < 0 and abs(jet[2].imag) < 1e-9
+    assert witnessed(cycle, FLAGSHIP, jet)
 
 
 def test_v2_fit_order2_vanishes(factory):
-    fit = melnikov_fit(v_k(2), T0, FLAGSHIP, factory=factory)
-    assert fit.is_zero(2)
+    cycle = factory.cycle_of_word(v_k(2))
+    jet = jet_along(cycle, FLAGSHIP)
+    assert abs(jet[1]) <= 1e-12
+    assert witnessed(cycle, FLAGSHIP, jet)
 
 
 def test_commutator_fit_matches_wronskian(factory):
     # leading order-2 coefficient along [d2, z] is (2 pi i)^2 W(beta2, beta3)
-    w = commutator(D2, Z_ELT)
-    fit = melnikov_fit(w, T0, FLAGSHIP, factory=factory)
+    cycle = factory.cycle_of_word(commutator(D2, Z_ELT))
+    jet = jet_along(cycle, FLAGSHIP)
     expected = resolved_sign(2) * TWO_PI_I ** 2 * (T0 ** 2)  # W(-t^2, t) = t^2
-    assert abs(fit.c2 - expected) / abs(expected) < 5e-3
-    # the direct transport and the jets agree order by order (c1 vanishes in both)
-    jet = melnikov_jet(w, T0, FLAGSHIP, factory=factory)
-    assert fit.is_zero(1) and abs(jet[0]) <= 1e-12
-    assert close_to(fit.c2, jet[1], 5e-3) and close_to(fit.c3, jet[2], 5e-3)
+    assert abs(jet[1] - expected) / abs(expected) < 5e-3
+    assert abs(jet[0]) <= 1e-12
+    # the direct transport witnesses all three jet coefficients
+    assert witnessed(cycle, FLAGSHIP, jet)
 
 
 def test_reversal_negates_leading(factory):
     w = commutator(D2, Z_ELT)
-    f = melnikov_fit(w, T0, FLAGSHIP, factory=factory)
-    g = melnikov_fit(w.inverse(), T0, FLAGSHIP, factory=factory)
-    assert abs(g.c2 + f.c2) / abs(f.c2) < 5e-3
+    f = melnikov_jet(w, T0, FLAGSHIP, factory=factory)
+    inverse = factory.cycle_of_word(w.inverse())
+    g = jet_along(inverse, FLAGSHIP)
+    assert abs(g[1] + f[1]) / abs(f[1]) < 5e-3
+    assert witnessed(inverse, FLAGSHIP, g)
 
 
 def test_base_point_robustness(factory):
@@ -182,22 +189,16 @@ def test_base_point_robustness(factory):
         conn.base_point,
         label="rebased",
     )
-    eps = np.array([1e-3 * 2 ** j for j in range(6)])
-    base_vals = holonomy_displacement(cycle, FLAGSHIP, eps)
-    moved_vals = holonomy_displacement(moved, FLAGSHIP, eps)
-    c2_base = np.linalg.lstsq(
-        np.stack([eps ** 2, eps ** 3, eps ** 4], axis=1), base_vals, rcond=None)[0][0]
-    c2_moved = np.linalg.lstsq(
-        np.stack([eps ** 2, eps ** 3, eps ** 4], axis=1), moved_vals, rcond=None)[0][0]
+    c2_base = jet_along(cycle, FLAGSHIP)[1]
+    c2_moved = jet_along(moved, FLAGSHIP)[1]
     assert abs(c2_moved - c2_base) / abs(c2_base) < 5e-3
 
 
 def test_v3_sign_calibrated_value(factory, v3_jet):
-    fit = melnikov_fit(v_k(3), T0, FLAGSHIP, factory=factory)
     sym = mv(3, FLAGSHIP).evaluate(T0)  # t0^2
     expected = resolved_sign(3) * TWO_PI_I ** 3 * sym
-    assert abs(fit.c3 - expected) / abs(expected) < 5e-3
-    assert close_to(fit.c3, v3_jet[2], 5e-3)
+    assert abs(v3_jet[2] - expected) / abs(expected) < 5e-3
+    assert witnessed(factory.cycle_of_word(v_k(3)), FLAGSHIP, v3_jet)
 
 
 def test_center_exactness(factory):
@@ -213,14 +214,15 @@ def test_center_crosscheck():
 
 
 def test_center_witness_scalings(factory):
-    f11 = melnikov_fit(GAMMA, T0, center_family("t", 0, 1, 1), factory=factory)
-    f21 = melnikov_fit(GAMMA, T0, center_family("t", 0, 1, 2), factory=factory)
-    f22 = melnikov_fit(GAMMA, T0, center_family("t", 0, 2, 2), factory=factory)
-    assert abs(f21.c3 / f11.c3 - 2) < 2e-2   # linear in lam alone
-    assert abs(f22.c3 / f11.c3 - 4) < 4e-2   # quadratic on the diagonal
-    for fit, (lambda1, lam) in ((f11, (1, 1)), (f21, (1, 2)), (f22, (2, 2))):
-        jet = melnikov_jet(GAMMA, T0, center_family("t", 0, lambda1, lam), factory=factory)
-        assert close_to(fit.c3, jet[2], 5e-3)
+    cycle = factory.cycle_of_word(GAMMA)
+    families = {(lambda1, lam): center_family("t", 0, lambda1, lam)
+                for lambda1, lam in ((1, 1), (1, 2), (2, 2))}
+    jets = {key: jet_along(cycle, d) for key, d in families.items()}
+    c11 = jets[1, 1][2]
+    assert abs(jets[1, 2][2] / c11 - 2) < 2e-2   # linear in lam alone
+    assert abs(jets[2, 2][2] / c11 - 4) < 4e-2   # quadratic on the diagonal
+    for key, d in families.items():
+        assert witnessed(cycle, d, jets[key])
 
 
 def test_m2_assembly():
@@ -239,15 +241,9 @@ def test_center_crosscheck_lambda_zero():
     assert rep.expected == 0 and rep.passed  # both sides vanish
 
 
-def test_melnikov_fit_guards(factory):
-    with pytest.raises(ValueError):
-        melnikov_fit(GAMMA, T0, FLAGSHIP, eps_grid=[1e-3, 2e-3], factory=factory)
-
-
 def test_center_fit_all_zero(factory):
-    d0 = center_family("t", 1, 1, 0)
-    fit = melnikov_fit(GAMMA, T0, d0, factory=factory)
-    assert fit.is_zero(1) and fit.is_zero(2) and fit.is_zero(3)
+    jet = melnikov_jet(GAMMA, T0, center_family("t", 1, 1, 0), factory=factory)
+    assert all(abs(c) <= 1e-12 for c in jet)
 
 
 # ---------------------------------------------------------------------------
@@ -311,4 +307,17 @@ def test_dropping_the_chart_switch_offset_turns_checks_red(monkeypatch):
                         lambda dep: (np.zeros_like(dep), np.zeros_like(dep)))
     records = {r.id: r for r in numeric_suite(Config())}
     assert not records["num.v3_crosscheck"].passed
+    assert not records["num.flagship.c2"].passed
     assert not records["num.flagship.c3"].passed
+
+
+@pytest.mark.parametrize("wrong, red", [
+    (lambda c1, c2, c3: (c1, c2, 1.005 * c3), {"num.flagship.c3"}),
+    (lambda c1, c2, c3: (c1, 1e-3, c3), {"num.flagship.c2", "num.flagship.c3"}),
+], ids=["c3_off_by_half_a_percent", "c2_nonzero"])
+def test_a_wrong_flagship_jet_turns_the_witness_red(monkeypatch, wrong, red):
+    # the suite's flagship jet is the only one mutated; every other record stays green
+    jet_along_ = reporting.jet_along
+    monkeypatch.setattr(reporting, "jet_along", lambda cycle, d: wrong(*jet_along_(cycle, d)))
+    records = numeric_suite(Config())
+    assert {r.id for r in records if not r.passed} == red
