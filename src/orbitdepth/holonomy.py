@@ -29,19 +29,24 @@ The return map P(t, eps) - t = c1 eps + c2 eps^2 + c3 eps^3 + ... has its
 coefficients from one source, the jets, and direct transport witnesses them.
 
 Jets (`melnikov_jet`, Francoise's recursion for the successive derivatives
-of a first return map): on each segment the leaf's dependent coordinate is
+of a first return map): the leaf's dependent coordinate is
 u0 + eps u1 + eps^2 u2, with u0 the base segment's own curve point.  Order j
 is a linear ODE u_j' = g_dep u_j + r_j, r_j the eps^j part of the slope with
 u_j set to 0, and 1/F_dep solves its homogeneous part (F_dep = dF/d(dep) on
 the base curve; the unperturbed leaf at level t + tau lies at
 u0 + tau / F_dep to first order), so
 u_j = (F_dep(0) u_j(0) + int F_dep r_j) / F_dep in closed form.  The eps^j
-coefficient J_j of int omega gives c_{j+1} = -J_j.  Everything runs on the
-Chebyshev-Lobatto panels of `integrals`, and the panels double until the
-coefficients are stable.  Chart switches shift the next segment's path as
-the transport does, with the leaf's O(eps) offset as delta, so the leaf
-starts on it with the new dependent coordinate (the old independent one)
-exactly on the base curve.
+coefficient J_j of int omega gives c_{j+1} = -J_j.  Chart switches shift the
+next segment's path as the transport does, with the leaf's O(eps) offset as
+delta, so the leaf starts on it with the new dependent coordinate (the old
+independent one) exactly on the base curve: u_j(0) = 0 after every switch.
+The jet is carried over blocks of consecutive segments in one chart, the
+Chebyshev-Lobatto panels of `integrals` side by side in one array, and the
+panels double until the coefficients are stable.  A block is the same
+integration as its segments one at a time: within a chart, F_dep u_j is
+continuous where one segment ends and the next starts (one curve point, one
+dependent coordinate), so the closed form from the block's start runs on
+through each junction, and only a first segment after a switch is shifted.
 
 Witness (`remainder_orders`, the direct path): the remainder
 R(eps) = |disp(eps) - (c1 eps + c2 eps^2 + c3 eps^3)| of the transported
@@ -89,7 +94,6 @@ SEGMENT_MAX_ROUNDS = 6
 # center family the odd one) and consistent across every cross-check.
 def resolved_sign(order: int) -> int:
     return -1 if order % 2 else 1
-
 
 
 class TransportError(RuntimeError):
@@ -320,28 +324,47 @@ def _leaf_series(chart: str, w, dw, dep, dense):
     return _mul(slope, dw), _mul(p_ind + _mul(p_dep, slope), dw)
 
 
-def _segment_jet(seg: Segment, npan: int, dense, offset: np.ndarray, dep0: np.ndarray):
-    """Carry the leaf's jet over one segment on npan collocation panels.
+# At most as many panels in a block as in the largest single-segment array of
+# the base rounds (an arc at round 1): longer blocks save little and cost memory.
+_BLOCK_PANELS = 24
 
-    The independent coordinate follows the base path shifted by
-    offset * (1 - s), so the leaf ends on the base fiber; dep0 is the jet of
-    the dependent coordinate at s = 0 minus the base value.  Returns the jet
-    of the dependent coordinate at s = 1 (minus the base) and of int omega.
-    """
-    h = 1.0 / npan
-    s = _panel_nodes(npan)
-    w = offset[:, None, None] * (1.0 - s)
-    w[0] = seg.independent(s)
-    dw = np.broadcast_to(-offset[:, None, None], w.shape).copy()
-    dw[0] = seg.independent_derivative(s)
-    u = np.zeros_like(w)
-    u[0] = seg.dependent(s, key=npan)
+
+def _blocks(cycle: Cycle, rounds: int) -> List[List[Segment]]:
+    """The cycle's segments cut into runs of consecutive segments in one
+    chart, each holding at most _BLOCK_PANELS panels at these rounds."""
+    blocks, size = [], 0
+    for seg in cycle.segments:
+        npan = _segment_panels(seg, rounds)
+        if not blocks or seg.chart != blocks[-1][0].chart or size + npan > _BLOCK_PANELS:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(seg)
+        size += npan
+    return blocks
+
+
+def _block_jet(block: List[Segment], rounds: int, dense, offset: np.ndarray, dep0: np.ndarray):
+    """Carry the leaf's jet over a block of same-chart segments, their panels
+    side by side.  The first segment's independent coordinate follows its
+    base path shifted by offset * (1 - s), so the leaf ends on the base
+    fiber; dep0 is the jet of the dependent coordinate at the block's start
+    minus the base value.  Returns the jet of the dependent coordinate at
+    the block's end (minus the base) and of int omega."""
+    npans = [_segment_panels(seg, rounds) for seg in block]
+    h = np.repeat(1.0 / np.array(npans), npans)
+    base = [(seg.independent(s), seg.independent_derivative(s), seg.dependent(s, key=npan))
+            for seg, npan in zip(block, npans) for s in [_panel_nodes(npan)]]
+    w, dw, u = np.zeros((3, JET_TERMS, h.size, _NODES.size), complex)
+    w[0], dw[0], u[0] = (np.concatenate(parts) for parts in zip(*base))
+    w[1:, :npans[0]] = offset[1:, None, None] * (1.0 - _panel_nodes(npans[0]))
+    dw[1:, :npans[0]] = -offset[1:, None, None]
     f_dep = 2.0 * u[0] * (w[0] * w[0] - 1.0)  # dF/d(dep): F is symmetric in x, y
+    chart = block[0].chart
     for j in range(1, JET_TERMS):
         # r_j: the eps^j coefficient of the slope while u_j is still 0
-        r = _leaf_series(seg.chart, w[:j + 1], dw[:j + 1], u[:j + 1], dense)[0][j]
+        r = _leaf_series(chart, w[:j + 1], dw[:j + 1], u[:j + 1], dense)[0][j]
         u[j] = (f_dep[0, 0] * dep0[j] + _cumulative(f_dep * r, h)) / f_dep
-    form = _leaf_series(seg.chart, w, dw, u, dense)[1]
+    form = _leaf_series(chart, w, dw, u, dense)[1]
     end = u[:, -1, -1].copy()
     end[0] = 0.0
     return end, _cumulative(form, h)[:, -1, -1]
@@ -358,12 +381,12 @@ def _cycle_jet(cycle: Cycle, dense, rounds: int) -> np.ndarray:
     chart = cycle.segments[0].chart
     dep = np.zeros(JET_TERMS, complex)
     jtot = np.zeros(JET_TERMS, complex)
-    for seg in cycle.segments:
+    for block in _blocks(cycle, rounds):
         offset = np.zeros(JET_TERMS, complex)
-        if seg.chart != chart:
+        if block[0].chart != chart:
             offset, dep = _switch_chart(dep)
-            chart = seg.chart
-        dep, dj = _segment_jet(seg, _segment_panels(seg, rounds), dense, offset, dep)
+            chart = block[0].chart
+        dep, dj = _block_jet(block, rounds, dense, offset, dep)
         jtot += dj
     return -jtot
 

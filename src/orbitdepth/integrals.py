@@ -158,12 +158,13 @@ def _segment_panels(seg: Segment, rounds: int) -> int:
     return base * (1 << rounds)
 
 
-def _cumulative(g, h: float):
-    """Running integral of g over consecutive panels of width h: g has the
-    panels on axis -2 and the nodes on axis -1 (any leading axes), and the
-    result holds int_0^s g at every node, the within-panel _QMAT rule plus
-    the totals of the panels before."""
-    within = h * (g @ _QMAT.T)
+def _cumulative(g, h):
+    """Running integral of g over consecutive panels: g has the panels on
+    axis -2 and the nodes on axis -1 (any leading axes), and h is one width
+    for every panel or an array of one width per panel.  The result holds
+    int_0^s g at every node, the within-panel _QMAT rule plus the totals of
+    the panels before."""
+    within = np.asarray(h)[..., None] * (g @ _QMAT.T)
     totals = within[..., -1]
     before = np.concatenate((np.zeros_like(totals[..., :1]),
                              np.cumsum(totals[..., :-1], axis=-1)), axis=-1)

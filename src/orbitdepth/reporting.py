@@ -25,7 +25,6 @@ from .words import (
     DELTA,
     Gen,
     Word,
-    commutator,
     d_k,
     format_rho_word,
     m_endo,

@@ -8,11 +8,10 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from orbitdepth.words import (
     D0, D1, D2, D3, DELTA, G, X_ELT, Z_ELT,
-    Gen, Word, commutator, d_k, format_rho_word, m_endo, mon0, mon1,
+    Gen, Word, format_rho_word, m_endo, mon0, mon1,
     random_word, rewrite_to_rho_alphabet, v_k, var, var_iterate,
     variation_mod_k_identities,
 )
@@ -36,7 +35,6 @@ from orbitdepth.integrals import (
     cauchy_suite,
     determinant_defect,
     eta,
-    iterated_integral,
     pairing_table,
     shuffle_defect,
     v2_double_integral,

@@ -19,7 +19,7 @@ from orbitdepth.holonomy import (
     remainder_orders,
     transport,
 )
-from orbitdepth.integrals import QuadratureError
+from orbitdepth.integrals import QuadratureError, _segment_panels
 from orbitdepth.melnikov import FLAGSHIP, center_family, deformation, mv
 from orbitdepth.reporting import Config, numeric_suite
 from orbitdepth.words import D2, Gen, Word, Z_ELT, commutator, v_k
@@ -177,20 +177,19 @@ def test_reversal_negates_leading(factory):
     assert witnessed(inverse, FLAGSHIP, g)
 
 
+def rebased(factory):
+    """The cycle of [d2, z] conjugated by an oval arc: based at y = 0.2."""
+    cycle = factory.cycle_of_word(commutator(D2, Z_ELT))
+    conn = oval_connector(T0, 0.2)
+    return Cycle(conn.segments + cycle.segments + conn.reverse().segments, T0,
+                 conn.base_point, label="rebased")
+
+
 def test_base_point_robustness(factory):
     # conjugation by an oval arc (base point moved along the oval) leaves
     # the leading coefficient of a commutator word unchanged
-    w = commutator(D2, Z_ELT)
-    cycle = factory.cycle_of_word(w)
-    conn = oval_connector(T0, 0.2)
-    moved = Cycle(
-        conn.segments + cycle.segments + conn.reverse().segments,
-        T0,
-        conn.base_point,
-        label="rebased",
-    )
-    c2_base = jet_along(cycle, FLAGSHIP)[1]
-    c2_moved = jet_along(moved, FLAGSHIP)[1]
+    c2_base = jet_along(factory.cycle_of_word(commutator(D2, Z_ELT)), FLAGSHIP)[1]
+    c2_moved = jet_along(rebased(factory), FLAGSHIP)[1]
     assert abs(c2_moved - c2_base) / abs(c2_base) < 5e-3
 
 
@@ -321,3 +320,54 @@ def test_a_wrong_flagship_jet_turns_the_witness_red(monkeypatch, wrong, red):
     monkeypatch.setattr(reporting, "jet_along", lambda cycle, d: wrong(*jet_along_(cycle, d)))
     records = numeric_suite(Config())
     assert {r.id for r in records if not r.passed} == red
+
+
+# ---------------------------------------------------------------------------
+# jets over blocks of same-chart segments
+
+
+def word_cycle(w):
+    return lambda factory: factory.cycle_of_word(w)
+
+
+BLOCK_ORACLE_CASES = {
+    "gamma": (word_cycle(GAMMA), FLAGSHIP),
+    "v2": (word_cycle(v_k(2)), FLAGSHIP),
+    "v3": (word_cycle(v_k(3)), FLAGSHIP),
+    "d2_z": (word_cycle(commutator(D2, Z_ELT)), FLAGSHIP),
+    "d2_z_inverse": (word_cycle(commutator(D2, Z_ELT).inverse()), FLAGSHIP),
+    "rebased": (rebased, FLAGSHIP),
+    "center_on_gamma": (word_cycle(GAMMA), center_family("t", 0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_ORACLE_CASES)
+def test_blocked_jet_matches_the_jet_one_segment_at_a_time(factory, monkeypatch, case):
+    # at each of the panel rounds the jets run (0 and 1 at degree 32), and
+    # for the settled jet; from round 2 on an arc fills a block alone
+    cycle_of, d = BLOCK_ORACLE_CASES[case]
+    cycle = cycle_of(factory)
+    dense = [a.dense() for a in d.coefficients()]
+
+    def jets():
+        return [holonomy_module._cycle_jet(cycle, dense, r) for r in (0, 1)] + [jet_along(cycle, d)]
+
+    blocked = jets()
+    # a cap of 0 panels makes every segment a block of its own
+    monkeypatch.setattr(holonomy_module, "_BLOCK_PANELS", 0)
+    assert all(len(block) == 1 for block in holonomy_module._blocks(cycle, 0))
+    for b, a in zip(blocked, jets()):
+        assert np.all(np.abs(np.subtract(b, a)) <= 1e-12 * np.maximum(1.0, np.abs(a))), (case, b, a)
+
+
+@pytest.mark.parametrize("rounds, count", [(0, 34), (1, 61)])
+def test_v3_blocks_respect_the_cap_and_the_charts(factory, rounds, count):
+    cycle = factory.cycle_of_word(v_k(3))
+    blocks = holonomy_module._blocks(cycle, rounds)
+    # every segment exactly once, in order (segments compare by identity)
+    assert [seg for block in blocks for seg in block] == cycle.segments
+    for block in blocks:
+        assert len({seg.chart for seg in block}) == 1
+        panels = sum(_segment_panels(seg, rounds) for seg in block)
+        assert panels <= holonomy_module._BLOCK_PANELS or len(block) == 1
+    assert len(blocks) == count  # 96 segments in 9 chart runs

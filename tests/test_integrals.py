@@ -50,6 +50,16 @@ def test_cumulative_matches_the_panel_loop():
     assert np.max(np.abs(_cumulative(g, h) - exact)) <= 1e-13
 
 
+def test_cumulative_takes_one_width_per_panel():
+    # two segments of [0, 1] on 6 and 12 panels side by side integrate as
+    # the first one, then the second one from the first one's total
+    g1, g2 = np.exp(2j * _panel_nodes(6)), 1.0 / (_panel_nodes(12) + 0.5)
+    both = _cumulative(np.concatenate([g1, g2]), np.repeat([1.0 / 6, 1.0 / 12], [6, 12]))
+    first = _cumulative(g1, 1.0 / 6)
+    assert np.array_equal(both[:6], first)
+    assert np.max(np.abs(both[6:] - (first[-1, -1] + _cumulative(g2, 1.0 / 12)))) <= 1e-14
+
+
 def test_split_panels_interpolates_onto_half_panels():
     s = _panel_nodes(6)
     halves = _split_panels(np.stack([np.exp(2j * s), 1.0 / (s + 0.5)]))
