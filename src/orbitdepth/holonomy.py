@@ -352,11 +352,12 @@ def _block_jet(block: List[Segment], rounds: int, dense, offset: np.ndarray, dep
     the block's end (minus the base) and of int omega."""
     npans = [_segment_panels(seg, rounds) for seg in block]
     h = np.repeat(1.0 / np.array(npans), npans)
-    base = [(seg.independent(s), seg.independent_derivative(s), seg.dependent(s, key=npan))
-            for seg, npan in zip(block, npans) for s in [_panel_nodes(npan)]]
+    s = [_panel_nodes(npan) for npan in npans]
     w, dw, u = np.zeros((3, JET_TERMS, h.size, _NODES.size), complex)
-    w[0], dw[0], u[0] = (np.concatenate(parts) for parts in zip(*base))
-    w[1:, :npans[0]] = offset[1:, None, None] * (1.0 - _panel_nodes(npans[0]))
+    w[0] = np.concatenate([seg.independent(si) for seg, si in zip(block, s)])
+    dw[0] = np.concatenate([seg.independent_derivative(si) for seg, si in zip(block, s)])
+    u[0] = np.concatenate([seg.dependent(si, key=n) for seg, si, n in zip(block, s, npans)])
+    w[1:, :npans[0]] = offset[1:, None, None] * (1.0 - s[0])
     dw[1:, :npans[0]] = -offset[1:, None, None]
     f_dep = 2.0 * u[0] * (w[0] * w[0] - 1.0)  # dF/d(dep): F is symmetric in x, y
     chart = block[0].chart

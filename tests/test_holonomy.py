@@ -343,8 +343,8 @@ BLOCK_ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", BLOCK_ORACLE_CASES)
 def test_blocked_jet_matches_the_jet_one_segment_at_a_time(factory, monkeypatch, case):
-    # at each of the panel rounds the jets run (0 and 1 at degree 32), and
-    # for the settled jet; from round 2 on an arc fills a block alone
+    # _cycle_jet at rounds 0 and 1, where blocks hold several segments (from
+    # round 2 on an arc fills a block alone), and the settled jet
     cycle_of, d = BLOCK_ORACLE_CASES[case]
     cycle = cycle_of(factory)
     dense = [a.dense() for a in d.coefficients()]
