@@ -15,9 +15,10 @@ Each segment runs on the Chebyshev-Lobatto panels of `integrals`, with
 every leaf of an eps array carried at once (a scalar eps is the n = 1 case).
 A fixed point on the level relation alternates u <- the root of
 (w^2 - 1)(u^2 - 1) = F(start) - eps J nearest the last iterate (the base
-curve to begin with) and J <- the running int of omega; each doubling of a
-segment's panels starts from the previous count's J, and the panels
-double until two counts agree on every leaf's endpoint and J.  The
+curve to begin with) and J <- the running int of omega.  A segment's
+panels double until the Chebyshev tails of int omega and of the slope pass
+on every leaf (`integrals._settle`), each count starting from the last
+one's J on the half panels.  The
 endpoint carried on is that of the differential form, u(0) + int slope dw,
 not the root, so the displacement check F(end) - t = -eps int omega in
 `holonomy_displacement` compares two independently integrated quantities.
@@ -41,8 +42,9 @@ next segment's path as the transport does, with the leaf's O(eps) offset as
 delta, so the leaf starts on it with the new dependent coordinate (the old
 independent one) exactly on the base curve: u_j(0) = 0 after every switch.
 The jet is carried over blocks of consecutive segments in one chart, the
-Chebyshev-Lobatto panels of `integrals` side by side in one array, and the
-panels double until the coefficients are stable.  A block is the same
+Chebyshev-Lobatto panels of `integrals` side by side in one array; the
+segments of a block whose tails fail double their panels and the block runs
+again from the same (offset, dep).  A block is the same
 integration as its segments one at a time: within a chart, F_dep u_j is
 continuous where one segment ends and the next starts (one curve point, one
 dependent coordinate), so the closed form from the block's start runs on
@@ -66,12 +68,12 @@ import numpy as np
 from .curves import Cycle, CycleFactory, Segment, curve_f, nearest_root, real_oval
 from .integrals import (
     _NODES,
-    QuadratureError,
     _cumulative,
-    _double_until_stable,
     _panel_nodes,
     _segment_panels,
+    _settle,
     _split_panels,
+    _tail,
     eta,
     iterated_integral,
     moment_integral,
@@ -82,8 +84,7 @@ from .words import Gen, Word
 
 FIX_RTOL = 1e-15  # the level fixed point settles when J moves less than this, relative
 FIX_MAX_ITERATIONS = 60
-SEGMENT_ATOL = 1e-13  # endpoints and int omega agree between two panel counts
-SEGMENT_MAX_ROUNDS = 6
+SEGMENT_ATOL = 1e-13  # absolute accuracy of a segment's endpoints and int omega
 
 # Coefficients of order mu equal (-1)^mu times the nested-Wronskian
 # and double-integral predictions: the transport here expands the return map
@@ -148,7 +149,8 @@ def _segment_leaves(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray
     leaf's J moves by more than FIX_RTOL of the largest |J|; TransportError,
     naming the segment and the slowest leaf's eps, past FIX_MAX_ITERATIONS.
     Returns the dependent coordinate at s = 1 of the differential form,
-    u(0) + int slope dw, and the converged j.
+    u(0) + int slope dw, the converged j, and the worst Chebyshev tail of
+    the two integrands.
     """
     w0, u0 = (x, y) if seg.chart == "x" else (y, x)
     h = 1.0 / npan
@@ -162,10 +164,13 @@ def _segment_leaves(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray
     for _ in range(FIX_MAX_ITERATIONS):
         u = nearest_root(a, level - field.eps * j, u)
         slope, form = field.slope_and_form(*((w, u) if seg.chart == "x" else (u, w)), seg.chart)
-        j, prev = _cumulative(form * dw, h), j
+        g = form * dw
+        j, prev = _cumulative(g, h), j
         change = np.abs(j - prev).max(axis=(1, 2))
         if np.all(change <= FIX_RTOL * np.abs(j).max()):
-            return u0 + _cumulative(slope * dw, h)[:, -1, -1], j
+            slope = slope * dw
+            tail = np.maximum(_tail(g), _tail(slope)).max()
+            return u0 + _cumulative(slope, h)[:, -1, -1], j, tail
     i = int(np.argmax(change))
     eps = field.eps.ravel()[i]
     raise TransportError(
@@ -174,27 +179,21 @@ def _segment_leaves(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray
 
 
 def _segment_transport(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray):
-    """_segment_leaves with the panels of the segment doubling, each count
-    starting from the last one's J on the half panels, until the endpoints
-    and int omega of every leaf agree to SEGMENT_ATOL between two
-    consecutive counts; QuadratureError past SEGMENT_MAX_ROUNDS.
-
-    Not integrals._double_until_stable: this test is absolute, and each
-    count is warm-started from the last one's J."""
-    prev, delta = None, np.inf
+    """_segment_leaves on the segment's panels, doubled until the tails of
+    every leaf pass (integrals._settle), each count starting from the last
+    one's J on the half panels.  Returns the endpoints' dependent
+    coordinates and int omega, one per leaf."""
     j = np.zeros((x.size, _segment_panels(seg, 0), _NODES.size), complex)
-    for rounds in range(SEGMENT_MAX_ROUNDS):
-        if rounds:
+
+    def sweep(rounds):
+        nonlocal j
+        npan = _segment_panels(seg, rounds[0])
+        while j.shape[1] < npan:
             j = _split_panels(j)
-        end, j = _segment_leaves(seg, field, x, y, _segment_panels(seg, rounds), j)
-        cur = end, j[:, -1, -1]
-        if prev is not None:
-            delta = max(np.abs(c - p).max() for c, p in zip(cur, prev))
-            if delta <= SEGMENT_ATOL:
-                return cur
-        prev = cur
-    raise QuadratureError(f"leaf transport on {seg!r} did not stabilize to {SEGMENT_ATOL:g} "
-                          f"in {SEGMENT_MAX_ROUNDS} panel rounds (last delta {delta:.3g})")
+        end, j, tail = _segment_leaves(seg, field, x, y, npan, j)
+        return (end, j[:, -1, -1]), [tail]
+
+    return _settle([seg], sweep, "leaf transport")
 
 
 def _like(eps, values):
@@ -265,7 +264,7 @@ def holonomy_displacement(cycle: Cycle, d: Deformation, eps):
 # after JET_TERMS coefficients; the other axes are the panel nodes.
 
 JET_TERMS = 3  # eps^0..eps^2 of int omega give c1..c3
-JET_TOL = 1e-10
+JET_TOL = 1e-10  # relative accuracy of c1..c3, met by integrals.TAIL_RTOL
 
 
 def _mul(a, b):
@@ -343,14 +342,16 @@ def _blocks(cycle: Cycle, rounds: int) -> List[List[Segment]]:
     return blocks
 
 
-def _block_jet(block: List[Segment], rounds: int, dense, offset: np.ndarray, dep0: np.ndarray):
-    """Carry the leaf's jet over a block of same-chart segments, their panels
-    side by side.  The first segment's independent coordinate follows its
-    base path shifted by offset * (1 - s), so the leaf ends on the base
-    fiber; dep0 is the jet of the dependent coordinate at the block's start
-    minus the base value.  Returns the jet of the dependent coordinate at
-    the block's end (minus the base) and of int omega."""
-    npans = [_segment_panels(seg, rounds) for seg in block]
+def _block_jet(block: List[Segment], rounds: List[int], dense, offset: np.ndarray,
+               dep0: np.ndarray):
+    """Carry the leaf's jet over a block of same-chart segments, each at its
+    own rounds, their panels side by side.  The first segment's independent
+    coordinate follows its base path shifted by offset * (1 - s), so the
+    leaf ends on the base fiber; dep0 is the jet of the dependent coordinate
+    at the block's start minus the base value.  Returns the jet of the
+    dependent coordinate at the block's end (minus the base) and of
+    int omega, and each segment's worst Chebyshev tail."""
+    npans = [_segment_panels(seg, r) for seg, r in zip(block, rounds)]
     h = np.repeat(1.0 / np.array(npans), npans)
     s = [_panel_nodes(npan) for npan in npans]
     w, dw, u = np.zeros((3, JET_TERMS, h.size, _NODES.size), complex)
@@ -361,14 +362,18 @@ def _block_jet(block: List[Segment], rounds: int, dense, offset: np.ndarray, dep
     dw[1:, :npans[0]] = -offset[1:, None, None]
     f_dep = 2.0 * u[0] * (w[0] * w[0] - 1.0)  # dF/d(dep): F is symmetric in x, y
     chart = block[0].chart
+    tail = np.zeros(h.size)
     for j in range(1, JET_TERMS):
         # r_j: the eps^j coefficient of the slope while u_j is still 0
-        r = _leaf_series(chart, w[:j + 1], dw[:j + 1], u[:j + 1], dense)[0][j]
-        u[j] = (f_dep[0, 0] * dep0[j] + _cumulative(f_dep * r, h)) / f_dep
+        g = f_dep * _leaf_series(chart, w[:j + 1], dw[:j + 1], u[:j + 1], dense)[0][j]
+        u[j] = (f_dep[0, 0] * dep0[j] + _cumulative(g, h)) / f_dep
+        tail = np.maximum(tail, _tail(g))
     form = _leaf_series(chart, w, dw, u, dense)[1]
+    tail = np.maximum(tail, _tail(form))
     end = u[:, -1, -1].copy()
     end[0] = 0.0
-    return end, _cumulative(form, h)[:, -1, -1]
+    starts = np.cumsum([0] + npans[:-1])
+    return (end, _cumulative(form, h)[:, -1, -1]), np.maximum.reduceat(tail, starts)
 
 
 def _switch_chart(dep: np.ndarray):
@@ -378,16 +383,19 @@ def _switch_chart(dep: np.ndarray):
     return dep, np.zeros_like(dep)
 
 
-def _cycle_jet(cycle: Cycle, dense, rounds: int) -> np.ndarray:
+def _cycle_jet(cycle: Cycle, dense, rounds: Optional[int] = None) -> np.ndarray:
+    """-(jet of int omega) over the cycle, each block settled by its
+    segments' tails (integrals._settle), or with every segment at `rounds`."""
     chart = cycle.segments[0].chart
     dep = np.zeros(JET_TERMS, complex)
     jtot = np.zeros(JET_TERMS, complex)
-    for block in _blocks(cycle, rounds):
+    for block in _blocks(cycle, rounds or 0):
         offset = np.zeros(JET_TERMS, complex)
         if block[0].chart != chart:
             offset, dep = _switch_chart(dep)
             chart = block[0].chart
-        dep, dj = _block_jet(block, rounds, dense, offset, dep)
+        dep, dj = _settle(block, lambda r: _block_jet(block, r, dense, offset, dep),
+                          "Melnikov jet", rounds)
         jtot += dj
     return -jtot
 
@@ -398,17 +406,16 @@ def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:
 
     The leaf starts on the base curve over the first segment's start and
     returns to the same fiber, which needs the first and last segments in
-    one chart.  Panels double until every coefficient is stable to JET_TOL,
-    by the loop of integrals.iterated_integral; QuadratureError if they
-    never are.
+    one chart.  Blocks are cut at the base panel counts; the segments whose
+    Chebyshev tails fail double their panels and their block runs again,
+    by the rule of integrals.iterated_integral; QuadratureError if a
+    segment's tails never pass.
     """
     if not cycle.segments:
         return 0j, 0j, 0j
     _check_closing_chart(cycle)
     dense = [a.dense() for a in d.coefficients()]
-    c = _double_until_stable(lambda rounds: _cycle_jet(cycle, dense, rounds),
-                             JET_TOL, "Melnikov jet")
-    return tuple(complex(v) for v in c)
+    return tuple(complex(v) for v in _cycle_jet(cycle, dense))
 
 
 def melnikov_jet(w: Word, t0: complex, d: Deformation,

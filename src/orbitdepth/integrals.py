@@ -9,17 +9,21 @@ Each segment is cut into panels (12 per arc, 6 per line) and every panel
 uses a degree-32 Chebyshev-Lobatto collocation rule whose
 cumulative-integration matrix gives the inner partial integrals of an
 iterated integral in the same sweep; leaf transport and the eps-jets of
-`holonomy` run on the same rule.  Panel counts double until the
-whole-cycle answer is stable, so analytic integrands converge spectrally;
-a pole-clearance check runs first.
+`holonomy` run on the same rule.  A segment is accepted when every
+integrand on every one of its panels has a small Chebyshev tail (`_tail`,
+`TAIL_RTOL`); a segment that fails doubles its own panel count and is
+swept again from the same incoming state, so only the panels that need
+more nodes get them.  A pole-clearance check runs first.
 
 A degree-n panel converges like rho^-n, rho the Bernstein-ellipse
 parameter of the nearest singularity (Trefethen, Approximation Theory and
-Approximation Practice, ch. 8).  The saddle loops are circles of radius
-sqrt(t)/2 = 0.3 around x = +-1 at t = 0.36, and the branch points
-x = +-sqrt(1 - t) = +-0.8 lie 0.1 from them; at degree 16 the v_3 jet
-needed four panel rounds to settle, at degree 32 the first doubling
-already agrees to its tolerance.  Each segment keeps the dependent
+Approximation Practice, ch. 8), and its Chebyshev coefficients decay at
+the same rate, so the last few of them measure the panel's error from its
+own nodes (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS
+43(4), 2017).  The saddle loops are circles of radius sqrt(t)/2 = 0.3
+around x = +-1 at t = 0.36, and the branch points x = +-sqrt(1 - t) = +-0.8
+lie 0.1 from them; at degree 32 a quarter of the segments of the v_3 cycle
+need one doubling and the oval none.  Each segment keeps the dependent
 coordinate at the nodes (`Segment.dependent` with the panel count as key),
 since a cycle passes the same paths many times.
 """
@@ -75,6 +79,33 @@ def _chebyshev_halves(n: int) -> np.ndarray:
 
 
 _HALVES = _chebyshev_halves(_CHEB_N)
+
+
+def _chebyshev_tail(n: int, m: int) -> np.ndarray:
+    """T with (g @ T)[i] the coefficient of T_{n-m+1+i} in the degree-n
+    interpolant of g at the nodes: the last m rows of the inverse
+    Chebyshev-Lobatto Vandermonde, transposed."""
+    xi = -np.cos(np.pi * np.arange(n + 1) / n)
+    return np.linalg.inv(np.cos(np.outer(np.arccos(xi), np.arange(n + 1))))[-m:].T
+
+
+_TAIL = _chebyshev_tail(_CHEB_N, 4)
+
+# A panel passes when its last four Chebyshev coefficients are at most
+# TAIL_RTOL of its largest value (which bounds every coefficient within a
+# factor 2).  For an integrand analytic in a Bernstein ellipse the
+# coefficients decay geometrically, so the dropped ones sum to a few times
+# the last four, and integrating T_k divides by about k (int T_k =
+# T_{k+1} / 2(k+1) - T_{k-1} / 2(k-1)): a passing panel's running integral
+# is good to about TAIL_RTOL / 10 of its scale, below the 1e-10 relative
+# accuracy of the jets (JET_TOL) and of the iterated integrals.  At
+# t0 = 0.36 the tails near the branch points fall about 4000 times per
+# doubling (2.5e-7, 7e-11, 1e-15 on the v_3 cycle), so any threshold from
+# 1e-13 to 1e-10 fails the same segments at the base count, and at 1e-10
+# one doubling passes them all.  Roundoff puts a floor near 1e-15 under the
+# tails (the oval's jets read at most 1.5e-15, the transported leaves
+# 6e-16), far below.
+TAIL_RTOL = 1e-10
 
 
 def _split_panels(g: np.ndarray) -> np.ndarray:
@@ -171,26 +202,76 @@ def _cumulative(g, h):
     return within + before[..., None]
 
 
+def _tail(g) -> np.ndarray:
+    """Chebyshev tail of g per panel (axis -2, nodes on axis -1): the
+    largest of its last four coefficients relative to the panel's largest
+    value, the worst over any leading axes."""
+    tail = np.abs(g @ _TAIL).max(axis=-1)
+    ratio = tail / np.maximum(np.abs(g).max(axis=-1), np.finfo(float).tiny)
+    return ratio.reshape(-1, ratio.shape[-1]).max(axis=0)
+
+
+SEGMENT_MAX_ROUNDS = 6  # a segment's panels double at most five times
+
+
+def _settle(segments: Sequence[Segment], sweep, what: str, rounds: Optional[int] = None):
+    """The result of sweep(rounds per segment) -> (result, each segment's
+    worst tail) once every tail is at most TAIL_RTOL.
+
+    Every segment starts at its base panel count; only the segments that
+    fail double their panels, and the sweep runs again from the same
+    incoming state.  QuadratureError, naming the segment, its panel count
+    and its last tail, when a failing segment has had SEGMENT_MAX_ROUNDS
+    counts.  With `rounds` given, one uniform sweep with every segment at
+    those rounds, unchecked (the oracle of the tests)."""
+    if rounds is not None:
+        return sweep([rounds] * len(segments))[0]
+    rounds = [0] * len(segments)
+    while True:
+        result, tails = sweep(rounds)
+        failing = [i for i, tail in enumerate(tails) if not tail <= TAIL_RTOL]
+        if not failing:
+            return result
+        for i in failing:
+            if rounds[i] + 1 >= SEGMENT_MAX_ROUNDS:
+                raise QuadratureError(
+                    f"{what}: Chebyshev tail {tails[i]:.3g} on {segments[i]!r} at "
+                    f"{_segment_panels(segments[i], rounds[i])} panels, above {TAIL_RTOL:g}")
+            rounds[i] += 1
+
+
 def _panel_nodes(npan: int) -> np.ndarray:
     """Parameters s of the collocation nodes of npan equal panels of [0, 1],
     one row per panel."""
     return (np.arange(npan)[:, None] + _NODES) * (1.0 / npan)
 
 
+def _segment_sweep(seg: Segment, forms: Sequence[Form], prefixes: Sequence[complex],
+                   rounds: int):
+    """The iterated integrals' prefixes at the segment's end from those at
+    its start, and the worst tail of the integrands on its panels."""
+    npan = _segment_panels(seg, rounds)
+    x, y, dxds, dyds = seg.frame(_panel_nodes(npan), key=npan)
+    out, tails, acc = [], [], None
+    for j, form in enumerate(forms):
+        g = form.values(x, y, dxds, dyds)
+        if j > 0:
+            g = g * acc
+        acc = prefixes[j] + _cumulative(g, 1.0 / npan)
+        out.append(complex(acc[-1, -1]))
+        tails.append(_tail(g))
+    return out, [np.max(tails)]
+
+
 def _sweep(cycle: Cycle, forms: Sequence[Form], inits: Sequence[complex],
-           rounds: int) -> complex:
+           rounds: Optional[int] = None) -> complex:
+    """The iterated integral with each segment settled by its tails, or
+    with every segment at `rounds`."""
     prefixes = [complex(v) for v in inits]
     for seg in cycle.segments:
-        npan = _segment_panels(seg, rounds)
-        x, y, dxds, dyds = seg.frame(_panel_nodes(npan), key=npan)
-        acc = None
-        for j, form in enumerate(forms):
-            g = form.values(x, y, dxds, dyds)
-            if j > 0:
-                g = g * acc
-            acc = prefixes[j] + _cumulative(g, 1.0 / npan)
-            prefixes[j] = acc[-1, -1]
-    return complex(prefixes[-1])
+        prefixes = _settle([seg], lambda r: _segment_sweep(seg, forms, prefixes, r[0]),
+                           "iterated integral", rounds)
+    return prefixes[-1]
 
 
 _CLEARANCE_S = np.linspace(0.0, 1.0, 129)
@@ -207,24 +288,6 @@ def _check_clearance(cycle: Cycle, forms: Sequence[Form]):
                 )
 
 
-_MAX_ROUNDS = 5
-
-
-def _double_until_stable(sweep, tol: float, what: str):
-    """sweep(rounds) for rounds = 0, 1, ... (panel counts doubling) until
-    two consecutive results agree, max|cur - prev| <= tol * max(1, max|cur|);
-    the last result, or QuadratureError after _MAX_ROUNDS."""
-    prev = None
-    for rounds in range(_MAX_ROUNDS):
-        cur = sweep(rounds)
-        if prev is not None:
-            delta = np.max(np.abs(cur - prev))
-            if delta <= tol * max(1.0, np.max(np.abs(cur))):
-                return cur
-        prev = cur
-    raise QuadratureError(f"{what} did not stabilize to {tol:g} (last delta {delta:.3g})")
-
-
 def iterated_integral(cycle: Cycle, forms: Sequence[Form],
                       inits: Optional[Sequence[complex]] = None,
                       tol: float = 1e-10) -> complex:
@@ -233,7 +296,10 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     The first form is accumulated first (innermost); with this convention
     the commutator identity int_{[s1,s2]} w1 w2 = det(int_{s_i} w_j) holds.
     `inits` seeds the inner accumulators (the log starting values of moment
-    integrals); the outermost seed is forced to zero.
+    integrals); the outermost seed is forced to zero.  Each segment's
+    panels double until their Chebyshev tails pass (`_settle`).  `tol` is
+    the relative accuracy asked of the answer; the stop rule does not read
+    it, since TAIL_RTOL meets every tol of this module.
     """
     if not 1 <= len(forms) <= 4:
         raise ValueError("iterated integrals support lengths 1..4")
@@ -242,8 +308,7 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     inits = list(inits)
     inits[-1] = 0.0
     _check_clearance(cycle, forms)
-    return _double_until_stable(lambda rounds: _sweep(cycle, forms, inits, rounds),
-                                tol, "iterated integral")
+    return _sweep(cycle, forms, inits)
 
 
 def integrate_form(cycle: Cycle, form: Form, tol: float = 1e-10) -> complex:

@@ -1,10 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 import orbitdepth.holonomy as holonomy_module
+import orbitdepth.integrals as integrals_module
 from orbitdepth import reporting
 from orbitdepth.curves import Cycle, CycleFactory, curve_f, oval_connector
 from orbitdepth.holonomy import (
+    JET_TOL,
+    SEGMENT_ATOL,
+    WITNESS_EPS,
     WITNESS_ORDER_TOL,
     TransportError,
     resolved_sign,
@@ -19,7 +25,7 @@ from orbitdepth.holonomy import (
     remainder_orders,
     transport,
 )
-from orbitdepth.integrals import QuadratureError, _segment_panels
+from orbitdepth.integrals import TAIL_RTOL, QuadratureError, _segment_panels
 from orbitdepth.melnikov import FLAGSHIP, center_family, deformation, mv
 from orbitdepth.reporting import Config, numeric_suite
 from orbitdepth.words import D2, Gen, Word, Z_ELT, commutator, v_k
@@ -122,11 +128,15 @@ def test_unsettled_fixed_point_names_eps(factory, monkeypatch):
         transport(cyc, FLAGSHIP, np.array([0.0, 0.02]))
 
 
-def test_unstable_transport_raises(factory, monkeypatch):
-    # one panel count can never be compared with another
-    monkeypatch.setattr(holonomy_module, "SEGMENT_MAX_ROUNDS", 1)
-    with pytest.raises(QuadratureError, match="did not stabilize"):
-        transport(factory.cycle_of_word(GAMMA), FLAGSHIP, 0.02)
+def test_unsettled_transport_names_the_segment(factory, monkeypatch):
+    # every transported segment passes its tails at the base count, so only
+    # an estimator that never passes runs one to the cap: 6 * 2^5 panels on
+    # the first segment, a line
+    cyc = factory.cycle_of_word(GAMMA)
+    monkeypatch.setattr(holonomy_module, "_tail", lambda g: np.ones(g.shape[-2]))
+    with pytest.raises(QuadratureError, match=rf"leaf transport: Chebyshev tail 1 on "
+                                              rf"{re.escape(repr(cyc.segments[0]))} at 192 panels"):
+        transport(cyc, FLAGSHIP, 0.02)
 
 
 def test_transport_cycle_shapes(factory):
@@ -279,26 +289,57 @@ def test_jet_cycle_shapes(factory):
         jet_along(Cycle(oval.segments[:-1], T0, oval.base_point), FLAGSHIP)
 
 
-def test_unstable_jet_raises(factory, monkeypatch):
-    monkeypatch.setattr(holonomy_module, "_cycle_jet",
-                        lambda cycle, dense, rounds: np.full(3, 1e-6 * rounds, complex))
-    with pytest.raises(QuadratureError, match="did not stabilize"):
-        melnikov_jet(GAMMA, T0, FLAGSHIP, factory=factory)
+def test_unsettled_jet_names_the_segment(factory, monkeypatch):
+    # with one count per segment the oval's jet still settles (no tail fails)
+    # and the v_3 jet does not
+    monkeypatch.setattr(integrals_module, "SEGMENT_MAX_ROUNDS", 1)
+    melnikov_jet(GAMMA, T0, FLAGSHIP, factory=factory)
+    with pytest.raises(QuadratureError, match=r"Melnikov jet: Chebyshev tail \S+ on "
+                                              r"Segment\(uid=\d+R?, chart=[xy]\) at (6|12) panels"):
+        melnikov_jet(v_k(3), T0, FLAGSHIP, factory=factory)
 
 
-def test_v3_jet_settles_in_two_panel_rounds(factory, monkeypatch):
-    # degree-32 panels resolve the branch points 0.1 from the saddle loops at
-    # the base count: rounds 0 and 1 agree to JET_TOL, and no third round runs
-    rounds = []
-    cycle_jet = holonomy_module._cycle_jet
+def block_jet_calls(monkeypatch, cycle):
+    """(block, rounds, tails) of every _block_jet call of the cycle's jet."""
+    calls = []
+    block_jet = holonomy_module._block_jet
 
-    def counted(cycle, dense, r):
-        rounds.append(r)
-        return cycle_jet(cycle, dense, r)
+    def recorded(block, rounds, *args):
+        out = block_jet(block, rounds, *args)
+        calls.append((block, list(rounds), out[1]))
+        return out
 
-    monkeypatch.setattr(holonomy_module, "_cycle_jet", counted)
-    jet_along(factory.cycle_of_word(v_k(3)), FLAGSHIP)
-    assert rounds == [0, 1]
+    monkeypatch.setattr(holonomy_module, "_block_jet", recorded)
+    jet_along(cycle, FLAGSHIP)
+    return calls
+
+
+@pytest.mark.parametrize("word, most_rounds, refined, panels", [
+    (GAMMA, 0, 0, 48), (v_k(2), 1, 14, 660), (v_k(3), 1, 24, 1128),
+], ids=["gamma", "v2", "v3"])
+def test_jets_refine_only_the_segments_whose_tails_fail(factory, monkeypatch, word, most_rounds,
+                                                         refined, panels):
+    # doubling every panel until two whole-cycle jets agreed swept v_3 at
+    # two counts (672 + 1344 = 2016 panels) and v_2 at three (2772); now
+    # 24 of v_3's 96 segments and 14 of v_2's 58 double once, and the oval's
+    # 8 segments not at all
+    cycle = factory.cycle_of_word(word)
+    calls = block_jet_calls(monkeypatch, cycle)
+    last = {}
+    for block, rounds, tails in calls:
+        before = last.get(id(block))
+        if before is None:
+            assert rounds == [0] * len(block)
+        else:
+            # each rerun doubles exactly the segments that failed the last one
+            assert rounds == [r + (t > TAIL_RTOL) for r, t in zip(*before)]
+        last[id(block)] = rounds, tails
+    assert len(last) == len(holonomy_module._blocks(cycle, 0))
+    assert all(np.all(tails <= TAIL_RTOL) for _, tails in last.values())
+    assert max(max(rounds) for rounds, _ in last.values()) == most_rounds
+    assert sum(r > 0 for rounds, _ in last.values() for r in rounds) == refined
+    assert sum(_segment_panels(seg, r) for block, rounds, _ in calls
+               for seg, r in zip(block, rounds)) == panels
 
 
 def test_dropping_the_chart_switch_offset_turns_checks_red(monkeypatch):
@@ -343,8 +384,9 @@ BLOCK_ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", BLOCK_ORACLE_CASES)
 def test_blocked_jet_matches_the_jet_one_segment_at_a_time(factory, monkeypatch, case):
-    # _cycle_jet at rounds 0 and 1, where blocks hold several segments (from
-    # round 2 on an arc fills a block alone), and the settled jet
+    # _cycle_jet uniform at rounds 0 and 1, where blocks hold several
+    # segments (from round 2 on an arc fills a block alone), and the settled
+    # jet, whose reruns mix base and doubled segments in one block
     cycle_of, d = BLOCK_ORACLE_CASES[case]
     cycle = cycle_of(factory)
     dense = [a.dense() for a in d.coefficients()]
@@ -371,3 +413,34 @@ def test_v3_blocks_respect_the_cap_and_the_charts(factory, rounds, count):
         panels = sum(_segment_panels(seg, rounds) for seg in block)
         assert panels <= holonomy_module._BLOCK_PANELS or len(block) == 1
     assert len(blocks) == count  # 96 segments in 9 chart runs
+
+
+# ---------------------------------------------------------------------------
+# the tail rule against uniform sweeps two counts finer
+
+JET_ORACLE_CASES = {
+    "gamma": (GAMMA, FLAGSHIP),
+    "v2": (v_k(2), FLAGSHIP),
+    "v3": (v_k(3), FLAGSHIP),
+    "center_on_gamma": (GAMMA, center_family("t", 0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", JET_ORACLE_CASES)
+def test_settled_jet_matches_a_uniform_sweep_two_counts_finer(factory, uniform, case):
+    word, d = JET_ORACLE_CASES[case]
+    cycle = factory.cycle_of_word(word)
+    settled = np.array(jet_along(cycle, d))
+    uniform(2)
+    finer = np.array(jet_along(cycle, d))
+    assert np.max(np.abs(settled - finer)) <= JET_TOL * max(1.0, np.max(np.abs(finer))), case
+
+
+def test_settled_transport_matches_a_uniform_sweep_two_counts_finer(factory, uniform):
+    # the witness's leaves
+    cycle = factory.cycle_of_word(GAMMA)
+    eps = WITNESS_EPS * np.array([1.0, 0.5, -1.0, -0.5])
+    settled = transport(cycle, FLAGSHIP, eps)
+    uniform(2)
+    for a, u in zip(settled, transport(cycle, FLAGSHIP, eps)):
+        assert np.max(np.abs(a - u)) <= SEGMENT_ATOL

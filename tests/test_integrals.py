@@ -1,10 +1,13 @@
 import cmath
 import random
+import re
 
 import numpy as np
 import pytest
 
-from orbitdepth.curves import CycleFactory, Line, Segment, Cycle, real_oval, vanishing_loop
+import orbitdepth.holonomy as holonomy
+import orbitdepth.integrals as integrals
+from orbitdepth.curves import CycleFactory, Line, Segment, Cycle, nearest_root, real_oval, vanishing_loop
 from orbitdepth.integrals import (
     _CHEB_N,
     _NODES,
@@ -12,9 +15,13 @@ from orbitdepth.integrals import (
     _cumulative,
     _panel_nodes,
     _split_panels,
+    _tail,
+    MIN_POLE_CLEARANCE,
     PAIRING_EXPECTED,
     PAIRING_LOOP0,
+    TAIL_RTOL,
     PoleOnPathError,
+    QuadratureError,
     cauchy_suite,
     determinant_defect,
     eta,
@@ -75,6 +82,19 @@ def test_panel_rule_is_exact_on_polynomials_up_to_its_degree():
         g = _NODES ** m
         assert np.max(np.abs(_QMAT @ g - _NODES ** (m + 1) / (m + 1))) <= 1e-13, m
         assert np.max(np.abs(_split_panels(g[None, :]).ravel() - halves ** m)) <= 1e-13, m
+
+
+def test_tail_reads_the_last_four_chebyshev_coefficients():
+    # T_k at the nodes has the single coefficient 1 and the largest value 1
+    xi = 2.0 * _NODES - 1.0
+    for k in range(_CHEB_N + 1):
+        tail = _tail(np.cos(k * np.arccos(xi))[None, :])
+        assert abs(tail[0] - (k > _CHEB_N - 4)) <= 1e-13, k
+    # one value per panel, the worst over leading axes; a zero panel passes
+    g = np.zeros((2, 3, _NODES.size))
+    g[1, 2] = np.cos(_CHEB_N * np.arccos(xi))
+    g[0, 0] = np.exp(xi)
+    assert np.array_equal(_tail(g) > TAIL_RTOL, [False, False, True])
 
 
 def test_pairing_table():
@@ -201,3 +221,87 @@ def test_delta_word_periods_are_row_sums():
         val = integrate_form(cyc, eta(j))
         assert abs(val - total) < 1e-9
         assert abs(val) < 1e-9  # the orbit classes pair to zero
+
+
+# ---------------------------------------------------------------------------
+# Refinement by Chebyshev tails
+
+
+INTEGRAL_ORACLE_CASES = {
+    "x_z": (lambda: [v2_double_integral(T0)], 1e-9),
+    "cauchy": (lambda: list(cauchy_suite(T0).values()), 1e-10),
+    "pairing": (lambda: [v for t in (0.25, T0) for v in pairing_table(t).values()], 1e-10),
+}
+
+
+@pytest.mark.parametrize("case", INTEGRAL_ORACLE_CASES)
+def test_settled_integrals_match_a_uniform_sweep_two_counts_finer(uniform, case):
+    values, tol = INTEGRAL_ORACLE_CASES[case]
+    settled = values()
+    uniform(2)
+    for a, u in zip(settled, values()):
+        assert abs(a - u) <= tol * max(1.0, abs(u)), (case, a, u)
+
+
+def near_pole_cycle(distance=1.1 * MIN_POLE_CLEARANCE):
+    """One x-chart line of length 1.4 passing `distance` from the pole x = 1
+    of eta_3, and int_line eta_3 in closed form."""
+    z0, z1 = 1.0 + distance - 0.7j, 1.0 + distance + 0.7j
+    seg = Segment("x", Line(z0, z1), T0, complex(nearest_root(z0 * z0 - 1.0, T0, 1.0)))
+    return Cycle([seg], T0, seg.start_point()), cmath.log((z1 - 1.0) / (z0 - 1.0))
+
+
+def swept_panel_counts(monkeypatch, forms):
+    """The panel counts the near-pole line is swept at, with its value."""
+    counts = []
+
+    def panel_nodes(npan):
+        counts.append(npan)
+        return _panel_nodes(npan)
+
+    monkeypatch.setattr(integrals, "_panel_nodes", panel_nodes)
+    cyc, _ = near_pole_cycle()
+    return counts, iterated_integral(cyc, forms)
+
+
+def test_panels_split_near_a_pole_just_outside_the_clearance(monkeypatch):
+    # a degree-32 panel 0.117 wide fails its tails 0.055 from the pole and
+    # passes at half the width; the outer integrand of a length-2 integral
+    # carries the inner one's tail with it
+    _, p = near_pole_cycle()
+    for forms, exact in (([eta(3)], p), ([eta(3), eta(3)], p * p / 2)):
+        counts, value = swept_panel_counts(monkeypatch, forms)
+        assert counts == [6, 12]
+        assert abs(value - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+def test_an_estimator_that_always_accepts_is_caught(monkeypatch):
+    # the mutant keeps the near-pole line at its base count, which the test
+    # above refuses, and lets the v_2 jet stop one count short of JET_TOL
+    # (tests/test_holonomy.py checks that jet against the same oracle)
+    from orbitdepth.melnikov import FLAGSHIP
+    from orbitdepth.words import v_k
+
+    accept = lambda g: np.zeros(g.shape[-2])  # noqa: E731
+    monkeypatch.setattr(integrals, "_tail", accept)
+    monkeypatch.setattr(holonomy, "_tail", accept)
+    assert swept_panel_counts(monkeypatch, [eta(3)])[0] == [6]
+    cycle = CycleFactory(T0).cycle_of_word(v_k(2))
+    dense = [a.dense() for a in FLAGSHIP.coefficients()]
+    jet, finer = np.array(holonomy.jet_along(cycle, FLAGSHIP)), holonomy._cycle_jet(cycle, dense, 2)
+    assert np.max(np.abs(jet - finer)) > holonomy.JET_TOL * max(1.0, np.max(np.abs(finer)))
+
+
+def test_a_segment_whose_tails_never_pass_is_named(monkeypatch):
+    cyc, _ = near_pole_cycle()
+    seg = cyc.segments[0]
+    # at most one count per segment: the near-pole line fails at its base count
+    monkeypatch.setattr(integrals, "SEGMENT_MAX_ROUNDS", 1)
+    with pytest.raises(QuadratureError, match=rf"iterated integral: Chebyshev tail \S+ on "
+                                              rf"{re.escape(repr(seg))} at 6 panels, above"):
+        iterated_integral(cyc, [eta(3)])
+    # an estimator that never passes runs a segment to the cap, 6 * 2^5 panels
+    monkeypatch.setattr(integrals, "SEGMENT_MAX_ROUNDS", 6)
+    monkeypatch.setattr(integrals, "_tail", lambda g: np.ones(g.shape[-2]))
+    with pytest.raises(QuadratureError, match=r"tail 1 on .* at 192 panels"):
+        iterated_integral(cyc, [eta(3)])
