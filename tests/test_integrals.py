@@ -282,7 +282,9 @@ def test_an_estimator_that_always_accepts_is_caught(monkeypatch):
     from orbitdepth.melnikov import FLAGSHIP
     from orbitdepth.words import v_k
 
-    accept = lambda g: np.zeros(g.shape[-2])  # noqa: E731
+    def accept(g):
+        return np.zeros(g.shape[-2])
+
     monkeypatch.setattr(integrals, "_tail", accept)
     monkeypatch.setattr(holonomy, "_tail", accept)
     assert swept_panel_counts(monkeypatch, [eta(3)])[0] == [6]
