@@ -16,11 +16,11 @@ every leaf of an eps array carried at once (a scalar eps is the n = 1 case).
 A fixed point on the level relation alternates u <- the root of
 (w^2 - 1)(u^2 - 1) = F(start) - eps J nearest the last iterate (the base
 curve to begin with) and J <- the running int of omega.  A segment's
-panels double until the Chebyshev tails of int omega and of the slope pass
-on every leaf (`integrals._settle`), each count starting from the last
-one's J on the half panels.  The
-endpoint carried on is that of the differential form, u(0) + int slope dw,
-not the root, so the displacement check F(end) - t = -eps int omega in
+panels double until the Chebyshev tails of omega and of the slope are
+within SEGMENT_ATOL on every leaf (`integrals._settle`), each count
+starting from the last one's J on the half panels.  The endpoint carried
+on is that of the differential form, u(0) + int slope dw, not the root, so
+the displacement check F(end) - t = -eps int omega in
 `holonomy_displacement` compares two independently integrated quantities.
 A chart switch needs no slide: the next segment's independent path is
 shifted by the leaf's offset delta from the base path at its start,
@@ -180,7 +180,7 @@ def _segment_leaves(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray
 
 def _segment_transport(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray):
     """_segment_leaves on the segment's panels, doubled until the tails of
-    every leaf pass (integrals._settle), each count starting from the last
+    every leaf are within SEGMENT_ATOL (integrals._settle), each count starting from the last
     one's J on the half panels.  Returns the endpoints' dependent
     coordinates and int omega, one per leaf."""
     j = np.zeros((x.size, _segment_panels(seg, 0), _NODES.size), complex)
@@ -193,7 +193,7 @@ def _segment_transport(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndar
         end, j, tail = _segment_leaves(seg, field, x, y, npan, j)
         return (end, j[:, -1, -1]), [tail]
 
-    return _settle([seg], sweep, "leaf transport")
+    return _settle([seg], sweep, "leaf transport", SEGMENT_ATOL)
 
 
 def _like(eps, values):
@@ -264,7 +264,7 @@ def holonomy_displacement(cycle: Cycle, d: Deformation, eps):
 # after JET_TERMS coefficients; the other axes are the panel nodes.
 
 JET_TERMS = 3  # eps^0..eps^2 of int omega give c1..c3
-JET_TOL = 1e-10  # relative accuracy of c1..c3, met by integrals.TAIL_RTOL
+JET_TOL = 1e-10  # relative accuracy of c1..c3, the tail tolerance of their panels
 
 
 def _mul(a, b):
@@ -395,7 +395,7 @@ def _cycle_jet(cycle: Cycle, dense, rounds: Optional[int] = None) -> np.ndarray:
             offset, dep = _switch_chart(dep)
             chart = block[0].chart
         dep, dj = _settle(block, lambda r: _block_jet(block, r, dense, offset, dep),
-                          "Melnikov jet", rounds)
+                          "Melnikov jet", JET_TOL, rounds)
         jtot += dj
     return -jtot
 

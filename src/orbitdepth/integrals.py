@@ -10,10 +10,10 @@ uses a degree-32 Chebyshev-Lobatto collocation rule whose
 cumulative-integration matrix gives the inner partial integrals of an
 iterated integral in the same sweep; leaf transport and the eps-jets of
 `holonomy` run on the same rule.  A segment is accepted when every
-integrand on every one of its panels has a small Chebyshev tail (`_tail`,
-`TAIL_RTOL`); a segment that fails doubles its own panel count and is
-swept again from the same incoming state, so only the panels that need
-more nodes get them.  A pole-clearance check runs first.
+integrand on every one of its panels has a Chebyshev tail within the
+layer's tolerance (`_tail`, `_settle`); a segment that fails doubles its
+own panel count and is swept again from the same incoming state, so only
+the panels that need more nodes get them.  A pole-clearance check runs first.
 
 A degree-n panel converges like rho^-n, rho the Bernstein-ellipse
 parameter of the nearest singularity (Trefethen, Approximation Theory and
@@ -90,23 +90,6 @@ def _chebyshev_tail(n: int, m: int) -> np.ndarray:
 
 
 _TAIL = _chebyshev_tail(_CHEB_N, 4)
-
-# A panel passes when its last four Chebyshev coefficients are at most
-# TAIL_RTOL of its largest value (which bounds every coefficient within a
-# factor 2).  For an integrand analytic in a Bernstein ellipse the
-# coefficients decay geometrically, so the dropped ones sum to a few times
-# the last four, and integrating T_k divides by about k (int T_k =
-# T_{k+1} / 2(k+1) - T_{k-1} / 2(k-1)): a passing panel's running integral
-# is good to about TAIL_RTOL / 10 of its scale, below the 1e-10 relative
-# accuracy of the jets (JET_TOL) and of the iterated integrals.  At
-# t0 = 0.36 the tails near the branch points fall about 4000 times per
-# doubling (2.5e-7, 7e-11, 1e-15 on the v_3 cycle), so any threshold from
-# 1e-13 to 1e-10 fails the same segments at the base count, and at 1e-10
-# one doubling passes them all.  Roundoff puts a floor near 1e-15 under the
-# tails (the oval's jets read at most 1.5e-15, the transported leaves
-# 6e-16), far below.
-TAIL_RTOL = 1e-10
-
 
 def _split_panels(g: np.ndarray) -> np.ndarray:
     """Values at the nodes of npan panels (axes -2, -1) interpolated onto the
@@ -213,10 +196,24 @@ def _tail(g) -> np.ndarray:
 
 SEGMENT_MAX_ROUNDS = 6  # a segment's panels double at most five times
 
-
-def _settle(segments: Sequence[Segment], sweep, what: str, rounds: Optional[int] = None):
+# A panel passes when its last four Chebyshev coefficients are at most tol
+# of its largest value (which bounds every coefficient within a factor 2).
+# For an integrand analytic in a Bernstein ellipse the coefficients decay
+# geometrically, so the dropped ones sum to a few times the last four, and
+# integrating T_k divides by about k (int T_k = T_{k+1} / 2(k+1) -
+# T_{k-1} / 2(k-1)): a passing panel's running integral is good to about
+# tol / 10 of its scale.  Each layer passes its own accuracy as tol: the
+# iterated integrals their `tol`, the jets JET_TOL, leaf transport
+# SEGMENT_ATOL.  At t0 = 0.36 the tails near the branch points fall about
+# 4000 times per doubling (2.5e-7, 7e-11, 1e-15 on the v_3 cycle), so
+# tolerances from 1e-13 to 1e-10 fail the same segments at the base count;
+# 1e-10 passes them after one doubling, 1e-13 after two.  Roundoff puts a
+# floor near 1e-15 under the tails (the oval's jets read at most 1.5e-15,
+# the transported leaves 6e-16), below every tolerance of the package.
+def _settle(segments: Sequence[Segment], sweep, what: str, tol: float,
+            rounds: Optional[int] = None):
     """The result of sweep(rounds per segment) -> (result, each segment's
-    worst tail) once every tail is at most TAIL_RTOL.
+    worst tail) once every tail is at most tol.
 
     Every segment starts at its base panel count; only the segments that
     fail double their panels, and the sweep runs again from the same
@@ -229,14 +226,14 @@ def _settle(segments: Sequence[Segment], sweep, what: str, rounds: Optional[int]
     rounds = [0] * len(segments)
     while True:
         result, tails = sweep(rounds)
-        failing = [i for i, tail in enumerate(tails) if not tail <= TAIL_RTOL]
+        failing = [i for i, tail in enumerate(tails) if not tail <= tol]
         if not failing:
             return result
         for i in failing:
             if rounds[i] + 1 >= SEGMENT_MAX_ROUNDS:
                 raise QuadratureError(
                     f"{what}: Chebyshev tail {tails[i]:.3g} on {segments[i]!r} at "
-                    f"{_segment_panels(segments[i], rounds[i])} panels, above {TAIL_RTOL:g}")
+                    f"{_segment_panels(segments[i], rounds[i])} panels, above {tol:g}")
             rounds[i] += 1
 
 
@@ -263,17 +260,6 @@ def _segment_sweep(seg: Segment, forms: Sequence[Form], prefixes: Sequence[compl
     return out, [np.max(tails)]
 
 
-def _sweep(cycle: Cycle, forms: Sequence[Form], inits: Sequence[complex],
-           rounds: Optional[int] = None) -> complex:
-    """The iterated integral with each segment settled by its tails, or
-    with every segment at `rounds`."""
-    prefixes = [complex(v) for v in inits]
-    for seg in cycle.segments:
-        prefixes = _settle([seg], lambda r: _segment_sweep(seg, forms, prefixes, r[0]),
-                           "iterated integral", rounds)
-    return prefixes[-1]
-
-
 _CLEARANCE_S = np.linspace(0.0, 1.0, 129)
 
 
@@ -297,9 +283,8 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     the commutator identity int_{[s1,s2]} w1 w2 = det(int_{s_i} w_j) holds.
     `inits` seeds the inner accumulators (the log starting values of moment
     integrals); the outermost seed is forced to zero.  Each segment's
-    panels double until their Chebyshev tails pass (`_settle`).  `tol` is
-    the relative accuracy asked of the answer; the stop rule does not read
-    it, since TAIL_RTOL meets every tol of this module.
+    panels double until the Chebyshev tails of its integrands are at most
+    `tol` (`_settle`), each count starting from the same prefixes.
     """
     if not 1 <= len(forms) <= 4:
         raise ValueError("iterated integrals support lengths 1..4")
@@ -308,7 +293,11 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     inits = list(inits)
     inits[-1] = 0.0
     _check_clearance(cycle, forms)
-    return _sweep(cycle, forms, inits)
+    prefixes = [complex(v) for v in inits]
+    for seg in cycle.segments:
+        prefixes = _settle([seg], lambda r: _segment_sweep(seg, forms, prefixes, r[0]),
+                           "iterated integral", tol)
+    return prefixes[-1]
 
 
 def integrate_form(cycle: Cycle, form: Form, tol: float = 1e-10) -> complex:

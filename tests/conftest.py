@@ -15,8 +15,8 @@ def uniform(monkeypatch):
     settle = integrals._settle
 
     def at(rounds):
-        def uniform_settle(segments, sweep, what, _=None):
-            return settle(segments, sweep, what, rounds)
+        def uniform_settle(segments, sweep, what, tol, _=None):
+            return settle(segments, sweep, what, tol, rounds)
         monkeypatch.setattr(integrals, "_settle", uniform_settle)
         monkeypatch.setattr(holonomy, "_settle", uniform_settle)
     return at

@@ -25,7 +25,7 @@ from orbitdepth.holonomy import (
     remainder_orders,
     transport,
 )
-from orbitdepth.integrals import TAIL_RTOL, QuadratureError, _segment_panels
+from orbitdepth.integrals import QuadratureError, _segment_panels
 from orbitdepth.melnikov import FLAGSHIP, center_family, deformation, mv
 from orbitdepth.reporting import Config, numeric_suite
 from orbitdepth.words import D2, Gen, Word, Z_ELT, commutator, v_k
@@ -332,10 +332,10 @@ def test_jets_refine_only_the_segments_whose_tails_fail(factory, monkeypatch, wo
             assert rounds == [0] * len(block)
         else:
             # each rerun doubles exactly the segments that failed the last one
-            assert rounds == [r + (t > TAIL_RTOL) for r, t in zip(*before)]
+            assert rounds == [r + (t > JET_TOL) for r, t in zip(*before)]
         last[id(block)] = rounds, tails
     assert len(last) == len(holonomy_module._blocks(cycle, 0))
-    assert all(np.all(tails <= TAIL_RTOL) for _, tails in last.values())
+    assert all(np.all(tails <= JET_TOL) for _, tails in last.values())
     assert max(max(rounds) for rounds, _ in last.values()) == most_rounds
     assert sum(r > 0 for rounds, _ in last.values() for r in rounds) == refined
     assert sum(_segment_panels(seg, r) for block, rounds, _ in calls
@@ -436,11 +436,26 @@ def test_settled_jet_matches_a_uniform_sweep_two_counts_finer(factory, uniform, 
     assert np.max(np.abs(settled - finer)) <= JET_TOL * max(1.0, np.max(np.abs(finer))), case
 
 
-def test_settled_transport_matches_a_uniform_sweep_two_counts_finer(factory, uniform):
-    # the witness's leaves
-    cycle = factory.cycle_of_word(GAMMA)
+@pytest.mark.parametrize("word, panels, rounds", [(GAMMA, 48, 2), (v_k(3), 1296, 3)],
+                         ids=["gamma", "v3"])
+def test_settled_transport_matches_a_uniform_sweep_two_counts_finer(factory, monkeypatch, uniform,
+                                                                     word, panels, rounds):
+    # the witness's leaves; no segment of the oval refines, while at
+    # SEGMENT_ATOL 24 of v_3's 96 segments double and 14 of them double
+    # again (at JET_TOL none would go past one doubling), so v_3 is checked
+    # one count past its finest segments
+    cycle = factory.cycle_of_word(word)
     eps = WITNESS_EPS * np.array([1.0, 0.5, -1.0, -0.5])
+    swept = []
+    panel_nodes = holonomy_module._panel_nodes
+
+    def counted(npan):
+        swept.append(npan)
+        return panel_nodes(npan)
+
+    monkeypatch.setattr(holonomy_module, "_panel_nodes", counted)
     settled = transport(cycle, FLAGSHIP, eps)
-    uniform(2)
+    assert sum(swept) == panels
+    uniform(rounds)
     for a, u in zip(settled, transport(cycle, FLAGSHIP, eps)):
         assert np.max(np.abs(a - u)) <= SEGMENT_ATOL

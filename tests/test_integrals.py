@@ -19,7 +19,6 @@ from orbitdepth.integrals import (
     MIN_POLE_CLEARANCE,
     PAIRING_EXPECTED,
     PAIRING_LOOP0,
-    TAIL_RTOL,
     PoleOnPathError,
     QuadratureError,
     cauchy_suite,
@@ -94,7 +93,7 @@ def test_tail_reads_the_last_four_chebyshev_coefficients():
     g = np.zeros((2, 3, _NODES.size))
     g[1, 2] = np.cos(_CHEB_N * np.arccos(xi))
     g[0, 0] = np.exp(xi)
-    assert np.array_equal(_tail(g) > TAIL_RTOL, [False, False, True])
+    assert np.array_equal(_tail(g) > 1e-10, [False, False, True])
 
 
 def test_pairing_table():
@@ -251,7 +250,7 @@ def near_pole_cycle(distance=1.1 * MIN_POLE_CLEARANCE):
     return Cycle([seg], T0, seg.start_point()), cmath.log((z1 - 1.0) / (z0 - 1.0))
 
 
-def swept_panel_counts(monkeypatch, forms):
+def swept_panel_counts(monkeypatch, forms, tol=1e-10):
     """The panel counts the near-pole line is swept at, with its value."""
     counts = []
 
@@ -261,7 +260,7 @@ def swept_panel_counts(monkeypatch, forms):
 
     monkeypatch.setattr(integrals, "_panel_nodes", panel_nodes)
     cyc, _ = near_pole_cycle()
-    return counts, iterated_integral(cyc, forms)
+    return counts, iterated_integral(cyc, forms, tol=tol)
 
 
 def test_panels_split_near_a_pole_just_outside_the_clearance(monkeypatch):
@@ -273,6 +272,15 @@ def test_panels_split_near_a_pole_just_outside_the_clearance(monkeypatch):
         counts, value = swept_panel_counts(monkeypatch, forms)
         assert counts == [6, 12]
         assert abs(value - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+def test_the_stop_rule_reads_tol(monkeypatch):
+    # the near-pole line's tail is 1.1e-9 at 6 panels and 7e-14 at 12
+    _, p = near_pole_cycle()
+    for tol, swept in ((1e-8, [6]), (1e-10, [6, 12]), (1e-13, [6, 12, 24])):
+        counts, value = swept_panel_counts(monkeypatch, [eta(3)], tol)
+        assert counts == swept, tol
+        assert abs(value - p) <= tol * max(1.0, abs(p)), tol
 
 
 def test_an_estimator_that_always_accepts_is_caught(monkeypatch):
