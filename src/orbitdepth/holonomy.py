@@ -84,7 +84,9 @@ from .words import Gen, Word
 
 FIX_RTOL = 1e-15  # the level fixed point settles when J moves less than this, relative
 FIX_MAX_ITERATIONS = 60
-SEGMENT_ATOL = 1e-13  # absolute accuracy of a segment's endpoints and int omega
+# absolute accuracy of a segment's endpoints and int omega, and the tail
+# tolerance of its panels
+SEGMENT_ATOL = 1e-13
 
 # Coefficients of order mu equal (-1)^mu times the nested-Wronskian
 # and double-integral predictions: the transport here expands the return map

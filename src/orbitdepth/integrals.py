@@ -23,7 +23,8 @@ own nodes (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS
 43(4), 2017).  The saddle loops are circles of radius sqrt(t)/2 = 0.3
 around x = +-1 at t = 0.36, and the branch points x = +-sqrt(1 - t) = +-0.8
 lie 0.1 from them; at degree 32 a quarter of the segments of the v_3 cycle
-need one doubling and the oval none.  Each segment keeps the dependent
+need a doubling (14 of them a second one at the 1e-13 of leaf transport)
+and the oval none.  Each segment keeps the dependent
 coordinate at the nodes (`Segment.dependent` with the panel count as key),
 since a cycle passes the same paths many times.
 """
