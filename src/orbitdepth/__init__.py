@@ -6,7 +6,7 @@ Subpackages split by layer:
 * :mod:`orbitdepth.magnus` - truncated Magnus expansion, lower-central depth
 * :mod:`orbitdepth.laurent` / :mod:`orbitdepth.representation` - exact
   (k+1) x (k+1) matrix representations over Laurent polynomials in (a, c),
-  stored as one int64 matrix per monomial: A = diag(a, 1, ..., 1),
+  stored as one sparse Python-int matrix per monomial: A = diag(a, 1, ..., 1),
   B = I + N (N the Jordan block), C = diag(1, ..., 1, c), sending v_{k+2}
   to I + kappa E_{0,k} with kappa = (1/c-1)(1-a); the injective algebra map
   Phi(X)(S, T) = (|T|-|S|)! X(|S|, |T|) (Stanley, Enumerative

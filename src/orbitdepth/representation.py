@@ -16,11 +16,11 @@ is an injective algebra map sending A, B, C onto them.  So rho_k(w) = I in
 one form exactly when it is in the other, and Phi(E_{0,k}) is k! times the
 2^k corner.
 
-A matrix is a `RepMatrix`: one int64 coefficient matrix per live monomial
-a^m c^n (`laurent` holds the graded product and its overflow guard); the
-same type at size 1 x 1 holds the Laurent scalars.  Every matrix here is
-upper triangular with monomial diagonal, so its exact inverse is a short
-product of powers of a nilpotent matrix.
+A matrix is a `RepMatrix`: one sparse Python-int coefficient matrix per
+live monomial a^m c^n (`laurent` holds the graded product); the same type
+at size 1 x 1 holds the Laurent scalars.  Every matrix here is upper
+triangular with monomial diagonal, so its exact inverse is a short product
+of powers of a nilpotent matrix.
 
 The certificate content: rho_k(v_i) = I for i != k+2, and rho_k(v_{k+2})
 is I plus the single corner entry kappa = (1/c-1)(1-a) at (0, k).  By the
@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .laurent import Graded, laurent_str, product
 from .words import (
@@ -59,35 +57,28 @@ class LevelRangeError(ValueError):
     pass
 
 
-def _check_level(k: int, k_max: int = DEFAULT_K_MAX):
-    if not 1 <= k <= k_max:
-        raise LevelRangeError(f"level k={k} outside 1..{k_max}")
-
-
 class RepMatrix:
     """Square matrix over Z[a^+-1, c^+-1], stored by grade.
 
-    `entries` maps a monomial (m, n) to the n x n int64 coefficient matrix
-    of a^m c^n, zero matrices dropped (see `laurent`).  A 1 x 1 RepMatrix is
-    a Laurent scalar and prints as its polynomial; multiplying by one, or by
-    an int, scales.  An int added or compared stands for that multiple of
-    the identity.
+    `entries` maps a monomial (m, n) to the sparse coefficient matrix
+    {(i, j): int} of a^m c^n, zeros dropped (see `laurent`), so two
+    matrices are equal exactly when their sizes and entries are.  A 1 x 1
+    RepMatrix is a Laurent scalar and prints as its polynomial.  An int or
+    a Laurent scalar added to, multiplied with or compared to a larger
+    matrix stands for that multiple of the identity.
     """
 
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: Graded | None = None):
         self.n = n
-        self.entries = {}
-        for g, x in (entries or {}).items():
-            x = np.asarray(x, dtype=np.int64)
-            if x.any():
-                self.entries[g] = x
+        self.entries = {g: z for g, x in (entries or {}).items()
+                        if (z := {p: v for p, v in x.items() if v})}
 
     @staticmethod
     def monomial(m: int, n: int, coeff: int = 1, size: int = 1) -> "RepMatrix":
         """coeff * a^m c^n times the size x size identity."""
-        return RepMatrix(size, {(m, n): coeff * np.eye(size, dtype=np.int64)})
+        return RepMatrix(size, {(m, n): {(i, i): coeff for i in range(size)}})
 
     @staticmethod
     def identity(n: int) -> "RepMatrix":
@@ -97,26 +88,31 @@ class RepMatrix:
     def zero(n: int) -> "RepMatrix":
         return RepMatrix(n)
 
-    def _lift(self, other, size: int):
-        return RepMatrix.monomial(0, 0, other, size) if isinstance(other, int) else other
+    @staticmethod
+    def _lift(other, size: int):
+        """other at size x size: an int or a 1 x 1 scalar times the identity."""
+        if isinstance(other, int):
+            other = RepMatrix.monomial(0, 0, other)
+        if not isinstance(other, RepMatrix) or other.n != 1 or size == 1:
+            return other
+        return RepMatrix(size, {g: dict.fromkeys(((i, i) for i in range(size)), x[0, 0])
+                                for g, x in other.entries.items()})
 
     def __eq__(self, other) -> bool:
         other = self._lift(other, self.n)
-        return (
-            isinstance(other, RepMatrix)
-            and self.n == other.n
-            and self.entries.keys() == other.entries.keys()
-            and all(np.array_equal(x, other.entries[g]) for g, x in self.entries.items())
-        )
+        return isinstance(other, RepMatrix) and self.n == other.n and self.entries == other.entries
 
     def __add__(self, other) -> "RepMatrix":
-        out = dict(self.entries)
+        out = {g: dict(x) for g, x in self.entries.items()}
         for g, y in self._lift(other, self.n).entries.items():
-            out[g] = out[g] + y if g in out else y
+            acc = out.setdefault(g, {})
+            for p, v in y.items():
+                acc[p] = acc.get(p, 0) + v
         return RepMatrix(self.n, out)
 
     def __neg__(self) -> "RepMatrix":
-        return RepMatrix(self.n, {g: -x for g, x in self.entries.items()})
+        return RepMatrix(self.n, {g: {p: -v for p, v in x.items()}
+                                  for g, x in self.entries.items()})
 
     def __sub__(self, other) -> "RepMatrix":
         return self + -self._lift(other, self.n)
@@ -125,8 +121,9 @@ class RepMatrix:
         return -self + other
 
     def __mul__(self, other) -> "RepMatrix":
-        other = self._lift(other, 1)
-        return RepMatrix(max(self.n, other.n), product(self.entries, other.entries))
+        other = self._lift(other, self.n)
+        n = max(self.n, other.n)
+        return RepMatrix(n, product(self._lift(self, n).entries, other.entries))
 
     __rmul__ = __mul__  # only ints multiply from the left, and they commute
 
@@ -138,20 +135,17 @@ class RepMatrix:
 
     def entry(self, i: int, j: int) -> "RepMatrix":
         """Entry (i, j) as a Laurent scalar."""
-        return RepMatrix(1, {g: x[i:i + 1, j:j + 1] for g, x in self.entries.items()})
+        return RepMatrix(1, {g: {(0, 0): x.get((i, j), 0)} for g, x in self.entries.items()})
 
     def diagonal(self) -> List["RepMatrix"]:
         return [self.entry(i, i) for i in range(self.n)]
 
     def nonzero(self) -> List[Tuple[int, int]]:
         """Positions (i, j) of the nonzero entries in row-major order."""
-        mask = np.zeros((self.n, self.n), dtype=bool)
-        for x in self.entries.values():
-            mask |= x != 0
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
+        return sorted(set().union(*self.entries.values()))
 
     def is_upper_triangular(self) -> bool:
-        return not any(np.tril(x, -1).any() for x in self.entries.values())
+        return all(i <= j for x in self.entries.values() for i, j in x)
 
     def inverse_upper(self) -> "RepMatrix":
         """Exact inverse for upper-triangular matrices with unit-monomial
@@ -159,13 +153,15 @@ class RepMatrix:
         M^-1 = (I + X)(I + X^2)(I + X^4)... D^-1."""
         if not self.is_upper_triangular():
             raise ValueError("inverse_upper requires an upper-triangular matrix")
-        diag = {g: np.diag(x) for g, x in self.entries.items()}
-        live = sum((d != 0).astype(np.int64) for d in diag.values())
-        if not (np.all(live == 1) and all(np.abs(d).max() <= 1 for d in diag.values())):
-            raise ValueError("inverse_upper requires +-monomials on the diagonal")
         n = self.n
-        d = RepMatrix(n, {g: np.diag(v) for g, v in diag.items()})
-        d_inv = RepMatrix(n, {(-m, -l): np.diag(v) for (m, l), v in diag.items()})
+        diag = [(g, i, x[i, i]) for g, x in self.entries.items() for i in range(n) if (i, i) in x]
+        if sorted(i for _, i, _ in diag) != list(range(n)) or any(abs(v) != 1 for *_, v in diag):
+            raise ValueError("inverse_upper requires +-monomials on the diagonal")
+        d, d_inv = {}, {}
+        for (m, l), i, v in diag:
+            d.setdefault((m, l), {})[i, i] = v
+            d_inv.setdefault((-m, -l), {})[i, i] = v
+        d, d_inv = RepMatrix(n, d), RepMatrix(n, d_inv)
         x = -(d_inv * (self - d))
         inv = RepMatrix.identity(n)
         while not x.is_zero():
@@ -175,14 +171,16 @@ class RepMatrix:
 
     def evaluate(self, a, c):
         """Entries at (a, c) as a list of rows; exact for Fraction a, c."""
-        out = np.zeros((self.n, self.n), dtype=object)
+        out = [[0] * self.n for _ in range(self.n)]
         for (m, n), x in self.entries.items():
-            out = out + x.astype(object) * (a ** m * c ** n)
-        return out.tolist()
+            scale = a ** m * c ** n
+            for (i, j), v in x.items():
+                out[i][j] += v * scale
+        return out
 
     def __repr__(self):
         if self.n == 1:
-            return laurent_str({g: int(x[0, 0]) for g, x in self.entries.items()})
+            return laurent_str({g: x[0, 0] for g, x in self.entries.items()})
         return f"RepMatrix(n={self.n}, monomials={sorted(self.entries)})"
 
 
@@ -209,21 +207,20 @@ def corner_tensor(k: int) -> RepMatrix:
 
 def _unit(n: int, i: int, j: int) -> RepMatrix:
     """E_ij, the single entry 1 at (i, j) of an n x n matrix."""
-    e = np.zeros((n, n), dtype=np.int64)
-    e[i, j] = 1
-    return RepMatrix(n, {(0, 0): e})
+    return RepMatrix(n, {(0, 0): {(i, j): 1}})
 
 
 # ---------------------------------------------------------------------------
 # Base matrices and the representation.
 
 
-def base_matrices(k: int, k_max: int = DEFAULT_K_MAX) -> Tuple[RepMatrix, RepMatrix, RepMatrix]:
+def base_matrices(k: int) -> Tuple[RepMatrix, RepMatrix, RepMatrix]:
     """(A, B, C) = (diag(a, 1, ..., 1), I + N, diag(1, ..., 1, c)) of size k + 1."""
-    _check_level(k, k_max)
+    if not 1 <= k <= DEFAULT_K_MAX:
+        raise LevelRangeError(f"level k={k} outside 1..{DEFAULT_K_MAX}")
     n = k + 1
     ident = RepMatrix.identity(n)
-    jordan = RepMatrix(n, {(0, 0): np.eye(n, k=1, dtype=np.int64)})
+    jordan = RepMatrix(n, {(0, 0): {(i, i + 1): 1 for i in range(k)}})
     return (ident + _unit(n, 0, 0) * (A_PARAM - 1),
             ident + jordan,
             ident + _unit(n, k, k) * (C_PARAM - 1))
@@ -232,11 +229,10 @@ def base_matrices(k: int, k_max: int = DEFAULT_K_MAX) -> Tuple[RepMatrix, RepMat
 class Representation:
     """rho_k with cached generator images and their inverses."""
 
-    def __init__(self, k: int, k_max: int = DEFAULT_K_MAX):
-        _check_level(k, k_max)
+    def __init__(self, k: int):
+        A, B, C = base_matrices(k)
         self.k = k
         self.n = k + 1
-        A, B, C = base_matrices(k, k_max)
         ident = RepMatrix.identity(self.n)
         self.images = {
             RhoGen.G: ident,
@@ -288,8 +284,8 @@ def _v_chain(rep: Representation):
                     commutator_matrix(d, rep.B, d_inv, b_inv))
 
 
-def rho(k: int, w: Word, k_max: int = DEFAULT_K_MAX) -> RepMatrix:
-    return Representation(k, k_max)(w)
+def rho(k: int, w: Word) -> RepMatrix:
+    return Representation(k)(w)
 
 
 def expected_corner_scalar() -> RepMatrix:
@@ -327,13 +323,18 @@ def _ms_since(start: float) -> float:
 
 
 def _attempt(compute):
-    """(compute(), "") or (None, the error) when exact arithmetic fails: an
-    image with no exact inverse (ValueError) or an int64 product bound
-    reached (OverflowError).  A failing level gives red items."""
+    """(compute(), "") or (None, the error) when exact arithmetic fails on
+    an image with no exact inverse.  A failing level gives red items."""
     try:
         return compute(), ""
-    except (OverflowError, ValueError) as exc:
+    except ValueError as exc:
         return None, f"{type(exc).__name__}: {exc}"
+
+
+def _mismatch(image: Optional[RepMatrix], expected: RepMatrix, error: str) -> str:
+    """Detail of a red row: the error that stopped it, or where image and
+    expected differ."""
+    return error or f"mismatch entries: {(image - expected).nonzero()[:4]}"
 
 
 @dataclass
@@ -375,28 +376,28 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
         img = None
         if not error:
             img, error = _attempt(lambda: next(chain))
+        expected = corner if i == k + 2 else ident
+        ok = img == expected
+        detail = "identity" if ok else _mismatch(img, expected, error)
         if i == k + 2:
             report.corner_image = img
-            expected = corner
-            ok = img == expected
-            detail = f"corner = {expected_corner_scalar()!r} at (1, {rep.n})"
-            report.items.append(CheckItem(f"rho_{k}(v_{i}) = I + corner", ok and img != ident,
-                                          error or "corner nonzero", _ms_since(start)))
-        else:
-            expected = ident
-            ok = img == expected
-            detail = "identity"
-        if error:
-            detail = error
-        elif not ok:
-            detail = f"mismatch entries: {(img - expected).nonzero()[:4]}"
+            zero = img == ident
+            report.items.append(CheckItem(
+                f"rho_{k}(v_{i}) = I + corner", ok and not zero,
+                detail if not ok else "corner is zero" if zero else "corner nonzero",
+                _ms_since(start)))
+            if ok:
+                detail = f"corner = {expected_corner_scalar()!r} at (1, {rep.n})"
         report.items.append(CheckItem(f"rho_{k}(v_{i})", ok, detail, _ms_since(start)))
     # word-path cross-check at the distinguished index
     start = time.perf_counter()
     word_image, error = _attempt(lambda: rep(v_k(k + 2)))
-    report.items.append(CheckItem(f"rho_{k}(v_{k+2}) via word product", word_image == corner,
-                                  error or "matrix recursion agrees with the word image",
-                                  _ms_since(start)))
+    ok = word_image == corner
+    report.items.append(CheckItem(
+        f"rho_{k}(v_{k+2}) via word product", ok,
+        "matrix recursion agrees with the word image" if ok
+        else _mismatch(word_image, corner, error),
+        _ms_since(start)))
     start = time.perf_counter()
     ok = expected_corner_scalar() == alternate_corner_scalar() * A_PARAM
     report.items.append(CheckItem(f"corner scalar relation at k={k}", ok,

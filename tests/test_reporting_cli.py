@@ -49,10 +49,12 @@ def test_report_manifest_records_the_environment(tmp_path):
     assert manifest["commit"] == "unknown" or re.fullmatch(r"[0-9a-f]{40}", manifest["commit"])
 
 
-def _modules_loaded_by_the_package(top: str) -> str:
-    """Modules under `top` that importing the CLI and reporting loads."""
+def _modules_loaded_by_the_package(top: str,
+                                   imports: str = "orbitdepth.cli, orbitdepth.reporting") -> str:
+    """Modules under `top` that importing `imports` (the CLI and reporting
+    by default) loads."""
     src = str(Path(orbitdepth.__file__).resolve().parents[1])
-    code = ("import sys, orbitdepth.cli, orbitdepth.reporting; "
+    code = (f"import sys, {imports}; "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -66,6 +68,11 @@ def test_package_imports_without_scipy():
 
 def test_package_imports_without_sympy():
     assert _modules_loaded_by_the_package("sympy") == "[]"
+
+
+def test_exact_layers_import_without_numpy():
+    assert _modules_loaded_by_the_package(
+        "numpy", "orbitdepth.representation, orbitdepth.melnikov") == "[]"
 
 
 def test_verify_trace_prints_every_record_and_suite_total(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,6 @@ from math import factorial
 import numpy as np
 import pytest
 
-from orbitdepth.laurent import product
 from orbitdepth.representation import (
     A_INV,
     A_PARAM,
@@ -47,7 +46,7 @@ def _block_upper(tl: RepMatrix, tr: RepMatrix, br: RepMatrix) -> RepMatrix:
     out = {}
     for block, (r, c) in ((tl, (0, 0)), (tr, (0, n)), (br, (n, n))):
         for g, x in block.entries.items():
-            out.setdefault(g, np.zeros((2 * n, 2 * n), dtype=np.int64))[r:r + n, c:c + n] = x
+            out.setdefault(g, {}).update({(r + i, c + j): v for (i, j), v in x.items()})
     return RepMatrix(2 * n, out)
 
 
@@ -72,12 +71,11 @@ def oracle_v_images(k: int, i_max: int):
 
 def phi(x: RepMatrix, k: int) -> RepMatrix:
     """Phi(X)(S, T) = (|T|-|S|)! X(|S|, |T|) for S a subset of T, else 0."""
-    sets = np.arange(2 ** k)
-    size = np.array([bin(s).count("1") for s in sets])
-    rows, cols = size[:, None], size[None, :]
-    subset = (sets[:, None] & sets[None, :]) == sets[:, None]
-    weight = np.array([factorial(d) for d in range(k + 1)])[np.maximum(cols - rows, 0)] * subset
-    return RepMatrix(2 ** k, {g: weight * y[rows, cols] for g, y in x.entries.items()})
+    size = [bin(s).count("1") for s in range(2 ** k)]
+    pairs = [(s, t) for s in range(2 ** k) for t in range(2 ** k) if s & t == s]
+    return RepMatrix(2 ** k, {
+        g: {(s, t): factorial(size[t] - size[s]) * y.get((size[s], size[t]), 0) for s, t in pairs}
+        for g, y in x.entries.items()})
 
 
 # Tensor words: k-fold Kronecker products of 2x2 integer seeds, first factor
@@ -93,7 +91,7 @@ _SEEDS = {
 
 def _tensor(factors) -> RepMatrix:
     m = reduce(np.kron, (_SEEDS[f] for f in factors), np.ones((1, 1), dtype=np.int64))
-    return RepMatrix(len(m), {(0, 0): m})
+    return RepMatrix(len(m), {(0, 0): {(int(i), int(j)): int(m[i, j]) for i, j in zip(*np.nonzero(m))}})
 
 
 def base_matrices_closed_form(k: int):
@@ -109,9 +107,7 @@ def base_matrices_closed_form(k: int):
 
 def _e(n: int, i: int, j: int) -> RepMatrix:
     """E_ij in size n."""
-    e = np.zeros((n, n), dtype=np.int64)
-    e[i, j] = 1
-    return RepMatrix(n, {(0, 0): e})
+    return RepMatrix(n, {(0, 0): {(i, j): 1}})
 
 
 def test_laurent_ring():
@@ -132,14 +128,16 @@ def test_laurent_ring():
 
 
 def _int_coefficients(m: RepMatrix) -> bool:
-    return all(x.dtype == np.int64 for x in m.entries.values())
+    """Every coefficient is a Python int: no numpy scalar, Fraction or bool."""
+    return all(type(v) is int for x in m.entries.values() for v in x.values())
 
 
 def test_integer_coefficients():
     for k in (1, 2, 3, 4):
         rep = Representation(k)
+        assert all(_int_coefficients(m) for m in rep.images.values())
         assert all(_int_coefficients(m) for m in rep.inverses.values())
-        assert _int_coefficients(rep.v_image(k + 2))
+        assert all(_int_coefficients(rep.v_image(i)) for i in range(2, k + 5))
 
 
 def test_base_matrices_small():
@@ -260,7 +258,7 @@ def test_commutator_scalar():
 
 def test_evaluation_homomorphism():
     # Fraction arithmetic on the evaluated matrices is the oracle that is
-    # independent of the graded int64 product.
+    # independent of the graded sparse product.
     rng = random.Random(SEED + 2)
     a0 = Fraction(3, 2)
     c0 = Fraction(-5, 7)
@@ -276,15 +274,6 @@ def test_evaluation_homomorphism():
             prod = [[sum(m1[i][l] * m2[l][j] for l in range(n)) for j in range(n)]
                     for i in range(n)]
             assert lhs == prod
-
-
-def test_product_overflow_guard():
-    big = np.array([[2 ** 31]], dtype=np.int64)
-    assert product({(0, 0): big}, {(0, 0): big - 1})[0, 0] == 2 ** 62 - 2 ** 31
-    with pytest.raises(OverflowError):
-        product({(0, 0): big}, {(0, 0): big})
-    with pytest.raises(OverflowError):  # the bound sums over monomial pairs
-        product({(0, 0): big, (1, 0): big}, {(0, 0): big // 2 + 1})
 
 
 def test_certificates():
@@ -333,7 +322,14 @@ def test_certificate_mutant_b_drops_a_link():
         for j in range(1, k + 1):
             rep = _mutant(k, RhoGen.B2, Representation(k).B - _e(k + 1, j - 1, j))
             assert not verify_v_images(k, rep=rep).passed
-            assert f"rho_{k}(v_{k+2})" in _red(depth_certificate(k, rep=rep))
+            cert = depth_certificate(k, rep=rep)
+            red = _red(cert)
+            # each red row names the missing corner, not the passing claim
+            for name in (f"rho_{k}(v_{k+2})", f"rho_{k}(v_{k+2}) = I + corner",
+                         f"rho_{k}(v_{k+2}) via word product"):
+                assert name in red
+                detail = next(it.detail for it in cert.items if it.name == name)
+                assert detail == f"mismatch entries: [(0, {k})]", (name, detail)
 
 
 def test_certificate_mutant_corner_scalar(monkeypatch):
@@ -360,26 +356,22 @@ def test_certificate_mutant_diagonal_exponents():
     assert LEMMA in red and LEMMA_SHAPE not in red
 
 
-def test_certificate_mutant_overflow():
-    # x -> A + 2^40 E_12 keeps the lemma's shape and has the exact inverse
-    # A^-1 - 2^40 a^-1 E_12, but products with it would wrap int64: the
-    # guard turns the items red instead
+@pytest.mark.parametrize("extra", [_e(3, 0, 0) * C_PARAM, _e(3, 1, 0)],
+                         ids=["diagonal_a_plus_c", "below_diagonal"])
+def test_certificate_mutant_no_exact_inverse(extra):
+    # x -> A + c E_00 puts a + c on the diagonal and x -> A + E_10 is not
+    # upper triangular; neither has an exact inverse here, so every item
+    # that inverts the image goes red with the error
     k = 2
     rep = Representation(k)
-    image = rep.A + _e(3, 0, 1) * 2 ** 40
-    inverse = rep.inverses[RhoGen.X] + _e(3, 0, 1) * RepMatrix.monomial(-1, 0, -2 ** 40)
-    at = (Fraction(3, 2), Fraction(-5, 7))
-    m1, m2 = image.evaluate(*at), inverse.evaluate(*at)
-    assert [[sum(m1[i][l] * m2[l][j] for l in range(3)) for j in range(3)]
-            for i in range(3)] == np.eye(3, dtype=int).tolist()
-    rep.images[RhoGen.X], rep.inverses[RhoGen.X] = image, inverse
+    rep.images[RhoGen.X] = rep.A + extra
     cert = depth_certificate(k, rep=rep)
     red = _red(cert)
-    assert LEMMA_SHAPE not in red
-    for name in (LEMMA, f"rho_{k}(v_2)", f"rho_{k}(v_{k+2}) via word product",
-                 f"v_{k+2} outside K"):
+    assert LEMMA_SHAPE in red
+    chain = [f"rho_{k}(v_{i})" for i in range(2, k + 5)] + [f"rho_{k}(v_{k+2}) = I + corner"]
+    for name in (*chain, LEMMA, f"v_{k+2} outside K"):
         assert name in red
         detail = next(it.detail for it in cert.items if it.name == name)
-        assert "OverflowError" in detail, (name, detail)
+        assert "ValueError" in detail, (name, detail)
     # the separation item names the condition the raising chain left unmet
-    assert detail.startswith(f"failed: rho(v_{k+2}) has corner kappa * 1; OverflowError")
+    assert detail.startswith(f"failed: rho(v_{k+2}) has corner kappa * 1; ValueError")
