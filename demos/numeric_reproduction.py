@@ -15,7 +15,7 @@ from orbitdepth.integrals import (
     PAIRING_EXPECTED,
     cauchy_suite,
     eta,
-    integrate_form,
+    iterated_integral,
     oval_orientation_certificate,
     v2_double_integral,
 )
@@ -24,29 +24,29 @@ from orbitdepth.melnikov import FLAGSHIP, mv
 from orbitdepth.words import Gen, Word, v_k
 
 T0 = 0.36
+fac = CycleFactory(T0)  # every based cycle at t0, the oval among them
+oval = fac.cycle_of_word(Word.gen(Gen.G))
 
 print(f"Base level t0 = {T0}; oval orientation certificate "
-      f"(area integral): {oval_orientation_certificate(T0):.6f} > 0")
+      f"(area integral): {oval_orientation_certificate(oval):.6f} > 0")
 
 print("\nSaddle-loop period table (entries / 2 pi i):")
 for i in (1, 2, 3):
     loop = vanishing_loop(i, T0)
-    row = [integrate_form(loop, eta(j)) / (2j * np.pi) for j in (1, 2, 3)]
+    row = [iterated_integral(loop, [eta(j)]) / (2j * np.pi) for j in (1, 2, 3)]
     want = [PAIRING_EXPECTED[(i, j)] / (2j * np.pi) for j in (1, 2, 3)]
     print(f"  loop {i}: computed {[f'{v.real:+.3f}' for v in row]}"
           f"  expected {[f'{v.real:+.3f}' for v in want]}")
 
-val = v2_double_integral(T0)
+val = v2_double_integral(fac)
 print(f"\nDouble integral over the commutator cycle of [x, z]: {val.real:.9f}"
       f"  (4 pi^2 = {4 * np.pi ** 2:.9f})")
 
 print("\nVanishing suite (all should be ~0):")
-for name, v in cauchy_suite(T0).items():
+for name, v in cauchy_suite(oval).items():
     print(f"  {name}: {abs(v):.2e}")
 
 print("\nReturn-map jet for the flagship deformation along the oval:")
-fac = CycleFactory(T0)
-oval = fac.cycle_of_word(Word.gen(Gen.G))
 c1, c2, c3 = jet = jet_along(oval, FLAGSHIP)
 print(f"  |c1| = {abs(c1):.2e}, |c2| = {abs(c2):.2e}, c3 = {c3.real:+.10f}")
 orders = remainder_orders(oval, FLAGSHIP, jet)

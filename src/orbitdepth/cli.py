@@ -25,8 +25,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .words import (
-    Gen,
-    Word,
     format_rho_word,
     format_word,
     mon0,
@@ -44,7 +42,7 @@ from .representation import (
     depth_certificate,
     verify_v_images,
 )
-from .ratfunc import parse_rational
+from .ratfunc import parse_rational, wronskian
 from .melnikov import (
     center_family,
     classify,
@@ -52,32 +50,29 @@ from .melnikov import (
     make_length3,
     mv,
 )
-from .ratfunc import wronskian
 from .curves import CycleFactory, real_oval
 from .integrals import (
+    CAUCHY_TOL,
     EtaCombo,
+    PAIRING_EXPECTED,
+    PAIRING_LOOP0,
+    PAIRING_TOL,
     cauchy_suite,
     eta,
     iterated_integral,
+    log_basis,
     pairing_table,
-    PAIRING_EXPECTED,
-    PAIRING_LOOP0,
 )
-from .holonomy import holonomy, jet_along, m3_center_crosscheck, remainder_orders
+from .holonomy import holonomy_along, jet_along, m3_center_crosscheck, remainder_orders
 from .reporting import Config, run_suite, summary_table, trace_tree
 
 
-def _emit(obj, args):
-    out = json.dumps(obj, indent=2, default=str)
-    print(out)
+def _emit(obj):
+    print(json.dumps(obj, indent=2, default=str))
 
 
 def _complex_str(z) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
-
-
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 # -- orbit ------------------------------------------------------------------
@@ -88,14 +83,14 @@ def cmd_orbit_var(args):
     for _ in range(args.times):
         w = var(w)
     _emit({"word": args.word, "times": args.times, "result": format_word(w),
-           "rho_form": format_rho_word(rewrite_to_rho_alphabet(w))}, args)
+           "rho_form": format_rho_word(rewrite_to_rho_alphabet(w))})
 
 
 def cmd_orbit_mon(args):
     endo = {"mon0": mon0, "mon1": mon1, "m": m_endo}[args.operator]()
     w = endo(parse_word(args.word))
     _emit({"operator": args.operator, "word": args.word,
-           "result": format_word(w)}, args)
+           "result": format_word(w)})
 
 
 def cmd_orbit_depth(args):
@@ -107,12 +102,12 @@ def cmd_orbit_depth(args):
         "depth": rep.depth if rep.depth is not None else f">{rep.truncation}",
         "identity": rep.is_identity,
         "leading_component": leading,
-    }, args)
+    })
 
 
 def cmd_orbit_project(args):
     w = project_mod_gamma_subgroup(parse_word(args.word))
-    _emit({"word": args.word, "projection": format_word(w)}, args)
+    _emit({"word": args.word, "projection": format_word(w)})
 
 
 # -- repr -------------------------------------------------------------------
@@ -122,7 +117,7 @@ def cmd_repr_matrices(args):
     A, B, C = base_matrices(args.k)
     def render(m):
         return {f"{i},{j}": repr(m.entry(i, j)) for i, j in m.nonzero()}
-    _emit({"k": args.k, "A": render(A), "B": render(B), "C": render(C)}, args)
+    _emit({"k": args.k, "A": render(A), "B": render(B), "C": render(C)})
 
 
 def cmd_repr_check_v(args):
@@ -133,19 +128,19 @@ def cmd_repr_check_v(args):
         "checks": [{"name": it.name, "pass": it.passed, "detail": it.detail}
                    for it in report.items],
         "pass": report.passed,
-    }, args)
+    })
     return 0 if report.passed else 1
 
 
 def cmd_repr_comm_scalar(args):
     m, n, scalar = commutator_scalar(args.k, parse_word(args.word))
     _emit({"k": args.k, "word": args.word, "m": m, "n": n,
-           "scalar": repr(scalar)}, args)
+           "scalar": repr(scalar)})
 
 
 def cmd_repr_certificate(args):
     cert = depth_certificate(args.k)
-    _emit(cert.to_dict(), args)
+    _emit(cert.to_dict())
     return 0 if cert.passed else 1
 
 
@@ -155,14 +150,14 @@ def cmd_repr_certificate(args):
 def cmd_mel_wronskian(args):
     f = parse_rational(args.f)
     g = parse_rational(args.g)
-    _emit({"f": str(f), "g": str(g), "wronskian": str(wronskian(f, g))}, args)
+    _emit({"f": str(f), "g": str(g), "wronskian": str(wronskian(f, g))})
 
 
 def cmd_mel_build(args):
     d = make_length3(parse_rational(args.alpha1), parse_rational(args.alpha2),
-                     _fraction(args.c0), _fraction(args.lam))
+                     Fraction(args.c0), Fraction(args.lam))
     _emit({"a1": str(d.a1), "a2": str(d.a2), "a3": str(d.a3),
-           "provenance": d.provenance}, args)
+           "provenance": d.provenance})
 
 
 def _deformation_from_args(args):
@@ -176,20 +171,20 @@ def cmd_mel_classify(args):
     if cls.lambda1 is not None:
         out["lambda1"] = str(cls.lambda1)
         out["lambda2"] = str(cls.lambda2)
-    _emit(out, args)
+    _emit(out)
 
 
 def cmd_mel_mv(args):
     d = _deformation_from_args(args)
     _emit({"i": args.i, "mv": str(mv(args.i, d)),
-           "normalization": "(2 pi i)^i omitted"}, args)
+           "normalization": "(2 pi i)^i omitted"})
 
 
 def cmd_mel_center(args):
-    d = center_family(parse_rational(args.A), _fraction(args.c1),
-                      _fraction(args.lambda1), _fraction(args.lam))
+    d = center_family(parse_rational(args.A), Fraction(args.c1),
+                      Fraction(args.lambda1), Fraction(args.lam))
     _emit({"a1": str(d.a1), "a2": str(d.a2), "a3": str(d.a3),
-           "provenance": d.provenance}, args)
+           "provenance": d.provenance})
 
 
 # -- num --------------------------------------------------------------------
@@ -202,16 +197,16 @@ def cmd_num_pairing(args):
     for (i, j), v in sorted(tab.items()):
         expected = PAIRING_LOOP0[j] if i == 0 else PAIRING_EXPECTED[(i, j)]
         err = abs(v - expected)
-        ok = ok and err <= 1e-9
+        ok = ok and err <= PAIRING_TOL
         records.append({
             "check": f"loop{i}_eta{j}",
             "params": {"t": args.t},
             "expected": _complex_str(expected),
             "computed": _complex_str(v),
             "abs_error": err,
-            "pass": err <= 1e-9,
+            "pass": err <= PAIRING_TOL,
         })
-    _emit(records, args)
+    _emit(records)
     return 0 if ok else 1
 
 
@@ -238,44 +233,44 @@ def _parse_forms(spec: str):
     return forms, inits
 
 
+def _word_cycle(args):
+    """The cycle of --word at level --t."""
+    return CycleFactory(args.t).cycle_of_word(parse_word(args.word))
+
+
 def cmd_num_iterated(args):
-    w = parse_word(args.word)
     forms, inits = _parse_forms(args.forms)
-    if w == Word.gen(Gen.G):
-        cycle = real_oval(args.t)
-    else:
-        cycle = CycleFactory(args.t).cycle_of_word(w)
+    cycle = _word_cycle(args)
     start = cycle.segments[0].start_point()
     resolved = []
-    fvals = {1: start.x + 1, 2: start.y - 1, 3: start.x - 1, 4: start.y + 1}
     for init, form in zip(inits, forms):
         if init is None:
             i = form.coeffs[0][0]
-            resolved.append(cmath.log(fvals[i]))
+            resolved.append(cmath.log(log_basis(i, start.x, start.y)))
         else:
             resolved.append(init)
     val = iterated_integral(cycle, forms, inits=resolved)
     _emit({"check": "iterated", "params": {"word": args.word, "forms": args.forms,
                                            "t": args.t},
-           "computed": _complex_str(val)}, args)
+           "computed": _complex_str(val)})
 
 
 def cmd_num_cauchy(args):
     out = []
     ok = True
-    for name, v in cauchy_suite(args.t).items():
+    for name, v in cauchy_suite(real_oval(args.t)).items():
         err = abs(v)
-        ok = ok and err <= 1e-8
+        ok = ok and err <= CAUCHY_TOL
         out.append({"check": name, "params": {"t": args.t}, "expected": "0",
                     "computed": _complex_str(v), "abs_error": err,
-                    "pass": err <= 1e-8})
-    _emit(out, args)
+                    "pass": err <= CAUCHY_TOL})
+    _emit(out)
     return 0 if ok else 1
 
 
 def cmd_num_jet(args):
     d = _deformation_from_args(args)
-    cycle = CycleFactory(args.t).cycle_of_word(parse_word(args.word))
+    cycle = _word_cycle(args)
     jet = jet_along(cycle, d)
     _emit({"check": "melnikov_jet",
            "params": {"word": args.word, "t": args.t,
@@ -283,29 +278,27 @@ def cmd_num_jet(args):
            "c1": _complex_str(jet[0]),
            "c2": _complex_str(jet[1]),
            "c3": _complex_str(jet[2]),
-           "remainder_orders": remainder_orders(cycle, d, jet)}, args)
+           "remainder_orders": remainder_orders(cycle, d, jet)})
 
 
 def cmd_num_holonomy(args):
     d = _deformation_from_args(args)
-    w = parse_word(args.word)
-    val = holonomy(w, args.t, complex(args.eps), d)
+    val = holonomy_along(_word_cycle(args), d, complex(args.eps))
     _emit({"check": "holonomy", "params": {"word": args.word, "t": args.t,
                                            "eps": args.eps},
            "computed": _complex_str(val),
-           "displacement": _complex_str(val - args.t)}, args)
+           "displacement": _complex_str(val - args.t)})
 
 
 def cmd_num_center_check(args):
-    rep = m3_center_crosscheck(parse_rational(args.A), _fraction(args.c1),
-                               _fraction(args.lambda1), _fraction(args.lam),
-                               args.t)
+    rep = m3_center_crosscheck(real_oval(args.t), parse_rational(args.A), Fraction(args.c1),
+                               Fraction(args.lambda1), Fraction(args.lam))
     _emit({"check": rep.name, "params": {"A": args.A, "c1": args.c1,
                                          "lambda1": args.lambda1,
                                          "lambda": args.lam, "t": args.t},
            "expected": _complex_str(complex(rep.expected)),
            "computed": _complex_str(complex(rep.computed)),
-           "rel_error": rep.error, "pass": rep.passed}, args)
+           "rel_error": rep.error, "pass": rep.passed})
     return 0 if rep.passed else 1
 
 

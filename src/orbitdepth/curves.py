@@ -26,6 +26,7 @@ root nearer its closest sample.  The pieces built here:
 from __future__ import annotations
 
 import cmath
+import copy
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -235,15 +236,9 @@ class Segment:
         return CurvePoint(complex(x), complex(y), self.t)
 
     def reverse(self) -> "Segment":
-        out = object.__new__(Segment)
-        out.chart = self.chart
-        out.path = self.path
-        out.t = self.t
-        out.uid = self.uid
+        """The same segment run backwards, sharing its samples and stores."""
+        out = copy.copy(self)
         out.reversed = not self.reversed
-        out._samples = self._samples
-        out._sgrid = self._sgrid
-        out._dependents = self._dependents
         return out
 
     def is_reverse_of(self, other: "Segment") -> bool:

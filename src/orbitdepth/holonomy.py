@@ -29,7 +29,7 @@ w + delta (1 - s), so every leaf ends on the base fiber.
 The return map P(t, eps) - t = c1 eps + c2 eps^2 + c3 eps^3 + ... has its
 coefficients from one source, the jets, and direct transport witnesses them.
 
-Jets (`melnikov_jet`, Francoise's recursion for the successive derivatives
+Jets (`jet_along`, Francoise's recursion for the successive derivatives
 of a first return map): the leaf's dependent coordinate is
 u0 + eps u1 + eps^2 u2, with u0 the base segment's own curve point.  Order j
 is a linear ODE u_j' = g_dep u_j + r_j, r_j the eps^j part of the slope with
@@ -56,6 +56,10 @@ displacement past the jet is O(eps^4) when c1..c3 are right, so
 log2(R(E) / R(E/2)) must be 4 at E = +-WITNESS_EPS; an error in c_j leaves
 a term of order j that dominates R at small eps and pulls the order down.
 All four leaves +-E, +-E/2 run in one stacked transport.
+
+Every function here takes the cycle it runs along and reads the level
+from it (`cycle.t`); the center and order-2 checks at the end take the
+real oval.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .curves import Cycle, CycleFactory, Segment, curve_f, nearest_root, real_oval
+from .curves import Cycle, Segment, curve_f, nearest_root
 from .integrals import (
     _NODES,
     _cumulative,
@@ -80,7 +84,6 @@ from .integrals import (
 )
 from .melnikov import Deformation, center_family, classify, m3_tilde_coefficient, Kind
 from .ratfunc import RatFunc, wronskian
-from .words import Gen, Word
 
 FIX_RTOL = 1e-15  # the level fixed point settles when J moves less than this, relative
 FIX_MAX_ITERATIONS = 60
@@ -103,16 +106,12 @@ class TransportError(RuntimeError):
     pass
 
 
-def _coefficient_callables(d: Deformation):
-    return d.a1.callable(), d.a2.callable(), d.a3.callable()
-
-
 class LeafField:
     """Right-hand sides of the leaf equation for a fixed deformation, one
     leaf per entry of the eps array."""
 
     def __init__(self, d: Deformation, eps: np.ndarray):
-        self.a1, self.a2, self.a3 = _coefficient_callables(d)
+        self.a1, self.a2, self.a3 = d.a1.callable(), d.a2.callable(), d.a3.callable()
         self.eps = np.asarray(eps, dtype=complex)
 
     def slope_and_form(self, x, y, chart: str):
@@ -225,15 +224,8 @@ def transport(cycle: Cycle, d: Deformation, eps):
     return _like(eps, x), _like(eps, y), _like(eps, jtot)
 
 
-def holonomy(w: Word, t0: complex, eps, d: Deformation,
-             factory: Optional[CycleFactory] = None):
-    """Return-map image F(endpoint) of t0 along the word's cycle."""
-    factory = factory or CycleFactory(t0)
-    cycle = factory.cycle_of_word(w)
-    return holonomy_along(cycle, d, eps)
-
-
 def holonomy_along(cycle: Cycle, d: Deformation, eps):
+    """Return-map image F(endpoint) of cycle.t along the cycle."""
     x, y, _ = transport(cycle, d, eps)
     return curve_f(x, y)
 
@@ -420,12 +412,6 @@ def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:
     return tuple(complex(v) for v in _cycle_jet(cycle, dense))
 
 
-def melnikov_jet(w: Word, t0: complex, d: Deformation,
-                 factory: Optional[CycleFactory] = None) -> Tuple[complex, complex, complex]:
-    """(c1, c2, c3) of the return map along the word's cycle, from eps-jets."""
-    return jet_along((factory or CycleFactory(t0)).cycle_of_word(w), d)
-
-
 # ---------------------------------------------------------------------------
 # Direct transport as the jets' witness.
 
@@ -462,57 +448,46 @@ class CheckReport:
         return self.error <= self.tolerance
 
 
-def m2_assembly_check(d: Deformation, t0: float,
-                      tol: float = 1e-7) -> List[CheckReport]:
-    """Numeric second-order coefficient sum_{i<j} W(a_i, a_j)(t0) I_ij.
+def m2_assembly_check(d: Deformation, gamma: Cycle) -> CheckReport:
+    """Numeric second-order coefficient sum_{i<j} W(a_i, a_j)(t0) I_ij at
+    t0 = gamma.t.
 
-    I_ij are the moment integrals over the real oval; under the order-2
-    vanishing the sum must be zero, and the collapsed combination
-    int log(t/(y^2-1)) dy/(y-1) vanishes independently.
+    I_ij are the moment integrals over the real oval gamma; under the
+    order-2 vanishing the sum must be zero.  (The collapsed combination
+    int log(t/(y^2-1)) dy/(y-1) and I_13 vanish on their own: see
+    integrals.cauchy_suite.)
     """
     kind = classify(d).kind
     if kind not in (Kind.LENGTH3, Kind.INTEGRABLE_CANDIDATE, Kind.SYMMETRIC_CENTER):
         raise ValueError(f"assembly check expects an order-2-free deformation, got {kind}")
-    gamma = real_oval(t0)
-    i12 = moment_integral(gamma, 1, 2)
-    i13 = moment_integral(gamma, 1, 3)
-    i23 = moment_integral(gamma, 2, 3)
+    t0 = gamma.t
     a1, a2, a3 = d.coefficients()
-    w = {
-        (1, 2): wronskian(a1, a2).evaluate(t0),
-        (1, 3): wronskian(a1, a3).evaluate(t0),
-        (2, 3): wronskian(a2, a3).evaluate(t0),
-    }
-    total = w[(1, 2)] * i12 + w[(1, 3)] * i13 + w[(2, 3)] * i23
-    from .integrals import cauchy_suite
-
-    collapsed = cauchy_suite(t0)["log_t_over_y2m1_dphi2"]
-    return [
-        CheckReport("order-2 assembly", total, 0.0, abs(total), tol),
-        CheckReport("moment integral phi1 dphi3", i13, 0.0, abs(i13), 1e-8),
-        CheckReport("collapsed log combination", collapsed, 0.0, abs(collapsed), 1e-8),
-    ]
+    total = (wronskian(a1, a2).evaluate(t0) * moment_integral(gamma, 1, 2)
+             + wronskian(a1, a3).evaluate(t0) * moment_integral(gamma, 1, 3)
+             + wronskian(a2, a3).evaluate(t0) * moment_integral(gamma, 2, 3))
+    return CheckReport("order-2 assembly", total, 0.0, abs(total), 1e-7)
 
 
-def m3_center_prediction(A, lam, t0: float, lambda1=1) -> complex:
-    """-lam*lambda1 / (t0 A'(t0)^2) * int_gamma dphi2 dphi3."""
+def m3_center_prediction(gamma: Cycle, A, lam, lambda1) -> complex:
+    """-lam*lambda1 / (t0 A'(t0)^2) * int_gamma dphi2 dphi3 over the real
+    oval gamma, t0 = gamma.t."""
     A = RatFunc(A)
+    t0 = gamma.t
     ap = A.diff().evaluate(t0)
-    gamma = real_oval(t0)
     i23 = iterated_integral(gamma, [eta(2), eta(3)])
     pre = m3_tilde_coefficient(A, lam, lambda1).evaluate(t0)
     return pre / ap * i23
 
 
-def m3_center_crosscheck(A, c1, lambda1, lam, t0: float,
-                         rel_tol: float = 5e-3) -> CheckReport:
-    """Order-3 jet coefficient of the center family along the oval against
-    the closed prefactor times the numeric double integral (both through
-    independent code paths; the resolved global sign relates them)."""
+def m3_center_crosscheck(gamma: Cycle, A, c1, lambda1, lam) -> CheckReport:
+    """Order-3 jet coefficient of the center family along the real oval
+    gamma against the closed prefactor times the numeric double integral
+    (both through independent code paths; the resolved global sign relates
+    them)."""
     d = center_family(A, c1, lambda1, lam)
-    c3 = melnikov_jet(Word.gen(Gen.G), t0, d)[2]
-    predicted = resolved_sign(3) * m3_center_prediction(A, lam, t0, lambda1)
+    c3 = jet_along(gamma, d)[2]
+    predicted = resolved_sign(3) * m3_center_prediction(gamma, A, lam, lambda1)
     if predicted == 0:
         return CheckReport("order-3 center cross-check", c3, predicted, abs(c3), 1e-9)
     err = abs(c3 - predicted) / abs(predicted)
-    return CheckReport("order-3 center cross-check", c3, predicted, err, rel_tol)
+    return CheckReport("order-3 center cross-check", c3, predicted, err, 5e-3)

@@ -1,9 +1,14 @@
 """Quadrature of (iterated) 1-forms along cycles.
 
 Forms are linear combinations of the logarithmic differentials
-eta_i = df_i/f_i with f = (x+1, y-1, x-1, y+1); a moment integral
-phi_i dphi_j is the length-2 iterated integral of (eta_i, eta_j) with the
-inner accumulator seeded by the starting log value.
+eta_i = df_i/f_i with f = (x+1, y-1, x-1, y+1) (`log_basis`); a moment
+integral phi_i dphi_j is the length-2 iterated integral of (eta_i, eta_j)
+with the inner accumulator seeded by the starting log value.
+
+A function learns its level only from what it integrates over: the oval
+checks take the oval cycle, the word checks a `CycleFactory`, and both read
+`t` from it.  `iterated_integral` is the one place a tolerance can be set;
+the named checks fix theirs.
 
 Each segment is cut into panels (12 per arc, 6 per line) and every panel
 uses a degree-32 Chebyshev-Lobatto collocation rule whose
@@ -37,21 +42,31 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curves import Cycle, CycleFactory, Segment, real_oval, vanishing_loop
-from .words import Word, commutator
+from .curves import Cycle, CycleFactory, Segment, vanishing_loop
+from .words import X_ELT, Z_ELT, Word, commutator
 
 TWO_PI_I = 2j * cmath.pi
 
 _CHEB_N = 32
 
 
-def _chebyshev_cumulative(n: int):
-    """Nodes u_k in [0,1] (ascending) and matrix Q with
-    (Q g)[k] ~= integral_0^{u_k} g(u) du for g sampled at the nodes."""
-    k = np.arange(n + 1)
-    xi = -np.cos(np.pi * k / n)  # ascending -1 .. 1
-    # Vandermonde of Chebyshev polynomials at the nodes
-    V = np.cos(np.outer(np.arccos(xi), k))
+def _chebyshev_at(x) -> np.ndarray:
+    """T_0..T_n (n = _CHEB_N) at the points x, one row per point."""
+    return np.cos(np.outer(np.arccos(x), np.arange(_CHEB_N + 1)))
+
+
+# The Chebyshev-Lobatto nodes xi_k = -cos(pi k / n), ascending from -1 to 1,
+# and the inverse of the Vandermonde of T_0..T_n at them: its rows take a
+# panel's values at the nodes to the Chebyshev coefficients of their
+# interpolant.  Every panel matrix below is built on this one inverse.
+_XI = -np.cos(np.pi * np.arange(_CHEB_N + 1) / _CHEB_N)
+_INV_V = np.linalg.inv(_chebyshev_at(_XI))
+
+
+def _chebyshev_cumulative() -> np.ndarray:
+    """Q with (Q g)[k] ~= integral_0^{u_k} g(u) du for g sampled at the
+    nodes u = (xi + 1) / 2."""
+    n, xi = _CHEB_N, _XI
     # antiderivatives P_j with P_j(-1) = 0, evaluated at the nodes
     P = np.zeros((n + 1, n + 1))
     P[:, 0] = xi + 1.0
@@ -62,35 +77,18 @@ def _chebyshev_cumulative(n: int):
         val = tjp / (2.0 * (j + 1)) - tjm / (2.0 * (j - 1))
         at_m1 = np.cos((j + 1) * np.pi) / (2.0 * (j + 1)) - np.cos((j - 1) * np.pi) / (2.0 * (j - 1))
         P[:, j] = val - at_m1
-    Q = 0.5 * (P @ np.linalg.inv(V))  # 0.5: du = dxi / 2
-    u = (xi + 1.0) / 2.0
-    return u, Q
+    return 0.5 * (P @ _INV_V)  # 0.5: du = dxi / 2
 
 
-_NODES, _QMAT = _chebyshev_cumulative(_CHEB_N)
+_NODES = (_XI + 1.0) / 2.0
+_QMAT = _chebyshev_cumulative()
+# _HALVES[k] interpolates values at the nodes of a panel onto the nodes of
+# its k-th half (k = 0, 1)
+_HALVES = np.stack([_chebyshev_at((_XI + c) / 2.0) @ _INV_V for c in (-1.0, 1.0)])
+# (g @ _TAIL)[i] is the coefficient of T_{n-3+i} in the interpolant of g at
+# the nodes: the last four rows of the inverse Vandermonde, transposed
+_TAIL = _INV_V[-4:].T
 
-
-def _chebyshev_halves(n: int) -> np.ndarray:
-    """H[k] interpolates values at the nodes of a panel onto the nodes of
-    its k-th half (k = 0, 1)."""
-    xi = -np.cos(np.pi * np.arange(n + 1) / n)
-    inv_v = np.linalg.inv(np.cos(np.outer(np.arccos(xi), np.arange(n + 1))))
-    return np.stack([np.cos(np.outer(np.arccos((xi + c) / 2.0), np.arange(n + 1))) @ inv_v
-                     for c in (-1.0, 1.0)])
-
-
-_HALVES = _chebyshev_halves(_CHEB_N)
-
-
-def _chebyshev_tail(n: int, m: int) -> np.ndarray:
-    """T with (g @ T)[i] the coefficient of T_{n-m+1+i} in the degree-n
-    interpolant of g at the nodes: the last m rows of the inverse
-    Chebyshev-Lobatto Vandermonde, transposed."""
-    xi = -np.cos(np.pi * np.arange(n + 1) / n)
-    return np.linalg.inv(np.cos(np.outer(np.arccos(xi), np.arange(n + 1))))[-m:].T
-
-
-_TAIL = _chebyshev_tail(_CHEB_N, 4)
 
 def _split_panels(g: np.ndarray) -> np.ndarray:
     """Values at the nodes of npan panels (axes -2, -1) interpolated onto the
@@ -117,38 +115,35 @@ class Form:
         return np.inf
 
 
+def log_basis(i: int, x, y):
+    """f_i of the log basis f = (x+1, y-1, x-1, y+1), so eta_i = df_i / f_i."""
+    if i == 1:
+        return x + 1.0
+    if i == 2:
+        return y - 1.0
+    if i == 3:
+        return x - 1.0
+    if i == 4:
+        return y + 1.0
+    raise ValueError(f"eta index {i} out of range")
+
+
 @dataclass(frozen=True)
 class EtaCombo(Form):
-    """sum_i c_i eta_i over the basis f_1 = x+1, f_2 = y-1, f_3 = x-1,
-    f_4 = y+1."""
+    """sum_i c_i eta_i over the log basis."""
 
     coeffs: Tuple[Tuple[int, complex], ...]
 
     def values(self, x, y, dxds, dyds):
         out = np.zeros(np.shape(x), dtype=complex)
         for i, c in self.coeffs:
-            if c == 0:
-                continue
-            if i == 1:
-                out = out + c * dxds / (x + 1.0)
-            elif i == 2:
-                out = out + c * dyds / (y - 1.0)
-            elif i == 3:
-                out = out + c * dxds / (x - 1.0)
-            elif i == 4:
-                out = out + c * dyds / (y + 1.0)
-            else:
-                raise ValueError(f"eta index {i} out of range")
+            if c != 0:
+                out = out + c * (dyds if i % 2 == 0 else dxds) / log_basis(i, x, y)
         return out
 
     def pole_clearance(self, x, y) -> float:
-        dists = []
-        for i, c in self.coeffs:
-            if c == 0:
-                continue
-            f = {1: x + 1.0, 2: y - 1.0, 3: x - 1.0, 4: y + 1.0}[i]
-            dists.append(np.min(np.abs(f)))
-        return min(dists) if dists else np.inf
+        return min((np.min(np.abs(log_basis(i, x, y))) for i, c in self.coeffs if c != 0),
+                   default=np.inf)
 
 
 def eta(i: int, scale: complex = 1.0) -> EtaCombo:
@@ -301,21 +296,16 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     return prefixes[-1]
 
 
-def integrate_form(cycle: Cycle, form: Form, tol: float = 1e-10) -> complex:
-    """Plain line integral with the same panel machinery."""
-    return iterated_integral(cycle, [form], tol=tol)
-
-
-def moment_integral(cycle: Cycle, i: int, j: int, tol: float = 1e-10) -> complex:
+def moment_integral(cycle: Cycle, i: int, j: int) -> complex:
     """int phi_i dphi_j with phi_i = log f_i continued from the cycle start."""
-    x0, y0 = cycle.segments[0].start_point().x, cycle.segments[0].start_point().y
-    f0 = {1: x0 + 1.0, 2: y0 - 1.0, 3: x0 - 1.0, 4: y0 + 1.0}[i]
-    init = cmath.log(f0)
-    return iterated_integral(cycle, [eta(i), eta(j)], inits=[init, 0.0], tol=tol)
+    start = cycle.segments[0].start_point()
+    init = cmath.log(log_basis(i, start.x, start.y))
+    return iterated_integral(cycle, [eta(i), eta(j)], inits=[init, 0.0])
 
 
 # ---------------------------------------------------------------------------
-# Named checks.
+# Named checks.  Each takes the cycles it integrates over, or the factory of
+# its words, and reads the level from them.
 
 PAIRING_EXPECTED = {
     (1, 1): 0.0, (1, 2): 0.0, (1, 3): TWO_PI_I,
@@ -327,83 +317,79 @@ PAIRING_EXPECTED = {
 # (the orbit classes are orthogonal to them), forcing the loop-0 row.
 PAIRING_LOOP0 = {1: -TWO_PI_I, 2: 0.0, 3: 0.0}
 
+PAIRING_TOL = 1e-9  # largest deviation of a pairing entry from its expected value
+CAUCHY_TOL = 1e-8  # largest modulus of a vanishing integral of cauchy_suite
 
-def pairing_table(t: complex, tol: float = 1e-10) -> Dict[Tuple[int, int], complex]:
+# The commutator integrals and period determinants settle their panels at
+# 1e-9: at 1e-10 the integral over the cycle of [x, z] would sweep 564
+# panels instead of 396, and period_determinant of x and z 552 instead of 456.
+_WORD_TOL = 1e-9
+
+
+def pairing_table(t: complex) -> Dict[Tuple[int, int], complex]:
     """Integrals of eta_1..eta_3 over the saddle loops 1..3 (and loop 0)."""
     out = {}
     for i in (0, 1, 2, 3):
         loop = vanishing_loop(i, t)
         for j in (1, 2, 3):
-            out[(i, j)] = iterated_integral(loop, [eta(j)], tol=tol)
+            out[(i, j)] = iterated_integral(loop, [eta(j)])
     return out
 
 
-def oval_orientation_certificate(t: float) -> float:
-    """int_gamma x dy; positive certifies the counterclockwise orientation."""
-    gamma = real_oval(t)
+def oval_orientation_certificate(gamma: Cycle) -> float:
+    """int_gamma x dy over the real oval; positive certifies the
+    counterclockwise orientation."""
     return iterated_integral(gamma, [XdY()]).real
 
 
-def cauchy_suite(t: float, tol: float = 1e-10) -> Dict[str, complex]:
-    """The three vanishing integrals over the real oval.
+def cauchy_suite(gamma: Cycle) -> Dict[str, complex]:
+    """The three vanishing integrals over the real oval at level gamma.t.
 
     * phi1 dphi3: log(x+1) against dx/(x-1) (x-holomorphic integrand);
     * log(t/(y^2-1)) dy/(y-1): the collapsed order-2 combination, with
       d log(t/(y^2-1)) = -(eta2 + eta4);
     * dphi2 dphi2: iterated square of a single logarithmic form.
     """
-    gamma = real_oval(t)
     out = {}
-    out["phi1_dphi3"] = moment_integral(gamma, 1, 3, tol=tol)
-    c0 = cmath.log(-complex(t))  # log of t/(y^2-1) at the start point y = 0
+    out["phi1_dphi3"] = moment_integral(gamma, 1, 3)
+    c0 = cmath.log(-complex(gamma.t))  # log of t/(y^2-1) at the start point y = 0
     out["log_t_over_y2m1_dphi2"] = iterated_integral(
         gamma,
         [EtaCombo(((2, -1.0), (4, -1.0))), eta(2)],
         inits=[c0, 0.0],
-        tol=tol,
     )
-    out["dphi2_dphi2"] = iterated_integral(gamma, [eta(2), eta(2)], tol=tol)
+    out["dphi2_dphi2"] = iterated_integral(gamma, [eta(2), eta(2)])
     return out
 
 
-def v2_double_integral(t: complex, tol: float = 1e-9,
-                       factory: Optional[CycleFactory] = None) -> complex:
+def v2_double_integral(factory: CycleFactory) -> complex:
     """int over the cycle of [x, z] of dphi2 dphi3; equals 4 pi^2."""
-    from .words import X_ELT, Z_ELT
-
-    factory = factory or CycleFactory(t)
     cyc = factory.cycle_of_word(commutator(X_ELT, Z_ELT))
-    return iterated_integral(cyc, [eta(2), eta(3)], tol=tol)
+    return iterated_integral(cyc, [eta(2), eta(3)], tol=_WORD_TOL)
 
 
-def shuffle_defect(cycle: Cycle, f1: Form, f2: Form, tol: float = 1e-10) -> float:
+def shuffle_defect(cycle: Cycle, f1: Form, f2: Form) -> float:
     """|int f1 f2 + int f2 f1 - (int f1)(int f2)| for a closed based cycle."""
-    a = iterated_integral(cycle, [f1, f2], tol=tol)
-    b = iterated_integral(cycle, [f2, f1], tol=tol)
-    p = iterated_integral(cycle, [f1], tol=tol)
-    q = iterated_integral(cycle, [f2], tol=tol)
+    a = iterated_integral(cycle, [f1, f2])
+    b = iterated_integral(cycle, [f2, f1])
+    p = iterated_integral(cycle, [f1])
+    q = iterated_integral(cycle, [f2])
     return abs(a + b - p * q)
 
 
-def period_determinant(w1: Word, w2: Word, t: complex, i: int, j: int,
-                       factory: Optional[CycleFactory] = None,
-                       tol: float = 1e-9) -> complex:
+def period_determinant(factory: CycleFactory, w1: Word, w2: Word, i: int, j: int) -> complex:
     """det [[int_{w1} eta_i, int_{w1} eta_j], [int_{w2} eta_i, int_{w2} eta_j]]."""
-    factory = factory or CycleFactory(t)
 
     def periods(w):
         cycle = factory.cycle_of_word(w)
-        return [iterated_integral(cycle, [eta(k)], tol=tol) for k in (i, j)]
+        return [iterated_integral(cycle, [eta(k)], tol=_WORD_TOL) for k in (i, j)]
 
     (a, b), (c, d) = periods(w1), periods(w2)
     return a * d - b * c
 
 
-def determinant_defect(w1: Word, w2: Word, t: complex, i: int, j: int,
-                       factory: Optional[CycleFactory] = None,
-                       tol: float = 1e-9) -> float:
+def determinant_defect(factory: CycleFactory, w1: Word, w2: Word, i: int, j: int) -> float:
     """|int_{[w1,w2]} eta_i eta_j - period_determinant|."""
-    factory = factory or CycleFactory(t)
     comm_cycle = factory.cycle_of_word(commutator(w1, w2))
-    lhs = iterated_integral(comm_cycle, [eta(i), eta(j)], tol=tol)
-    return abs(lhs - period_determinant(w1, w2, t, i, j, factory, tol))
+    lhs = iterated_integral(comm_cycle, [eta(i), eta(j)], tol=_WORD_TOL)
+    return abs(lhs - period_determinant(factory, w1, w2, i, j))

@@ -224,7 +224,8 @@ def hierarchy_collapse_check(d: Deformation, i_max: int = 6) -> bool:
     extra inner Wronskian multiplies the hierarchy.  Raises ValueError when
     mv(2) or mv(3) is nonzero.
     """
-    # i_max no longer changes the result; it stays because outside callers pass it
+    # i_max no longer changes the result; it stays because perfbench/workloads.py
+    # passes it (6, positionally), and can go when the benchmark is next changed
     chain = mv_chain(3, d)
     if not (chain[0].is_zero() and chain[1].is_zero()):
         raise ValueError("precondition mv(2) = mv(3) = 0 fails")

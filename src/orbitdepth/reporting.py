@@ -67,8 +67,10 @@ from .melnikov import (
 from .ratfunc import RatFunc, wronskian
 from .curves import CycleFactory
 from .integrals import (
+    CAUCHY_TOL,
     PAIRING_EXPECTED,
     PAIRING_LOOP0,
+    PAIRING_TOL,
     cauchy_suite,
     eta,
     oval_orientation_certificate,
@@ -85,7 +87,6 @@ from .holonomy import (
     jet_along,
     m2_assembly_check,
     m3_center_crosscheck,
-    melnikov_jet,
     remainder_orders,
     resolved_sign,
 )
@@ -387,9 +388,15 @@ def melnikov_suite(cfg: Config) -> List[CheckRecord]:
 
 
 def numeric_suite(cfg: Config) -> List[CheckRecord]:
-    """Pairing table, iterated integrals, Melnikov jets and their witness, center checks."""
+    """Pairing table, iterated integrals, Melnikov jets and their witness, center checks.
+
+    Every cycle at the level t0 comes from one CycleFactory, the oval gamma
+    among them; only the pairing table's bare saddle loops, at two levels,
+    are built apart."""
     rec = Recorder()
     t0 = cfg.t0
+    fac = CycleFactory(t0)
+    gamma = fac.cycle_of_word(GAMMA_WORD)
 
     # pairing at two levels
     for tval in (0.25, t0):
@@ -400,39 +407,38 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
             err = max(err, abs(v - expected))
         rec.add("num.pairing.t%s" % tval,
                 "saddle-loop periods of the three logarithmic forms",
-                err, 1e-9, expected="table",
+                err, PAIRING_TOL, expected="table",
                 computed=f"max abs deviation {err:.2e}", runtime_ms=ms,
                 params={"t": tval})
 
-    (xdy, ms) = _timed(lambda: oval_orientation_certificate(t0))
+    (xdy, ms) = _timed(lambda: oval_orientation_certificate(gamma))
     rec.add_bool("num.orientation", "the oval is counterclockwise (positive area)",
                  xdy > 0, computed=f"{xdy:.6f}", runtime_ms=ms)
 
-    fac = CycleFactory(t0)
     # the [x, z] double integral feeds this record and num.determinant
-    (val, v2_ms) = _timed(lambda: v2_double_integral(t0, factory=fac))
+    (val, v2_ms) = _timed(lambda: v2_double_integral(fac))
     expected = 4 * np.pi ** 2
     rec.add("num.v2_double_integral",
             "double integral over the commutator cycle equals 4 pi^2",
             abs(val - expected) / expected, 1e-6,
             expected=f"{expected:.9f}", computed=f"{val:.9f}", runtime_ms=v2_ms)
 
-    (cs, ms) = _timed(lambda: cauchy_suite(t0))
+    # the oval's vanishing integrals feed these records and two of num.m2
+    (cs, cauchy_ms) = _timed(lambda: cauchy_suite(gamma))
     for name, v in cs.items():
         rec.add(f"num.cauchy.{name}", "holomorphic iterated integral vanishes",
-                abs(v), 1e-8, expected="0", computed=f"{abs(v):.2e}",
-                runtime_ms=ms)
+                abs(v), CAUCHY_TOL, expected="0", computed=f"{abs(v):.2e}",
+                runtime_ms=cauchy_ms)
 
     (sh, ms) = _timed(lambda: shuffle_defect(fac.based_loop(2), eta(2), eta(3)))
     rec.add("num.shuffle", "length-2 shuffle relation on a based loop",
             sh, 1e-8, computed=f"{sh:.2e}", runtime_ms=ms)
-    (det, ms) = _timed(lambda: period_determinant(X_ELT, Z_ELT, t0, 2, 3, factory=fac))
+    (det, ms) = _timed(lambda: period_determinant(fac, X_ELT, Z_ELT, 2, 3))
     dd = abs(val - det)
     rec.add("num.determinant", "commutator double integral equals the period determinant",
             dd, 1e-6, computed=f"{dd:.2e}", runtime_ms=v2_ms + ms)
 
     # flagship jet, witnessed by direct transport
-    gamma = fac.cycle_of_word(GAMMA_WORD)
     ((c1, c2, c3), jet_ms) = _timed(lambda: jet_along(gamma, FLAGSHIP))
     bound = 1e-7 * abs(c3) * 0.032  # 1e-7 of |c3| at the eps scale 0.032
     rec.add("num.flagship.c1", "order-1 coefficient vanishes",
@@ -449,7 +455,7 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
             runtime_ms=jet_ms + ms)
 
     # v3 cross-check
-    (jet3, ms) = _timed(lambda: melnikov_jet(v_k(3), t0, FLAGSHIP, factory=fac))
+    (jet3, ms) = _timed(lambda: jet_along(fac.cycle_of_word(v_k(3)), FLAGSHIP))
     expected3 = resolved_sign(3) * (2j * np.pi) ** 3 * t0 ** 2
     err3 = abs(jet3[2] - expected3) / abs(expected3)
     rec.add("num.v3_crosscheck",
@@ -459,21 +465,19 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
 
     # center checks
     d0 = center_family("t", 1, 1, 0)
-    (returns, ms) = _timed(lambda: holonomy_along(fac.cycle_of_word(GAMMA_WORD), d0,
-                                                  np.array([0.01, 0.02, 0.05])))
+    (returns, ms) = _timed(lambda: holonomy_along(gamma, d0, np.array([0.01, 0.02, 0.05])))
     worst = float(np.max(np.abs(returns - t0)))
     rec.add("num.center.exact", "the lam = 0 member preserves the center",
             worst, 1e-10, computed=f"{worst:.2e}", runtime_ms=ms)
 
     # the (t, 0, 1, 1) jet of the order-3 check is the scalings' reference
-    (rep1, ms11) = _timed(lambda: m3_center_crosscheck("t", 0, 1, 1, t0))
+    (rep1, ms11) = _timed(lambda: m3_center_crosscheck(gamma, "t", 0, 1, 1))
     rec.add("num.center.order3", rep1.name, rep1.error, rep1.tolerance,
             expected=f"{rep1.expected:.6f}", computed=f"{rep1.computed:.6f}",
             runtime_ms=ms11)
 
     def center_c3(lambda1, lam):
-        return _timed(lambda: melnikov_jet(GAMMA_WORD, t0, center_family("t", 0, lambda1, lam),
-                                           factory=fac)[2])
+        return _timed(lambda: jet_along(gamma, center_family("t", 0, lambda1, lam))[2])
 
     (c22, ms22), (c21, ms21) = center_c3(2, 2), center_c3(1, 2)
     ratio = c22 / rep1.computed
@@ -487,12 +491,15 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
             abs(ratio2 - 2), 2e-2, expected="2", computed=f"{ratio2:.6f}",
             runtime_ms=ms11 + ms21)
 
-    # second-order assembly
-    (reports, ms) = _timed(lambda: m2_assembly_check(FLAGSHIP, t0))
-    for r in reports:
-        rec.add(f"num.m2.{r.name.replace(' ', '_')}", r.name, r.error, r.tolerance,
-                expected=str(r.expected), computed=f"{r.computed:.3e}",
-                runtime_ms=ms)
+    # second-order assembly, and two of the Cauchy integrals reported with it
+    (r, ms) = _timed(lambda: m2_assembly_check(FLAGSHIP, gamma))
+    rec.add("num.m2.order-2_assembly", r.name, r.error, r.tolerance,
+            expected=str(r.expected), computed=f"{r.computed:.3e}", runtime_ms=ms)
+    for name, key in (("moment integral phi1 dphi3", "phi1_dphi3"),
+                      ("collapsed log combination", "log_t_over_y2m1_dphi2")):
+        v = cs[key]
+        rec.add(f"num.m2.{name.replace(' ', '_')}", name, abs(v), CAUCHY_TOL,
+                expected="0.0", computed=f"{v:.3e}", runtime_ms=cauchy_ms)
     return rec.records
 
 

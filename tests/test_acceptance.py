@@ -165,14 +165,14 @@ def test_criterion_5_pairing_table():
 
 def test_criterion_6_iterated_integrals():
     sw = Stopwatch(60.0)
-    val = v2_double_integral(T0)
-    ok = abs(val - 4 * np.pi ** 2) / (4 * np.pi ** 2) <= 1e-6
-    suite = cauchy_suite(T0)
-    ok = ok and all(abs(v) <= 1e-8 for v in suite.values())
     fac = CycleFactory(T0)
+    val = v2_double_integral(fac)
+    ok = abs(val - 4 * np.pi ** 2) / (4 * np.pi ** 2) <= 1e-6
+    suite = cauchy_suite(fac.cycle_of_word(GAMMA))
+    ok = ok and all(abs(v) <= 1e-8 for v in suite.values())
     ok = ok and shuffle_defect(fac.based_loop(2), eta(2), eta(3)) <= 1e-6
-    ok = ok and determinant_defect(X_ELT, Z_ELT, T0, 2, 3, factory=fac) <= 1e-6
-    ok = ok and determinant_defect(D1, D2, T0, 2, 3, factory=fac) <= 1e-6
+    ok = ok and determinant_defect(fac, X_ELT, Z_ELT, 2, 3) <= 1e-6
+    ok = ok and determinant_defect(fac, D1, D2, 2, 3) <= 1e-6
     sw.done("criterion 6: iterated integrals (4 pi^2 and the vanishing suite)", ok)
 
 
@@ -219,7 +219,7 @@ def test_criterion_9_center_checks():
         ok = ok and witnessed(cyc, d, jet)
     # order-3 coefficient against the closed prediction (lambda = 1)
     c11 = jets[1, 1][2]
-    pred = resolved_sign(3) * m3_center_prediction("t", 1, T0, 1)
+    pred = resolved_sign(3) * m3_center_prediction(cyc, "t", 1, 1)
     ok = ok and abs(c11 - pred) / abs(pred) <= 5e-3
     # quadratic scaling holds when both integrability witnesses double;
     # doubling lam alone doubles the coefficient (prefactor -lam*lambda1)
@@ -230,8 +230,10 @@ def test_criterion_9_center_checks():
 
 def test_criterion_10_m2_assembly():
     sw = Stopwatch(60.0)
-    reports = m2_assembly_check(FLAGSHIP, T0)
-    ok = all(r.passed for r in reports)
-    by_name = {r.name: r for r in reports}
-    ok = ok and by_name["order-2 assembly"].error <= 1e-7
+    gamma = CycleFactory(T0).cycle_of_word(GAMMA)
+    rep = m2_assembly_check(FLAGSHIP, gamma)
+    ok = rep.passed and rep.name == "order-2 assembly" and rep.error <= 1e-7
+    # the two vanishing integrals reported beside the assembly
+    suite = cauchy_suite(gamma)
+    ok = ok and all(abs(suite[k]) <= 1e-8 for k in ("phi1_dphi3", "log_t_over_y2m1_dphi2"))
     sw.done("criterion 10: numeric order-2 assembly vanishes", ok)

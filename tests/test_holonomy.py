@@ -14,18 +14,16 @@ from orbitdepth.holonomy import (
     WITNESS_ORDER_TOL,
     TransportError,
     resolved_sign,
-    holonomy,
     holonomy_along,
     holonomy_displacement,
     jet_along,
     m2_assembly_check,
     m3_center_crosscheck,
     m3_center_prediction,
-    melnikov_jet,
     remainder_orders,
     transport,
 )
-from orbitdepth.integrals import QuadratureError, _segment_panels
+from orbitdepth.integrals import CAUCHY_TOL, QuadratureError, _segment_panels, cauchy_suite
 from orbitdepth.melnikov import FLAGSHIP, center_family, deformation, mv
 from orbitdepth.reporting import Config, numeric_suite
 from orbitdepth.words import D2, Gen, Word, Z_ELT, commutator, v_k
@@ -41,8 +39,13 @@ def factory():
 
 
 @pytest.fixture(scope="module")
+def gamma(factory):
+    return factory.cycle_of_word(GAMMA)
+
+
+@pytest.fixture(scope="module")
 def v3_jet(factory):
-    return melnikov_jet(v_k(3), T0, FLAGSHIP, factory=factory)
+    return jet_along(factory.cycle_of_word(v_k(3)), FLAGSHIP)
 
 
 def close_to(value, reference, rel):
@@ -56,16 +59,16 @@ def witnessed(cycle, d, jet):
 
 def test_unperturbed_identity(factory):
     for w in (GAMMA, D2, v_k(2)):
-        h = holonomy(w, T0, 0.0, FLAGSHIP, factory=factory)
+        h = holonomy_along(factory.cycle_of_word(w), FLAGSHIP, 0.0)
         assert abs(h - T0) < 1e-12
 
 
-def test_real_system_real_return(factory):
-    h = holonomy(GAMMA, T0, 0.01, FLAGSHIP, factory=factory)
+def test_real_system_real_return(gamma):
+    h = holonomy_along(gamma, FLAGSHIP, 0.01)
     assert h.imag == 0.0
     assert h != T0
     eps = 1e-3 * 2.0 ** np.arange(6)
-    grid = holonomy(GAMMA, T0, np.concatenate([eps, -eps]), FLAGSHIP, factory=factory)
+    grid = holonomy_along(gamma, FLAGSHIP, np.concatenate([eps, -eps]))
     assert np.all(grid.imag == 0.0)
     assert np.all(grid != T0)
 
@@ -180,7 +183,7 @@ def test_commutator_fit_matches_wronskian(factory):
 
 def test_reversal_negates_leading(factory):
     w = commutator(D2, Z_ELT)
-    f = melnikov_jet(w, T0, FLAGSHIP, factory=factory)
+    f = jet_along(factory.cycle_of_word(w), FLAGSHIP)
     inverse = factory.cycle_of_word(w.inverse())
     g = jet_along(inverse, FLAGSHIP)
     assert abs(g[1] + f[1]) / abs(f[1]) < 5e-3
@@ -217,8 +220,8 @@ def test_center_exactness(factory):
     assert np.all(np.abs(returns - T0) <= 1e-10)
 
 
-def test_center_crosscheck():
-    rep = m3_center_crosscheck("t", 0, 1, 1, T0)
+def test_center_crosscheck(gamma):
+    rep = m3_center_crosscheck(gamma, "t", 0, 1, 1)
     assert rep.passed, (rep.computed, rep.expected, rep.error)
 
 
@@ -234,24 +237,26 @@ def test_center_witness_scalings(factory):
         assert witnessed(cycle, d, jets[key])
 
 
-def test_m2_assembly():
-    reports = m2_assembly_check(FLAGSHIP, T0)
-    for rep in reports:
-        assert rep.passed, rep.name
+def test_m2_assembly(gamma):
+    rep = m2_assembly_check(FLAGSHIP, gamma)
+    assert rep.passed, rep.name
+    # the two vanishing integrals reported beside the assembly
+    cs = cauchy_suite(gamma)
+    for name in ("phi1_dphi3", "log_t_over_y2m1_dphi2"):
+        assert abs(cs[name]) <= CAUCHY_TOL, name
     # the symmetric case is trivially zero (all Wronskian coefficients vanish)
-    sym = m2_assembly_check(deformation(1, 0, 1), T0)
-    assert all(r.passed for r in sym)
+    assert m2_assembly_check(deformation(1, 0, 1), gamma).passed
     with pytest.raises(ValueError):
-        m2_assembly_check(deformation("t^2", "t^2+2t", "t"), T0)
+        m2_assembly_check(deformation("t^2", "t^2+2t", "t"), gamma)
 
 
-def test_center_crosscheck_lambda_zero():
-    rep = m3_center_crosscheck("t", 1, 1, 0, T0)
+def test_center_crosscheck_lambda_zero(gamma):
+    rep = m3_center_crosscheck(gamma, "t", 1, 1, 0)
     assert rep.expected == 0 and rep.passed  # both sides vanish
 
 
-def test_center_fit_all_zero(factory):
-    jet = melnikov_jet(GAMMA, T0, center_family("t", 1, 1, 0), factory=factory)
+def test_center_fit_all_zero(gamma):
+    jet = jet_along(gamma, center_family("t", 1, 1, 0))
     assert all(abs(c) <= 1e-12 for c in jet)
 
 
@@ -265,25 +270,25 @@ def test_v3_jet_matches_closed_form(v3_jet):
 
 
 def test_commutator_jet_matches_wronskian(factory):
-    c2 = melnikov_jet(commutator(D2, Z_ELT), T0, FLAGSHIP, factory=factory)[1]
+    c2 = jet_along(factory.cycle_of_word(commutator(D2, Z_ELT)), FLAGSHIP)[1]
     assert close_to(c2, resolved_sign(2) * TWO_PI_I ** 2 * T0 ** 2, 1e-8)
 
 
 @pytest.mark.parametrize("A, lambda1, lam", [("t", 1, 1), ("t^2+t", 1, 2)])
-def test_center_jet_matches_prediction(factory, A, lambda1, lam):
+def test_center_jet_matches_prediction(gamma, A, lambda1, lam):
     # A = t^2 + t makes a2 = 1/(2t + 1) a proper rational function
-    c3 = melnikov_jet(GAMMA, T0, center_family(A, 0, lambda1, lam), factory=factory)[2]
-    assert close_to(c3, resolved_sign(3) * m3_center_prediction(A, lam, T0, lambda1), 1e-8)
+    c3 = jet_along(gamma, center_family(A, 0, lambda1, lam))[2]
+    assert close_to(c3, resolved_sign(3) * m3_center_prediction(gamma, A, lam, lambda1), 1e-8)
 
 
-def test_flagship_jet_starts_at_order_3(factory):
-    c1, c2, c3 = melnikov_jet(GAMMA, T0, FLAGSHIP, factory=factory)
+def test_flagship_jet_starts_at_order_3(gamma):
+    c1, c2, c3 = jet_along(gamma, FLAGSHIP)
     assert abs(c1) <= 1e-12 and abs(c2) <= 1e-12
     assert abs(c3) > 0.1
 
 
 def test_jet_cycle_shapes(factory):
-    assert melnikov_jet(Word(), T0, FLAGSHIP, factory=factory) == (0j, 0j, 0j)
+    assert jet_along(factory.cycle_of_word(Word()), FLAGSHIP) == (0j, 0j, 0j)
     oval = factory.cycle_of_word(GAMMA)  # charts y, x, x, y, y, x, x, y
     with pytest.raises(ValueError, match="chart"):
         jet_along(Cycle(oval.segments[:-1], T0, oval.base_point), FLAGSHIP)
@@ -293,10 +298,10 @@ def test_unsettled_jet_names_the_segment(factory, monkeypatch):
     # with one count per segment the oval's jet still settles (no tail fails)
     # and the v_3 jet does not
     monkeypatch.setattr(integrals_module, "SEGMENT_MAX_ROUNDS", 1)
-    melnikov_jet(GAMMA, T0, FLAGSHIP, factory=factory)
+    jet_along(factory.cycle_of_word(GAMMA), FLAGSHIP)
     with pytest.raises(QuadratureError, match=r"Melnikov jet: Chebyshev tail \S+ on "
                                               r"Segment\(uid=\d+R?, chart=[xy]\) at (6|12) panels"):
-        melnikov_jet(v_k(3), T0, FLAGSHIP, factory=factory)
+        jet_along(factory.cycle_of_word(v_k(3)), FLAGSHIP)
 
 
 def block_jet_calls(monkeypatch, cycle):

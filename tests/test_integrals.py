@@ -19,13 +19,14 @@ from orbitdepth.integrals import (
     MIN_POLE_CLEARANCE,
     PAIRING_EXPECTED,
     PAIRING_LOOP0,
+    EtaCombo,
     PoleOnPathError,
     QuadratureError,
     cauchy_suite,
     determinant_defect,
     eta,
-    integrate_form,
     iterated_integral,
+    log_basis,
     moment_integral,
     oval_orientation_certificate,
     pairing_table,
@@ -108,19 +109,19 @@ def test_based_loops_same_periods():
     fac = CycleFactory(T0)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            bare = integrate_form(vanishing_loop(i, T0), eta(j))
-            based = integrate_form(fac.based_loop(i), eta(j))
+            bare = iterated_integral(vanishing_loop(i, T0), [eta(j)])
+            based = iterated_integral(fac.based_loop(i), [eta(j)])
             assert abs(bare - based) < 1e-10
 
 
 def test_oval_periods_vanish():
     gamma = real_oval(T0)
     for j in (1, 2, 3):
-        assert abs(integrate_form(gamma, eta(j))) < 1e-10
+        assert abs(iterated_integral(gamma, [eta(j)])) < 1e-10
 
 
 def test_orientation():
-    assert oval_orientation_certificate(T0) > 0
+    assert oval_orientation_certificate(real_oval(T0)) > 0
 
 
 def test_period_additivity():
@@ -132,19 +133,19 @@ def test_period_additivity():
         v = random_word(rng, 3, saddle_gens)
         w = u * v  # reduced product
         for j in (1, 2, 3, 4):
-            lhs = integrate_form(fac.cycle_of_word(w), eta(j)) if w.letters else 0.0
-            rhs = (integrate_form(fac.cycle_of_word(u), eta(j)) if u.letters else 0.0) \
-                + (integrate_form(fac.cycle_of_word(v), eta(j)) if v.letters else 0.0)
+            lhs = iterated_integral(fac.cycle_of_word(w), [eta(j)]) if w.letters else 0.0
+            rhs = (iterated_integral(fac.cycle_of_word(u), [eta(j)]) if u.letters else 0.0) \
+                + (iterated_integral(fac.cycle_of_word(v), [eta(j)]) if v.letters else 0.0)
             assert abs(lhs - rhs) < 1e-10
 
 
 def test_v2_double_integral():
-    val = v2_double_integral(T0)
+    val = v2_double_integral(CycleFactory(T0))
     assert abs(val - 4 * np.pi ** 2) / (4 * np.pi ** 2) < 1e-6
 
 
 def test_cauchy_suite():
-    for name, v in cauchy_suite(T0).items():
+    for name, v in cauchy_suite(real_oval(T0)).items():
         assert abs(v) <= 1e-8, name
 
 
@@ -166,9 +167,9 @@ def test_determinant_identity():
         (D2, D3, 1, 2),
         (D1 * D3, D2, 3, 2),
     ]:
-        assert determinant_defect(w1, w2, T0, i, j, factory=fac) < 1e-6
+        assert determinant_defect(fac, w1, w2, i, j) < 1e-6
     # det [[int_x eta_2, int_x eta_3], [int_z eta_2, int_z eta_3]] = 4 pi^2
-    assert abs(period_determinant(X_ELT, Z_ELT, T0, 2, 3, factory=fac) - 4 * np.pi ** 2) < 1e-8
+    assert abs(period_determinant(fac, X_ELT, Z_ELT, 2, 3) - 4 * np.pi ** 2) < 1e-8
 
 
 def test_moment_integral_constant_drop():
@@ -188,7 +189,18 @@ def test_pole_clearance():
     seg = Segment("x", Line(z0, 1.1 + 0.01j), T0, dep_seed=seed)
     cyc = Cycle([seg], T0, seg.start_point())
     with pytest.raises(PoleOnPathError):
-        integrate_form(cyc, eta(3))  # pole at x = 1 sits 0.01 from the path
+        iterated_integral(cyc, [eta(3)])  # pole at x = 1 sits 0.01 from the path
+
+
+def test_log_basis_and_its_forms_reject_an_index_outside_1_to_4():
+    x, y = np.array([0.5 + 0.25j]), np.array([0.25 - 0.75j])
+    assert [complex(log_basis(i, x, y)[0]) for i in (1, 2, 3, 4)] == [
+        1.5 + 0.25j, -0.75 - 0.75j, -0.5 + 0.25j, 1.25 - 0.75j]
+    form = EtaCombo(((5, 1.0),))
+    for call in (lambda: log_basis(0, x, y), lambda: form.values(x, y, x, y),
+                 lambda: form.pole_clearance(x, y)):
+        with pytest.raises(ValueError, match="eta index . out of range"):
+            call()
 
 
 def test_iterated_length_checks():
@@ -215,9 +227,9 @@ def test_delta_word_periods_are_row_sums():
     cyc = fac.cycle_of_word(DELTA)
     for j in (1, 2, 3):
         total = sum(
-            integrate_form(vanishing_loop(i, T0), eta(j)) for i in range(4)
+            iterated_integral(vanishing_loop(i, T0), [eta(j)]) for i in range(4)
         )
-        val = integrate_form(cyc, eta(j))
+        val = iterated_integral(cyc, [eta(j)])
         assert abs(val - total) < 1e-9
         assert abs(val) < 1e-9  # the orbit classes pair to zero
 
@@ -227,8 +239,8 @@ def test_delta_word_periods_are_row_sums():
 
 
 INTEGRAL_ORACLE_CASES = {
-    "x_z": (lambda: [v2_double_integral(T0)], 1e-9),
-    "cauchy": (lambda: list(cauchy_suite(T0).values()), 1e-10),
+    "x_z": (lambda: [v2_double_integral(CycleFactory(T0))], 1e-9),
+    "cauchy": (lambda: list(cauchy_suite(real_oval(T0)).values()), 1e-10),
     "pairing": (lambda: [v for t in (0.25, T0) for v in pairing_table(t).values()], 1e-10),
 }
 

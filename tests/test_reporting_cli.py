@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import orbitdepth
 from orbitdepth.cli import main
-from orbitdepth import reporting
+from orbitdepth import curves, integrals, reporting
 from orbitdepth.reporting import Config, numeric_suite, repr_suite, run_suite
 from orbitdepth import words
 from orbitdepth.words import D1, D3, G, Endo, Gen
@@ -270,6 +271,43 @@ def test_numeric_suite_records():
     assert all(r.passed for r in records)
     assert all(r.runtime_ms > 0 for r in records), [
         r.id for r in records if not r.runtime_ms > 0]
+
+
+def count_calls(monkeypatch, counts, module, name):
+    """Count the calls of module.name under its name, wherever an orbitdepth
+    module bound it."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("orbitdepth") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_one_numeric_pass_takes_its_cycles_from_one_factory(monkeypatch):
+    # one CycleFactory at t0 and one oval serve every record; the Cauchy
+    # suite runs once and two num.m2 records reuse its values.  Iterated
+    # integrals: 24 pairing, 1 orientation, 1 [x, z], 3 Cauchy, 4 shuffle,
+    # 4 period determinant, 1 center prediction and the 3 moments of the
+    # order-2 assembly, whose I_13 is the one value computed twice.
+    counts = collections.Counter()
+    count_calls(monkeypatch, counts, curves, "real_oval")
+    count_calls(monkeypatch, counts, integrals, "cauchy_suite")
+    count_calls(monkeypatch, counts, integrals, "iterated_integral")
+    init = curves.CycleFactory.__init__
+
+    def counted_init(self, t):
+        counts["CycleFactory"] += 1
+        init(self, t)
+
+    monkeypatch.setattr(curves.CycleFactory, "__init__", counted_init)
+    records = numeric_suite(Config())
+    assert all(r.passed for r in records)
+    assert counts == {"real_oval": 1, "CycleFactory": 1, "cauchy_suite": 1,
+                      "iterated_integral": 41}
 
 
 def test_determinant_record_fails_on_its_own(monkeypatch):
