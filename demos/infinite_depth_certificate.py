@@ -13,6 +13,9 @@ c^n), so the commutator of any image with that corner matrix has corner
 kappa (a^m c^-n - 1), which vanishes at (a, c) = (1, 1).  The corner of
 v_{k+2} itself is kappa * 1, which does not -- so v_{k+2} stays outside
 [orbit, everything] at every level: the orbit depth is unbounded.
+
+The image table and the certificate are lists of `CheckRecord`s, one per
+item, the records that `orbitdepth verify repr` reports as repr.k<k>.*.
 """
 
 import sys
@@ -33,8 +36,8 @@ for k in range(1, k_max + 1):
     rep = Representation(k)
     print(f"\nlevel k = {k} (matrices {rep.n} x {rep.n}; the paper's {2 ** k} x {2 ** k} under Phi)")
     print(f"  distinguished element v_{k+2} = {format_word(v_k(k+2))[:60]}...")
-    table = verify_v_images(k)
-    status = "all hold" if table.passed else f"FAILED: {table.first_failure()}"
+    failed = [r for r in verify_v_images(k) if not r.passed]
+    status = f"FAILED: {failed[0].id}: {failed[0].claim}" if failed else "all hold"
     print(f"  image table rho(v_i), i = 2..{k+4}: {status}")
     corner = expected_corner_scalar()
     print(f"  corner of rho(v_{k+2}) - I at (0, {k}): kappa = {corner!r}"
@@ -42,6 +45,6 @@ for k in range(1, k_max + 1):
     print(f"    at (a, c) = (2, 3): {corner.evaluate(Fraction(2), Fraction(3))[0][0]}")
     cert = depth_certificate(k, rep)
     print(f"  separation certificate (v-image table and corner lemma,"
-          f" {len(cert.items)} items): pass = {cert.passed}")
+          f" {len(cert)} records): pass = {all(r.passed for r in cert)}")
 
 print("\nEvery level separates its v_{k+2}; no finite depth bounds the orbit.")

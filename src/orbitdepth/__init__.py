@@ -18,6 +18,67 @@ Subpackages split by layer:
   (iterated) integrals, Poincare return maps
 * :mod:`orbitdepth.reporting`, :mod:`orbitdepth.cli` - check suites and
   the command-line front end
+
+Every check, in every layer, ends as one `CheckRecord`; a `Recorder`
+collects them.  Both live here, free of numpy, so the exact layers can
+build records too.
 """
 
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass
+from typing import List, Optional
+
 __version__ = "0.1.0"
+
+
+@dataclass
+class CheckRecord:
+    """One check: id, claim, parameters, expected vs computed, error metric,
+    pass flag (error <= tolerance) and runtime."""
+
+    id: str
+    claim: str
+    params: dict
+    expected: str
+    computed: str
+    error: float
+    tolerance: float
+    passed: bool
+    runtime_ms: float
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+class Recorder:
+    def __init__(self):
+        self.records: List[CheckRecord] = []
+
+    def add(self, id: str, claim: str, error: float, tolerance: float,
+            expected="", computed="", params: Optional[dict] = None,
+            runtime_ms: float = 0.0) -> CheckRecord:
+        rec = CheckRecord(
+            id=id,
+            claim=claim,
+            params=params or {},
+            expected=str(expected),
+            computed=str(computed),
+            error=float(error),
+            tolerance=float(tolerance),
+            passed=bool(error <= tolerance),
+            runtime_ms=runtime_ms,
+        )
+        self.records.append(rec)
+        return rec
+
+    def add_bool(self, id: str, claim: str, ok: bool,
+                 params: Optional[dict] = None, runtime_ms: float = 0.0,
+                 expected="true", computed=None) -> CheckRecord:
+        """A yes/no check: error 0 (pass) or 1 (fail) against tolerance 0.5."""
+        return self.add(
+            id, claim, 0.0 if ok else 1.0, 0.5,
+            expected=expected,
+            computed=("true" if ok else "false") if computed is None else computed,
+            params=params, runtime_ms=runtime_ms,
+        )

@@ -9,9 +9,13 @@ Subcommand tree:
     verify {orbit, repr, melnikov, numeric, all} [--trace]
     report --out FILE --format {json,csv}
 
-All numeric subcommands emit JSON records; `num jet` prints c1..c3 of the
-return map and the witness orders of the transported remainder past them.
-The OUTPUT_DIR environment variable overrides the output directory.
+The check subcommands (`repr check-v`, `repr certificate`, `num pairing`,
+`num cauchy-suite`, `num center-check`) print, as a JSON list, the records
+that `verify` writes to the report for the same inputs, and exit 0 exactly
+when all of them pass.  The other subcommands print their values as JSON;
+`num jet` prints c1..c3 of the return map and the witness orders of the
+transported remainder past them.  The OUTPUT_DIR environment variable
+overrides the output directory.
 """
 
 from __future__ import annotations
@@ -36,12 +40,7 @@ from .words import (
     var,
 )
 from .magnus import depth_lower_bound, mono_format
-from .representation import (
-    base_matrices,
-    commutator_scalar,
-    depth_certificate,
-    verify_v_images,
-)
+from .representation import base_matrices, commutator_scalar
 from .ratfunc import parse_rational, wronskian
 from .melnikov import (
     center_family,
@@ -51,20 +50,20 @@ from .melnikov import (
     mv,
 )
 from .curves import CycleFactory, real_oval
-from .integrals import (
-    CAUCHY_TOL,
-    EtaCombo,
-    PAIRING_EXPECTED,
-    PAIRING_LOOP0,
-    PAIRING_TOL,
-    cauchy_suite,
-    eta,
-    iterated_integral,
-    log_basis,
-    pairing_table,
+from .integrals import EtaCombo, eta, iterated_integral, log_basis
+from .holonomy import holonomy_along, jet_along, remainder_orders
+from .reporting import (
+    Config,
+    Recorder,
+    cauchy_checks,
+    center_check,
+    certificate_checks,
+    pairing_check,
+    run_suite,
+    summary_table,
+    trace_tree,
+    v_image_checks,
 )
-from .holonomy import holonomy_along, jet_along, m3_center_crosscheck, remainder_orders
-from .reporting import Config, run_suite, summary_table, trace_tree
 
 
 def _emit(obj):
@@ -73,6 +72,15 @@ def _emit(obj):
 
 def _complex_str(z) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
+
+
+def _print_checks(build, *args) -> int:
+    """Print the records a report builder adds for these inputs; 0 exactly
+    when all of them pass."""
+    rec = Recorder()
+    build(rec, *args)
+    _emit([r.to_dict() for r in rec.records])
+    return 0 if all(r.passed for r in rec.records) else 1
 
 
 # -- orbit ------------------------------------------------------------------
@@ -121,15 +129,7 @@ def cmd_repr_matrices(args):
 
 
 def cmd_repr_check_v(args):
-    report = verify_v_images(args.k, args.imax)
-    _emit({
-        "k": args.k,
-        "imax": args.imax or args.k + 4,
-        "checks": [{"name": it.name, "pass": it.passed, "detail": it.detail}
-                   for it in report.items],
-        "pass": report.passed,
-    })
-    return 0 if report.passed else 1
+    return _print_checks(v_image_checks, args.k, args.imax)
 
 
 def cmd_repr_comm_scalar(args):
@@ -139,9 +139,7 @@ def cmd_repr_comm_scalar(args):
 
 
 def cmd_repr_certificate(args):
-    cert = depth_certificate(args.k)
-    _emit(cert.to_dict())
-    return 0 if cert.passed else 1
+    return _print_checks(certificate_checks, args.k)
 
 
 # -- mel --------------------------------------------------------------------
@@ -191,23 +189,7 @@ def cmd_mel_center(args):
 
 
 def cmd_num_pairing(args):
-    tab = pairing_table(args.t)
-    records = []
-    ok = True
-    for (i, j), v in sorted(tab.items()):
-        expected = PAIRING_LOOP0[j] if i == 0 else PAIRING_EXPECTED[(i, j)]
-        err = abs(v - expected)
-        ok = ok and err <= PAIRING_TOL
-        records.append({
-            "check": f"loop{i}_eta{j}",
-            "params": {"t": args.t},
-            "expected": _complex_str(expected),
-            "computed": _complex_str(v),
-            "abs_error": err,
-            "pass": err <= PAIRING_TOL,
-        })
-    _emit(records)
-    return 0 if ok else 1
+    return _print_checks(pairing_check, args.t)
 
 
 _FORM_NAMES = {f"eta{i}": [(i, 1.0)] for i in (1, 2, 3, 4)}
@@ -241,7 +223,7 @@ def _word_cycle(args):
 def cmd_num_iterated(args):
     forms, inits = _parse_forms(args.forms)
     cycle = _word_cycle(args)
-    start = cycle.segments[0].start_point()
+    start = cycle.base_point
     resolved = []
     for init, form in zip(inits, forms):
         if init is None:
@@ -256,16 +238,7 @@ def cmd_num_iterated(args):
 
 
 def cmd_num_cauchy(args):
-    out = []
-    ok = True
-    for name, v in cauchy_suite(real_oval(args.t)).items():
-        err = abs(v)
-        ok = ok and err <= CAUCHY_TOL
-        out.append({"check": name, "params": {"t": args.t}, "expected": "0",
-                    "computed": _complex_str(v), "abs_error": err,
-                    "pass": err <= CAUCHY_TOL})
-    _emit(out)
-    return 0 if ok else 1
+    return _print_checks(cauchy_checks, real_oval(args.t))
 
 
 def cmd_num_jet(args):
@@ -291,15 +264,8 @@ def cmd_num_holonomy(args):
 
 
 def cmd_num_center_check(args):
-    rep = m3_center_crosscheck(real_oval(args.t), parse_rational(args.A), Fraction(args.c1),
-                               Fraction(args.lambda1), Fraction(args.lam))
-    _emit({"check": rep.name, "params": {"A": args.A, "c1": args.c1,
-                                         "lambda1": args.lambda1,
-                                         "lambda": args.lam, "t": args.t},
-           "expected": _complex_str(complex(rep.expected)),
-           "computed": _complex_str(complex(rep.computed)),
-           "rel_error": rep.error, "pass": rep.passed})
-    return 0 if rep.passed else 1
+    return _print_checks(center_check, real_oval(args.t), parse_rational(args.A),
+                         Fraction(args.c1), Fraction(args.lambda1), Fraction(args.lam))
 
 
 # -- verify / report --------------------------------------------------------

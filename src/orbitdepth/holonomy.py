@@ -58,13 +58,14 @@ a term of order j that dominates R at small eps and pulls the order down.
 All four leaves +-E, +-E/2 run in one stacked transport.
 
 Every function here takes the cycle it runs along and reads the level
-from it (`cycle.t`); the center and order-2 checks at the end take the
-real oval.
+from it (`cycle.t`); the order-2 assembly and the order-3 center
+prediction at the end take the real oval.  They return values; the
+check records that compare them with their tolerances are built in
+`reporting`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -82,7 +83,7 @@ from .integrals import (
     iterated_integral,
     moment_integral,
 )
-from .melnikov import Deformation, center_family, classify, m3_tilde_coefficient, Kind
+from .melnikov import Deformation, classify, m3_tilde_coefficient, Kind
 from .ratfunc import RatFunc, wronskian
 
 FIX_RTOL = 1e-15  # the level fixed point settles when J moves less than this, relative
@@ -424,7 +425,11 @@ def remainder_orders(cycle: Cycle, d: Deformation, jet) -> Tuple[float, float]:
     with R(eps) = |disp(eps) - (c1 eps + c2 eps^2 + c3 eps^3)|, disp from
     holonomy_displacement and (c1, c2, c3) = jet.  Correct coefficients give
     orders within WITNESS_ORDER_TOL of 4.  R must stand above roundoff: where
-    the return map is the identity (an exact center) the orders mean nothing."""
+    the return map is the identity (an exact center) the orders mean nothing,
+    and over a cycle with no segments, where R is 0, they raise ValueError."""
+    if not cycle.segments:
+        raise ValueError("remainder orders need a cycle with segments; "
+                         "the return map of the empty cycle is the identity")
     eps = WITNESS_EPS * np.array([1.0, 0.5, -1.0, -0.5])
     c1, c2, c3 = jet
     rem = np.abs(holonomy_displacement(cycle, d, eps) - eps * (c1 + eps * (c2 + eps * c3)))
@@ -432,27 +437,15 @@ def remainder_orders(cycle: Cycle, d: Deformation, jet) -> Tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Named cross-checks.
+# Values of the order-2 and order-3 cross-checks; `reporting` compares them.
 
 
-@dataclass
-class CheckReport:
-    name: str
-    computed: complex
-    expected: complex
-    error: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.error <= self.tolerance
-
-
-def m2_assembly_check(d: Deformation, gamma: Cycle) -> CheckReport:
+def m2_assembly(d: Deformation, gamma: Cycle, i13: complex) -> complex:
     """Numeric second-order coefficient sum_{i<j} W(a_i, a_j)(t0) I_ij at
     t0 = gamma.t.
 
-    I_ij are the moment integrals over the real oval gamma; under the
+    I_ij are the moment integrals over the real oval gamma, I_13 given by
+    the caller (it is integrals.cauchy_suite's phi1_dphi3); under the
     order-2 vanishing the sum must be zero.  (The collapsed combination
     int log(t/(y^2-1)) dy/(y-1) and I_13 vanish on their own: see
     integrals.cauchy_suite.)
@@ -462,32 +455,19 @@ def m2_assembly_check(d: Deformation, gamma: Cycle) -> CheckReport:
         raise ValueError(f"assembly check expects an order-2-free deformation, got {kind}")
     t0 = gamma.t
     a1, a2, a3 = d.coefficients()
-    total = (wronskian(a1, a2).evaluate(t0) * moment_integral(gamma, 1, 2)
-             + wronskian(a1, a3).evaluate(t0) * moment_integral(gamma, 1, 3)
-             + wronskian(a2, a3).evaluate(t0) * moment_integral(gamma, 2, 3))
-    return CheckReport("order-2 assembly", total, 0.0, abs(total), 1e-7)
+    return (wronskian(a1, a2).evaluate(t0) * moment_integral(gamma, 1, 2)
+            + wronskian(a1, a3).evaluate(t0) * i13
+            + wronskian(a2, a3).evaluate(t0) * moment_integral(gamma, 2, 3))
 
 
 def m3_center_prediction(gamma: Cycle, A, lam, lambda1) -> complex:
     """-lam*lambda1 / (t0 A'(t0)^2) * int_gamma dphi2 dphi3 over the real
-    oval gamma, t0 = gamma.t."""
+    oval gamma, t0 = gamma.t.  Times resolved_sign(3) it predicts the
+    order-3 jet coefficient of center_family(A, c1, lambda1, lam) along
+    gamma through an independent code path."""
     A = RatFunc(A)
     t0 = gamma.t
     ap = A.diff().evaluate(t0)
     i23 = iterated_integral(gamma, [eta(2), eta(3)])
     pre = m3_tilde_coefficient(A, lam, lambda1).evaluate(t0)
     return pre / ap * i23
-
-
-def m3_center_crosscheck(gamma: Cycle, A, c1, lambda1, lam) -> CheckReport:
-    """Order-3 jet coefficient of the center family along the real oval
-    gamma against the closed prefactor times the numeric double integral
-    (both through independent code paths; the resolved global sign relates
-    them)."""
-    d = center_family(A, c1, lambda1, lam)
-    c3 = jet_along(gamma, d)[2]
-    predicted = resolved_sign(3) * m3_center_prediction(gamma, A, lam, lambda1)
-    if predicted == 0:
-        return CheckReport("order-3 center cross-check", c3, predicted, abs(c3), 1e-9)
-    err = abs(c3 - predicted) / abs(predicted)
-    return CheckReport("order-3 center cross-check", c3, predicted, err, 5e-3)

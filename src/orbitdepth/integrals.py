@@ -42,7 +42,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curves import Cycle, CycleFactory, Segment, vanishing_loop
+from .curves import Arc, Cycle, CycleFactory, Segment, vanishing_loop
 from .words import X_ELT, Z_ELT, Word, commutator
 
 TWO_PI_I = 2j * cmath.pi
@@ -162,8 +162,6 @@ MIN_POLE_CLEARANCE = 5e-2
 
 
 def _segment_panels(seg: Segment, rounds: int) -> int:
-    from .curves import Arc
-
     base = 12 if isinstance(seg.path, Arc) else 6
     return base * (1 << rounds)
 
@@ -307,15 +305,15 @@ def moment_integral(cycle: Cycle, i: int, j: int) -> complex:
 # Named checks.  Each takes the cycles it integrates over, or the factory of
 # its words, and reads the level from them.
 
+# int over saddle loop i of eta_j.  Periods of the based sum d0+d1+d2+d3
+# pair to zero with eta_1..eta_3 (the orbit classes are orthogonal to
+# them), forcing the loop-0 row.
 PAIRING_EXPECTED = {
+    (0, 1): -TWO_PI_I, (0, 2): 0.0, (0, 3): 0.0,
     (1, 1): 0.0, (1, 2): 0.0, (1, 3): TWO_PI_I,
     (2, 1): 0.0, (2, 2): TWO_PI_I, (2, 3): -TWO_PI_I,
     (3, 1): TWO_PI_I, (3, 2): -TWO_PI_I, (3, 3): 0.0,
 }
-
-# Periods of the based sum d0+d1+d2+d3 pair to zero with eta_1..eta_3
-# (the orbit classes are orthogonal to them), forcing the loop-0 row.
-PAIRING_LOOP0 = {1: -TWO_PI_I, 2: 0.0, 3: 0.0}
 
 PAIRING_TOL = 1e-9  # largest deviation of a pairing entry from its expected value
 CAUCHY_TOL = 1e-8  # largest modulus of a vanishing integral of cauchy_suite

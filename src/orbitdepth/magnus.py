@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional
 
-from .words import Gen, Word, v_k
+from .words import GEN_NAMES, Gen, Word, v_k
 
 NGENS = 5
 _BASE = NGENS + 1
@@ -52,8 +52,6 @@ def mono_letters(mono: int) -> tuple:
 
 
 def mono_format(mono: int) -> str:
-    from .words import GEN_NAMES
-
     return "*".join(f"X[{GEN_NAMES[Gen(g)]}]" for g in mono_letters(mono)) or "1"
 
 

@@ -1,8 +1,13 @@
 """Check suites and machine-readable reports.
 
 Every check produces a CheckRecord (id, claim, parameters, expected vs
-computed, error metric, pass flag, runtime).  Suites bundle records per
-layer; `run_suite` runs one suite or all of them and writes a JSON report.
+computed, error metric, pass flag, runtime; defined with `Recorder` in the
+package root, which the exact layers import too).  Suites bundle records
+per layer; `run_suite` runs one suite or all of them and writes a JSON
+report.  Each check the command line also runs has one builder here that
+adds its records to a Recorder (`certificate_checks`, `v_image_checks`,
+`pairing_check`, `cauchy_checks`, `center_check`); the suite and the CLI
+subcommand both call it, so both print the same records.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ import os
 import platform
 import subprocess
 import time
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from . import __version__
+from . import CheckRecord, Recorder, __version__
 from .words import (
     DELTA,
     Gen,
@@ -52,7 +57,7 @@ from .magnus import (
     leading_terms_agree_mod_orbit_ideal,
     magnus,
 )
-from .representation import DEFAULT_K_MAX, depth_certificate
+from .representation import DEFAULT_K_MAX, depth_certificate, verify_v_images
 from .melnikov import (
     FLAGSHIP,
     Kind,
@@ -65,11 +70,10 @@ from .melnikov import (
     beta_periods,
 )
 from .ratfunc import RatFunc, wronskian
-from .curves import CycleFactory
+from .curves import Cycle, CycleFactory
 from .integrals import (
     CAUCHY_TOL,
     PAIRING_EXPECTED,
-    PAIRING_LOOP0,
     PAIRING_TOL,
     cauchy_suite,
     eta,
@@ -85,30 +89,14 @@ from .holonomy import (
     WITNESS_ORDER_TOL,
     holonomy_along,
     jet_along,
-    m2_assembly_check,
-    m3_center_crosscheck,
+    m2_assembly,
+    m3_center_prediction,
     remainder_orders,
     resolved_sign,
 )
 
 DEFAULT_SEED = 20259
 DEFAULT_T0 = 0.36
-
-
-@dataclass
-class CheckRecord:
-    id: str
-    claim: str
-    params: dict
-    expected: str
-    computed: str
-    error: float
-    tolerance: float
-    passed: bool
-    runtime_ms: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -193,42 +181,74 @@ class Config:
         return Config(**raw)
 
 
-class Recorder:
-    def __init__(self):
-        self.records: List[CheckRecord] = []
-
-    def add(self, id: str, claim: str, error: float, tolerance: float,
-            expected="", computed="", params: Optional[dict] = None,
-            runtime_ms: float = 0.0) -> CheckRecord:
-        rec = CheckRecord(
-            id=id,
-            claim=claim,
-            params=params or {},
-            expected=str(expected),
-            computed=str(computed),
-            error=float(error),
-            tolerance=float(tolerance),
-            passed=bool(error <= tolerance),
-            runtime_ms=runtime_ms,
-        )
-        self.records.append(rec)
-        return rec
-
-    def add_bool(self, id: str, claim: str, ok: bool,
-                 params: Optional[dict] = None, runtime_ms: float = 0.0,
-                 expected="true", computed=None) -> CheckRecord:
-        return self.add(
-            id, claim, 0.0 if ok else 1.0, 0.5,
-            expected=expected,
-            computed=("true" if ok else "false") if computed is None else computed,
-            params=params, runtime_ms=runtime_ms,
-        )
-
-
 def _timed(fn):
     start = time.perf_counter()
     out = fn()
     return out, (time.perf_counter() - start) * 1e3
+
+
+# ---------------------------------------------------------------------------
+# Builders shared by the suites and the command line.  Each adds its
+# records to `rec` and returns what other records reuse.
+
+
+def _at_level(k: int, records: List[CheckRecord]) -> List[CheckRecord]:
+    return [replace(r, id=f"repr.k{k}.{r.id}") for r in records]
+
+
+def v_image_checks(rec: Recorder, k: int, i_max: Optional[int] = None) -> None:
+    """repr.k<k>.* records of the v-image table rho_k(v_i), i = 2..i_max."""
+    rec.records.extend(_at_level(k, verify_v_images(k, i_max)))
+
+
+def certificate_checks(rec: Recorder, k: int) -> None:
+    """repr.k<k>.* records of the level-k separation certificate (its
+    v-image table first), then the verdict repr.k<k>.certificate."""
+    (items, ms) = _timed(lambda: depth_certificate(k))
+    rec.records.extend(_at_level(k, items))
+    ok = all(r.passed for r in items)
+    table = [{"name": r.id, "pass": r.passed, "detail": r.claim} for r in items]
+    rec.add_bool(f"repr.k{k}.certificate", f"level-{k} separation certificate", ok,
+                 params={"k": k, "checks": table, "pass": ok, "runtime_ms": ms},
+                 runtime_ms=ms)
+
+
+def pairing_check(rec: Recorder, t: float) -> None:
+    """num.pairing.t<t>: the saddle-loop periods against PAIRING_EXPECTED."""
+    (tab, ms) = _timed(lambda: pairing_table(t))
+    err = max(abs(v - PAIRING_EXPECTED[key]) for key, v in tab.items())
+    rec.add(f"num.pairing.t{t}", "saddle-loop periods of the three logarithmic forms",
+            err, PAIRING_TOL, expected="table", computed=f"max abs deviation {err:.2e}",
+            runtime_ms=ms, params={"t": t})
+
+
+def cauchy_checks(rec: Recorder, gamma: Cycle) -> Dict[str, complex]:
+    """num.cauchy.<name> for each vanishing integral of cauchy_suite over
+    the real oval gamma; returns their values."""
+    (cs, ms) = _timed(lambda: cauchy_suite(gamma))
+    for name, v in cs.items():
+        rec.add(f"num.cauchy.{name}", "holomorphic iterated integral vanishes",
+                abs(v), CAUCHY_TOL, expected="0", computed=f"{abs(v):.2e}",
+                runtime_ms=ms)
+    return cs
+
+
+def center_check(rec: Recorder, gamma: Cycle, A, c1, lambda1, lam) -> complex:
+    """num.center.order3: the order-3 jet coefficient of
+    center_family(A, c1, lambda1, lam) along the real oval gamma against the
+    sign-resolved closed prediction; returns the jet's c3."""
+    def compare():
+        c3 = jet_along(gamma, center_family(A, c1, lambda1, lam))[2]
+        return c3, resolved_sign(3) * m3_center_prediction(gamma, A, lam, lambda1)
+
+    ((c3, predicted), ms) = _timed(compare)
+    if predicted == 0:
+        error, tolerance = abs(c3), 1e-9
+    else:
+        error, tolerance = abs(c3 - predicted) / abs(predicted), 5e-3
+    rec.add("num.center.order3", "order-3 center cross-check", error, tolerance,
+            expected=f"{predicted:.6f}", computed=f"{c3:.6f}", runtime_ms=ms)
+    return c3
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +352,7 @@ def repr_suite(cfg: Config) -> List[CheckRecord]:
     """Laurent matrix certificates for each level k (exact)."""
     rec = Recorder()
     for k in range(1, cfg.k_max + 1):
-        (cert, ms) = _timed(lambda k=k: depth_certificate(k))
-        for item in cert.items:
-            rec.add_bool(f"repr.k{k}.{item.name}", item.detail or item.name,
-                         item.passed, runtime_ms=item.runtime_ms)
-        rec.add_bool(f"repr.k{k}.certificate", f"level-{k} separation certificate",
-                     cert.passed, params=cert.to_dict() | {"runtime_ms": ms},
-                     runtime_ms=ms)
+        certificate_checks(rec, k)
     return rec.records
 
 
@@ -398,18 +412,8 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
     fac = CycleFactory(t0)
     gamma = fac.cycle_of_word(GAMMA_WORD)
 
-    # pairing at two levels
-    for tval in (0.25, t0):
-        (tab, ms) = _timed(lambda tv=tval: pairing_table(tv))
-        err = 0.0
-        for (i, j), v in tab.items():
-            expected = PAIRING_LOOP0[j] if i == 0 else PAIRING_EXPECTED[(i, j)]
-            err = max(err, abs(v - expected))
-        rec.add("num.pairing.t%s" % tval,
-                "saddle-loop periods of the three logarithmic forms",
-                err, PAIRING_TOL, expected="table",
-                computed=f"max abs deviation {err:.2e}", runtime_ms=ms,
-                params={"t": tval})
+    for t in (0.25, t0):
+        pairing_check(rec, t)
 
     (xdy, ms) = _timed(lambda: oval_orientation_certificate(gamma))
     rec.add_bool("num.orientation", "the oval is counterclockwise (positive area)",
@@ -423,12 +427,8 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
             abs(val - expected) / expected, 1e-6,
             expected=f"{expected:.9f}", computed=f"{val:.9f}", runtime_ms=v2_ms)
 
-    # the oval's vanishing integrals feed these records and two of num.m2
-    (cs, cauchy_ms) = _timed(lambda: cauchy_suite(gamma))
-    for name, v in cs.items():
-        rec.add(f"num.cauchy.{name}", "holomorphic iterated integral vanishes",
-                abs(v), CAUCHY_TOL, expected="0", computed=f"{abs(v):.2e}",
-                runtime_ms=cauchy_ms)
+    # the oval's vanishing integrals feed these records and the three of num.m2
+    (cs, cauchy_ms) = _timed(lambda: cauchy_checks(rec, gamma))
 
     (sh, ms) = _timed(lambda: shuffle_defect(fac.based_loop(2), eta(2), eta(3)))
     rec.add("num.shuffle", "length-2 shuffle relation on a based loop",
@@ -471,30 +471,28 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
             worst, 1e-10, computed=f"{worst:.2e}", runtime_ms=ms)
 
     # the (t, 0, 1, 1) jet of the order-3 check is the scalings' reference
-    (rep1, ms11) = _timed(lambda: m3_center_crosscheck(gamma, "t", 0, 1, 1))
-    rec.add("num.center.order3", rep1.name, rep1.error, rep1.tolerance,
-            expected=f"{rep1.expected:.6f}", computed=f"{rep1.computed:.6f}",
-            runtime_ms=ms11)
+    (c11, ms11) = _timed(lambda: center_check(rec, gamma, "t", 0, 1, 1))
 
     def center_c3(lambda1, lam):
         return _timed(lambda: jet_along(gamma, center_family("t", 0, lambda1, lam))[2])
 
     (c22, ms22), (c21, ms21) = center_c3(2, 2), center_c3(1, 2)
-    ratio = c22 / rep1.computed
+    ratio = c22 / c11
     rec.add("num.center.quadratic_scaling",
             "doubling both integrability witnesses multiplies the order-3 term by 4",
             abs(ratio - 4), 4 * 1e-2, expected="4", computed=f"{ratio:.6f}",
             runtime_ms=ms11 + ms22)
-    ratio2 = c21 / rep1.computed
+    ratio2 = c21 / c11
     rec.add("num.center.witness_scaling",
             "doubling lam alone doubles the order-3 term (prefactor -lam*lambda1)",
             abs(ratio2 - 2), 2e-2, expected="2", computed=f"{ratio2:.6f}",
             runtime_ms=ms11 + ms21)
 
-    # second-order assembly, and two of the Cauchy integrals reported with it
-    (r, ms) = _timed(lambda: m2_assembly_check(FLAGSHIP, gamma))
-    rec.add("num.m2.order-2_assembly", r.name, r.error, r.tolerance,
-            expected=str(r.expected), computed=f"{r.computed:.3e}", runtime_ms=ms)
+    # second-order assembly, its I_13 the Cauchy phi1_dphi3, and two of the
+    # Cauchy integrals reported with it
+    (total, ms) = _timed(lambda: m2_assembly(FLAGSHIP, gamma, cs["phi1_dphi3"]))
+    rec.add("num.m2.order-2_assembly", "order-2 assembly", abs(total), 1e-7,
+            expected="0.0", computed=f"{total:.3e}", runtime_ms=ms)
     for name, key in (("moment integral phi1 dphi3", "phi1_dphi3"),
                       ("collapsed log combination", "log_t_over_y2m1_dphi2")):
         v = cs[key]

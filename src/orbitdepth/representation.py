@@ -28,17 +28,18 @@ corner lemma (see `depth_certificate`) the commutator of any rho_k(s) with
 that image is I plus a corner kappa (a^m c^-n - 1), so all of rho_k(K) has
 corners in kappa times the ideal of Laurent polynomials vanishing at
 (a, c) = (1, 1), and rho_k(v_{k+2}), whose corner is kappa * 1, lies
-outside it.
+outside it.  `verify_v_images` and `depth_certificate` return that content
+as a list of `CheckRecord`s, one per item.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Tuple
 
+from . import CheckRecord, Recorder
 from .laurent import Graded, laurent_str, product
 from .words import (
     RHO_NAMES,
@@ -310,21 +311,13 @@ def expected_v_corner_matrix(k: int) -> RepMatrix:
     return corner_tensor(k) * expected_corner_scalar()
 
 
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str = ""
-    runtime_ms: float = 0.0
-
-
 def _ms_since(start: float) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
 def _attempt(compute):
     """(compute(), "") or (None, the error) when exact arithmetic fails on
-    an image with no exact inverse.  A failing level gives red items."""
+    an image with no exact inverse.  A failing level gives red records."""
     try:
         return compute(), ""
     except ValueError as exc:
@@ -332,43 +325,18 @@ def _attempt(compute):
 
 
 def _mismatch(image: Optional[RepMatrix], expected: RepMatrix, error: str) -> str:
-    """Detail of a red row: the error that stopped it, or where image and
+    """Claim of a red row: the error that stopped it, or where image and
     expected differ."""
     return error or f"mismatch entries: {(image - expected).nonzero()[:4]}"
 
 
-@dataclass
-class VImageReport:
-    k: int
-    i_max: int
-    items: List[CheckItem] = field(default_factory=list)
-    corner_image: Optional[RepMatrix] = None  # rho_k(v_{k+2}) from the chain
-
-    @property
-    def passed(self) -> bool:
-        return all(it.passed for it in self.items)
-
-    def first_failure(self) -> Optional[CheckItem]:
-        for it in self.items:
-            if not it.passed:
-                return it
-        return None
-
-
-def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None = None) -> VImageReport:
-    """Check rho_k(v_i) = I for i != k+2 and the corner form at i = k+2.
-
-    By convention v_1 = D maps to the identity; i runs over 2..i_max with
-    i_max defaulting to k+4.
-    """
-    if i_max is None:
-        i_max = k + 4
-    if i_max < k + 2:
-        raise ValueError("i_max must reach k+2")
-    rep = rep or Representation(k)
+def _v_image_table(rec: Recorder, k: int, i_max: int,
+                   rep: Representation) -> Optional[RepMatrix]:
+    """Add the records of verify_v_images to rec; returns rho_k(v_{k+2})
+    from the chain, None when the chain raised before reaching it."""
     ident = RepMatrix.identity(rep.n)
     corner = ident + expected_v_corner_matrix(k)
-    report = VImageReport(k, i_max)
+    corner_image = None
     chain = _v_chain(rep)  # walked once for every i
     error = ""  # once a step fails, every later row is red with its error
     for i in range(2, i_max + 1):
@@ -380,30 +348,44 @@ def verify_v_images(k: int, i_max: int | None = None, rep: Representation | None
         ok = img == expected
         detail = "identity" if ok else _mismatch(img, expected, error)
         if i == k + 2:
-            report.corner_image = img
+            corner_image = img
             zero = img == ident
-            report.items.append(CheckItem(
-                f"rho_{k}(v_{i}) = I + corner", ok and not zero,
-                detail if not ok else "corner is zero" if zero else "corner nonzero",
-                _ms_since(start)))
+            rec.add_bool(f"rho_{k}(v_{i}) = I + corner",
+                         detail if not ok else "corner is zero" if zero else "corner nonzero",
+                         ok and not zero, runtime_ms=_ms_since(start))
             if ok:
                 detail = f"corner = {expected_corner_scalar()!r} at (1, {rep.n})"
-        report.items.append(CheckItem(f"rho_{k}(v_{i})", ok, detail, _ms_since(start)))
+        rec.add_bool(f"rho_{k}(v_{i})", detail, ok, runtime_ms=_ms_since(start))
     # word-path cross-check at the distinguished index
     start = time.perf_counter()
     word_image, error = _attempt(lambda: rep(v_k(k + 2)))
     ok = word_image == corner
-    report.items.append(CheckItem(
-        f"rho_{k}(v_{k+2}) via word product", ok,
-        "matrix recursion agrees with the word image" if ok
-        else _mismatch(word_image, corner, error),
-        _ms_since(start)))
+    rec.add_bool(f"rho_{k}(v_{k+2}) via word product",
+                 "matrix recursion agrees with the word image" if ok
+                 else _mismatch(word_image, corner, error),
+                 ok, runtime_ms=_ms_since(start))
     start = time.perf_counter()
     ok = expected_corner_scalar() == alternate_corner_scalar() * A_PARAM
-    report.items.append(CheckItem(f"corner scalar relation at k={k}", ok,
-                                  "(1/c-1)(1-a) = a * (1/c-1)(1/a-1)",
-                                  _ms_since(start)))
-    return report
+    rec.add_bool(f"corner scalar relation at k={k}", "(1/c-1)(1-a) = a * (1/c-1)(1/a-1)",
+                 ok, runtime_ms=_ms_since(start))
+    return corner_image
+
+
+def verify_v_images(k: int, i_max: int | None = None,
+                    rep: Representation | None = None) -> List[CheckRecord]:
+    """Check rho_k(v_i) = I for i != k+2 and the corner form at i = k+2.
+
+    By convention v_1 = D maps to the identity; i runs over 2..i_max with
+    i_max defaulting to k+4.  One record per row, its id the row's name
+    and its claim what the row found.
+    """
+    if i_max is None:
+        i_max = k + 4
+    if i_max < k + 2:
+        raise ValueError("i_max must reach k+2")
+    rec = Recorder()
+    _v_image_table(rec, k, i_max, rep or Representation(k))
+    return rec.records
 
 
 def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
@@ -430,26 +412,6 @@ def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
     return m, n, corner
 
 
-@dataclass
-class Certificate:
-    k: int
-    items: List[CheckItem] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(it.passed for it in self.items)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "checks": [
-                {"name": it.name, "pass": it.passed, "detail": it.detail}
-                for it in self.items
-            ],
-            "pass": self.passed,
-        }
-
-
 def _is_power(p: RepMatrix, axis: int) -> bool:
     """Whether the scalar p is a^m (axis 0) or c^n (axis 1) for some exponent."""
     if len(p.entries) != 1:
@@ -469,7 +431,7 @@ def _has_lemma_shape(s: RepMatrix) -> bool:
     )
 
 
-def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
+def depth_certificate(k: int, rep: Representation | None = None) -> List[CheckRecord]:
     """Certificate that rho_k separates v_{k+2} from K = [orbit, group].
 
     The v-image table shows that rho_k kills every v_i except v_{k+2}, which
@@ -482,25 +444,23 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
     I + kappa aug E_1n, where aug is the kernel of evaluation at
     (a, c) = (1, 1); conjugation keeps it there.  rho_k(v_{k+2}) has corner
     kappa * 1 with kappa != 0 and 1 not in aug, so v_{k+2} is not in K
-    (item 3).  A failing level gives red items, never an exception.
+    (item 3).  The records are the v-image table's, then items 1-3; a
+    failing level gives red records, never an exception.
     """
     rep = rep or Representation(k)
-    cert = Certificate(k)
-    table = verify_v_images(k, rep=rep)
-    cert.items.extend(table.items)
+    rec = Recorder()
+    corner_image = _v_image_table(rec, k, k + 4, rep)
     ident = RepMatrix.identity(rep.n)
     unit_corner = corner_tensor(k)
     kappa = expected_corner_scalar()
 
     start = time.perf_counter()
     bad = [RHO_NAMES[g] for g, s in rep.images.items() if not _has_lemma_shape(s)]
-    cert.items.append(CheckItem(
+    rec.add_bool(
         "generator images in the corner-lemma group",
-        not bad,
         f"not upper triangular with diagonal (a^m, 1, ..., 1, c^n): {bad}" if bad
         else "every generator image is upper triangular with diagonal (a^m, 1, ..., 1, c^n)",
-        _ms_since(start),
-    ))
+        not bad, runtime_ms=_ms_since(start))
 
     start = time.perf_counter()
     v_corner = ident + unit_corner * kappa
@@ -517,13 +477,11 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
             bad.append(RHO_NAMES[g])
             if error:
                 errors.append(f"{RHO_NAMES[g]}: {error}")
-    cert.items.append(CheckItem(
+    rec.add_bool(
         "corner lemma on the generator images",
-        not bad,
         f"[S, N] != I + kappa (a^m c^-n - 1) E_1n for {bad}" + "".join(f"; {e}" for e in errors)
         if bad else "[S, N] = I + kappa (a^m c^-n - 1) E_1n, (m, n) the exponent sums",
-        _ms_since(start),
-    ))
+        not bad, runtime_ms=_ms_since(start))
 
     start = time.perf_counter()
     one = RepMatrix.identity(1)
@@ -532,14 +490,14 @@ def depth_certificate(k: int, rep: Representation | None = None) -> Certificate:
         "commutator corners lie in kappa * aug":
             all(q.evaluate(*at_one) == [[0]] for q in quotients),
         f"rho(v_{k + 2}) has corner kappa * 1":
-            table.corner_image == ident + unit_corner * (kappa * one),
+            corner_image == ident + unit_corner * (kappa * one),
         "kappa != 0": not kappa.is_zero(),
         "1 not in aug": one.evaluate(*at_one) == [[1]],
     }
     failed = [name for name, ok in conditions.items() if not ok]
     detail = "; ".join(conditions) if not failed else "failed: " + "; ".join(failed)
-    if table.corner_image is None:  # the chain raised; its row carries the error
-        detail += "; " + next(it.detail for it in table.items
-                              if it.name == f"rho_{k}(v_{k + 2}) = I + corner")
-    cert.items.append(CheckItem(f"v_{k+2} outside K", not failed, detail, _ms_since(start)))
-    return cert
+    if corner_image is None:  # the chain raised; its row carries the error
+        detail += "; " + next(r.claim for r in rec.records
+                              if r.id == f"rho_{k}(v_{k + 2}) = I + corner")
+    rec.add_bool(f"v_{k+2} outside K", detail, not failed, runtime_ms=_ms_since(start))
+    return rec.records

@@ -31,7 +31,6 @@ from orbitdepth.melnikov import FLAGSHIP, center_family, make_length3, mv, class
 from orbitdepth.curves import CycleFactory
 from orbitdepth.integrals import (
     PAIRING_EXPECTED,
-    PAIRING_LOOP0,
     cauchy_suite,
     determinant_defect,
     eta,
@@ -43,7 +42,7 @@ from orbitdepth.holonomy import (
     WITNESS_ORDER_TOL,
     holonomy_along,
     jet_along,
-    m2_assembly_check,
+    m2_assembly,
     m3_center_prediction,
     remainder_orders,
     resolved_sign,
@@ -123,10 +122,8 @@ def test_criterion_3_representation_certificates():
     for k in range(1, 6):
         rep = Representation(k)
         # exact identities rho_k(v_i) = I for i in 2..k+4 minus {k+2}
-        table = verify_v_images(k, k + 4, rep)
-        ok = ok and table.passed
-        cert = depth_certificate(k, rep)
-        ok = ok and cert.passed
+        ok = ok and all(r.passed for r in verify_v_images(k, k + 4, rep))
+        ok = ok and all(r.passed for r in depth_certificate(k, rep))
         # sampled oracle for the corner lemma: commutator_scalar raises unless
         # [rho(s), rho(v_{k+2})] is I + kappa (a^m c^-n - 1) E_1n
         for _ in range(10):
@@ -157,9 +154,8 @@ def test_criterion_5_pairing_table():
     ok = True
     for t in (0.25, 0.36):
         tab = pairing_table(t)
-        for (i, j), v in tab.items():
-            expected = PAIRING_LOOP0[j] if i == 0 else PAIRING_EXPECTED[(i, j)]
-            ok = ok and abs(v - expected) <= 1e-9
+        for key, v in tab.items():
+            ok = ok and abs(v - PAIRING_EXPECTED[key]) <= 1e-9
     sw.done("criterion 5: pairing table at t = 0.25 and 0.36", ok)
 
 
@@ -231,9 +227,8 @@ def test_criterion_9_center_checks():
 def test_criterion_10_m2_assembly():
     sw = Stopwatch(60.0)
     gamma = CycleFactory(T0).cycle_of_word(GAMMA)
-    rep = m2_assembly_check(FLAGSHIP, gamma)
-    ok = rep.passed and rep.name == "order-2 assembly" and rep.error <= 1e-7
-    # the two vanishing integrals reported beside the assembly
     suite = cauchy_suite(gamma)
+    ok = abs(m2_assembly(FLAGSHIP, gamma, suite["phi1_dphi3"])) <= 1e-7
+    # the two vanishing integrals reported beside the assembly
     ok = ok and all(abs(suite[k]) <= 1e-8 for k in ("phi1_dphi3", "log_t_over_y2m1_dphi2"))
     sw.done("criterion 10: numeric order-2 assembly vanishes", ok)

@@ -17,8 +17,7 @@ from orbitdepth.holonomy import (
     holonomy_along,
     holonomy_displacement,
     jet_along,
-    m2_assembly_check,
-    m3_center_crosscheck,
+    m2_assembly,
     m3_center_prediction,
     remainder_orders,
     transport,
@@ -220,9 +219,17 @@ def test_center_exactness(factory):
     assert np.all(np.abs(returns - T0) <= 1e-10)
 
 
+def center_record(gamma, *params):
+    rec = reporting.Recorder()
+    c3 = reporting.center_check(rec, gamma, *params)
+    (record,) = rec.records
+    return record, c3
+
+
 def test_center_crosscheck(gamma):
-    rep = m3_center_crosscheck(gamma, "t", 0, 1, 1)
-    assert rep.passed, (rep.computed, rep.expected, rep.error)
+    record, c3 = center_record(gamma, "t", 0, 1, 1)
+    assert record.passed, record
+    assert record.id == "num.center.order3" and record.computed == f"{c3:.6f}"
 
 
 def test_center_witness_scalings(factory):
@@ -238,21 +245,22 @@ def test_center_witness_scalings(factory):
 
 
 def test_m2_assembly(gamma):
-    rep = m2_assembly_check(FLAGSHIP, gamma)
-    assert rep.passed, rep.name
-    # the two vanishing integrals reported beside the assembly
     cs = cauchy_suite(gamma)
+    i13 = cs["phi1_dphi3"]
+    assert abs(m2_assembly(FLAGSHIP, gamma, i13)) <= 1e-7
+    # the two vanishing integrals reported beside the assembly
     for name in ("phi1_dphi3", "log_t_over_y2m1_dphi2"):
         assert abs(cs[name]) <= CAUCHY_TOL, name
     # the symmetric case is trivially zero (all Wronskian coefficients vanish)
-    assert m2_assembly_check(deformation(1, 0, 1), gamma).passed
+    assert abs(m2_assembly(deformation(1, 0, 1), gamma, i13)) <= 1e-7
     with pytest.raises(ValueError):
-        m2_assembly_check(deformation("t^2", "t^2+2t", "t"), gamma)
+        m2_assembly(deformation("t^2", "t^2+2t", "t"), gamma, i13)
 
 
 def test_center_crosscheck_lambda_zero(gamma):
-    rep = m3_center_crosscheck(gamma, "t", 1, 1, 0)
-    assert rep.expected == 0 and rep.passed  # both sides vanish
+    record, _ = center_record(gamma, "t", 1, 1, 0)
+    # the prediction is 0, so the record compares |c3| with 1e-9; both vanish
+    assert record.tolerance == 1e-9 and record.passed
 
 
 def test_center_fit_all_zero(gamma):

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in it."""
+"""Source hygiene: every name a module imports is used in it, and no
+function imports again from a module the file imports at the top."""
 
 import ast
 from pathlib import Path
@@ -42,9 +43,32 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return ["." * node.level + (node.module or "")]
+
+
+def repeated_imports(source: str):
+    """(line, module) of each import inside a function from a module that
+    the file already imports at the top level."""
+    tree = ast.parse(source)
+    top = {m for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+           for m in _modules(node)}
+    return sorted({(node.lineno, m)
+                   for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for m in _modules(node) if m in top})
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_function_imports_from_a_module_imported_at_the_top(path):
+    assert repeated_imports(path.read_text()) == []
 
 
 def test_the_scan_finds_an_unused_import():
@@ -52,3 +76,11 @@ def test_the_scan_finds_an_unused_import():
               "from typing import List, Optional\nimport numpy as np\n"
               "def f(x: 'Optional[int]') -> None:\n    return np.pi, 'List'\n")
     assert unused_imports(source) == [(3, "os"), (4, "List")]
+
+
+def test_the_scan_finds_an_import_repeated_in_a_function():
+    source = ("import os\nfrom .curves import Cycle\nimport json\n"
+              "def f():\n    from .curves import Arc\n    import os.path\n"
+              "    def g():\n        import os\n        import sys\n"
+              "    from .words import Gen\n    return json\n")
+    assert repeated_imports(source) == [(5, ".curves"), (8, "os")]

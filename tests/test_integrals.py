@@ -18,7 +18,6 @@ from orbitdepth.integrals import (
     _tail,
     MIN_POLE_CLEARANCE,
     PAIRING_EXPECTED,
-    PAIRING_LOOP0,
     EtaCombo,
     PoleOnPathError,
     QuadratureError,
@@ -34,7 +33,8 @@ from orbitdepth.integrals import (
     shuffle_defect,
     v2_double_integral,
 )
-from orbitdepth.words import D1, D2, D3, X_ELT, Z_ELT, Gen, random_word
+from orbitdepth.melnikov import FLAGSHIP
+from orbitdepth.words import D1, D2, D3, DELTA, X_ELT, Z_ELT, Gen, random_word, v_k
 
 SEED = 20259
 T0 = 0.36
@@ -101,8 +101,7 @@ def test_pairing_table():
     for t in (0.25, T0):
         tab = pairing_table(t)
         for (i, j), v in tab.items():
-            expected = PAIRING_LOOP0[j] if i == 0 else PAIRING_EXPECTED[(i, j)]
-            assert abs(v - expected) <= 1e-9, (i, j, v)
+            assert abs(v - PAIRING_EXPECTED[(i, j)]) <= 1e-9, (i, j, v)
 
 
 def test_based_loops_same_periods():
@@ -182,8 +181,6 @@ def test_moment_integral_constant_drop():
 
 
 def test_pole_clearance():
-    from orbitdepth.curves import nearest_root
-
     z0 = 0.9 + 0.01j
     seed = complex(nearest_root(z0 * z0 - 1.0, T0, 1.0))
     seg = Segment("x", Line(z0, 1.1 + 0.01j), T0, dep_seed=seed)
@@ -222,8 +219,6 @@ def test_iterated_powers_oracle():
 
 def test_delta_word_periods_are_row_sums():
     fac = CycleFactory(T0)
-    from orbitdepth.words import DELTA
-
     cyc = fac.cycle_of_word(DELTA)
     for j in (1, 2, 3):
         total = sum(
@@ -299,9 +294,6 @@ def test_an_estimator_that_always_accepts_is_caught(monkeypatch):
     # the mutant keeps the near-pole line at its base count, which the test
     # above refuses, and lets the v_2 jet stop one count short of JET_TOL
     # (tests/test_holonomy.py checks that jet against the same oracle)
-    from orbitdepth.melnikov import FLAGSHIP
-    from orbitdepth.words import v_k
-
     def accept(g):
         return np.zeros(g.shape[-2])
 

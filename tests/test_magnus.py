@@ -6,6 +6,7 @@ from sympy import divisors, mobius
 
 from orbitdepth.magnus import (
     TruncatedSeries,
+    bracket,
     depth_lower_bound,
     graded_triviality_check,
     in_span,
@@ -161,8 +162,6 @@ def test_graded_triviality():
 def test_span_membership():
     x_g = generator_vector(Gen.G)
     span = lie_ideal_span([x_g], 2)
-    from orbitdepth.magnus import bracket
-
     assert in_span(span, bracket(generator_vector(Gen.D1), x_g))
     assert not in_span(span, bracket(generator_vector(Gen.D1),
                                      generator_vector(Gen.D2)))
@@ -228,8 +227,6 @@ def test_unitriangular_matrix_oracle():
 def test_graded_triviality_full_table():
     # the saddle monodromy fixes the class of v_i and d_i(z) for i = 1..5
     # (deep words certified at truncation i, cheaper words at i+2)
-    from orbitdepth.words import Z_ELT, d_k, v_k, mon0
-
     M0 = mon0()
     for i in range(1, 6):
         n = (i + 2) if i <= 3 else i

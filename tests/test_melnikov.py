@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 from sympy.integrals.rationaltools import ratint
 
+import orbitdepth.melnikov as melnikov
 from orbitdepth.ratfunc import (
     NonRationalAntiderivative,
     RatFunc,
@@ -185,8 +186,6 @@ def test_hierarchy_collapse():
 def test_hierarchy_collapse_mutant_chain(monkeypatch):
     # with mv(2) and mv(3) reported as zero the precondition passes, but the
     # flagship's W(beta2, beta3) = t^2 is no constant multiple of beta1 = t
-    import orbitdepth.melnikov as melnikov
-
     monkeypatch.setattr(melnikov, "mv_chain", lambda n, d: [RatFunc(0)] * (n - 1))
     assert hierarchy_collapse_check(FLAGSHIP) is False
     monkeypatch.undo()
@@ -282,8 +281,6 @@ def test_mv_chain_comparison_can_fail():
 
 
 def test_mv_chain_work(monkeypatch):
-    import orbitdepth.melnikov as melnikov
-
     calls = []
 
     def counted(f, g):

@@ -168,12 +168,18 @@ def test_cli_repr(capsys):
     assert out["C"] == {"0,0": "1", "1,1": "1", "2,2": "1*c"}
     assert main(["repr", "check-v", "--k", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["pass"] is True
+    assert len(out) == 7 and all(rec["passed"] for rec in out)
+    assert out[0]["id"] == "repr.k1.rho_1(v_2)"
     assert main(["repr", "comm-scalar", "--k", "1", "--word", "x"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["m"], out["n"]) == (1, 0)
     assert main(["repr", "certificate", "--k", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["pass"] is True
+    out = json.loads(capsys.readouterr().out)
+    assert len(out) == 11 and all(rec["passed"] for rec in out)
+    assert out[-1]["id"] == "repr.k1.certificate"
+    # --imax below k + 2 leaves no distinguished row: a usage error
+    assert main(["repr", "check-v", "--k", "2", "--imax", "3"]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_cli_mel(capsys):
@@ -207,10 +213,10 @@ def test_cli_mel_errors(capsys):
 def test_cli_num(capsys):
     assert main(["num", "pairing", "--t", "0.25"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert all(rec["pass"] for rec in out)
+    assert [rec["id"] for rec in out] == ["num.pairing.t0.25"] and out[0]["passed"]
     assert main(["num", "cauchy-suite", "--t", "0.36"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert all(rec["pass"] for rec in out)
+    assert len(out) == 3 and all(rec["passed"] for rec in out)
     assert main(["num", "iterated", "--word", "[x,z]", "--forms",
                  "dphi2,dphi3", "--t", "0.36"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -225,6 +231,15 @@ def test_cli_num(capsys):
     assert abs(complex(out["c1"])) <= 1e-12 and abs(complex(out["c2"])) <= 1e-12
     assert len(out["remainder_orders"]) == 2
     assert all(abs(order - 4) <= 0.1 for order in out["remainder_orders"])
+    # d0 d0' reduces to the empty cycle: its iterated integrals are 0, and
+    # the witness orders of its jet mean nothing, which is a usage error
+    assert main(["num", "iterated", "--word", "d0 d0'", "--forms", "phi1*dphi3",
+                 "--t", "0.36"]) == 0
+    assert json.loads(capsys.readouterr().out)["computed"] == "0+0j"
+    assert main(["num", "jet", "--word", "d0 d0'", "--t", "0.36",
+                 "--a1", "t^2+2t", "--a2", "t", "--a3", "t^2+t"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_cli_verify_and_report(capsys, tmp_path, monkeypatch):
@@ -249,6 +264,33 @@ def test_cli_verify_and_report(capsys, tmp_path, monkeypatch):
     assert [row[0] for row in rows[1:]] == [c["id"] for c in checks]
     assert len(checks) == 77  # 36 orbit, 11 repr at k = 1, 10 melnikov, 20 numeric
     assert all(row[6] == "True" for row in rows[1:])
+
+
+def _without_runtime(record: dict) -> dict:
+    """The record with runtime_ms dropped, also from a certificate's params."""
+    out = {k: v for k, v in record.items() if k != "runtime_ms"}
+    out["params"] = {k: v for k, v in record["params"].items() if k != "runtime_ms"}
+    return out
+
+
+def test_check_subcommands_print_the_report_records(capsys):
+    repr_records = [r.to_dict() for r in repr_suite(Config(k_max=2))
+                    if r.id.startswith("repr.k2.")]
+    num_records = {r.id: r.to_dict() for r in numeric_suite(Config())}
+    cases = [
+        (["repr", "check-v", "--k", "2"], repr_records[:8]),
+        (["repr", "certificate", "--k", "2"], repr_records),
+        (["num", "pairing", "--t", "0.25"], [num_records["num.pairing.t0.25"]]),
+        (["num", "cauchy-suite", "--t", "0.36"],
+         [v for k, v in num_records.items() if k.startswith("num.cauchy.")]),
+        (["num", "center-check", "--A", "t", "--c1", "0", "--lambda1", "1", "--lambda", "1",
+          "--t", "0.36"], [num_records["num.center.order3"]]),
+    ]
+    for argv, expected in cases:
+        assert main(argv) == 0, argv
+        printed = json.loads(capsys.readouterr().out)
+        assert [_without_runtime(r) for r in printed] == \
+               [_without_runtime(r) for r in expected], argv
 
 
 def test_repr_suite_records():
@@ -289,10 +331,10 @@ def count_calls(monkeypatch, counts, module, name):
 
 def test_one_numeric_pass_takes_its_cycles_from_one_factory(monkeypatch):
     # one CycleFactory at t0 and one oval serve every record; the Cauchy
-    # suite runs once and two num.m2 records reuse its values.  Iterated
-    # integrals: 24 pairing, 1 orientation, 1 [x, z], 3 Cauchy, 4 shuffle,
-    # 4 period determinant, 1 center prediction and the 3 moments of the
-    # order-2 assembly, whose I_13 is the one value computed twice.
+    # suite runs once and the three num.m2 records reuse its values.
+    # Iterated integrals, all distinct: 24 pairing, 1 orientation, 1 [x, z],
+    # 3 Cauchy, 4 shuffle, 4 period determinant, 1 center prediction and the
+    # 2 moments of the order-2 assembly (its I_13 is the Cauchy phi1 dphi3).
     counts = collections.Counter()
     count_calls(monkeypatch, counts, curves, "real_oval")
     count_calls(monkeypatch, counts, integrals, "cauchy_suite")
@@ -307,7 +349,7 @@ def test_one_numeric_pass_takes_its_cycles_from_one_factory(monkeypatch):
     records = numeric_suite(Config())
     assert all(r.passed for r in records)
     assert counts == {"real_oval": 1, "CycleFactory": 1, "cauchy_suite": 1,
-                      "iterated_integral": 41}
+                      "iterated_integral": 40}
 
 
 def test_determinant_record_fails_on_its_own(monkeypatch):

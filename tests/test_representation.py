@@ -226,13 +226,21 @@ def test_diagonal_structure():
             assert d == RepMatrix.identity(1)
 
 
+def _failed(records) -> list:
+    return [r for r in records if not r.passed]
+
+
+def _claim(records, id: str) -> str:
+    return next(r.claim for r in records if r.id == id)
+
+
 def test_v_images():
     for k in (1, 2, 3, 4):
-        report = verify_v_images(k)
-        assert report.passed, report.first_failure()
-        row = next(it for it in report.items if it.name == f"rho_{k}(v_{k + 2})")
-        assert repr(expected_corner_scalar()) in row.detail
-        assert row.detail.endswith(f"at (1, {k + 1})")
+        records = verify_v_images(k)
+        assert len(records) == k + 6 and not _failed(records), _failed(records)
+        row = _claim(records, f"rho_{k}(v_{k + 2})")
+        assert repr(expected_corner_scalar()) in row
+        assert row.endswith(f"at (1, {k + 1})")
     # negative control: v_3 at level 2 is not the distinguished image
     rep = Representation(2)
     assert rep(v_k(3)) != RepMatrix.identity(3) + expected_v_corner_matrix(2)
@@ -278,25 +286,26 @@ def test_evaluation_homomorphism():
 
 def test_certificates():
     for k in (1, 2, 3):
-        cert = depth_certificate(k)
-        assert cert.passed
-        assert len(cert.items) == k + 9
-        d = cert.to_dict()
-        assert d["k"] == k and d["pass"] and len(d["checks"]) == k + 9
+        records = depth_certificate(k)
+        assert len(records) == k + 9 and not _failed(records)
+        # the v-image table comes first, with the same records
+        strip = [(r.id, r.claim, r.passed) for r in records]
+        assert strip[:k + 6] == [(r.id, r.claim, r.passed) for r in verify_v_images(k)]
+        assert len({r.id for r in records}) == k + 9
 
 
 def test_certificates_reach_k_7():
     start = time.perf_counter()
     for k in (6, 7, 8):
-        cert = depth_certificate(k)
-        assert cert.passed, [it for it in cert.items if not it.passed]
-        assert len(cert.items) == k + 9
+        records = depth_certificate(k)
+        assert not _failed(records), _failed(records)
+        assert len(records) == k + 9
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"depth_certificate(6), (7) and (8) took {elapsed:.2f}s, budget 2s"
 
 
 # Mutation tests: each feeds a wrong representation or constant and sees the
-# certificate go red, with the item count unchanged and no exception.
+# certificate go red, with the record count unchanged and no exception.
 
 LEMMA_SHAPE = "generator images in the corner-lemma group"
 LEMMA = "corner lemma on the generator images"
@@ -309,10 +318,10 @@ def _mutant(k: int, gen: RhoGen, image: RepMatrix) -> Representation:
     return rep
 
 
-def _red(cert) -> set:
-    assert len(cert.items) == cert.k + 9
-    assert not cert.passed
-    return {it.name for it in cert.items if not it.passed}
+def _red(records, k: int = 2) -> set:
+    assert len(records) == k + 9
+    assert _failed(records)
+    return {r.id for r in _failed(records)}
 
 
 def test_certificate_mutant_b_drops_a_link():
@@ -321,14 +330,14 @@ def test_certificate_mutant_b_drops_a_link():
     for k in (1, 2, 3):
         for j in range(1, k + 1):
             rep = _mutant(k, RhoGen.B2, Representation(k).B - _e(k + 1, j - 1, j))
-            assert not verify_v_images(k, rep=rep).passed
+            assert _failed(verify_v_images(k, rep=rep))
             cert = depth_certificate(k, rep=rep)
-            red = _red(cert)
+            red = _red(cert, k)
             # each red row names the missing corner, not the passing claim
             for name in (f"rho_{k}(v_{k+2})", f"rho_{k}(v_{k+2}) = I + corner",
                          f"rho_{k}(v_{k+2}) via word product"):
                 assert name in red
-                detail = next(it.detail for it in cert.items if it.name == name)
+                detail = _claim(cert, name)
                 assert detail == f"mismatch entries: [(0, {k})]", (name, detail)
 
 
@@ -338,7 +347,7 @@ def test_certificate_mutant_corner_scalar(monkeypatch):
     cert = depth_certificate(2)
     assert "v_4 outside K" in _red(cert)
     # only the corner condition fails: kappa doubled is still nonzero
-    detail = next(it.detail for it in cert.items if it.name == "v_4 outside K")
+    detail = _claim(cert, "v_4 outside K")
     assert detail == "failed: rho(v_4) has corner kappa * 1"
 
 
@@ -366,12 +375,12 @@ def test_certificate_mutant_no_exact_inverse(extra):
     rep = Representation(k)
     rep.images[RhoGen.X] = rep.A + extra
     cert = depth_certificate(k, rep=rep)
-    red = _red(cert)
+    red = _red(cert, k)
     assert LEMMA_SHAPE in red
     chain = [f"rho_{k}(v_{i})" for i in range(2, k + 5)] + [f"rho_{k}(v_{k+2}) = I + corner"]
     for name in (*chain, LEMMA, f"v_{k+2} outside K"):
         assert name in red
-        detail = next(it.detail for it in cert.items if it.name == name)
+        detail = _claim(cert, name)
         assert "ValueError" in detail, (name, detail)
     # the separation item names the condition the raising chain left unmet
     assert detail.startswith(f"failed: rho(v_{k+2}) has corner kappa * 1; ValueError")
