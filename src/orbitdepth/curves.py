@@ -344,6 +344,13 @@ def loop_radius(t: complex) -> float:
     return np.sqrt(abs(t)) / 2.0
 
 
+def _check_saddle_level(t: complex) -> None:
+    """ValueError at t = 0, where the loops of radius sqrt|t|/2 are points."""
+    if t == 0:
+        raise ValueError("at t = 0 the saddle loops shrink to the punctures; "
+                         "choose a level t != 0")
+
+
 def saddle_orientation(i: int) -> int:
     """+1 = counterclockwise x-circle, -1 = clockwise.
 
@@ -370,6 +377,7 @@ def vanishing_loop(i: int, t: complex) -> Cycle:
     """
     if i not in SADDLES:
         raise ValueError("loop index must be 0..3")
+    _check_saddle_level(t)
     if abs(t) > 0.5:
         raise ValueError("|t| too large for the saddle chart (limit 0.5)")
     sx, sy = SADDLES[i]
@@ -422,6 +430,7 @@ class CycleFactory:
         """Tail * circle * tail^-1, based at p0, homotopy class delta_i."""
         if i in self._based:
             return self._based[i]
+        _check_saddle_level(self.t)
         t = self.t
         sx, sy = SADDLES[i]
         for sign in (1, -1):

@@ -12,6 +12,7 @@ subcommand both call it, so both print the same records.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -117,9 +118,10 @@ class RunManifest:
         return asdict(self)
 
 
+@functools.cache
 def _git_commit() -> str:
     """HEAD of the source checkout the package runs from, else "unknown";
-    git is kept from looking above the checkout."""
+    git is kept from looking above the checkout.  Asked once per process."""
     root = Path(__file__).resolve().parents[2]
     try:
         proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,

@@ -85,6 +85,11 @@ def test_vanishing_loop_basics():
         vanishing_loop(1, 0.75)
     with pytest.raises(ValueError):
         vanishing_loop(5, T0)
+    # at t = 0 the loops of radius sqrt|t|/2 are the punctures themselves
+    for build in (lambda: vanishing_loop(1, 0.0), lambda: CycleFactory(0.0).based_loop(1),
+                  lambda: CycleFactory(0).cycle_of_word(D2)):
+        with pytest.raises(ValueError, match="t = 0"):
+            build()
     # complex level inside the chart bound works
     loop = vanishing_loop(2, 0.2 + 0.1j)
     loop.check_chain()

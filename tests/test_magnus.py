@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -12,12 +13,14 @@ from orbitdepth.magnus import (
     in_span,
     leading_terms_agree_mod_orbit_ideal,
     lie_ideal_span,
+    QUOTIENT_GENS,
     generator_vector,
     magnus,
     mono_degree,
     mono_format,
     mono_letters,
     orbit_leading_ideal_span,
+    project,
 )
 from orbitdepth.words import (
     D0, D1, D2, D3, G, Z_ELT,
@@ -180,13 +183,83 @@ def test_ideal_of_x_g_matches_witt():
     assert sizes == [1, 4, 20, 90, 420]
 
 
-def test_orbit_ideal_check_can_fail_and_reaches_degree_6():
+def test_orbit_ideal_check_can_fail_and_reaches_degree_7():
     # lead(v_i) is not in the ideal built from X_g and lead(v_1..v_{i-1}),
     # so the agreement check is not vacuous at any degree
-    for i in range(2, 6):
+    for i in range(2, 8):
         lead = depth_lower_bound(v_k(i), i).leading_part
-        assert not in_span(orbit_leading_ideal_span(i), lead)
-    assert leading_terms_agree_mod_orbit_ideal(var_iterate(6), v_k(6), 6)
+        assert not in_span(orbit_leading_ideal_span(i), project(lead))
+        # v_i^2 has leading term 2 lead(v_i): off by lead(v_i) from var^i(g)
+        assert not leading_terms_agree_mod_orbit_ideal(var_iterate(i), v_k(i) * v_k(i), i)
+    for i in (6, 7):
+        assert leading_terms_agree_mod_orbit_ideal(var_iterate(i), v_k(i), i)
+
+
+def _five_letter_orbit_ideal(degree):
+    """I_degree built in the free Lie algebra on all five letters (the oracle)."""
+    seeds = [generator_vector(Gen.G)]
+    seeds += [depth_lower_bound(v_k(j), j).leading_part for j in range(1, degree)]
+    return lie_ideal_span(seeds, degree)
+
+
+def _random_bracket(rng, d, leaves):
+    """A random left-normed or nested bracket of degree d over `leaves`.
+
+    `leaves` maps a degree to the homogeneous Lie elements of that degree
+    that may stand at a leaf.
+    """
+    if d == 1 or (d in leaves and rng.random() < 0.3):
+        return rng.choice(leaves[d])
+    k = 1 if rng.random() < 0.5 else rng.randint(1, d - 1)
+    return bracket(_random_bracket(rng, k, leaves), _random_bracket(rng, d - k, leaves))
+
+
+def _add(p, q, c=1):
+    out = dict(p)
+    for m, v in q.items():
+        out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+def test_quotient_membership_matches_the_five_letter_ideal():
+    # I_d = pi^-1(J_d) on Lie elements: membership decided over d0, d1, d2
+    # equals membership in the ideal echeloned over all five letters
+    rng = random.Random(SEED)
+    leads = {j: depth_lower_bound(v_k(j), j).leading_part for j in range(1, 6)}
+    letters = [generator_vector(g) for g in Gen]
+    answers = []
+    for d in range(2, 6):
+        oracle, quotient = _five_letter_orbit_ideal(d), orbit_leading_ideal_span(d)
+        # I_d is ker pi_d (dimension W(5, d) - W(3, d)) plus a lift of J_d
+        assert len(oracle) == _witt(5, d) - _witt(3, d) + len(quotient)
+        leaves = {1: letters + [leads[1]], **{j: [leads[j]] for j in range(2, d + 1)}}
+        var_lead = depth_lower_bound(var_iterate(d), d).leading_part
+        samples = [leads[d], var_lead, _add(var_lead, leads[d], -1), _add(var_lead, leads[d])]
+        for _ in range(40):
+            x = {}
+            for _ in range(rng.randint(1, 3)):
+                x = _add(x, _random_bracket(rng, d, leaves), rng.choice([-3, -2, -1, 1, 2, 3]))
+            samples.append(x)
+        for x in samples:
+            answer = in_span(oracle, x)
+            assert in_span(quotient, project(x)) == answer, (d, x)
+            answers.append(answer)
+    assert answers.count(True) >= 40 and answers.count(False) >= 40
+
+
+def test_projection_is_onto_the_free_lie_algebra_on_three_letters():
+    # pi sends the left-normed brackets of the five letters, which span the
+    # degree-d part of the free Lie algebra, onto a space of dimension W(3, d)
+    for d in range(1, 6):
+        rows = []
+        for word in itertools.product(range(len(Gen)), repeat=d):
+            b = generator_vector(word[-1])
+            for g in reversed(word[:-1]):
+                b = bracket(generator_vector(g), b)
+            rows.append(project(b))
+        # the degree-d part of the ideal of degree-d seeds is their span
+        assert len(lie_ideal_span(rows, d, QUOTIENT_GENS)) == _witt(3, d)
+    assert [_witt(3, d) for d in range(1, 6)] == [3, 3, 8, 18, 48]
 
 
 def test_unitriangular_matrix_oracle():

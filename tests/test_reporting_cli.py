@@ -50,6 +50,21 @@ def test_report_manifest_records_the_environment(tmp_path):
     assert manifest["commit"] == "unknown" or re.fullmatch(r"[0-9a-f]{40}", manifest["commit"])
 
 
+def test_git_is_asked_for_the_commit_once_per_process(tmp_path, monkeypatch):
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(reporting.subprocess, "run", counting_run)
+    reporting._git_commit.cache_clear()
+    for i in range(2):
+        run_suite("orbit", Config(), str(tmp_path / f"rep{i}.json"))
+    assert len(calls) == 1
+
+
 def _modules_loaded_by_the_package(top: str,
                                    imports: str = "orbitdepth.cli, orbitdepth.reporting") -> str:
     """Modules under `top` that importing `imports` (the CLI and reporting
@@ -240,6 +255,11 @@ def test_cli_num(capsys):
                  "--a1", "t^2+2t", "--a2", "t", "--a3", "t^2+t"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    # at t = 0 the saddle loops shrink to the punctures: a usage error
+    assert main(["num", "pairing", "--t", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "t = 0" in captured.err
 
 
 def test_cli_verify_and_report(capsys, tmp_path, monkeypatch):
