@@ -7,7 +7,10 @@ path the other coordinate is one of the two roots +-sqrt(1 + t/(w^2 - 1)).
 given value: a segment samples its path, keeps each sample's root nearer
 the previous sample's (doubling the samples until every step is
 unambiguous by BRANCH_SAFETY), and any other point of the segment takes the
-root nearer its closest sample.  The pieces built here:
+root nearer its closest sample.  What a cycle reads again (the endpoints,
+the values at collocation nodes) each segment computes once per direction
+and keeps, for itself and its reversed copies (`Segment.kept`).  The pieces
+built here:
 
 * the real oval through p0 = (-sqrt(1-t), 0) for 0 < t < 1, split into
   eight graph arcs between axis and diagonal points, oriented
@@ -145,7 +148,7 @@ class Segment:
         self.reversed = False
         self._samples: Optional[np.ndarray] = None
         self._sgrid: Optional[np.ndarray] = None
-        self._dependents: Dict[tuple, np.ndarray] = {}  # shared with the reversed copies
+        self._store: Dict[tuple, object] = {}  # shared with the reversed copies
         self._build_samples(dep_seed)
 
     def _build_samples(self, dep_seed: complex):
@@ -188,23 +191,11 @@ class Segment:
         d = self.path.derivative(self._canonical_s(s))
         return -d if self.reversed else d
 
-    def dependent(self, s, key=None):
-        """Dependent coordinate at parameter s (scalar or array).
-
-        Each point takes the root nearer its closest sample.  A cycle passes
-        the same segments many times (the 96 segments of v_3 run over 14
-        paths), so with a `key` naming the array s (the panel count for the
-        collocation nodes of `integrals`) the roots are taken once per
-        direction and key, in a store shared with every reversed copy of
-        the segment, and the result is read-only.
-        """
-        if key is not None:
-            k = (self.reversed, key)
-            if k not in self._dependents:
-                d = self.dependent(s)
-                d.flags.writeable = False
-                self._dependents[k] = d
-            return self._dependents[k]
+    def dependent(self, s):
+        """Dependent coordinate at parameter s (scalar or array), evaluated
+        afresh: each point takes the root nearer its closest sample.  The
+        values a cycle reads again, at the endpoints and at the collocation
+        nodes, come from the segment's store (`kept`)."""
         cs = np.atleast_1d(np.asarray(self._canonical_s(s), dtype=float))
         idx = np.clip(np.rint(cs * (len(self._sgrid) - 1)).astype(int),
                       0, len(self._sgrid) - 1)
@@ -214,29 +205,67 @@ class Segment:
             return complex(d[0])
         return d
 
-    def frame(self, s, key=None):
-        """(x, y, dx/ds, dy/ds) with the chart resolved; s may be an array,
-        and `key` is passed on to `dependent`."""
-        w = self.independent(s)
-        dw = self.independent_derivative(s)
-        d = self.dependent(s, key)
+    def geometry(self, s):
+        """(w, dw/ds, u) at parameter s (scalar or array): the independent
+        coordinate, its derivative and the dependent coordinate, evaluated
+        afresh; `integrals` keeps them at its collocation nodes (`kept`)."""
+        return self.independent(s), self.independent_derivative(s), self.dependent(s)
+
+    def chart_frame(self, w, dw, u):
+        """(x, y, dx/ds, dy/ds) from the geometry (w, dw/ds, u), with the
+        implicit derivative of the dependent coordinate."""
         a = np.asarray(w, dtype=complex) ** 2 - 1.0
-        # implicit derivative of the dependent coordinate
-        dd = -dw * (2.0 * np.asarray(w, dtype=complex) * (np.asarray(d) ** 2 - 1.0)) / (2.0 * np.asarray(d) * a)
+        du = -dw * (2.0 * np.asarray(w, dtype=complex) * (np.asarray(u) ** 2 - 1.0)) / (2.0 * np.asarray(u) * a)
         if self.chart == "x":
-            return w, d, dw, dd
-        return d, w, dd, dw
+            return w, u, dw, du
+        return u, w, du, dw
+
+    def frame(self, s):
+        """(x, y, dx/ds, dy/ds) at parameter s (scalar or array), evaluated
+        afresh; at the collocation nodes `integrals` reads the kept geometry
+        through `chart_frame` instead."""
+        return self.chart_frame(*self.geometry(s))
+
+    def kept(self, key, compute):
+        """compute() for the segment in this direction, evaluated once per
+        direction and key and kept in the segment's store.
+
+        A cycle passes the same segments many times (the 96 segments of v_3
+        run over 14 paths), so what every pass reads again is computed once:
+        the endpoints, the geometry at the collocation nodes of `integrals`
+        (keyed by panel count) and each form's pole clearance.  The store is
+        shared with every reversed copy of the segment; the arrays of a kept
+        tuple are read-only.
+        """
+        k = (self.reversed, key)
+        if k not in self._store:
+            value = compute()
+            if isinstance(value, tuple):
+                for a in value:
+                    if isinstance(a, np.ndarray):
+                        a.flags.writeable = False
+            self._store[k] = value
+        return self._store[k]
+
+    def _endpoints(self):
+        """(start, end) in this direction.  One evaluation serves both
+        directions: s = 0 run backwards is s = 1 run forwards."""
+        def both():
+            a, b = (CurvePoint(complex(x), complex(y), self.t)
+                    for x, y, _, _ in (self.frame(0.0), self.frame(1.0)))
+            self.reverse().kept("ends", lambda: (b, a))
+            return a, b
+
+        return self.kept("ends", both)
 
     def start_point(self) -> CurvePoint:
-        x, y, _, _ = self.frame(0.0)
-        return CurvePoint(complex(x), complex(y), self.t)
+        return self._endpoints()[0]
 
     def end_point(self) -> CurvePoint:
-        x, y, _, _ = self.frame(1.0)
-        return CurvePoint(complex(x), complex(y), self.t)
+        return self._endpoints()[1]
 
     def reverse(self) -> "Segment":
-        """The same segment run backwards, sharing its samples and stores."""
+        """The same segment run backwards, sharing its samples and its store."""
         out = copy.copy(self)
         out.reversed = not self.reversed
         return out

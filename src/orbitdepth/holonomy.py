@@ -74,6 +74,7 @@ from .curves import Cycle, Segment, curve_f, nearest_root
 from .integrals import (
     _NODES,
     _cumulative,
+    _node_geometry,
     _panel_nodes,
     _segment_panels,
     _settle,
@@ -157,12 +158,13 @@ def _segment_leaves(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray
     w0, u0 = (x, y) if seg.chart == "x" else (y, x)
     h = 1.0 / npan
     s = _panel_nodes(npan)
+    base_w, base_dw, base_u = _node_geometry(seg, npan)
     delta = (w0 - seg.independent(0.0))[:, None, None]
-    w = seg.independent(s) + delta * (1.0 - s)
-    dw = seg.independent_derivative(s) - delta
+    w = base_w + delta * (1.0 - s)
+    dw = base_dw - delta
     a = w * w - 1.0
     level = curve_f(w0, u0)[:, None, None]
-    u = np.broadcast_to(seg.dependent(s, key=npan), w.shape)
+    u = np.broadcast_to(base_u, w.shape)
     for _ in range(FIX_MAX_ITERATIONS):
         u = nearest_root(a, level - field.eps * j, u)
         slope, form = field.slope_and_form(*((w, u) if seg.chart == "x" else (u, w)), seg.chart)
@@ -305,14 +307,17 @@ def _rat_at(dense, z):
 
 def _leaf_series(chart: str, w, dw, dep, dense):
     """eps-series of (d(dep)/ds, omega(tangent)) on the leaf through (w, dep)
-    while the independent coordinate moves at dw (all three are series)."""
+    while the independent coordinate moves at dw (all three are series).
+    A block's series are the largest arrays of a numeric pass, so the
+    intermediate ones are dropped as soon as they are used."""
     x, y = (w, dep) if chart == "x" else (dep, w)
     xx, yy = _plus(_mul(x, x), -1.0), _plus(_mul(y, y), -1.0)
-    f = _mul(xx, yy)
-    a1, a2, a3 = (_rat_at(c, f) for c in dense)
-    p = _mul(a1, _recip(_plus(x, 1.0))) + _mul(a3, _recip(_plus(x, -1.0)))
-    q = _mul(a2, _recip(_plus(y, -1.0)))
-    fx, fy = 2.0 * _mul(x, yy), 2.0 * _mul(y, xx)
+    f, fx, fy = _mul(xx, yy), 2.0 * _mul(x, yy), 2.0 * _mul(y, xx)
+    del xx, yy
+    a1, a2, a3 = dense
+    p = _mul(_rat_at(a1, f), _recip(_plus(x, 1.0))) + _mul(_rat_at(a3, f), _recip(_plus(x, -1.0)))
+    q = _mul(_rat_at(a2, f), _recip(_plus(y, -1.0)))
+    del f
     f_ind, f_dep, p_ind, p_dep = (fx, fy, p, q) if chart == "x" else (fy, fx, q, p)
     slope = -_mul(f_ind + _eps_times(p_ind), _recip(f_dep + _eps_times(p_dep)))
     return _mul(slope, dw), _mul(p_ind + _mul(p_dep, slope), dw)
@@ -348,12 +353,10 @@ def _block_jet(block: List[Segment], rounds: List[int], dense, offset: np.ndarra
     int omega, and each segment's worst Chebyshev tail."""
     npans = [_segment_panels(seg, r) for seg, r in zip(block, rounds)]
     h = np.repeat(1.0 / np.array(npans), npans)
-    s = [_panel_nodes(npan) for npan in npans]
     w, dw, u = np.zeros((3, JET_TERMS, h.size, _NODES.size), complex)
-    w[0] = np.concatenate([seg.independent(si) for seg, si in zip(block, s)])
-    dw[0] = np.concatenate([seg.independent_derivative(si) for seg, si in zip(block, s)])
-    u[0] = np.concatenate([seg.dependent(si, key=n) for seg, si, n in zip(block, s, npans)])
-    w[1:, :npans[0]] = offset[1:, None, None] * (1.0 - s[0])
+    w[0], dw[0], u[0] = map(np.concatenate,
+                            zip(*(_node_geometry(seg, n) for seg, n in zip(block, npans))))
+    w[1:, :npans[0]] = offset[1:, None, None] * (1.0 - _panel_nodes(npans[0]))
     dw[1:, :npans[0]] = -offset[1:, None, None]
     f_dep = 2.0 * u[0] * (w[0] * w[0] - 1.0)  # dF/d(dep): F is symmetric in x, y
     chart = block[0].chart
@@ -380,17 +383,29 @@ def _switch_chart(dep: np.ndarray):
 
 def _cycle_jet(cycle: Cycle, dense, rounds: Optional[int] = None) -> np.ndarray:
     """-(jet of int omega) over the cycle, each block settled by its
-    segments' tails (integrals._settle), or with every segment at `rounds`."""
+    segments' tails (integrals._settle), or with every segment at `rounds`.
+
+    A cycle passes the same segments many times (v_3's 96 run over 28
+    segment-and-direction pairs), so a pair met again starts at the rounds
+    it settled at the last time instead of sweeping the counts that failed
+    there; the tails still decide every block."""
     chart = cycle.segments[0].chart
     dep = np.zeros(JET_TERMS, complex)
     jtot = np.zeros(JET_TERMS, complex)
+    settled = {}  # (uid, reversed) -> the rounds of the pair's last sweep
     for block in _blocks(cycle, rounds or 0):
         offset = np.zeros(JET_TERMS, complex)
         if block[0].chart != chart:
             offset, dep = _switch_chart(dep)
             chart = block[0].chart
-        dep, dj = _settle(block, lambda r: _block_jet(block, r, dense, offset, dep),
-                          "Melnikov jet", JET_TOL, rounds)
+        pairs = [(seg.uid, seg.reversed) for seg in block]
+
+        def sweep(r):
+            settled.update(zip(pairs, r))
+            return _block_jet(block, r, dense, offset, dep)
+
+        dep, dj = _settle(block, sweep, "Melnikov jet", JET_TOL, rounds,
+                          start=[settled.get(pair, 0) for pair in pairs])
         jtot += dj
     return -jtot
 

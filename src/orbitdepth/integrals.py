@@ -29,9 +29,9 @@ own nodes (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS
 around x = +-1 at t = 0.36, and the branch points x = +-sqrt(1 - t) = +-0.8
 lie 0.1 from them; at degree 32 a quarter of the segments of the v_3 cycle
 need a doubling (14 of them a second one at the 1e-13 of leaf transport)
-and the oval none.  Each segment keeps the dependent
-coordinate at the nodes (`Segment.dependent` with the panel count as key),
-since a cycle passes the same paths many times.
+and the oval none.  Each segment keeps its geometry at the nodes of each
+panel count and each form's pole clearance (`_node_geometry`,
+`Segment.kept`), since a cycle passes the same paths many times.
 """
 
 from __future__ import annotations
@@ -205,19 +205,21 @@ SEGMENT_MAX_ROUNDS = 6  # a segment's panels double at most five times
 # floor near 1e-15 under the tails (the oval's jets read at most 1.5e-15,
 # the transported leaves 6e-16), below every tolerance of the package.
 def _settle(segments: Sequence[Segment], sweep, what: str, tol: float,
-            rounds: Optional[int] = None):
+            rounds: Optional[int] = None, start: Optional[Sequence[int]] = None):
     """The result of sweep(rounds per segment) -> (result, each segment's
     worst tail) once every tail is at most tol.
 
-    Every segment starts at its base panel count; only the segments that
-    fail double their panels, and the sweep runs again from the same
-    incoming state.  QuadratureError, naming the segment, its panel count
-    and its last tail, when a failing segment has had SEGMENT_MAX_ROUNDS
-    counts.  With `rounds` given, one uniform sweep with every segment at
-    those rounds, unchecked (the oracle of the tests)."""
+    Every segment starts at its base panel count, or at its `start` rounds
+    (a count it settled at before, the counts below it having failed);
+    only the segments that fail double their panels, and the sweep runs
+    again from the same incoming state.  QuadratureError, naming the
+    segment, its panel count and its last tail, when a failing segment has
+    had SEGMENT_MAX_ROUNDS counts.  With `rounds` given, one uniform sweep
+    with every segment at those rounds, unchecked (the oracle of the
+    tests)."""
     if rounds is not None:
         return sweep([rounds] * len(segments))[0]
-    rounds = [0] * len(segments)
+    rounds = list(start) if start is not None else [0] * len(segments)
     while True:
         result, tails = sweep(rounds)
         failing = [i for i, tail in enumerate(tails) if not tail <= tol]
@@ -237,12 +239,18 @@ def _panel_nodes(npan: int) -> np.ndarray:
     return (np.arange(npan)[:, None] + _NODES) * (1.0 / npan)
 
 
+def _node_geometry(seg: Segment, npan: int):
+    """The segment's (w, dw/ds, u) at the collocation nodes of npan panels,
+    computed once per direction (`Segment.kept`)."""
+    return seg.kept(npan, lambda: seg.geometry(_panel_nodes(npan)))
+
+
 def _segment_sweep(seg: Segment, forms: Sequence[Form], prefixes: Sequence[complex],
                    rounds: int):
     """The iterated integrals' prefixes at the segment's end from those at
     its start, and the worst tail of the integrands on its panels."""
     npan = _segment_panels(seg, rounds)
-    x, y, dxds, dyds = seg.frame(_panel_nodes(npan), key=npan)
+    x, y, dxds, dyds = seg.chart_frame(*_node_geometry(seg, npan))
     out, tails, acc = [], [], None
     for j, form in enumerate(forms):
         g = form.values(x, y, dxds, dyds)
@@ -258,10 +266,13 @@ _CLEARANCE_S = np.linspace(0.0, 1.0, 129)
 
 
 def _check_clearance(cycle: Cycle, forms: Sequence[Form]):
+    """PoleOnPathError where a form's pole lies within MIN_POLE_CLEARANCE of
+    a segment, judged on _CLEARANCE_S; each segment keeps the clearance of
+    each form it has been checked for."""
     for seg in cycle.segments:
-        x, y, _, _ = seg.frame(_CLEARANCE_S, key="clearance")
         for form in forms:
-            c = form.pole_clearance(x, y)
+            c = seg.kept(("clearance", form),
+                         lambda: form.pole_clearance(*seg.frame(_CLEARANCE_S)[:2]))
             if c < MIN_POLE_CLEARANCE:
                 raise PoleOnPathError(
                     f"pole within {c:.3g} of segment {seg!r}"

@@ -15,7 +15,7 @@ def uniform(monkeypatch):
     settle = integrals._settle
 
     def at(rounds):
-        def uniform_settle(segments, sweep, what, tol, _=None):
+        def uniform_settle(segments, sweep, what, tol, _rounds=None, start=None):
             return settle(segments, sweep, what, tol, rounds)
         monkeypatch.setattr(integrals, "_settle", uniform_settle)
         monkeypatch.setattr(holonomy, "_settle", uniform_settle)

@@ -21,6 +21,7 @@ from orbitdepth.curves import (
 )
 from orbitdepth.integrals import (
     PAIRING_EXPECTED,
+    _node_geometry,
     _panel_nodes,
     _segment_panels,
     pairing_table,
@@ -210,7 +211,7 @@ def test_panel_nodes_lie_on_the_curve():
     for seg in curve_segments():
         for rounds in range(3):
             npan = _segment_panels(seg, rounds)
-            x, y, _, _ = seg.frame(_panel_nodes(npan), key=npan)
+            x, y, _, _ = seg.chart_frame(*_node_geometry(seg, npan))
             assert np.max(np.abs(curve_f(x, y) - seg.t)) <= 1e-14 * max(1.0, abs(seg.t)), seg
 
 
@@ -235,17 +236,64 @@ def test_far_root_mutant_is_caught(monkeypatch):
     assert pairing_error(T0) > 1e-9
 
 
-def test_keyed_dependent_is_computed_once_per_direction():
-    seg = CycleFactory(T0).based_loop(2).segments[1]
-    s = np.linspace(0.0, 1.0, 33)
-    kept = seg.dependent(s, key="s33")
-    assert np.array_equal(kept, seg.dependent(s))
-    assert not kept.flags.writeable
-    assert seg.dependent(s, key="s33") is kept
+def counted_roots(monkeypatch):
+    """A list that grows by one at every nearest_root call from now on."""
+    calls = []
+    near = curves.nearest_root
+
+    def counted(a, level, z):
+        calls.append(np.shape(z))
+        return near(a, level, z)
+
+    monkeypatch.setattr(curves, "nearest_root", counted)
+    return calls
+
+
+def test_endpoints_and_node_geometry_are_computed_once_per_direction(monkeypatch):
+    z0 = 0.5 + 0.2j
+    seg = Segment("x", Line(z0, 1.1 + 0.3j), T0, complex(nearest_root(z0 * z0 - 1.0, T0, 1.0)))
     rev = seg.reverse()
-    assert rev.reverse().dependent(s, key="s33") is kept  # the store is shared
-    back = rev.dependent(s, key="s33")
-    assert back is not kept and np.array_equal(back, seg.dependent(1.0 - s))
+    calls = counted_roots(monkeypatch)
+    # one evaluation at s = 0 and one at s = 1 serve both directions
+    start, end = seg.start_point(), seg.end_point()
+    assert len(calls) == 2
+    assert (rev.start_point(), rev.end_point()) == (end, start)
+    assert seg.start_point() is start and rev.reverse().end_point() is end
+    assert len(calls) == 2
+    # the collocation nodes: once per direction and panel count
+    s = _panel_nodes(6)
+    kept = _node_geometry(seg, 6)
+    assert len(calls) == 3
+    assert _node_geometry(seg, 6) is kept and _node_geometry(rev.reverse(), 6) is kept
+    back = _node_geometry(rev, 6)
+    assert _node_geometry(seg.reverse(), 6) is back
+    _node_geometry(seg, 12)
+    assert len(calls) == 5
+    for value, fresh in zip(kept + back, seg.geometry(s) + rev.geometry(s)):
+        assert np.array_equal(value, fresh)
+
+
+def test_kept_values_are_shared_with_reversed_copies_and_read_only():
+    seg = CycleFactory(T0).based_loop(2).segments[1]
+    rev = seg.reverse()
+    assert rev._store is seg._store
+    for value in _node_geometry(seg, 6) + _node_geometry(rev, 6):
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0, 0] = 0.0
+    with pytest.raises(AttributeError):  # a CurvePoint is frozen
+        rev.start_point().x = 0.0
+
+
+def test_a_word_cycle_rebuilt_from_held_loops_finds_no_roots(monkeypatch):
+    factory = CycleFactory(T0)
+    first = factory.cycle_of_word(v_k(3))
+    calls = counted_roots(monkeypatch)
+    again = factory.cycle_of_word(v_k(3))  # check_chain re-reads all 96 segments' endpoints
+    assert len(calls) == 0
+    assert len(again.segments) == 96
+    assert [(s.uid, s.reversed) for s in again.segments] == \
+           [(s.uid, s.reversed) for s in first.segments]
 
 
 def test_factory_keeps_one_oval():

@@ -327,27 +327,33 @@ def block_jet_calls(monkeypatch, cycle):
     return calls
 
 
-@pytest.mark.parametrize("word, most_rounds, refined, panels", [
-    (GAMMA, 0, 0, 48), (v_k(2), 1, 14, 660), (v_k(3), 1, 24, 1128),
+@pytest.mark.parametrize("word, sweeps, most_rounds, refined, panels", [
+    (GAMMA, 5, 0, 0, 48), (v_k(2), 28, 1, 14, 576), (v_k(3), 39, 1, 24, 912),
 ], ids=["gamma", "v2", "v3"])
-def test_jets_refine_only_the_segments_whose_tails_fail(factory, monkeypatch, word, most_rounds,
-                                                         refined, panels):
+def test_jets_refine_only_the_segments_whose_tails_fail(factory, monkeypatch, word, sweeps,
+                                                         most_rounds, refined, panels):
     # doubling every panel until two whole-cycle jets agreed swept v_3 at
-    # two counts (672 + 1344 = 2016 panels) and v_2 at three (2772); now
-    # 24 of v_3's 96 segments and 14 of v_2's 58 double once, and the oval's
-    # 8 segments not at all
+    # two counts (672 + 1344 = 2016 panels) and v_2 at three (2772); the
+    # tails alone, every block from the base counts, swept 1128 panels in
+    # 50 block sweeps for v_3 and 660 in 34 for v_2.  A segment met again
+    # in the same direction now starts at the rounds it settled at; 24 of
+    # v_3's 96 segments and 14 of v_2's 58 settle at one doubling, and the
+    # oval's 8 segments at none
     cycle = factory.cycle_of_word(word)
     calls = block_jet_calls(monkeypatch, cycle)
-    last = {}
+    last, settled = {}, {}
     for block, rounds, tails in calls:
         before = last.get(id(block))
         if before is None:
-            assert rounds == [0] * len(block)
+            # a pair starts at the rounds of its last sweep, a new one at the base count
+            assert rounds == [settled.get((seg.uid, seg.reversed), 0) for seg in block]
         else:
             # each rerun doubles exactly the segments that failed the last one
             assert rounds == [r + (t > JET_TOL) for r, t in zip(*before)]
         last[id(block)] = rounds, tails
+        settled.update(((seg.uid, seg.reversed), r) for seg, r in zip(block, rounds))
     assert len(last) == len(holonomy_module._blocks(cycle, 0))
+    assert len(calls) == sweeps
     assert all(np.all(tails <= JET_TOL) for _, tails in last.values())
     assert max(max(rounds) for rounds, _ in last.values()) == most_rounds
     assert sum(r > 0 for rounds, _ in last.values() for r in rounds) == refined

@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,23 @@ def test_repr_suite_records():
         level = [r for r in records if r.id.startswith(f"repr.k{k}.")]
         assert len(level) == k + 10  # k + 9 certificate items and the verdict
         assert level[-1].id == f"repr.k{k}.certificate"
+
+
+def test_certificate_verdict_lists_the_ids_of_its_items_and_of_the_failed_ones(monkeypatch):
+    rec = reporting.Recorder()
+    reporting.certificate_checks(rec, 2)
+    *items, verdict = rec.records
+    assert verdict.passed and verdict.params["failed"] == []
+    assert verdict.params["items"] == [r.id for r in items]
+    assert set(verdict.params) == {"k", "items", "failed", "pass", "runtime_ms"}
+    certificate = reporting.depth_certificate
+    monkeypatch.setattr(reporting, "depth_certificate", lambda k: [
+        replace(r, passed=False) if i == 3 else r for i, r in enumerate(certificate(k))])
+    rec = reporting.Recorder()
+    reporting.certificate_checks(rec, 2)
+    *items, verdict = rec.records
+    assert not verdict.passed
+    assert verdict.params["failed"] == [items[3].id] == ["repr.k2.rho_2(v_4)"]
 
 
 def test_numeric_suite_records():
