@@ -50,12 +50,30 @@ continuous where one segment ends and the next starts (one curve point, one
 dependent coordinate), so the closed form from the block's start runs on
 through each junction, and only a first segment after a switch is shifted.
 
+A block sweep forms each eps-order of the leaf quantities once, lowest
+first: the squares x^2 - 1 and y^2 - 1, F, F_x, F_y, the coefficients
+a_i(F), omega's coefficients, the slope and the form.  u_j enters the
+eps^j coefficient of each of them only linearly, through its eps^0
+derivative in the dependent coordinate, and nowhere else, since every
+other term of order j multiplies orders below j.  So order j is formed
+first with u_j = 0 as far as the slope needs it (r_j); once u_j is solved,
+the dependent square, the slope and its denominator F_dep + eps p_dep add
+their derivative times u_j (closed forms at eps^0), and the rest of order j
+is formed with u_j in place.  F is the level t at eps^0, so a_i(F) is
+composed from the Taylor coefficients a_i^(k)(t) / k! of the exact
+derivatives and the powers of F - t; omega's coefficients
+a1/(x + 1) + a3/(x - 1) and a2/(y - 1) are
+((a1 + a3) x + a3 - a1) / (x^2 - 1) and a2 (y + 1) / (y^2 - 1), one series
+division each by a square that F needs anyway.
+
 Witness (`remainder_orders`, the direct path): the remainder
 R(eps) = |disp(eps) - (c1 eps + c2 eps^2 + c3 eps^3)| of the transported
 displacement past the jet is O(eps^4) when c1..c3 are right, so
 log2(R(E) / R(E/2)) must be 4 at E = +-WITNESS_EPS; an error in c_j leaves
 a term of order j that dominates R at small eps and pulls the order down.
-All four leaves +-E, +-E/2 run in one stacked transport.
+All four leaves +-E, +-E/2 run in one stacked transport.  R(+-E/2) must
+stand above WITNESS_FLOOR, the transport's error, or the orders are
+refused: at an exact center R is roundoff and its order means nothing.
 
 Every function here takes the cycle it runs along and reads the level
 from it (`cycle.t`); the order-2 assembly and the order-3 center
@@ -66,6 +84,7 @@ check records that compare them with their tolerances are built in
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -74,6 +93,7 @@ from .curves import Cycle, Segment, curve_f, nearest_root
 from .integrals import (
     _NODES,
     _cumulative,
+    _integral,
     _node_geometry,
     _panel_nodes,
     _segment_panels,
@@ -208,13 +228,15 @@ def _like(eps, values):
 def transport(cycle: Cycle, d: Deformation, eps):
     """Endpoints (x, y) and omega-quadratures of the perturbed leaves over
     the cycle's base chain, one leaf per entry of eps (scalars for a scalar
-    eps).  Every segment carries the whole grid as one array."""
+    eps).  Every segment carries the whole grid as one array.  ValueError
+    before any sweep where a coefficient of d is not finite at cycle.t."""
     grid = np.atleast_1d(np.asarray(eps, dtype=complex))
     n = grid.size
     if not cycle.segments:
         p = cycle.base_point
         return tuple(_like(eps, np.full(n, v, complex)) for v in (p.x, p.y, 0.0))
     _check_closing_chart(cycle)
+    _level_taylor(d, cycle.t, 1)
     field = LeafField(d, grid[:, None, None])
     start = cycle.segments[0].start_point()
     x, y = np.full(n, start.x, complex), np.full(n, start.y, complex)
@@ -257,70 +279,55 @@ def holonomy_displacement(cycle: Cycle, d: Deformation, eps):
 # ---------------------------------------------------------------------------
 # eps-jets of the leaf on the collocation panels.
 #
-# An eps-series is an array whose axis 0 is the power of eps, truncated
-# after JET_TERMS coefficients; the other axes are the panel nodes.
+# An eps-series is a list whose entry k is the eps^k coefficient: an array
+# over the block's panels and nodes, or a scalar.  Coefficients past the
+# end of the list, and entries None, are 0: a block that starts on the
+# base fiber has an independent coordinate of one term.
 
 JET_TERMS = 3  # eps^0..eps^2 of int omega give c1..c3
 JET_TOL = 1e-10  # relative accuracy of c1..c3, the tail tolerance of their panels
 
 
-def _mul(a, b):
-    out = a * b[0]
-    for i in range(1, len(a)):
-        out[i:] += a[:-i] * b[i]
+def _level_taylor(d: Deformation, t, terms: int) -> np.ndarray:
+    """a_i^(k)(t) / k! for k < terms, one row per coefficient a1, a2, a3,
+    from the exact derivatives (RatFunc.diff).  ValueError, naming the
+    coefficient and the level, where a coefficient is not finite at t."""
+    out = np.empty((3, terms), complex)
+    for i, a in enumerate(d.coefficients()):
+        derivative = a
+        for k in range(terms):
+            if k:
+                derivative = derivative.diff()
+            try:
+                out[i, k] = derivative.evaluate(t) / math.factorial(k)
+            except ZeroDivisionError:
+                out[i, k] = np.inf
+        if not np.all(np.isfinite(out[i])):
+            raise ValueError(f"a{i + 1} = {a} is not finite at the level t = {t}")
     return out
 
 
-def _recip(a):
-    out = np.empty_like(a)
-    out[0] = 1.0 / a[0]
-    for k in range(1, len(a)):
-        out[k] = -out[0] * (a[1:k + 1] * out[k - 1::-1]).sum(axis=0)
+def _conv(a, b, j):
+    """The eps^j coefficient of the product of the series a and b, from the
+    terms a[i] b[j - i] that both series hold."""
+    out = 0.0
+    for i in range(max(0, j - len(b) + 1), min(len(a), j + 1)):
+        if a[i] is not None and b[j - i] is not None:
+            out = out + a[i] * b[j - i]
     return out
 
 
-def _plus(a, c):
-    """a + c for a constant c."""
-    out = a.copy()
-    out[0] = out[0] + c
-    return out
+def _composed(row, powers, j):
+    """The eps^j coefficient, j >= 1, of a(F) = sum_k row[k] (F - t)^k, with
+    powers[k - 1] the series of (F - t)^k."""
+    return sum(c * pk[j] for c, pk in zip(row[1:], powers))
 
 
-def _eps_times(a):
-    return np.concatenate([np.zeros_like(a[:1]), a[:-1]])
-
-
-def _poly_at(coeffs, z):
-    out = np.zeros_like(z)
-    for c in coeffs:
-        out = _plus(_mul(out, z), c)
-    return out
-
-
-def _rat_at(dense, z):
-    """A rational function, given by RatFunc.dense(), at the series z."""
-    num, den = dense
-    if len(den) == 1:
-        return _poly_at(num, z) / den[0]
-    return _mul(_poly_at(num, z), _recip(_poly_at(den, z)))
-
-
-def _leaf_series(chart: str, w, dw, dep, dense):
-    """eps-series of (d(dep)/ds, omega(tangent)) on the leaf through (w, dep)
-    while the independent coordinate moves at dw (all three are series).
-    A block's series are the largest arrays of a numeric pass, so the
-    intermediate ones are dropped as soon as they are used."""
-    x, y = (w, dep) if chart == "x" else (dep, w)
-    xx, yy = _plus(_mul(x, x), -1.0), _plus(_mul(y, y), -1.0)
-    f, fx, fy = _mul(xx, yy), 2.0 * _mul(x, yy), 2.0 * _mul(y, xx)
-    del xx, yy
-    a1, a2, a3 = dense
-    p = _mul(_rat_at(a1, f), _recip(_plus(x, 1.0))) + _mul(_rat_at(a3, f), _recip(_plus(x, -1.0)))
-    q = _mul(_rat_at(a2, f), _recip(_plus(y, -1.0)))
-    del f
-    f_ind, f_dep, p_ind, p_dep = (fx, fy, p, q) if chart == "x" else (fy, fx, q, p)
-    slope = -_mul(f_ind + _eps_times(p_ind), _recip(f_dep + _eps_times(p_dep)))
-    return _mul(slope, dw), _mul(p_ind + _mul(p_dep, slope), dw)
+def _dep_derivatives(w0, u0, ind2, slope0, f_dep):
+    """d/d(dep) at eps^0 of dep^2 - 1, of f_dep and of the slope, with
+    ind2 = w0^2 - 1 and slope0 the base slope: the only way u_j enters the
+    eps^j coefficients of these three is linearly, through these derivatives."""
+    return 2.0 * u0, 2.0 * ind2, -2.0 * (2.0 * w0 * u0 + ind2 * slope0) / f_dep
 
 
 # At most as many panels in a block as in the largest single-segment array of
@@ -342,36 +349,81 @@ def _blocks(cycle: Cycle, rounds: int) -> List[List[Segment]]:
     return blocks
 
 
-def _block_jet(block: List[Segment], rounds: List[int], dense, offset: np.ndarray,
-               dep0: np.ndarray):
+def _block_jet(block: List[Segment], rounds: List[int], taylor: np.ndarray,
+               offset: np.ndarray, dep0: np.ndarray):
     """Carry the leaf's jet over a block of same-chart segments, each at its
     own rounds, their panels side by side.  The first segment's independent
     coordinate follows its base path shifted by offset * (1 - s), so the
     leaf ends on the base fiber; dep0 is the jet of the dependent coordinate
-    at the block's start minus the base value.  Returns the jet of the
-    dependent coordinate at the block's end (minus the base) and of
-    int omega, and each segment's worst Chebyshev tail."""
+    at the block's start minus the base value, and taylor the coefficients'
+    Taylor coefficients at the level (_level_taylor).  Returns the jet of
+    the dependent coordinate at the block's end (minus the base) and of
+    int omega, and each segment's worst Chebyshev tail.
+
+    Each eps-order of every leaf quantity is formed once, lowest first.
+    Order j is first formed with u_j = 0 as far as the slope needs it;
+    once u_j is solved, dep^2 - 1, the slope and its denominator take their
+    u_j terms from _dep_derivatives, and F, the coefficients a_i(F),
+    omega's coefficients and the form follow with u_j in place."""
     npans = [_segment_panels(seg, r) for seg, r in zip(block, rounds)]
     h = np.repeat(1.0 / np.array(npans), npans)
-    w, dw, u = np.zeros((3, JET_TERMS, h.size, _NODES.size), complex)
-    w[0], dw[0], u[0] = map(np.concatenate,
-                            zip(*(_node_geometry(seg, n) for seg, n in zip(block, npans))))
-    w[1:, :npans[0]] = offset[1:, None, None] * (1.0 - _panel_nodes(npans[0]))
-    dw[1:, :npans[0]] = -offset[1:, None, None]
-    f_dep = 2.0 * u[0] * (w[0] * w[0] - 1.0)  # dF/d(dep): F is symmetric in x, y
-    chart = block[0].chart
-    tail = np.zeros(h.size)
+    w0, dw0, u0 = map(np.concatenate,
+                      zip(*(_node_geometry(seg, n) for seg, n in zip(block, npans))))
+    w, dw, u = [w0], [dw0], [u0]
+    if offset.any():
+        ramp = np.zeros(w0.shape)
+        ramp[:npans[0]] = 1.0 - _panel_nodes(npans[0])
+        first = np.arange(h.size)[:, None] < npans[0]
+        w += [o * ramp for o in offset[1:]]
+        dw += [-o * first for o in offset[1:]]
+    ind2, dep2 = [w0 * w0 - 1.0], [u0 * u0 - 1.0]
+    for j in range(1, len(w)):
+        ind2.append(_conv(w, w, j))
+    # omega = (A x + B) dx / (x^2 - 1) + (C y + C) dy / (y^2 - 1) with A = a1 + a3,
+    # B = a3 - a1 and C = a2, so a1/(x + 1) + a3/(x - 1) and a2/(y - 1) divide
+    # by the squares that F needs anyway.  A side is (coordinate, its square,
+    # the Taylor rows of A and B, the series of A(F), the series of omega's
+    # coefficient).
+    a1, a2, a3 = taylor
+    x_rows, y_rows = (a1 + a3, a3 - a1), (a2, a2)
+    ind_rows, dep_rows = (x_rows, y_rows) if block[0].chart == "x" else (y_rows, x_rows)
+    sides = [(z, z2, rows, [rows[0][0]], [(rows[0][0] * z[0] + rows[1][0]) / z2[0]])
+             for z, z2, rows in ((w, ind2, ind_rows), (u, dep2, dep_rows))]
+    p_ind, p_dep = (side[4] for side in sides)
+    f_dep = 2.0 * u0 * ind2[0]  # dF/d(dep): F is symmetric in x, y
+    den = [f_dep]  # f_dep + eps p_dep
+    slope = [-2.0 * w0 * dep2[0] / f_dep]  # d(dep)/d(ind)
+    d_dep2, d_den, d_slope = _dep_derivatives(w0, u0, ind2[0], slope[0], f_dep)
+    powers = [[None] for _ in range(1, JET_TERMS)]  # (F - t)^k, k = 1, 2, ...: F = t at eps^0
+    rate = [p_ind[0] + p_dep[0] * slope[0]]  # omega per unit of the independent coordinate
+    form = rate[0] * dw0
+    tail = _tail(form)
+    total = [_integral(form, h)]
     for j in range(1, JET_TERMS):
+        dep2.append(_conv(u, u, j))
+        den.append(2.0 * _conv(u, ind2, j) + p_dep[j - 1])
+        slope.append(-(2.0 * _conv(w, dep2, j) + p_ind[j - 1] + _conv(den, slope, j)) / f_dep)
         # r_j: the eps^j coefficient of the slope while u_j is still 0
-        g = f_dep * _leaf_series(chart, w[:j + 1], dw[:j + 1], u[:j + 1], dense)[0][j]
-        u[j] = (f_dep[0, 0] * dep0[j] + _cumulative(g, h)) / f_dep
+        g = f_dep * _conv(slope, dw, j)
         tail = np.maximum(tail, _tail(g))
-    form = _leaf_series(chart, w, dw, u, dense)[1]
-    tail = np.maximum(tail, _tail(form))
-    end = u[:, -1, -1].copy()
-    end[0] = 0.0
+        u.append((f_dep[0, 0] * dep0[j] + _cumulative(g, h)) / f_dep)
+        del g  # a block's arrays are the largest of a numeric pass: drop each once used
+        dep2[j] = dep2[j] + d_dep2 * u[j]
+        den[j] = den[j] + d_den * u[j]
+        slope[j] = slope[j] + d_slope * u[j]
+        powers[0].append(_conv(ind2, dep2, j))
+        for k in range(1, len(powers)):
+            powers[k].append(_conv(powers[0], powers[k - 1], j))
+        for z, z2, (row_a, row_b), a, p in sides:
+            a.append(_composed(row_a, powers, j))
+            p.append((_conv(a, z, j) + _composed(row_b, powers, j) - _conv(z2, p, j)) / z2[0])
+        rate.append(p_ind[j] + _conv(p_dep, slope, j))
+        form = _conv(rate, dw, j)
+        tail = np.maximum(tail, _tail(form))
+        total.append(_integral(form, h))
+    end = np.array([0.0] + [uj[-1, -1] for uj in u[1:]])
     starts = np.cumsum([0] + npans[:-1])
-    return (end, _cumulative(form, h)[:, -1, -1]), np.maximum.reduceat(tail, starts)
+    return (end, np.array(total)), np.maximum.reduceat(tail, starts)
 
 
 def _switch_chart(dep: np.ndarray):
@@ -381,7 +433,7 @@ def _switch_chart(dep: np.ndarray):
     return dep, np.zeros_like(dep)
 
 
-def _cycle_jet(cycle: Cycle, dense, rounds: Optional[int] = None) -> np.ndarray:
+def _cycle_jet(cycle: Cycle, taylor: np.ndarray, rounds: Optional[int] = None) -> np.ndarray:
     """-(jet of int omega) over the cycle, each block settled by its
     segments' tails (integrals._settle), or with every segment at `rounds`.
 
@@ -402,7 +454,7 @@ def _cycle_jet(cycle: Cycle, dense, rounds: Optional[int] = None) -> np.ndarray:
 
         def sweep(r):
             settled.update(zip(pairs, r))
-            return _block_jet(block, r, dense, offset, dep)
+            return _block_jet(block, r, taylor, offset, dep)
 
         dep, dj = _settle(block, sweep, "Melnikov jet", JET_TOL, rounds,
                           start=[settled.get(pair, 0) for pair in pairs])
@@ -419,13 +471,13 @@ def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:
     one chart.  Blocks are cut at the base panel counts; the segments whose
     Chebyshev tails fail double their panels and their block runs again,
     by the rule of integrals.iterated_integral; QuadratureError if a
-    segment's tails never pass.
+    segment's tails never pass, and ValueError before any sweep where a
+    coefficient of d is not finite at cycle.t.
     """
     if not cycle.segments:
         return 0j, 0j, 0j
     _check_closing_chart(cycle)
-    dense = [a.dense() for a in d.coefficients()]
-    return tuple(complex(v) for v in _cycle_jet(cycle, dense))
+    return tuple(complex(v) for v in _cycle_jet(cycle, _level_taylor(d, cycle.t, JET_TERMS)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +485,26 @@ def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:
 
 WITNESS_EPS = 2e-3  # small enough that eps^4 dominates R, large enough that R >> roundoff
 WITNESS_ORDER_TOL = 0.1
+# The least remainder at +-WITNESS_EPS / 2 whose order means something: 100
+# times the error that SEGMENT_ATOL on int omega allows in disp there.
+WITNESS_FLOOR = 100 * (WITNESS_EPS / 2) * SEGMENT_ATOL
 
 
 def remainder_orders(cycle: Cycle, d: Deformation, jet) -> Tuple[float, float]:
     """Measured orders log2(R(E) / R(E/2)) at E = +WITNESS_EPS and -WITNESS_EPS,
     with R(eps) = |disp(eps) - (c1 eps + c2 eps^2 + c3 eps^3)|, disp from
     holonomy_displacement and (c1, c2, c3) = jet.  Correct coefficients give
-    orders within WITNESS_ORDER_TOL of 4.  R must stand above roundoff: where
-    the return map is the identity (an exact center) the orders mean nothing,
-    and over a cycle with no segments, where R is 0, they raise ValueError."""
-    if not cycle.segments:
-        raise ValueError("remainder orders need a cycle with segments; "
-                         "the return map of the empty cycle is the identity")
+    orders within WITNESS_ORDER_TOL of 4.  R must stand above the transport's
+    error: ValueError where R(E/2) or R(-E/2) is below WITNESS_FLOOR
+    (1e-14), as where the return map is the identity (an exact center, or
+    a cycle with no segments) and R is roundoff."""
     eps = WITNESS_EPS * np.array([1.0, 0.5, -1.0, -0.5])
     c1, c2, c3 = jet
     rem = np.abs(holonomy_displacement(cycle, d, eps) - eps * (c1 + eps * (c2 + eps * c3)))
+    if min(rem[1], rem[3]) < WITNESS_FLOOR:
+        raise ValueError(f"the remainder past the jet, {min(rem[1], rem[3]):.3g} at "
+                         f"eps = +-{WITNESS_EPS / 2:g}, is below the floor {WITNESS_FLOOR:.3g} "
+                         f"of transport error: its order would mean nothing")
     return float(np.log2(rem[0] / rem[1])), float(np.log2(rem[2] / rem[3]))
 
 

@@ -179,6 +179,12 @@ def _cumulative(g, h):
     return within + before[..., None]
 
 
+def _integral(g, h):
+    """int_0^1 g over consecutive panels, with g and h as in _cumulative:
+    its last value, without the running values before it."""
+    return (np.asarray(h) * (g @ _QMAT[-1])).sum(axis=-1)
+
+
 def _tail(g) -> np.ndarray:
     """Chebyshev tail of g per panel (axis -2, nodes on axis -1): the
     largest of its last four coefficients relative to the panel's largest

@@ -8,6 +8,7 @@ import orbitdepth.integrals as integrals_module
 from orbitdepth import reporting
 from orbitdepth.curves import Cycle, CycleFactory, curve_f, oval_connector
 from orbitdepth.holonomy import (
+    JET_TERMS,
     JET_TOL,
     SEGMENT_ATOL,
     WITNESS_EPS,
@@ -22,7 +23,17 @@ from orbitdepth.holonomy import (
     remainder_orders,
     transport,
 )
-from orbitdepth.integrals import CAUCHY_TOL, QuadratureError, _segment_panels, cauchy_suite
+from orbitdepth.integrals import (
+    _NODES,
+    CAUCHY_TOL,
+    QuadratureError,
+    _cumulative,
+    _node_geometry,
+    _panel_nodes,
+    _segment_panels,
+    _tail,
+    cauchy_suite,
+)
 from orbitdepth.melnikov import FLAGSHIP, center_family, deformation, mv
 from orbitdepth.reporting import Config, numeric_suite
 from orbitdepth.words import D2, Gen, Word, Z_ELT, commutator, v_k
@@ -295,6 +306,30 @@ def test_flagship_jet_starts_at_order_3(gamma):
     assert abs(c3) > 0.1
 
 
+def test_a_coefficient_with_a_pole_at_the_level_fails_before_any_sweep(factory, monkeypatch):
+    # 25 t - 9 vanishes at t = 0.36
+    d = deformation("1/(25t-9)", 0, 1)
+    cycle = factory.cycle_of_word(GAMMA)
+    swept = []
+    monkeypatch.setattr(holonomy_module, "_settle", lambda *args, **kwargs: swept.append(args))
+    for run in (lambda: jet_along(cycle, d), lambda: transport(cycle, d, 0.01)):
+        with pytest.raises(ValueError, match=r"a1 = 1/\(25\*t - 9\) is not finite at the level "
+                                             r"t = 0\.36"):
+            run()
+    assert swept == []
+
+
+def test_remainder_orders_refuse_a_remainder_at_roundoff(factory):
+    # at the symmetric center the return map is the identity and R is about
+    # 1e-19; over the empty cycle it is 0
+    cycle = factory.cycle_of_word(GAMMA)
+    d = deformation(1, 0, 1)
+    with pytest.raises(ValueError, match="below the floor 1e-14"):
+        remainder_orders(cycle, d, jet_along(cycle, d))
+    with pytest.raises(ValueError, match="below the floor"):
+        remainder_orders(factory.cycle_of_word(Word()), FLAGSHIP, (0j, 0j, 0j))
+
+
 def test_jet_cycle_shapes(factory):
     assert jet_along(factory.cycle_of_word(Word()), FLAGSHIP) == (0j, 0j, 0j)
     oval = factory.cycle_of_word(GAMMA)  # charts y, x, x, y, y, x, x, y
@@ -398,6 +433,8 @@ BLOCK_ORACLE_CASES = {
     "d2_z_inverse": (word_cycle(commutator(D2, Z_ELT).inverse()), FLAGSHIP),
     "rebased": (rebased, FLAGSHIP),
     "center_on_gamma": (word_cycle(GAMMA), center_family("t", 0, 1, 1)),
+    # A = t^2 + t makes a2 = 1/(2t + 1) a proper rational function
+    "rational_center_on_gamma": (word_cycle(GAMMA), center_family("t^2+t", 0, 1, 2)),
 }
 
 
@@ -408,10 +445,10 @@ def test_blocked_jet_matches_the_jet_one_segment_at_a_time(factory, monkeypatch,
     # jet, whose reruns mix base and doubled segments in one block
     cycle_of, d = BLOCK_ORACLE_CASES[case]
     cycle = cycle_of(factory)
-    dense = [a.dense() for a in d.coefficients()]
+    taylor = holonomy_module._level_taylor(d, cycle.t, JET_TERMS)
 
     def jets():
-        return [holonomy_module._cycle_jet(cycle, dense, r) for r in (0, 1)] + [jet_along(cycle, d)]
+        return [holonomy_module._cycle_jet(cycle, taylor, r) for r in (0, 1)] + [jet_along(cycle, d)]
 
     blocked = jets()
     # a cap of 0 panels makes every segment a block of its own
@@ -419,6 +456,149 @@ def test_blocked_jet_matches_the_jet_one_segment_at_a_time(factory, monkeypatch,
     assert all(len(block) == 1 for block in holonomy_module._blocks(cycle, 0))
     for b, a in zip(blocked, jets()):
         assert np.all(np.abs(np.subtract(b, a)) <= 1e-12 * np.maximum(1.0, np.abs(a))), (case, b, a)
+
+
+# The reference block jet: the full eps-series arithmetic, which forms every
+# coefficient of every leaf quantity again at each order.  An eps-series is
+# an array whose axis 0 is the power of eps; the other axes are the panel
+# nodes.
+
+
+def _mul(a, b):
+    out = a * b[0]
+    for i in range(1, len(a)):
+        out[i:] += a[:-i] * b[i]
+    return out
+
+
+def _recip(a):
+    out = np.empty_like(a)
+    out[0] = 1.0 / a[0]
+    for k in range(1, len(a)):
+        out[k] = -out[0] * (a[1:k + 1] * out[k - 1::-1]).sum(axis=0)
+    return out
+
+
+def _plus(a, c):
+    """a + c for a constant c."""
+    out = a.copy()
+    out[0] = out[0] + c
+    return out
+
+
+def _eps_times(a):
+    return np.concatenate([np.zeros_like(a[:1]), a[:-1]])
+
+
+def _poly_at(coeffs, z):
+    out = np.zeros_like(z)
+    for c in coeffs:
+        out = _plus(_mul(out, z), c)
+    return out
+
+
+def _rat_at(dense, z):
+    """A rational function, given by RatFunc.dense(), at the series z."""
+    num, den = dense
+    if len(den) == 1:
+        return _poly_at(num, z) / den[0]
+    return _mul(_poly_at(num, z), _recip(_poly_at(den, z)))
+
+
+def _leaf_series(chart, w, dw, dep, dense):
+    """eps-series of (d(dep)/ds, omega(tangent)) on the leaf through (w, dep)
+    while the independent coordinate moves at dw (all three are series)."""
+    x, y = (w, dep) if chart == "x" else (dep, w)
+    xx, yy = _plus(_mul(x, x), -1.0), _plus(_mul(y, y), -1.0)
+    f, fx, fy = _mul(xx, yy), 2.0 * _mul(x, yy), 2.0 * _mul(y, xx)
+    a1, a2, a3 = dense
+    p = _mul(_rat_at(a1, f), _recip(_plus(x, 1.0))) + _mul(_rat_at(a3, f), _recip(_plus(x, -1.0)))
+    q = _mul(_rat_at(a2, f), _recip(_plus(y, -1.0)))
+    f_ind, f_dep, p_ind, p_dep = (fx, fy, p, q) if chart == "x" else (fy, fx, q, p)
+    slope = -_mul(f_ind + _eps_times(p_ind), _recip(f_dep + _eps_times(p_dep)))
+    return _mul(slope, dw), _mul(p_ind + _mul(p_dep, slope), dw)
+
+
+def reference_block_jet(block, rounds, dense, offset, dep0):
+    """_block_jet's result from the full series of every order."""
+    terms = len(offset)
+    npans = [_segment_panels(seg, r) for seg, r in zip(block, rounds)]
+    h = np.repeat(1.0 / np.array(npans), npans)
+    w, dw, u = np.zeros((3, terms, h.size, _NODES.size), complex)
+    w[0], dw[0], u[0] = map(np.concatenate,
+                            zip(*(_node_geometry(seg, n) for seg, n in zip(block, npans))))
+    w[1:, :npans[0]] = offset[1:, None, None] * (1.0 - _panel_nodes(npans[0]))
+    dw[1:, :npans[0]] = -offset[1:, None, None]
+    f_dep = 2.0 * u[0] * (w[0] * w[0] - 1.0)
+    chart = block[0].chart
+    tail = np.zeros(h.size)
+    for j in range(1, terms):
+        g = f_dep * _leaf_series(chart, w[:j + 1], dw[:j + 1], u[:j + 1], dense)[0][j]
+        u[j] = (f_dep[0, 0] * dep0[j] + _cumulative(g, h)) / f_dep
+        tail = np.maximum(tail, _tail(g))
+    form = _leaf_series(chart, w, dw, u, dense)[1]
+    tail = np.maximum(tail, _tail(form))
+    end = u[:, -1, -1].copy()
+    end[0] = 0.0
+    starts = np.cumsum([0] + npans[:-1])
+    return (end, _cumulative(form, h)[:, -1, -1]), np.maximum.reduceat(tail, starts)
+
+
+def compared_block_jets(monkeypatch, cycle, d, rounds):
+    """Run _cycle_jet at each of these uniform rounds with every _block_jet
+    call checked against reference_block_jet on the same inputs; returns
+    the number of blocks and of blocks entered at a chart switch."""
+    dense = [a.dense() for a in d.coefficients()]
+    block_jet = holonomy_module._block_jet
+    counts = [0, 0]
+
+    def checked(block, r, taylor, offset, dep0):
+        out = block_jet(block, r, taylor, offset, dep0)
+        (end, total), tails = out
+        (ref_end, ref_total), ref_tails = reference_block_jet(block, r, dense, offset, dep0)
+        for got, want in ((end, ref_end), (total, ref_total)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (got, want)
+        # a tail is already relative to its panel's largest value
+        assert np.all(np.abs(tails - ref_tails) <= 1e-12), (tails, ref_tails)
+        counts[0] += 1
+        counts[1] += bool(offset.any())
+        return out
+
+    monkeypatch.setattr(holonomy_module, "_block_jet", checked)
+    taylor = holonomy_module._level_taylor(d, cycle.t, holonomy_module.JET_TERMS)
+    for r in rounds:
+        holonomy_module._cycle_jet(cycle, taylor, r)
+    return counts
+
+
+@pytest.mark.parametrize("case", BLOCK_ORACLE_CASES)
+def test_block_jet_matches_the_full_series_arithmetic(factory, monkeypatch, case):
+    # each block's end jet, int omega jet and tails, at rounds 0 and 1
+    cycle_of, d = BLOCK_ORACLE_CASES[case]
+    cycle = cycle_of(factory)
+    blocks, shifted = compared_block_jets(monkeypatch, cycle, d, (0, 1))
+    assert blocks == sum(len(holonomy_module._blocks(cycle, r)) for r in (0, 1))
+    assert shifted > 0
+
+
+@pytest.mark.parametrize("terms", [4, 5])
+@pytest.mark.parametrize("case", ["rebased", "rational_center_on_gamma"])
+def test_block_jet_is_generic_in_the_jet_order(factory, monkeypatch, terms, case):
+    # past order 2 the compositions a_i(F) take (F - t)^2 and higher powers
+    monkeypatch.setattr(holonomy_module, "JET_TERMS", terms)
+    cycle_of, d = BLOCK_ORACLE_CASES[case]
+    compared_block_jets(monkeypatch, cycle_of(factory), d, (0,))
+
+
+def test_dropping_the_linear_dep_terms_turns_checks_red(monkeypatch):
+    # u_j enters order j only linearly, through the eps^0 derivatives of
+    # dep^2 - 1, of the slope and of its denominator: without those terms
+    # every jet past order 1 is wrong
+    monkeypatch.setattr(holonomy_module, "_dep_derivatives", lambda *args: (0.0, 0.0, 0.0))
+    records = numeric_suite(Config())
+    assert {r.id for r in records if not r.passed} == {
+        "num.flagship.c2", "num.flagship.c3", "num.v3_crosscheck", "num.center.order3",
+        "num.center.quadratic_scaling", "num.center.witness_scaling"}
 
 
 @pytest.mark.parametrize("rounds, count", [(0, 34), (1, 61)])

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in it, and no
-function imports again from a module the file imports at the top."""
+"""Source hygiene: every name a module imports is used in it, no
+function imports again from a module the file imports at the top, and
+every private top-level name of the package is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "orbitdepth").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "orbitdepth").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _annotations(tree):
@@ -59,6 +61,49 @@ def repeated_imports(source: str):
                    for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                    for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
                    for m in _modules(node) if m in top})
+
+
+def _defined(node):
+    """Names a top-level statement binds: a function, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _read(node):
+    """Names a statement reads, as a name or as an attribute."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def unread_private_names(sources: dict):
+    """(module, line, name) of each private top-level function, class or
+    constant (one leading underscore) of the modules in `sources`, a dict
+    of module name -> source, that no statement of any of them reads apart
+    from the one that defines it."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    reads = [_read(node) for _, node in statements]
+    return sorted((module, node.lineno, name)
+                  for i, (module, node) in enumerate(statements)
+                  for name in _defined(node)
+                  if name.startswith("_") and not name.startswith("__")
+                  and not any(name in r for k, r in enumerate(reads) if k != i))
+
+
+def test_every_private_name_of_the_package_is_read():
+    assert unread_private_names({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def test_the_scan_finds_a_private_name_nothing_reads():
+    sources = {"a": ("import b\n_USED = 1\n_UNUSED: int = 2\ndef _recursive(n):\n"
+                     "    return _recursive(n - 1)\nclass _Kept:\n    pass\n"
+                     "def f(k: _Kept):\n    return _USED + b._shared\n"),
+               "b": "_shared = 3\n_pair, _other = 1, 2\n__all__ = [_other]\n"}
+    assert unread_private_names(sources) == [("a", 3, "_UNUSED"), ("a", 4, "_recursive"),
+                                             ("b", 2, "_pair")]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -13,6 +13,7 @@ from orbitdepth.integrals import (
     _NODES,
     _QMAT,
     _cumulative,
+    _integral,
     _panel_nodes,
     _split_panels,
     _tail,
@@ -65,6 +66,11 @@ def test_cumulative_takes_one_width_per_panel():
     first = _cumulative(g1, 1.0 / 6)
     assert np.array_equal(both[:6], first)
     assert np.max(np.abs(both[6:] - (first[-1, -1] + _cumulative(g2, 1.0 / 12)))) <= 1e-14
+    # the integral over [0, 1] alone is the running integral's last value
+    g = np.stack([np.concatenate([g1, g2]), np.concatenate([g2[::2], g1 ** 2, g1])])
+    h = np.repeat([1.0 / 6, 1.0 / 12], [6, 12])
+    assert np.max(np.abs(_integral(g, h) - _cumulative(g, h)[:, -1, -1])) <= 1e-14
+    assert abs(_integral(g1, 1.0 / 6) - first[-1, -1]) <= 1e-14
 
 
 def test_split_panels_interpolates_onto_half_panels():
@@ -301,8 +307,8 @@ def test_an_estimator_that_always_accepts_is_caught(monkeypatch):
     monkeypatch.setattr(holonomy, "_tail", accept)
     assert swept_panel_counts(monkeypatch, [eta(3)])[0] == [6]
     cycle = CycleFactory(T0).cycle_of_word(v_k(2))
-    dense = [a.dense() for a in FLAGSHIP.coefficients()]
-    jet, finer = np.array(holonomy.jet_along(cycle, FLAGSHIP)), holonomy._cycle_jet(cycle, dense, 2)
+    taylor = holonomy._level_taylor(FLAGSHIP, cycle.t, holonomy.JET_TERMS)
+    jet, finer = np.array(holonomy.jet_along(cycle, FLAGSHIP)), holonomy._cycle_jet(cycle, taylor, 2)
     assert np.max(np.abs(jet - finer)) > holonomy.JET_TOL * max(1.0, np.max(np.abs(finer)))
 
 

@@ -263,6 +263,21 @@ def test_cli_num(capsys):
     assert "t = 0" in captured.err
 
 
+def test_cli_num_refuses_a_pole_at_the_level_and_a_remainder_at_roundoff(capsys):
+    # 25 t - 9 vanishes at t = 0.36: both commands stop before any sweep
+    pole = ["--word", "g", "--t", "0.36", "--a1", "1/(25t-9)", "--a2", "0", "--a3", "1"]
+    for argv in (["num", "jet"] + pole, ["num", "holonomy", "--eps", "0.01"] + pole):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a1 = 1/(25*t - 9) is not finite at the level t = 0.36")
+    # the symmetric center returns to itself: the remainder past its jet is roundoff
+    assert main(["num", "jet", "--word", "g", "--t", "0.36",
+                 "--a1", "1", "--a2", "0", "--a3", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: the remainder past the jet")
+
+
 def test_cli_verify_and_report(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
     assert main(["verify", "melnikov"]) == 0
