@@ -8,9 +8,9 @@ given value: a segment samples its path, keeps each sample's root nearer
 the previous sample's (doubling the samples until every step is
 unambiguous by BRANCH_SAFETY), and any other point of the segment takes the
 root nearer its closest sample.  What a cycle reads again (the endpoints,
-the values at collocation nodes) each segment computes once per direction
-and keeps, for itself and its reversed copies (`Segment.kept`).  The pieces
-built here:
+the values at collocation nodes, the distances from the poles) each segment
+computes once and keeps, for itself and its reversed copies
+(`Segment.kept`).  The pieces built here:
 
 * the real oval through p0 = (-sqrt(1-t), 0) for 0 < t < 1, split into
   eight graph arcs between axis and diagonal points, oriented
@@ -233,9 +233,10 @@ class Segment:
         A cycle passes the same segments many times (the 96 segments of v_3
         run over 14 paths), so what every pass reads again is computed once:
         the endpoints, the geometry at the collocation nodes of `integrals`
-        (keyed by panel count) and each form's pole clearance.  The store is
-        shared with every reversed copy of the segment; the arrays of a kept
-        tuple are read-only.
+        (keyed by panel count) and the distances from the poles of its log
+        basis.  The store is shared with every reversed copy of the segment,
+        so a value computed in one direction can be kept for the other too;
+        the arrays of a kept tuple are read-only.
         """
         k = (self.reversed, key)
         if k not in self._store:

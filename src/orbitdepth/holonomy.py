@@ -11,20 +11,24 @@ leaf the equation reads F(w, u) = F(start) - eps J with J = int omega.
 Transport starts at the exact curve point over the base point, follows
 every segment of a cycle, and the return value is F at the endpoint.
 
-Each segment runs on the Chebyshev-Lobatto panels of `integrals`, with
-every leaf of an eps array carried at once (a scalar eps is the n = 1 case).
-A fixed point on the level relation alternates u <- the root of
-(w^2 - 1)(u^2 - 1) = F(start) - eps J nearest the last iterate (the base
-curve to begin with) and J <- the running int of omega.  A segment's
-panels double until the Chebyshev tails of omega and of the slope are
-within SEGMENT_ATOL on every leaf (`integrals._settle`), each count
-starting from the last one's J on the half panels.  The endpoint carried
-on is that of the differential form, u(0) + int slope dw, not the root, so
-the displacement check F(end) - t = -eps int omega in
+Transport runs on the Chebyshev-Lobatto panels of `integrals`, over the
+same blocks of same-chart segments as the quadrature (`integrals._blocks`),
+with every leaf of an eps array carried at once (a scalar eps is the n = 1
+case).  A fixed point on the level relation alternates u <- the root of
+(w^2 - 1)(u^2 - 1) = F(block start) - eps J nearest the last iterate (the
+base curve to begin with) and J <- the running int of omega over the
+block.  The segments of a block whose Chebyshev tails of omega or of the
+slope exceed SEGMENT_ATOL on any leaf double their panels
+(`integrals._settle`), and the block runs again, each segment starting
+from its last J, split onto its half panels where it doubled.  The
+endpoint carried on is that of the differential form, u(0) + int slope dw,
+not the root, so the displacement check F(end) - t = -eps int omega in
 `holonomy_displacement` compares two independently integrated quantities.
-A chart switch needs no slide: the next segment's independent path is
-shifted by the leaf's offset delta from the base path at its start,
-w + delta (1 - s), so every leaf ends on the base fiber.
+A chart switch needs no slide: the first segment of a block has its
+independent path shifted by the leaf's offset delta from the base path at
+its start, w + delta (1 - s) (`_offset_ramp`), so the leaf ends that
+segment on the base fiber and runs through the block's later junctions
+unshifted.
 
 The return map P(t, eps) - t = c1 eps + c2 eps^2 + c3 eps^3 + ... has its
 coefficients from one source, the jets, and direct transport witnesses them.
@@ -38,11 +42,10 @@ the base curve; the unperturbed leaf at level t + tau lies at
 u0 + tau / F_dep to first order), so
 u_j = (F_dep(0) u_j(0) + int F_dep r_j) / F_dep in closed form.  The eps^j
 coefficient J_j of int omega gives c_{j+1} = -J_j.  Chart switches shift the
-next segment's path as the transport does, with the leaf's O(eps) offset as
-delta, so the leaf starts on it with the new dependent coordinate (the old
+next block's first path as the transport does, with the leaf's O(eps) offset
+as delta, so the leaf starts on it with the new dependent coordinate (the old
 independent one) exactly on the base curve: u_j(0) = 0 after every switch.
-The jet is carried over blocks of consecutive segments in one chart, the
-Chebyshev-Lobatto panels of `integrals` side by side in one array; the
+The jet is carried over the blocks of the transport and the quadrature; the
 segments of a block whose tails fail double their panels and the block runs
 again from the same (offset, dep).  A block is the same
 integration as its segments one at a time: within a chart, F_dep u_j is
@@ -92,11 +95,12 @@ import numpy as np
 from .curves import Cycle, Segment, curve_f, nearest_root
 from .integrals import (
     _NODES,
+    _block_panels,
+    _blocks,
     _cumulative,
     _integral,
-    _node_geometry,
     _panel_nodes,
-    _segment_panels,
+    _segment_tails,
     _settle,
     _split_panels,
     _tail,
@@ -163,61 +167,68 @@ def _check_closing_chart(cycle: Cycle):
         raise ValueError("the first and last segments of the cycle must share a chart")
 
 
-def _segment_leaves(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray,
-                    npan: int, j: np.ndarray):
-    """Every leaf through (x, y) over one segment on npan collocation panels.
-
-    The fixed point on F(w, u) = F(x, y) - eps J starts from the running
-    int omega `j` at the nodes (leaves, panels, nodes) and stops when no
-    leaf's J moves by more than FIX_RTOL of the largest |J|; TransportError,
-    naming the segment and the slowest leaf's eps, past FIX_MAX_ITERATIONS.
-    Returns the dependent coordinate at s = 1 of the differential form,
-    u(0) + int slope dw, the converged j, and the worst Chebyshev tail of
-    the two integrands.
-    """
-    w0, u0 = (x, y) if seg.chart == "x" else (y, x)
-    h = 1.0 / npan
-    s = _panel_nodes(npan)
-    base_w, base_dw, base_u = _node_geometry(seg, npan)
-    delta = (w0 - seg.independent(0.0))[:, None, None]
-    w = base_w + delta * (1.0 - s)
-    dw = base_dw - delta
-    a = w * w - 1.0
-    level = curve_f(w0, u0)[:, None, None]
-    u = np.broadcast_to(base_u, w.shape)
-    for _ in range(FIX_MAX_ITERATIONS):
-        u = nearest_root(a, level - field.eps * j, u)
-        slope, form = field.slope_and_form(*((w, u) if seg.chart == "x" else (u, w)), seg.chart)
-        g = form * dw
-        j, prev = _cumulative(g, h), j
-        change = np.abs(j - prev).max(axis=(1, 2))
-        if np.all(change <= FIX_RTOL * np.abs(j).max()):
-            slope = slope * dw
-            tail = np.maximum(_tail(g), _tail(slope)).max()
-            return u0 + _cumulative(slope, h)[:, -1, -1], j, tail
-    i = int(np.argmax(change))
-    eps = field.eps.ravel()[i]
-    raise TransportError(
-        f"level fixed point on {seg!r} did not settle in {FIX_MAX_ITERATIONS} iterations "
-        f"at eps = {eps.real if eps.imag == 0 else eps} (last change {change[i]:.3g})")
+def _offset_ramp(npans: List[int]):
+    """1 - s on the panels of a block's first segment and 0 on the others,
+    and minus its derivative in s: the shape of the offset by which the
+    first segment's independent path is shifted at a chart switch."""
+    ramp = np.zeros((sum(npans), _NODES.size))
+    ramp[:npans[0]] = 1.0 - _panel_nodes(npans[0])
+    return ramp, np.arange(ramp.shape[0])[:, None] < npans[0]
 
 
-def _segment_transport(seg: Segment, field: LeafField, x: np.ndarray, y: np.ndarray):
-    """_segment_leaves on the segment's panels, doubled until the tails of
-    every leaf are within SEGMENT_ATOL (integrals._settle), each count starting from the last
-    one's J on the half panels.  Returns the endpoints' dependent
-    coordinates and int omega, one per leaf."""
-    j = np.zeros((x.size, _segment_panels(seg, 0), _NODES.size), complex)
+def _block_transport(block: List[Segment], field: LeafField, offset: np.ndarray,
+                     dep0: np.ndarray, level: np.ndarray):
+    """Every leaf over a block of same-chart segments, their panels side by
+    side; returns the dependent coordinate at the block's end and int omega
+    over the block, one per leaf.
+
+    A leaf starts at the dependent coordinate dep0 on the level F = level,
+    offset from the first segment's base path by `offset` in the
+    independent coordinate, which the first segment ramps out
+    (`_offset_ramp`).  The fixed point on F(w, u) = level - eps J stops when
+    no leaf's J moves by more than FIX_RTOL of the largest |J|;
+    TransportError, naming the segment and the leaf's eps of the largest
+    change, past FIX_MAX_ITERATIONS.  The segments whose tails exceed
+    SEGMENT_ATOL double their panels (integrals._settle), each starting
+    from its last J, split onto its half panels."""
+    chart = block[0].chart
+    offset, level = offset[:, None, None], level[:, None, None]
+    j, last = None, None
 
     def sweep(rounds):
-        nonlocal j
-        npan = _segment_panels(seg, rounds[0])
-        while j.shape[1] < npan:
-            j = _split_panels(j)
-        end, j, tail = _segment_leaves(seg, field, x, y, npan, j)
-        return (end, j[:, -1, -1]), [tail]
+        nonlocal j, last
+        npans, h, (base_w, base_dw, base_u) = _block_panels(block, rounds)
+        if j is None:
+            j = np.zeros((offset.shape[0], h.size, _NODES.size), complex)
+        else:
+            pieces = np.split(j, np.cumsum(last[:-1]), axis=1)
+            j = np.concatenate([_split_panels(p) if n > p.shape[1] else p
+                                for p, n in zip(pieces, npans)], axis=1)
+        last = npans
+        w, dw = base_w, base_dw
+        if offset.any():
+            ramp, first = _offset_ramp(npans)
+            w, dw = base_w + offset * ramp, base_dw - offset * first
+        a = w * w - 1.0
+        u = np.broadcast_to(base_u, w.shape)
+        for _ in range(FIX_MAX_ITERATIONS):
+            u = nearest_root(a, level - field.eps * j, u)
+            slope, form = field.slope_and_form(*((w, u) if chart == "x" else (u, w)), chart)
+            g = form * dw
+            j, prev = _cumulative(g, h), j
+            change = np.abs(j - prev).max(axis=2)
+            if np.all(change <= FIX_RTOL * np.abs(j).max()):
+                slope = slope * dw
+                tail = np.maximum(_tail(g), _tail(slope))
+                return (dep0 + _integral(slope, h), j[:, -1, -1]), _segment_tails(tail, npans)
+        i, p = np.unravel_index(np.argmax(change), change.shape)
+        seg = block[int(np.searchsorted(np.cumsum(npans), p, side="right"))]
+        eps = field.eps.ravel()[i]
+        raise TransportError(
+            f"level fixed point on {seg!r} did not settle in {FIX_MAX_ITERATIONS} iterations "
+            f"at eps = {eps.real if eps.imag == 0 else eps} (last change {change[i, p]:.3g})")
 
-    return _settle([seg], sweep, "leaf transport", SEGMENT_ATOL)
+    return _settle(block, sweep, "leaf transport", SEGMENT_ATOL)
 
 
 def _like(eps, values):
@@ -228,7 +239,7 @@ def _like(eps, values):
 def transport(cycle: Cycle, d: Deformation, eps):
     """Endpoints (x, y) and omega-quadratures of the perturbed leaves over
     the cycle's base chain, one leaf per entry of eps (scalars for a scalar
-    eps).  Every segment carries the whole grid as one array.  ValueError
+    eps).  Every block carries the whole grid as one array.  ValueError
     before any sweep where a coefficient of d is not finite at cycle.t."""
     grid = np.atleast_1d(np.asarray(eps, dtype=complex))
     n = grid.size
@@ -241,11 +252,14 @@ def transport(cycle: Cycle, d: Deformation, eps):
     start = cycle.segments[0].start_point()
     x, y = np.full(n, start.x, complex), np.full(n, start.y, complex)
     jtot = np.zeros(n, complex)
-    for seg in cycle.segments:
-        dep1, dj = _segment_transport(seg, field, x, y)
+    for block in _blocks(cycle, 0):
+        chart = block[0].chart
+        w0, u0 = (x, y) if chart == "x" else (y, x)
+        dep1, dj = _block_transport(block, field, w0 - block[0].independent(0.0), u0,
+                                    curve_f(x, y))
         jtot += dj
-        w1 = np.full(n, seg.independent(1.0), complex)
-        x, y = (w1, dep1) if seg.chart == "x" else (dep1, w1)
+        w1 = np.full(n, block[-1].independent(1.0), complex)
+        x, y = (w1, dep1) if chart == "x" else (dep1, w1)
     return _like(eps, x), _like(eps, y), _like(eps, jtot)
 
 
@@ -330,25 +344,6 @@ def _dep_derivatives(w0, u0, ind2, slope0, f_dep):
     return 2.0 * u0, 2.0 * ind2, -2.0 * (2.0 * w0 * u0 + ind2 * slope0) / f_dep
 
 
-# At most as many panels in a block as in the largest single-segment array of
-# the base rounds (an arc at round 1): longer blocks save little and cost memory.
-_BLOCK_PANELS = 24
-
-
-def _blocks(cycle: Cycle, rounds: int) -> List[List[Segment]]:
-    """The cycle's segments cut into runs of consecutive segments in one
-    chart, each holding at most _BLOCK_PANELS panels at these rounds."""
-    blocks, size = [], 0
-    for seg in cycle.segments:
-        npan = _segment_panels(seg, rounds)
-        if not blocks or seg.chart != blocks[-1][0].chart or size + npan > _BLOCK_PANELS:
-            blocks.append([])
-            size = 0
-        blocks[-1].append(seg)
-        size += npan
-    return blocks
-
-
 def _block_jet(block: List[Segment], rounds: List[int], taylor: np.ndarray,
                offset: np.ndarray, dep0: np.ndarray):
     """Carry the leaf's jet over a block of same-chart segments, each at its
@@ -365,15 +360,10 @@ def _block_jet(block: List[Segment], rounds: List[int], taylor: np.ndarray,
     once u_j is solved, dep^2 - 1, the slope and its denominator take their
     u_j terms from _dep_derivatives, and F, the coefficients a_i(F),
     omega's coefficients and the form follow with u_j in place."""
-    npans = [_segment_panels(seg, r) for seg, r in zip(block, rounds)]
-    h = np.repeat(1.0 / np.array(npans), npans)
-    w0, dw0, u0 = map(np.concatenate,
-                      zip(*(_node_geometry(seg, n) for seg, n in zip(block, npans))))
+    npans, h, (w0, dw0, u0) = _block_panels(block, rounds)
     w, dw, u = [w0], [dw0], [u0]
     if offset.any():
-        ramp = np.zeros(w0.shape)
-        ramp[:npans[0]] = 1.0 - _panel_nodes(npans[0])
-        first = np.arange(h.size)[:, None] < npans[0]
+        ramp, first = _offset_ramp(npans)
         w += [o * ramp for o in offset[1:]]
         dw += [-o * first for o in offset[1:]]
     ind2, dep2 = [w0 * w0 - 1.0], [u0 * u0 - 1.0]
@@ -422,8 +412,7 @@ def _block_jet(block: List[Segment], rounds: List[int], taylor: np.ndarray,
         tail = np.maximum(tail, _tail(form))
         total.append(_integral(form, h))
     end = np.array([0.0] + [uj[-1, -1] for uj in u[1:]])
-    starts = np.cumsum([0] + npans[:-1])
-    return (end, np.array(total)), np.maximum.reduceat(tail, starts)
+    return (end, np.array(total)), _segment_tails(tail, npans)
 
 
 def _switch_chart(dep: np.ndarray):

@@ -14,11 +14,17 @@ Each segment is cut into panels (12 per arc, 6 per line) and every panel
 uses a degree-32 Chebyshev-Lobatto collocation rule whose
 cumulative-integration matrix gives the inner partial integrals of an
 iterated integral in the same sweep; leaf transport and the eps-jets of
-`holonomy` run on the same rule.  A segment is accepted when every
-integrand on every one of its panels has a Chebyshev tail within the
-layer's tolerance (`_tail`, `_settle`); a segment that fails doubles its
-own panel count and is swept again from the same incoming state, so only
-the panels that need more nodes get them.  A pole-clearance check runs first.
+`holonomy` run on the same rule.  Every panel layer sweeps a cycle in
+blocks (`_blocks`): runs of consecutive segments in one chart, at most
+_BLOCK_PANELS panels at the base counts, their panels side by side in one
+array (`_block_panels`).  The running integrals carry across the junctions
+of a block as across the panels of one segment, and from one block's end
+to the next block's start.  A segment is accepted when every integrand on
+every one of its panels has a Chebyshev tail within the layer's tolerance
+(`_tail`, `_settle`); when a segment of a block fails, that segment doubles
+its own panel count and the block is swept again from the same incoming
+state, so only the panels that need more nodes get them.  A pole-clearance
+check runs first.
 
 A degree-n panel converges like rho^-n, rho the Bernstein-ellipse
 parameter of the nearest singularity (Trefethen, Approximation Theory and
@@ -29,16 +35,18 @@ own nodes (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS
 around x = +-1 at t = 0.36, and the branch points x = +-sqrt(1 - t) = +-0.8
 lie 0.1 from them; at degree 32 a quarter of the segments of the v_3 cycle
 need a doubling (14 of them a second one at the 1e-13 of leaf transport)
-and the oval none.  Each segment keeps its geometry at the nodes of each
-panel count and each form's pole clearance (`_node_geometry`,
-`Segment.kept`), since a cycle passes the same paths many times.
+and the oval none.  A cycle passes the same paths many times, so each
+segment keeps what every pass reads again (`Segment.kept`): its geometry at
+the nodes of each panel count, computed in its canonical direction and read
+flipped by its reversed copies (`_node_geometry`), and its distances from
+the four poles of the log basis (`_pole_distances`).
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,7 +119,9 @@ class Form:
     def values(self, x, y, dxds, dyds):
         raise NotImplementedError
 
-    def pole_clearance(self, x, y) -> float:
+    def pole_clearance(self, distances) -> float:
+        """The path's distance from the form's poles, given its distances
+        from the zeros of f_1..f_4 (`_pole_distances`)."""
         return np.inf
 
 
@@ -141,9 +151,11 @@ class EtaCombo(Form):
                 out = out + c * (dyds if i % 2 == 0 else dxds) / log_basis(i, x, y)
         return out
 
-    def pole_clearance(self, x, y) -> float:
-        return min((np.min(np.abs(log_basis(i, x, y))) for i, c in self.coeffs if c != 0),
-                   default=np.inf)
+    def pole_clearance(self, distances) -> float:
+        for i, _ in self.coeffs:
+            if i not in (1, 2, 3, 4):
+                raise ValueError(f"eta index {i} out of range")
+        return min((distances[i - 1] for i, c in self.coeffs if c != 0), default=np.inf)
 
 
 def eta(i: int, scale: complex = 1.0) -> EtaCombo:
@@ -239,6 +251,25 @@ def _settle(segments: Sequence[Segment], sweep, what: str, tol: float,
             rounds[i] += 1
 
 
+# At most as many panels in a block as in the largest single-segment array of
+# the base rounds (an arc at round 1): longer blocks save little and cost memory.
+_BLOCK_PANELS = 24
+
+
+def _blocks(cycle: Cycle, rounds: int) -> List[List[Segment]]:
+    """The cycle's segments cut into runs of consecutive segments in one
+    chart, each holding at most _BLOCK_PANELS panels at these rounds."""
+    blocks, size = [], 0
+    for seg in cycle.segments:
+        npan = _segment_panels(seg, rounds)
+        if not blocks or seg.chart != blocks[-1][0].chart or size + npan > _BLOCK_PANELS:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(seg)
+        size += npan
+    return blocks
+
+
 def _panel_nodes(npan: int) -> np.ndarray:
     """Parameters s of the collocation nodes of npan equal panels of [0, 1],
     one row per panel."""
@@ -247,38 +278,78 @@ def _panel_nodes(npan: int) -> np.ndarray:
 
 def _node_geometry(seg: Segment, npan: int):
     """The segment's (w, dw/ds, u) at the collocation nodes of npan panels,
-    computed once per direction (`Segment.kept`)."""
-    return seg.kept(npan, lambda: seg.geometry(_panel_nodes(npan)))
+    kept (`Segment.kept`).  It is computed once per segment, in its
+    canonical direction: the nodes are symmetric, s -> 1 - s maps panel k,
+    node j onto panel npan-1-k, node n-j, so a reversed copy reads it
+    flipped on both axes, with dw/ds negated."""
+    def compute():
+        if not seg.reversed:
+            return seg.geometry(_panel_nodes(npan))
+        w, dw, u = _node_geometry(seg.reverse(), npan)
+        return w[::-1, ::-1], -dw[::-1, ::-1], u[::-1, ::-1]
+
+    return seg.kept(npan, compute)
 
 
-def _segment_sweep(seg: Segment, forms: Sequence[Form], prefixes: Sequence[complex],
-                   rounds: int):
-    """The iterated integrals' prefixes at the segment's end from those at
-    its start, and the worst tail of the integrands on its panels."""
-    npan = _segment_panels(seg, rounds)
-    x, y, dxds, dyds = seg.chart_frame(*_node_geometry(seg, npan))
-    out, tails, acc = [], [], None
+def _block_panels(block: Sequence[Segment], rounds: Sequence[int]):
+    """The panel counts of a block's segments at their rounds, the width of
+    each panel, and the segments' (w, dw/ds, u) at the nodes side by side,
+    one row per panel."""
+    npans = [_segment_panels(seg, r) for seg, r in zip(block, rounds)]
+    h = np.repeat(1.0 / np.array(npans), npans)
+    geometry = tuple(map(np.concatenate,
+                         zip(*(_node_geometry(seg, n) for seg, n in zip(block, npans)))))
+    return npans, h, geometry
+
+
+def _segment_tails(tail: np.ndarray, npans: Sequence[int]) -> np.ndarray:
+    """The worst per-panel tail over each segment's panels."""
+    return np.maximum.reduceat(tail, np.cumsum([0] + list(npans[:-1])))
+
+
+def _block_sweep(block: Sequence[Segment], forms: Sequence[Form],
+                 prefixes: Sequence[complex], rounds: Sequence[int]):
+    """The iterated integrals' prefixes at the block's end from those at its
+    start, and each segment's worst tail of the integrands on its panels."""
+    npans, h, geometry = _block_panels(block, rounds)
+    x, y, dxds, dyds = block[0].chart_frame(*geometry)
+    out, tail, acc = [], 0.0, None
     for j, form in enumerate(forms):
         g = form.values(x, y, dxds, dyds)
         if j > 0:
             g = g * acc
-        acc = prefixes[j] + _cumulative(g, 1.0 / npan)
-        out.append(complex(acc[-1, -1]))
-        tails.append(_tail(g))
-    return out, [np.max(tails)]
+        tail = np.maximum(tail, _tail(g))
+        if j + 1 < len(forms):
+            acc = prefixes[j] + _cumulative(g, h)
+            out.append(complex(acc[-1, -1]))
+        else:
+            out.append(complex(prefixes[j] + _integral(g, h)))
+    return out, _segment_tails(tail, npans)
 
 
 _CLEARANCE_S = np.linspace(0.0, 1.0, 129)
 
 
+def _pole_distances(seg: Segment) -> Tuple[float, float, float, float]:
+    """min |f_i| over the segment, i = 1..4 (the poles of eta_1..eta_4),
+    judged on _CLEARANCE_S; computed once for both directions."""
+    def compute():
+        w, u = seg.independent(_CLEARANCE_S), seg.dependent(_CLEARANCE_S)
+        x, y = (w, u) if seg.chart == "x" else (u, w)
+        distances = tuple(float(np.min(np.abs(log_basis(i, x, y)))) for i in (1, 2, 3, 4))
+        seg.reverse().kept("clearance", lambda: distances)
+        return distances
+
+    return seg.kept("clearance", compute)
+
+
 def _check_clearance(cycle: Cycle, forms: Sequence[Form]):
     """PoleOnPathError where a form's pole lies within MIN_POLE_CLEARANCE of
-    a segment, judged on _CLEARANCE_S; each segment keeps the clearance of
-    each form it has been checked for."""
+    a segment (`_pole_distances`)."""
     for seg in cycle.segments:
+        distances = _pole_distances(seg)
         for form in forms:
-            c = seg.kept(("clearance", form),
-                         lambda: form.pole_clearance(*seg.frame(_CLEARANCE_S)[:2]))
+            c = form.pole_clearance(distances)
             if c < MIN_POLE_CLEARANCE:
                 raise PoleOnPathError(
                     f"pole within {c:.3g} of segment {seg!r}"
@@ -293,9 +364,11 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     The first form is accumulated first (innermost); with this convention
     the commutator identity int_{[s1,s2]} w1 w2 = det(int_{s_i} w_j) holds.
     `inits` seeds the inner accumulators (the log starting values of moment
-    integrals); the outermost seed is forced to zero.  Each segment's
-    panels double until the Chebyshev tails of its integrands are at most
-    `tol` (`_settle`), each count starting from the same prefixes.
+    integrals); the outermost seed is forced to zero.  The cycle is swept
+    block by block (`_blocks`), the prefixes carried from each block's end
+    to the next block's start; a block's segments whose integrands have
+    Chebyshev tails above `tol` double their panels, and the block is swept
+    again from the same prefixes (`_settle`).
     """
     if not 1 <= len(forms) <= 4:
         raise ValueError("iterated integrals support lengths 1..4")
@@ -305,8 +378,8 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     inits[-1] = 0.0
     _check_clearance(cycle, forms)
     prefixes = [complex(v) for v in inits]
-    for seg in cycle.segments:
-        prefixes = _settle([seg], lambda r: _segment_sweep(seg, forms, prefixes, r[0]),
+    for block in _blocks(cycle, 0):
+        prefixes = _settle(block, lambda r: _block_sweep(block, forms, prefixes, r),
                            "iterated integral", tol)
     return prefixes[-1]
 
@@ -336,8 +409,8 @@ PAIRING_TOL = 1e-9  # largest deviation of a pairing entry from its expected val
 CAUCHY_TOL = 1e-8  # largest modulus of a vanishing integral of cauchy_suite
 
 # The commutator integrals and period determinants settle their panels at
-# 1e-9: at 1e-10 the integral over the cycle of [x, z] would sweep 564
-# panels instead of 396, and period_determinant of x and z 552 instead of 456.
+# 1e-9: at 1e-10 the integral over the cycle of [x, z] would sweep 660
+# panels instead of 396, and period_determinant of x and z 600 instead of 456.
 _WORD_TOL = 1e-9
 
 

@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 import platform
-import subprocess
+import re
 import time
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
@@ -119,17 +119,35 @@ class RunManifest:
 
 
 @functools.cache
-def _git_commit() -> str:
-    """HEAD of the source checkout the package runs from, else "unknown";
-    git is kept from looking above the checkout.  Asked once per process."""
-    root = Path(__file__).resolve().parents[2]
+def _git_commit(root: Path = Path(__file__).resolve().parents[2]) -> str:
+    """HEAD of the git checkout at `root`, by default the source checkout
+    the package runs from, else "unknown".  Read from `root/.git` alone,
+    without starting git: HEAD (a commit, or `ref: <name>`), then the loose
+    ref or else `packed-refs`; where `.git` is a `gitdir:` file (a linked
+    worktree), HEAD comes from that directory and the refs from its
+    `commondir`.  Read once per process."""
+    git = root / ".git"
     try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
-                              text=True, timeout=10,
-                              env=dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent)))
-    except (OSError, subprocess.TimeoutExpired):
+        gitdir = common = git
+        if git.is_file():
+            line = git.read_text().strip()
+            if not line.startswith("gitdir: "):
+                return "unknown"
+            gitdir = common = root / line[len("gitdir: "):]
+            if (gitdir / "commondir").is_file():
+                common = gitdir / (gitdir / "commondir").read_text().strip()
+        head = (gitdir / "HEAD").read_text().strip()
+        if head.startswith("ref: "):
+            ref = head[len("ref: "):]
+            if (common / ref).is_file():
+                head = (common / ref).read_text().strip()
+            else:
+                entries = (entry.split(" ") for entry in
+                           (common / "packed-refs").read_text().splitlines())
+                head = next((sha for sha, *name in entries if name == [ref]), "")
+    except (OSError, UnicodeDecodeError):
         return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    return head if re.fullmatch(r"[0-9a-f]{40}|[0-9a-f]{64}", head) else "unknown"
 
 
 def _environment() -> dict:

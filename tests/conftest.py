@@ -20,3 +20,34 @@ def uniform(monkeypatch):
         monkeypatch.setattr(integrals, "_settle", uniform_settle)
         monkeypatch.setattr(holonomy, "_settle", uniform_settle)
     return at
+
+
+@pytest.fixture
+def settled_rounds(monkeypatch):
+    """settled_rounds(run) -> (run(), rounds): the rounds at which each
+    segment that run() swept settled, in the order they were swept, for
+    every sweep that goes through integrals._settle."""
+    settle = integrals._settle
+
+    def run_recorded(run):
+        rounds = []
+
+        def recording(segments, sweep, what, tol, *args, **kwargs):
+            last = []
+
+            def recorded(r):
+                last[:] = r
+                return sweep(r)
+
+            out = settle(segments, recorded, what, tol, *args, **kwargs)
+            rounds.extend(last)
+            return out
+
+        monkeypatch.setattr(integrals, "_settle", recording)
+        monkeypatch.setattr(holonomy, "_settle", recording)
+        try:
+            return run(), rounds
+        finally:
+            monkeypatch.setattr(integrals, "_settle", settle)
+            monkeypatch.setattr(holonomy, "_settle", settle)
+    return run_recorded

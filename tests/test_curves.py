@@ -249,9 +249,10 @@ def counted_roots(monkeypatch):
     return calls
 
 
-def test_endpoints_and_node_geometry_are_computed_once_per_direction(monkeypatch):
-    z0 = 0.5 + 0.2j
-    seg = Segment("x", Line(z0, 1.1 + 0.3j), T0, complex(nearest_root(z0 * z0 - 1.0, T0, 1.0)))
+def test_endpoints_and_node_geometry_are_computed_once_per_segment(monkeypatch):
+    arc = Arc(0.5 + 0.2j, 0.3, 0.5, 2.0)
+    z0 = arc.value(0.0)
+    seg = Segment("x", arc, T0, complex(nearest_root(z0 * z0 - 1.0, T0, 1.0)))
     rev = seg.reverse()
     calls = counted_roots(monkeypatch)
     # one evaluation at s = 0 and one at s = 1 serve both directions
@@ -260,17 +261,26 @@ def test_endpoints_and_node_geometry_are_computed_once_per_direction(monkeypatch
     assert (rev.start_point(), rev.end_point()) == (end, start)
     assert seg.start_point() is start and rev.reverse().end_point() is end
     assert len(calls) == 2
-    # the collocation nodes: once per direction and panel count
+    # the collocation nodes: once per panel count, in the canonical
+    # direction; the reversed copy reads them flipped, with no root of its own
     s = _panel_nodes(6)
     kept = _node_geometry(seg, 6)
     assert len(calls) == 3
     assert _node_geometry(seg, 6) is kept and _node_geometry(rev.reverse(), 6) is kept
     back = _node_geometry(rev, 6)
     assert _node_geometry(seg.reverse(), 6) is back
-    _node_geometry(seg, 12)
-    assert len(calls) == 5
-    for value, fresh in zip(kept + back, seg.geometry(s) + rev.geometry(s)):
+    assert len(calls) == 3
+    # asked for in the reversed direction first, the count still costs one root
+    back12 = _node_geometry(rev, 12)
+    assert len(calls) == 4
+    kept12 = _node_geometry(seg, 12)
+    assert len(calls) == 4
+    for value, fresh in zip(kept + kept12, seg.geometry(s) + seg.geometry(_panel_nodes(12))):
         assert np.array_equal(value, fresh)
+    for value, fresh in zip(back + back12, rev.geometry(s) + rev.geometry(_panel_nodes(12))):
+        assert np.all(np.abs(value - fresh) <= 1e-15 * np.abs(fresh))
+    for value in back + back12:
+        assert not value.flags.writeable
 
 
 def test_kept_values_are_shared_with_reversed_copies_and_read_only():

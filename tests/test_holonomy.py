@@ -6,8 +6,10 @@ import pytest
 import orbitdepth.holonomy as holonomy_module
 import orbitdepth.integrals as integrals_module
 from orbitdepth import reporting
-from orbitdepth.curves import Cycle, CycleFactory, curve_f, oval_connector
+from orbitdepth.curves import Cycle, CycleFactory, curve_f, nearest_root, oval_connector
 from orbitdepth.holonomy import (
+    FIX_MAX_ITERATIONS,
+    FIX_RTOL,
     JET_TERMS,
     JET_TOL,
     SEGMENT_ATOL,
@@ -31,11 +33,12 @@ from orbitdepth.integrals import (
     _node_geometry,
     _panel_nodes,
     _segment_panels,
+    _split_panels,
     _tail,
     cauchy_suite,
 )
 from orbitdepth.melnikov import FLAGSHIP, center_family, deformation, mv
-from orbitdepth.reporting import Config, numeric_suite
+from orbitdepth.reporting import Config, numeric_suite, run_suite
 from orbitdepth.words import D2, Gen, Word, Z_ELT, commutator, v_k
 
 T0 = 0.36
@@ -412,7 +415,12 @@ def test_dropping_the_chart_switch_offset_turns_checks_red(monkeypatch):
 def test_a_wrong_flagship_jet_turns_the_witness_red(monkeypatch, wrong, red):
     # the suite's flagship jet is the only one mutated; every other record stays green
     jet_along_ = reporting.jet_along
-    monkeypatch.setattr(reporting, "jet_along", lambda cycle, d: wrong(*jet_along_(cycle, d)))
+
+    def mutated(cycle, d):
+        jet = jet_along_(cycle, d)
+        return wrong(*jet) if d is FLAGSHIP and cycle.label == "gamma" else jet
+
+    monkeypatch.setattr(reporting, "jet_along", mutated)
     records = numeric_suite(Config())
     assert {r.id for r in records if not r.passed} == red
 
@@ -452,8 +460,8 @@ def test_blocked_jet_matches_the_jet_one_segment_at_a_time(factory, monkeypatch,
 
     blocked = jets()
     # a cap of 0 panels makes every segment a block of its own
-    monkeypatch.setattr(holonomy_module, "_BLOCK_PANELS", 0)
-    assert all(len(block) == 1 for block in holonomy_module._blocks(cycle, 0))
+    monkeypatch.setattr(integrals_module, "_BLOCK_PANELS", 0)
+    assert all(len(block) == 1 for block in integrals_module._blocks(cycle, 0))
     for b, a in zip(blocked, jets()):
         assert np.all(np.abs(np.subtract(b, a)) <= 1e-12 * np.maximum(1.0, np.abs(a))), (case, b, a)
 
@@ -604,13 +612,13 @@ def test_dropping_the_linear_dep_terms_turns_checks_red(monkeypatch):
 @pytest.mark.parametrize("rounds, count", [(0, 34), (1, 61)])
 def test_v3_blocks_respect_the_cap_and_the_charts(factory, rounds, count):
     cycle = factory.cycle_of_word(v_k(3))
-    blocks = holonomy_module._blocks(cycle, rounds)
+    blocks = integrals_module._blocks(cycle, rounds)
     # every segment exactly once, in order (segments compare by identity)
     assert [seg for block in blocks for seg in block] == cycle.segments
     for block in blocks:
         assert len({seg.chart for seg in block}) == 1
         panels = sum(_segment_panels(seg, rounds) for seg in block)
-        assert panels <= holonomy_module._BLOCK_PANELS or len(block) == 1
+        assert panels <= integrals_module._BLOCK_PANELS or len(block) == 1
     assert len(blocks) == count  # 96 segments in 9 chart runs
 
 
@@ -635,26 +643,127 @@ def test_settled_jet_matches_a_uniform_sweep_two_counts_finer(factory, uniform, 
     assert np.max(np.abs(settled - finer)) <= JET_TOL * max(1.0, np.max(np.abs(finer))), case
 
 
-@pytest.mark.parametrize("word, panels, rounds", [(GAMMA, 48, 2), (v_k(3), 1296, 3)],
-                         ids=["gamma", "v3"])
+@pytest.mark.parametrize("word, sweeps, panels, rounds",
+                         [(GAMMA, 5, 48, 2), (v_k(3), 58, 1548, 3)], ids=["gamma", "v3"])
 def test_settled_transport_matches_a_uniform_sweep_two_counts_finer(factory, monkeypatch, uniform,
-                                                                     word, panels, rounds):
+                                                                     word, sweeps, panels, rounds):
     # the witness's leaves; no segment of the oval refines, while at
     # SEGMENT_ATOL 24 of v_3's 96 segments double and 14 of them double
     # again (at JET_TOL none would go past one doubling), so v_3 is checked
-    # one count past its finest segments
+    # one count past its finest segments.  A block whose segment fails is
+    # swept again whole: v_3's 34 blocks take 58 sweeps of 1548 panels,
+    # where one segment at a time took 134 sweeps of 1296
     cycle = factory.cycle_of_word(word)
     eps = WITNESS_EPS * np.array([1.0, 0.5, -1.0, -0.5])
     swept = []
-    panel_nodes = holonomy_module._panel_nodes
+    block_panels = holonomy_module._block_panels
 
-    def counted(npan):
-        swept.append(npan)
-        return panel_nodes(npan)
+    def counted(block, rounds):
+        out = block_panels(block, rounds)
+        swept.append(sum(out[0]))
+        return out
 
-    monkeypatch.setattr(holonomy_module, "_panel_nodes", counted)
+    monkeypatch.setattr(holonomy_module, "_block_panels", counted)
     settled = transport(cycle, FLAGSHIP, eps)
-    assert sum(swept) == panels
+    assert (len(swept), sum(swept)) == (sweeps, panels)
     uniform(rounds)
     for a, u in zip(settled, transport(cycle, FLAGSHIP, eps)):
         assert np.max(np.abs(a - u)) <= SEGMENT_ATOL
+
+
+# ---------------------------------------------------------------------------
+# The reference transport: one segment at a time, each from the endpoint
+# and level of the one before
+
+
+def reference_segment_leaves(seg, field, x, y, npan, j):
+    """Every leaf through (x, y) over one segment on npan panels, from the
+    running int omega j: the dependent coordinate at s = 1, the converged j
+    and the worst tail of the two integrands."""
+    w0, u0 = (x, y) if seg.chart == "x" else (y, x)
+    h = 1.0 / npan
+    s = _panel_nodes(npan)
+    base_w, base_dw, base_u = _node_geometry(seg, npan)
+    delta = (w0 - seg.independent(0.0))[:, None, None]
+    w = base_w + delta * (1.0 - s)
+    dw = base_dw - delta
+    a = w * w - 1.0
+    level = curve_f(w0, u0)[:, None, None]
+    u = np.broadcast_to(base_u, w.shape)
+    for _ in range(FIX_MAX_ITERATIONS):
+        u = nearest_root(a, level - field.eps * j, u)
+        slope, form = field.slope_and_form(*((w, u) if seg.chart == "x" else (u, w)), seg.chart)
+        g = form * dw
+        j, prev = _cumulative(g, h), j
+        if np.all(np.abs(j - prev).max(axis=(1, 2)) <= FIX_RTOL * np.abs(j).max()):
+            slope = slope * dw
+            tail = np.maximum(_tail(g), _tail(slope)).max()
+            return u0 + _cumulative(slope, h)[:, -1, -1], j, tail
+    raise TransportError(f"level fixed point on {seg!r} did not settle")
+
+
+def reference_transport(cycle, d, eps):
+    """transport's endpoints and int omega, each segment settled on its own."""
+    n = eps.size
+    field = holonomy_module.LeafField(d, eps[:, None, None])
+    start = cycle.segments[0].start_point()
+    x, y = np.full(n, start.x, complex), np.full(n, start.y, complex)
+    jtot = np.zeros(n, complex)
+    for seg in cycle.segments:
+        j = np.zeros((n, _segment_panels(seg, 0), _NODES.size), complex)
+
+        def sweep(rounds):
+            nonlocal j
+            while j.shape[1] < _segment_panels(seg, rounds[0]):
+                j = _split_panels(j)
+            end, j, tail = reference_segment_leaves(seg, field, x, y, j.shape[1], j)
+            return (end, j[:, -1, -1]), [tail]
+
+        dep1, dj = integrals_module._settle([seg], sweep, "leaf transport", SEGMENT_ATOL)
+        jtot += dj
+        w1 = np.full(n, seg.independent(1.0), complex)
+        x, y = (w1, dep1) if seg.chart == "x" else (dep1, w1)
+    return x, y, jtot
+
+
+TRANSPORT_ORACLE_CASES = {
+    "gamma_witness": (lambda f: f.cycle_of_word(GAMMA), FLAGSHIP,
+                      WITNESS_EPS * np.array([1.0, 0.5, -1.0, -0.5])),
+    "gamma_center": (lambda f: f.cycle_of_word(GAMMA), center_family("t", 1, 1, 0),
+                     np.array([0.01, 0.02, 0.05])),
+    "delta1_witness": (lambda f: f.based_loop(1), FLAGSHIP,
+                       WITNESS_EPS * np.array([1.0, 0.5, -1.0, -0.5])),
+    "delta1_center": (lambda f: f.based_loop(1), center_family("t", 1, 1, 0),
+                      np.array([0.01, 0.02, 0.05])),
+}
+
+
+@pytest.mark.parametrize("case", TRANSPORT_ORACLE_CASES)
+def test_block_transport_matches_the_transport_one_segment_at_a_time(factory, settled_rounds,
+                                                                      case):
+    # the based loop's first x-line doubles once and its way back twice
+    cycle_of, d, eps = TRANSPORT_ORACLE_CASES[case]
+    cycle = cycle_of(factory)
+    got, rounds = settled_rounds(lambda: transport(cycle, d, eps))
+    want, ref_rounds = settled_rounds(lambda: reference_transport(cycle, d, eps))
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12, (case, a, b)
+    assert rounds == ref_rounds and len(rounds) == len(cycle.segments)
+    assert max(rounds) == (2 if "delta1" in case else 0)
+
+
+def test_dropping_the_offset_ramp_of_a_transport_block_turns_checks_red(monkeypatch, tmp_path):
+    # after a chart switch the leaf's independent coordinate then starts on
+    # the base path, off the leaf: the endpoint integrated from the slope
+    # no longer lies on the level that int omega gives, and the
+    # displacement check stops the numeric suite at the flagship witness
+    block_transport = holonomy_module._block_transport
+    monkeypatch.setattr(holonomy_module, "_block_transport",
+                        lambda block, field, offset, dep0, level:
+                        block_transport(block, field, np.zeros_like(offset), dep0, level))
+    _, records, _ = run_suite("all", Config(), str(tmp_path / "report.json"))
+    red = [r for r in records if not r.passed]
+    assert [r.id for r in red] == ["numeric.error"]
+    assert "TransportError: displacement mismatch at eps = 0.002" in red[0].computed
+    assert not any(r.id.startswith("num.") for r in records)
+    assert len(records) == 131 - 20 + 1

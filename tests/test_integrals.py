@@ -10,17 +10,22 @@ import orbitdepth.integrals as integrals
 from orbitdepth.curves import CycleFactory, Line, Segment, Cycle, nearest_root, real_oval, vanishing_loop
 from orbitdepth.integrals import (
     _CHEB_N,
+    _CLEARANCE_S,
     _NODES,
     _QMAT,
     _cumulative,
     _integral,
+    _node_geometry,
     _panel_nodes,
+    _pole_distances,
+    _segment_panels,
     _split_panels,
     _tail,
     MIN_POLE_CLEARANCE,
     PAIRING_EXPECTED,
     EtaCombo,
     PoleOnPathError,
+    XdY,
     QuadratureError,
     cauchy_suite,
     determinant_defect,
@@ -35,7 +40,8 @@ from orbitdepth.integrals import (
     v2_double_integral,
 )
 from orbitdepth.melnikov import FLAGSHIP
-from orbitdepth.words import D1, D2, D3, DELTA, X_ELT, Z_ELT, Gen, random_word, v_k
+from orbitdepth.reporting import Config, run_suite
+from orbitdepth.words import D1, D2, D3, DELTA, X_ELT, Z_ELT, Gen, commutator, random_word, v_k
 
 SEED = 20259
 T0 = 0.36
@@ -201,7 +207,7 @@ def test_log_basis_and_its_forms_reject_an_index_outside_1_to_4():
         1.5 + 0.25j, -0.75 - 0.75j, -0.5 + 0.25j, 1.25 - 0.75j]
     form = EtaCombo(((5, 1.0),))
     for call in (lambda: log_basis(0, x, y), lambda: form.values(x, y, x, y),
-                 lambda: form.pole_clearance(x, y)):
+                 lambda: form.pole_clearance((1.0, 1.0, 1.0, 1.0))):
         with pytest.raises(ValueError, match="eta index . out of range"):
             call()
 
@@ -325,3 +331,138 @@ def test_a_segment_whose_tails_never_pass_is_named(monkeypatch):
     monkeypatch.setattr(integrals, "_tail", lambda g: np.ones(g.shape[-2]))
     with pytest.raises(QuadratureError, match=r"tail 1 on .* at 192 panels"):
         iterated_integral(cyc, [eta(3)])
+
+
+# ---------------------------------------------------------------------------
+# The reference: one segment at a time
+
+
+def reference_segment_sweep(seg, forms, prefixes, rounds):
+    """The iterated integrals' prefixes at the segment's end from those at
+    its start, and the worst tail of the integrands on its panels."""
+    npan = _segment_panels(seg, rounds)
+    x, y, dxds, dyds = seg.chart_frame(*_node_geometry(seg, npan))
+    out, tails, acc = [], [], None
+    for j, form in enumerate(forms):
+        g = form.values(x, y, dxds, dyds)
+        if j > 0:
+            g = g * acc
+        acc = prefixes[j] + _cumulative(g, 1.0 / npan)
+        out.append(complex(acc[-1, -1]))
+        tails.append(_tail(g))
+    return out, [np.max(tails)]
+
+
+def reference_iterated_integral(cycle, forms, inits, tol=1e-10):
+    """iterated_integral with every segment settled and swept on its own."""
+    inits = list(inits)
+    inits[-1] = 0.0
+    prefixes = [complex(v) for v in inits]
+    for seg in cycle.segments:
+        prefixes = integrals._settle(
+            [seg], lambda r: reference_segment_sweep(seg, forms, prefixes, r[0]),
+            "iterated integral", tol)
+    return prefixes[-1]
+
+
+REFERENCE_CYCLES = {
+    "gamma": lambda: real_oval(T0),
+    "x_z": lambda: CycleFactory(T0).cycle_of_word(commutator(X_ELT, Z_ELT)),
+    "v3": lambda: CycleFactory(T0).cycle_of_word(v_k(3)),
+    "delta2": lambda: vanishing_loop(2, T0),
+}
+
+REFERENCE_FORMS = {
+    1: ([eta(2)], [0.0]),
+    2: ([eta(1), eta(2)], [cmath.log(0.2), 0.0]),
+    3: ([eta(2), eta(3), EtaCombo(((1, 0.5), (4, -1.0)))], [0.3, -0.2j, 0.0]),
+}
+
+
+@pytest.mark.parametrize("length", REFERENCE_FORMS)
+@pytest.mark.parametrize("case", REFERENCE_CYCLES)
+def test_block_sweep_matches_the_sweep_one_segment_at_a_time(settled_rounds, case, length):
+    # the same values to roundoff, and every segment settled at the same
+    # count.  The floor grows by 1e-15 per segment from 1e-14: the integrals
+    # of length 1 and 2 over v_3 vanish by cancellation over 96 segments, to
+    # about 3e-14, and the two sweeps sum them in different orders
+    cycle = REFERENCE_CYCLES[case]()
+    forms, inits = REFERENCE_FORMS[length]
+    value, rounds = settled_rounds(lambda: iterated_integral(cycle, forms, inits))
+    ref, ref_rounds = settled_rounds(lambda: reference_iterated_integral(cycle, forms, inits))
+    floor = max(1e-14, 1e-15 * len(cycle.segments))
+    assert abs(value - ref) <= max(1e-12 * abs(ref), floor), (case, length, value, ref)
+    assert rounds == ref_rounds and len(rounds) == len(cycle.segments)
+
+
+def test_pole_distances_are_computed_once_per_segment_for_both_directions(monkeypatch):
+    # the based loop runs its tail out and back: 9 segments over 5 paths
+    cycle = CycleFactory(T0).based_loop(2)
+    grids = []
+    dependent = Segment.dependent
+
+    def counted(seg, s):
+        if s is _CLEARANCE_S:
+            grids.append(seg.uid)
+        return dependent(seg, s)
+
+    monkeypatch.setattr(Segment, "dependent", counted)
+    for forms in ([eta(1)], [eta(2), eta(3)], [EtaCombo(((2, -1.0), (4, -1.0))), XdY()]):
+        iterated_integral(cycle, forms)
+    uids = {seg.uid for seg in cycle.segments}
+    assert len(cycle.segments) == 9 and sorted(grids) == sorted(uids)
+    # both directions read the minima of |x+1|, |y-1|, |x-1|, |y+1| on the grid
+    for seg in cycle.segments:
+        x, y = seg.frame(_CLEARANCE_S)[:2]
+        fresh = [np.min(np.abs(log_basis(i, x, y))) for i in (1, 2, 3, 4)]
+        assert np.max(np.abs(np.subtract(_pole_distances(seg), fresh))) <= 1e-15
+    # a form's clearance is the least distance over its nonzero terms
+    distances = (0.4, 0.3, 0.2, 0.1)
+    assert EtaCombo(((1, 2.0), (3, 0.0), (2, 1j))).pole_clearance(distances) == 0.3
+    assert EtaCombo(((4, 0.0),)).pole_clearance(distances) == np.inf
+    assert XdY().pole_clearance(distances) == np.inf
+
+
+def swept_blocks(monkeypatch, run):
+    """(sweeps, panels) of the block sweeps of run()'s iterated integrals."""
+    calls = []
+    block_sweep = integrals._block_sweep
+
+    def counted(block, forms, prefixes, rounds):
+        calls.append(sum(_segment_panels(seg, r) for seg, r in zip(block, rounds)))
+        return block_sweep(block, forms, prefixes, rounds)
+
+    monkeypatch.setattr(integrals, "_block_sweep", counted)
+    run()
+    return len(calls), sum(calls)
+
+
+@pytest.mark.parametrize("run, sweeps, panels", [
+    (lambda: iterated_integral(real_oval(T0), [eta(2), eta(3)]), 5, 48),
+    (lambda: iterated_integral(CycleFactory(T0).cycle_of_word(commutator(X_ELT, Z_ELT)),
+                               [eta(2), eta(3)]), 34, 660),
+    (lambda: v2_double_integral(CycleFactory(T0)), 23, 396),
+], ids=["gamma", "x_z", "v2_double_integral"])
+def test_iterated_integrals_sweep_pinned_work(monkeypatch, run, sweeps, panels):
+    # next to the jets' 5/48 (oval), 28/576 (v_2) and 39/912 (v_3): the
+    # oval's 5 blocks pass at the base counts; at the default tol 1e-10 the
+    # [x, z] cycle's 23 blocks take 11 reruns, one segment at a time took
+    # 72 sweeps of 564 panels; at the word checks' 1e-9 no segment refines
+    assert swept_blocks(monkeypatch, run) == (sweeps, panels)
+
+
+def test_resetting_the_prefixes_at_each_block_start_turns_checks_red(monkeypatch, tmp_path):
+    # every block then integrates from zero, as if the cycle began there:
+    # the integrals over the many blocks of the [x, z] cycle and of the oval
+    # go wrong; the pairing table's one-segment loops and the sign of the
+    # oval's area do not see it
+    block_sweep = integrals._block_sweep
+    monkeypatch.setattr(integrals, "_block_sweep", lambda block, forms, prefixes, rounds:
+                        block_sweep(block, forms, [0j] * len(prefixes), rounds))
+    _, records, _ = run_suite("all", Config(), str(tmp_path / "report.json"))
+    assert len(records) == 131
+    assert {r.id for r in records if not r.passed} == {
+        "num.v2_double_integral", "num.determinant", "num.cauchy.phi1_dphi3",
+        "num.cauchy.log_t_over_y2m1_dphi2", "num.cauchy.dphi2_dphi2", "num.center.order3",
+        "num.m2.order-2_assembly", "num.m2.moment_integral_phi1_dphi3",
+        "num.m2.collapsed_log_combination"}

@@ -8,6 +8,7 @@ check the parser."""
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy as sp
 from sympy.polys.fields import field
@@ -133,3 +134,35 @@ def test_parser_high_powers():
 def test_parser_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def plain_horner(f, tval):
+    """The evaluator as Horner from 0 on both polynomials, one division."""
+    num, den = f.dense()
+    pn = pd = 0j
+    for c in num:
+        pn = pn * tval + c
+    for c in den:
+        pd = pd * tval + c
+    return pn / pd
+
+
+def test_callable_matches_plain_horner_bit_for_bit():
+    # starting from the leading coefficient and skipping a denominator of 1
+    # change no value, on scalars and on the arrays of the leaf transport
+    rng = random.Random(SEED)
+    points = np.array([0.36, -0.7 + 0.2j, 1.5 - 2.0j, 0.0])
+    fixed = [RatFunc(0), RatFunc(3), RatFunc("t^2+2t"), RatFunc("t/2"), RatFunc("1/(2t+1)")]
+    for f in fixed + [random_function(rng)[0] for _ in range(SAMPLES)]:
+        evaluate = f.callable()
+        for tval in (0.25, -1.5 + 0.5j):
+            try:
+                want = plain_horner(f, tval)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    evaluate(tval)
+                continue
+            assert evaluate(tval) == want, (f, tval)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(np.broadcast_to(evaluate(points), points.shape),
+                                  plain_horner(f, points), equal_nan=True), f

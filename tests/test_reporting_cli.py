@@ -51,19 +51,48 @@ def test_report_manifest_records_the_environment(tmp_path):
     assert manifest["commit"] == "unknown" or re.fullmatch(r"[0-9a-f]{40}", manifest["commit"])
 
 
-def test_git_is_asked_for_the_commit_once_per_process(tmp_path, monkeypatch):
-    calls = []
-    real_run = subprocess.run
+def test_the_commit_is_read_once_per_process_without_starting_git(tmp_path, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError(f"a process was started: {args}")
 
-    def counting_run(*args, **kwargs):
-        calls.append(args)
-        return real_run(*args, **kwargs)
-
-    monkeypatch.setattr(reporting.subprocess, "run", counting_run)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(os, "system", no_process)
     reporting._git_commit.cache_clear()
     for i in range(2):
-        run_suite("orbit", Config(), str(tmp_path / f"rep{i}.json"))
-    assert len(calls) == 1
+        run_suite("melnikov", Config(), str(tmp_path / f"rep{i}.json"))
+    info = reporting._git_commit.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _git(cwd, *args) -> str:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+                           "-c", "init.defaultBranch=main", *args],
+                          cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_the_commit_read_from_dot_git_is_what_git_rev_parse_says(tmp_path):
+    read = reporting._git_commit.__wrapped__  # uncached
+    repo, linked, plain = tmp_path / "repo", tmp_path / "linked", tmp_path / "plain"
+    _git(tmp_path, "init", "-q", str(repo))
+    _git(repo, "commit", "-q", "--allow-empty", "-m", "one")
+    assert (repo / ".git" / "refs" / "heads" / "main").is_file()
+    assert read(repo) == _git(repo, "rev-parse", "HEAD")  # a loose ref
+    _git(repo, "commit", "-q", "--allow-empty", "-m", "two")
+    _git(repo, "pack-refs", "--all")
+    assert not (repo / ".git" / "refs" / "heads" / "main").exists()
+    assert read(repo) == _git(repo, "rev-parse", "HEAD")  # a packed ref
+    first = _git(repo, "rev-parse", "HEAD~1")
+    _git(repo, "checkout", "-q", "--detach", first)
+    assert read(repo) == first  # a detached HEAD
+    _git(repo, "worktree", "add", "-q", "-b", "side", str(linked), "main")
+    _git(linked, "commit", "-q", "--allow-empty", "-m", "three")
+    assert (linked / ".git").is_file()
+    assert read(linked) == _git(linked, "rev-parse", "HEAD") != first  # a linked worktree
+    assert read(repo) == first
+    plain.mkdir()
+    assert read(plain) == "unknown"  # no repository
+    (plain / ".git").write_text("not a gitdir line\n")
+    assert read(plain) == "unknown"
 
 
 def _modules_loaded_by_the_package(top: str,
