@@ -6,15 +6,16 @@ Subcommand tree:
     repr   {matrices, check-v, comm-scalar, certificate}
     mel    {wronskian, build, classify, mv, center}
     num    {pairing, iterated, cauchy-suite, jet, holonomy, center-check}
-    verify {orbit, repr, melnikov, numeric, all} [--trace]
-    report --out FILE --format {json,csv}
+    verify {orbit, repr, melnikov, numeric, all} [--out FILE] [--format {json,csv}] [--trace]
 
 The check subcommands (`repr check-v`, `repr certificate`, `num pairing`,
 `num cauchy-suite`, `num center-check`) print, as a JSON list, the records
 that `verify` writes to the report for the same inputs, and exit 0 exactly
 when all of them pass.  The other subcommands print their values as JSON;
 `num jet` prints c1..c3 of the return map and the witness orders of the
-transported remainder past them.  The OUTPUT_DIR environment variable
+transported remainder past them.  `verify` writes its report as JSON, or
+with `--format csv` one CSV row per record to `--out` (the JSON report
+then goes to the output directory).  The OUTPUT_DIR environment variable
 overrides the output directory.
 """
 
@@ -87,6 +88,8 @@ def _print_checks(build, *args) -> int:
 
 
 def cmd_orbit_var(args):
+    if args.times < 0:
+        raise ValueError("iterate count must be >= 0")
     w = parse_word(args.word)
     for _ in range(args.times):
         w = var(w)
@@ -194,6 +197,7 @@ def cmd_num_pairing(args):
 
 _FORM_NAMES = {f"eta{i}": [(i, 1.0)] for i in (1, 2, 3, 4)}
 _FORM_NAMES.update({f"dphi{i}": [(i, 1.0)] for i in (1, 2, 3, 4)})
+_MOMENT_NAMES = {f"phi{i}*dphi{j}": (i, j) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)}
 
 
 def _parse_forms(spec: str):
@@ -203,9 +207,8 @@ def _parse_forms(spec: str):
         if name in _FORM_NAMES:
             forms.append(EtaCombo(tuple(_FORM_NAMES[name])))
             inits.append(0.0)
-        elif name.startswith("phi") and "*dphi" in name:
-            i = int(name[3])
-            j = int(name.split("*dphi")[1])
+        elif name in _MOMENT_NAMES:
+            i, j = _MOMENT_NAMES[name]
             forms.append(eta(i))
             inits.append(None)  # resolved to log f_i at the start
             forms.append(eta(j))
@@ -268,7 +271,7 @@ def cmd_num_center_check(args):
                          Fraction(args.c1), Fraction(args.lambda1), Fraction(args.lam))
 
 
-# -- verify / report --------------------------------------------------------
+# -- verify -----------------------------------------------------------------
 
 
 def _config_from_args(args) -> Config:
@@ -279,21 +282,13 @@ def _config_from_args(args) -> Config:
 
 def cmd_verify(args):
     cfg = _config_from_args(args)
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv needs --out")
     try:
-        code, records, path = run_suite(args.suite, cfg, args.out)
+        code, records, path = run_suite(args.suite, cfg, args.out if args.format == "json" else None)
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
-    print(summary_table(records))
-    print(f"report: {path}")
-    if args.trace:
-        print(trace_tree(records))
-    return code
-
-
-def cmd_report(args):
-    cfg = _config_from_args(args)
-    code, records, path = run_suite("all", cfg, args.out if args.format == "json" else None)
     if args.format == "csv":
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -302,8 +297,11 @@ def cmd_report(args):
             for r in records:
                 writer.writerow([r.id, r.claim, r.expected, r.computed,
                                  r.error, r.tolerance, r.passed, r.runtime_ms])
-        print(f"report: {args.out}")
+        path = args.out
     print(summary_table(records))
+    print(f"report: {path}")
+    if args.trace:
+        print(trace_tree(records))
     return code
 
 
@@ -418,19 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--k-max", dest="k_max", type=int)
     ver.add_argument("--output-dir")
     ver.add_argument("--out")
+    ver.add_argument("--format", choices=("json", "csv"), default="json",
+                     help="csv writes one row per record to --out")
     ver.add_argument("--trace", action="store_true",
                      help="print each suite's record runtimes after the report")
     ver.set_defaults(func=cmd_verify)
-
-    repo = sub.add_parser("report", help="run everything and write a report")
-    repo.add_argument("--out", required=True)
-    repo.add_argument("--format", choices=("json", "csv"), default="json")
-    repo.add_argument("--config")
-    repo.add_argument("--seed", type=int)
-    repo.add_argument("--t0", type=float)
-    repo.add_argument("--k-max", dest="k_max", type=int)
-    repo.add_argument("--output-dir")
-    repo.set_defaults(func=cmd_report)
 
     return p
 

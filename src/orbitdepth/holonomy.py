@@ -12,23 +12,25 @@ Transport starts at the exact curve point over the base point, follows
 every segment of a cycle, and the return value is F at the endpoint.
 
 Transport runs on the Chebyshev-Lobatto panels of `integrals`, over the
-same blocks of same-chart segments as the quadrature (`integrals._blocks`),
-with every leaf of an eps array carried at once (a scalar eps is the n = 1
-case).  A fixed point on the level relation alternates u <- the root of
+walk of the quadrature (`integrals._walk`): its state is the leaves'
+endpoint (x, y) and int omega, with every leaf of an eps array carried at
+once (a scalar eps is the n = 1 case).  Within a block a fixed point on
+the level relation alternates u <- the root of
 (w^2 - 1)(u^2 - 1) = F(block start) - eps J nearest the last iterate (the
 base curve to begin with) and J <- the running int of omega over the
-block.  The segments of a block whose Chebyshev tails of omega or of the
-slope exceed SEGMENT_ATOL on any leaf double their panels
-(`integrals._settle`), and the block runs again, each segment starting
-from its last J, split onto its half panels where it doubled.  The
-endpoint carried on is that of the differential form, u(0) + int slope dw,
-not the root, so the displacement check F(end) - t = -eps int omega in
+block, from J = 0.  The segments of a block whose Chebyshev tails of omega
+or of the slope exceed SEGMENT_ATOL on any leaf double their panels, and
+the block runs again from J = 0; a segment met again in the same direction
+starts at the rounds it settled at (`integrals._settle`).  The endpoint
+carried on is that of the differential form, u(0) + int slope dw, not the
+root, so the displacement check F(end) - t = -eps int omega in
 `holonomy_displacement` compares two independently integrated quantities.
 A chart switch needs no slide: the first segment of a block has its
 independent path shifted by the leaf's offset delta from the base path at
 its start, w + delta (1 - s) (`_offset_ramp`), so the leaf ends that
 segment on the base fiber and runs through the block's later junctions
-unshifted.
+unshifted.  Transport reads delta from the endpoint, w(start) minus the
+base path's.
 
 The return map P(t, eps) - t = c1 eps + c2 eps^2 + c3 eps^3 + ... has its
 coefficients from one source, the jets, and direct transport witnesses them.
@@ -41,17 +43,18 @@ u_j set to 0, and 1/F_dep solves its homogeneous part (F_dep = dF/d(dep) on
 the base curve; the unperturbed leaf at level t + tau lies at
 u0 + tau / F_dep to first order), so
 u_j = (F_dep(0) u_j(0) + int F_dep r_j) / F_dep in closed form.  The eps^j
-coefficient J_j of int omega gives c_{j+1} = -J_j.  Chart switches shift the
-next block's first path as the transport does, with the leaf's O(eps) offset
-as delta, so the leaf starts on it with the new dependent coordinate (the old
-independent one) exactly on the base curve: u_j(0) = 0 after every switch.
-The jet is carried over the blocks of the transport and the quadrature; the
-segments of a block whose tails fail double their panels and the block runs
-again from the same (offset, dep).  A block is the same
-integration as its segments one at a time: within a chart, F_dep u_j is
-continuous where one segment ends and the next starts (one curve point, one
-dependent coordinate), so the closed form from the block's start runs on
-through each junction, and only a first segment after a switch is shifted.
+coefficient J_j of int omega gives c_{j+1} = -J_j.  The jet is carried over
+the walk of the transport and the quadrature (`integrals._walk`) in the
+state (chart, dependent jet, jet of int omega), by the same refinement and
+restart rule.  Its block sweep holds the chart-switch rule: the next
+block's first path is shifted as the transport's is, with the leaf's
+O(eps) dependent jet as delta, so the leaf starts on it with the new
+dependent coordinate (the old independent one) exactly on the base curve:
+u_j(0) = 0 after every switch.  A block is the same integration as its
+segments one at a time: within a chart, F_dep u_j is continuous where one
+segment ends and the next starts (one curve point, one dependent
+coordinate), so the closed form from the block's start runs on through
+each junction, and only a first segment after a switch is shifted.
 
 A block sweep forms each eps-order of the leaf quantities once, lowest
 first: the squares x^2 - 1 and y^2 - 1, F, F_x, F_y, the coefficients
@@ -88,7 +91,7 @@ check records that compare them with their tolerances are built in
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -96,14 +99,12 @@ from .curves import Cycle, Segment, curve_f, nearest_root
 from .integrals import (
     _NODES,
     _block_panels,
-    _blocks,
     _cumulative,
     _integral,
     _panel_nodes,
     _segment_tails,
-    _settle,
-    _split_panels,
     _tail,
+    _walk,
     eta,
     iterated_integral,
     moment_integral,
@@ -176,41 +177,34 @@ def _offset_ramp(npans: List[int]):
     return ramp, np.arange(ramp.shape[0])[:, None] < npans[0]
 
 
-def _block_transport(block: List[Segment], field: LeafField, offset: np.ndarray,
-                     dep0: np.ndarray, level: np.ndarray):
-    """Every leaf over a block of same-chart segments, their panels side by
-    side; returns the dependent coordinate at the block's end and int omega
-    over the block, one per leaf.
+def _block_transport(block: List[Segment], field: LeafField, state):
+    """The sweep of every leaf over a block of same-chart segments, their
+    panels side by side, from the state (x, y, int omega) at the block's
+    start to the state at its end, one entry per leaf.
 
-    A leaf starts at the dependent coordinate dep0 on the level F = level,
-    offset from the first segment's base path by `offset` in the
-    independent coordinate, which the first segment ramps out
-    (`_offset_ramp`).  The fixed point on F(w, u) = level - eps J stops when
-    no leaf's J moves by more than FIX_RTOL of the largest |J|;
-    TransportError, naming the segment and the leaf's eps of the largest
-    change, past FIX_MAX_ITERATIONS.  The segments whose tails exceed
-    SEGMENT_ATOL double their panels (integrals._settle), each starting
-    from its last J, split onto its half panels."""
+    A leaf starts at (x, y) on the level F = F(x, y), offset from the first
+    segment's base path in the independent coordinate, which the first
+    segment ramps out (`_offset_ramp`).  The fixed point on
+    F(w, u) = level - eps J starts from J = 0 and stops when no leaf's J
+    moves by more than FIX_RTOL of the largest |J|; TransportError, naming
+    the segment and the leaf's eps of the largest change, past
+    FIX_MAX_ITERATIONS."""
+    x, y, jtot = state
     chart = block[0].chart
-    offset, level = offset[:, None, None], level[:, None, None]
-    j, last = None, None
+    w0, u0 = (x, y) if chart == "x" else (y, x)
+    offset = (w0 - block[0].independent(0.0))[:, None, None]
+    level = curve_f(x, y)[:, None, None]
+    w1 = np.full(w0.shape, block[-1].independent(1.0), complex)
 
     def sweep(rounds):
-        nonlocal j, last
         npans, h, (base_w, base_dw, base_u) = _block_panels(block, rounds)
-        if j is None:
-            j = np.zeros((offset.shape[0], h.size, _NODES.size), complex)
-        else:
-            pieces = np.split(j, np.cumsum(last[:-1]), axis=1)
-            j = np.concatenate([_split_panels(p) if n > p.shape[1] else p
-                                for p, n in zip(pieces, npans)], axis=1)
-        last = npans
         w, dw = base_w, base_dw
         if offset.any():
             ramp, first = _offset_ramp(npans)
             w, dw = base_w + offset * ramp, base_dw - offset * first
         a = w * w - 1.0
         u = np.broadcast_to(base_u, w.shape)
+        j = np.zeros((w0.size, h.size, _NODES.size), complex)
         for _ in range(FIX_MAX_ITERATIONS):
             u = nearest_root(a, level - field.eps * j, u)
             slope, form = field.slope_and_form(*((w, u) if chart == "x" else (u, w)), chart)
@@ -220,7 +214,9 @@ def _block_transport(block: List[Segment], field: LeafField, offset: np.ndarray,
             if np.all(change <= FIX_RTOL * np.abs(j).max()):
                 slope = slope * dw
                 tail = np.maximum(_tail(g), _tail(slope))
-                return (dep0 + _integral(slope, h), j[:, -1, -1]), _segment_tails(tail, npans)
+                dep1 = u0 + _integral(slope, h)
+                x1, y1 = (w1, dep1) if chart == "x" else (dep1, w1)
+                return (x1, y1, jtot + j[:, -1, -1]), _segment_tails(tail, npans)
         i, p = np.unravel_index(np.argmax(change), change.shape)
         seg = block[int(np.searchsorted(np.cumsum(npans), p, side="right"))]
         eps = field.eps.ravel()[i]
@@ -228,7 +224,7 @@ def _block_transport(block: List[Segment], field: LeafField, offset: np.ndarray,
             f"level fixed point on {seg!r} did not settle in {FIX_MAX_ITERATIONS} iterations "
             f"at eps = {eps.real if eps.imag == 0 else eps} (last change {change[i, p]:.3g})")
 
-    return _settle(block, sweep, "leaf transport", SEGMENT_ATOL)
+    return sweep
 
 
 def _like(eps, values):
@@ -239,8 +235,9 @@ def _like(eps, values):
 def transport(cycle: Cycle, d: Deformation, eps):
     """Endpoints (x, y) and omega-quadratures of the perturbed leaves over
     the cycle's base chain, one leaf per entry of eps (scalars for a scalar
-    eps).  Every block carries the whole grid as one array.  ValueError
-    before any sweep where a coefficient of d is not finite at cycle.t."""
+    eps).  Every block carries the whole grid as one array
+    (`_block_transport`, over integrals._walk).  ValueError before any
+    sweep where a coefficient of d is not finite at cycle.t."""
     grid = np.atleast_1d(np.asarray(eps, dtype=complex))
     n = grid.size
     if not cycle.segments:
@@ -250,17 +247,10 @@ def transport(cycle: Cycle, d: Deformation, eps):
     _level_taylor(d, cycle.t, 1)
     field = LeafField(d, grid[:, None, None])
     start = cycle.segments[0].start_point()
-    x, y = np.full(n, start.x, complex), np.full(n, start.y, complex)
-    jtot = np.zeros(n, complex)
-    for block in _blocks(cycle, 0):
-        chart = block[0].chart
-        w0, u0 = (x, y) if chart == "x" else (y, x)
-        dep1, dj = _block_transport(block, field, w0 - block[0].independent(0.0), u0,
-                                    curve_f(x, y))
-        jtot += dj
-        w1 = np.full(n, block[-1].independent(1.0), complex)
-        x, y = (w1, dep1) if chart == "x" else (dep1, w1)
-    return _like(eps, x), _like(eps, y), _like(eps, jtot)
+    state = (np.full(n, start.x, complex), np.full(n, start.y, complex), np.zeros(n, complex))
+    state = _walk(cycle, lambda block, state: _block_transport(block, field, state),
+                  "leaf transport", SEGMENT_ATOL, state)
+    return tuple(_like(eps, v) for v in state)
 
 
 def holonomy_along(cycle: Cycle, d: Deformation, eps):
@@ -415,40 +405,26 @@ def _block_jet(block: List[Segment], rounds: List[int], taylor: np.ndarray,
     return (end, np.array(total)), _segment_tails(tail, npans)
 
 
-def _switch_chart(dep: np.ndarray):
-    """(offset, dep0) at a chart switch: the leaf's dependent jet becomes the
-    offset of the new independent coordinate, and the new dependent
-    coordinate (the old independent one) starts on the base curve."""
-    return dep, np.zeros_like(dep)
+def _cycle_jet(cycle: Cycle, taylor: np.ndarray) -> np.ndarray:
+    """-(jet of int omega) over the cycle, carried block by block over
+    integrals._walk in the state (chart, dep, jet of int omega).
 
-
-def _cycle_jet(cycle: Cycle, taylor: np.ndarray, rounds: Optional[int] = None) -> np.ndarray:
-    """-(jet of int omega) over the cycle, each block settled by its
-    segments' tails (integrals._settle), or with every segment at `rounds`.
-
-    A cycle passes the same segments many times (v_3's 96 run over 28
-    segment-and-direction pairs), so a pair met again starts at the rounds
-    it settled at the last time instead of sweeping the counts that failed
-    there; the tails still decide every block."""
-    chart = cycle.segments[0].chart
-    dep = np.zeros(JET_TERMS, complex)
-    jtot = np.zeros(JET_TERMS, complex)
-    settled = {}  # (uid, reversed) -> the rounds of the pair's last sweep
-    for block in _blocks(cycle, rounds or 0):
+    At a chart switch the leaf's dependent jet becomes the offset of the
+    new independent coordinate, and the new dependent coordinate (the old
+    independent one) starts on the base curve."""
+    def block_sweep(block, state):
+        chart, dep, jtot = state
         offset = np.zeros(JET_TERMS, complex)
         if block[0].chart != chart:
-            offset, dep = _switch_chart(dep)
-            chart = block[0].chart
-        pairs = [(seg.uid, seg.reversed) for seg in block]
+            offset, dep = dep, np.zeros_like(dep)
 
-        def sweep(r):
-            settled.update(zip(pairs, r))
-            return _block_jet(block, r, taylor, offset, dep)
+        def sweep(rounds):
+            (end, dj), tails = _block_jet(block, rounds, taylor, offset, dep)
+            return (block[0].chart, end, jtot + dj), tails
+        return sweep
 
-        dep, dj = _settle(block, sweep, "Melnikov jet", JET_TOL, rounds,
-                          start=[settled.get(pair, 0) for pair in pairs])
-        jtot += dj
-    return -jtot
+    start = (cycle.segments[0].chart, np.zeros(JET_TERMS, complex), np.zeros(JET_TERMS, complex))
+    return -_walk(cycle, block_sweep, "Melnikov jet", JET_TOL, start)[2]
 
 
 def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:
@@ -457,11 +433,11 @@ def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:
 
     The leaf starts on the base curve over the first segment's start and
     returns to the same fiber, which needs the first and last segments in
-    one chart.  Blocks are cut at the base panel counts; the segments whose
-    Chebyshev tails fail double their panels and their block runs again,
-    by the rule of integrals.iterated_integral; QuadratureError if a
-    segment's tails never pass, and ValueError before any sweep where a
-    coefficient of d is not finite at cycle.t.
+    one chart.  The cycle is walked as every panel layer walks it
+    (integrals._walk): the segments whose Chebyshev tails fail double their
+    panels and their block runs again; QuadratureError if a segment's tails
+    never pass, and ValueError before any sweep where a coefficient of d is
+    not finite at cycle.t.
     """
     if not cycle.segments:
         return 0j, 0j, 0j

@@ -14,17 +14,25 @@ Each segment is cut into panels (12 per arc, 6 per line) and every panel
 uses a degree-32 Chebyshev-Lobatto collocation rule whose
 cumulative-integration matrix gives the inner partial integrals of an
 iterated integral in the same sweep; leaf transport and the eps-jets of
-`holonomy` run on the same rule.  Every panel layer sweeps a cycle in
-blocks (`_blocks`): runs of consecutive segments in one chart, at most
-_BLOCK_PANELS panels at the base counts, their panels side by side in one
-array (`_block_panels`).  The running integrals carry across the junctions
-of a block as across the panels of one segment, and from one block's end
-to the next block's start.  A segment is accepted when every integrand on
-every one of its panels has a Chebyshev tail within the layer's tolerance
-(`_tail`, `_settle`); when a segment of a block fails, that segment doubles
-its own panel count and the block is swept again from the same incoming
-state, so only the panels that need more nodes get them.  A pole-clearance
-check runs first.
+`holonomy` run on the same rule.  Every panel layer walks a cycle with one
+function, `_walk`: it cuts the cycle into blocks (`_blocks`), runs of
+consecutive segments in one chart, at most _BLOCK_PANELS panels at the
+base counts, and threads the layer's state through them, from the cycle's
+start to its end.  A layer is a start state and a block sweep, which takes
+a block's panels side by side in one array (`_block_panels`) from the
+state at the block's start to the state at its end: the iterated
+integrals carry their prefixes, transport the leaves' endpoints and
+int omega, the jets the chart, the dependent jet and the jet of int omega.
+The running integrals carry across the junctions of a block as across the
+panels of one segment.  `_settle` holds the one refinement rule of every
+layer: a segment is accepted when every integrand on every one of its
+panels has a Chebyshev tail within the layer's tolerance (`_tail`); when a
+segment of a block fails, that segment doubles its own panel count and the
+block is swept again from the same incoming state, so only the panels that
+need more nodes get them; and a segment met again in the same direction,
+which a word cycle does many times, starts at the rounds it settled at the
+last time instead of sweeping the counts that failed there.  A
+pole-clearance check runs first.
 
 A degree-n panel converges like rho^-n, rho the Bernstein-ellipse
 parameter of the nearest singularity (Trefethen, Approximation Theory and
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,19 +99,9 @@ def _chebyshev_cumulative() -> np.ndarray:
 
 _NODES = (_XI + 1.0) / 2.0
 _QMAT = _chebyshev_cumulative()
-# _HALVES[k] interpolates values at the nodes of a panel onto the nodes of
-# its k-th half (k = 0, 1)
-_HALVES = np.stack([_chebyshev_at((_XI + c) / 2.0) @ _INV_V for c in (-1.0, 1.0)])
 # (g @ _TAIL)[i] is the coefficient of T_{n-3+i} in the interpolant of g at
 # the nodes: the last four rows of the inverse Vandermonde, transposed
 _TAIL = _INV_V[-4:].T
-
-
-def _split_panels(g: np.ndarray) -> np.ndarray:
-    """Values at the nodes of npan panels (axes -2, -1) interpolated onto the
-    nodes of the 2 npan half panels."""
-    halves = np.stack([g @ m.T for m in _HALVES], axis=-2)
-    return halves.reshape(g.shape[:-2] + (2 * g.shape[-2], g.shape[-1]))
 
 
 class PoleOnPathError(RuntimeError):
@@ -223,25 +222,24 @@ SEGMENT_MAX_ROUNDS = 6  # a segment's panels double at most five times
 # floor near 1e-15 under the tails (the oval's jets read at most 1.5e-15,
 # the transported leaves 6e-16), below every tolerance of the package.
 def _settle(segments: Sequence[Segment], sweep, what: str, tol: float,
-            rounds: Optional[int] = None, start: Optional[Sequence[int]] = None):
+            settled: Dict[Tuple[int, bool], int]):
     """The result of sweep(rounds per segment) -> (result, each segment's
     worst tail) once every tail is at most tol.
 
-    Every segment starts at its base panel count, or at its `start` rounds
-    (a count it settled at before, the counts below it having failed);
-    only the segments that fail double their panels, and the sweep runs
-    again from the same incoming state.  QuadratureError, naming the
-    segment, its panel count and its last tail, when a failing segment has
-    had SEGMENT_MAX_ROUNDS counts.  With `rounds` given, one uniform sweep
-    with every segment at those rounds, unchecked (the oracle of the
-    tests)."""
-    if rounds is not None:
-        return sweep([rounds] * len(segments))[0]
-    rounds = list(start) if start is not None else [0] * len(segments)
+    A segment starts at the rounds it last settled at in the same direction
+    (`settled`, keyed by (uid, reversed), which it updates), its counts
+    below having failed there, and a segment not met before at its base
+    panel count; only the segments that fail double their panels, and the
+    sweep runs again from the same incoming state.  QuadratureError,
+    naming the segment, its panel count and its last tail, when a failing
+    segment has had SEGMENT_MAX_ROUNDS counts."""
+    pairs = [(seg.uid, seg.reversed) for seg in segments]
+    rounds = [settled.get(pair, 0) for pair in pairs]
     while True:
         result, tails = sweep(rounds)
         failing = [i for i, tail in enumerate(tails) if not tail <= tol]
         if not failing:
+            settled.update(zip(pairs, rounds))
             return result
         for i in failing:
             if rounds[i] + 1 >= SEGMENT_MAX_ROUNDS:
@@ -256,18 +254,30 @@ def _settle(segments: Sequence[Segment], sweep, what: str, tol: float,
 _BLOCK_PANELS = 24
 
 
-def _blocks(cycle: Cycle, rounds: int) -> List[List[Segment]]:
+def _blocks(cycle: Cycle) -> List[List[Segment]]:
     """The cycle's segments cut into runs of consecutive segments in one
-    chart, each holding at most _BLOCK_PANELS panels at these rounds."""
+    chart, each holding at most _BLOCK_PANELS panels at the base counts."""
     blocks, size = [], 0
     for seg in cycle.segments:
-        npan = _segment_panels(seg, rounds)
+        npan = _segment_panels(seg, 0)
         if not blocks or seg.chart != blocks[-1][0].chart or size + npan > _BLOCK_PANELS:
             blocks.append([])
             size = 0
         blocks[-1].append(seg)
         size += npan
     return blocks
+
+
+def _walk(cycle: Cycle, block_sweep, what: str, tol: float, state):
+    """The state at the cycle's end, carried block by block (`_blocks`) from
+    `state` at its start: block_sweep(block, state) is the block's sweep,
+    rounds per segment -> (the state at the block's end, each segment's
+    worst tail), and `_settle` runs it until every tail is at most tol.
+    This is the one walk over a cycle's segments of every panel layer."""
+    settled: Dict[Tuple[int, bool], int] = {}
+    for block in _blocks(cycle):
+        state = _settle(block, block_sweep(block, state), what, tol, settled)
+    return state
 
 
 def _panel_nodes(npan: int) -> np.ndarray:
@@ -364,11 +374,10 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     The first form is accumulated first (innermost); with this convention
     the commutator identity int_{[s1,s2]} w1 w2 = det(int_{s_i} w_j) holds.
     `inits` seeds the inner accumulators (the log starting values of moment
-    integrals); the outermost seed is forced to zero.  The cycle is swept
-    block by block (`_blocks`), the prefixes carried from each block's end
-    to the next block's start; a block's segments whose integrands have
-    Chebyshev tails above `tol` double their panels, and the block is swept
-    again from the same prefixes (`_settle`).
+    integrals); the outermost seed is forced to zero.  The prefixes are
+    the state of the cycle's walk (`_walk`); a block's segments whose
+    integrands have Chebyshev tails above `tol` double their panels, and
+    the block is swept again from the same prefixes (`_settle`).
     """
     if not 1 <= len(forms) <= 4:
         raise ValueError("iterated integrals support lengths 1..4")
@@ -377,10 +386,8 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     inits = list(inits)
     inits[-1] = 0.0
     _check_clearance(cycle, forms)
-    prefixes = [complex(v) for v in inits]
-    for block in _blocks(cycle, 0):
-        prefixes = _settle(block, lambda r: _block_sweep(block, forms, prefixes, r),
-                           "iterated integral", tol)
+    prefixes = _walk(cycle, lambda block, prefixes: partial(_block_sweep, block, forms, prefixes),
+                     "iterated integral", tol, [complex(v) for v in inits])
     return prefixes[-1]
 
 
@@ -409,7 +416,7 @@ PAIRING_TOL = 1e-9  # largest deviation of a pairing entry from its expected val
 CAUCHY_TOL = 1e-8  # largest modulus of a vanishing integral of cauchy_suite
 
 # The commutator integrals and period determinants settle their panels at
-# 1e-9: at 1e-10 the integral over the cycle of [x, z] would sweep 660
+# 1e-9: at 1e-10 the integral over the cycle of [x, z] would sweep 576
 # panels instead of 396, and period_determinant of x and z 600 instead of 456.
 _WORD_TOL = 1e-9
 

@@ -2,23 +2,20 @@
 
 import pytest
 
-# holonomy is imported before any test patches integrals, so that the names
-# it imports from there are the originals and monkeypatch restores them
-import orbitdepth.holonomy as holonomy
 import orbitdepth.integrals as integrals
 
 
 @pytest.fixture
 def uniform(monkeypatch):
     """uniform(r) makes every later sweep of every layer put all segments at
-    rounds r, unchecked: the uniform special case of the tail rule."""
+    rounds r, unchecked: the uniform special case of the tail rule, and the
+    oracle of the tests; uniform(None) puts the tail rule back."""
     settle = integrals._settle
 
     def at(rounds):
-        def uniform_settle(segments, sweep, what, tol, _rounds=None, start=None):
-            return settle(segments, sweep, what, tol, rounds)
-        monkeypatch.setattr(integrals, "_settle", uniform_settle)
-        monkeypatch.setattr(holonomy, "_settle", uniform_settle)
+        def uniform_settle(segments, sweep, what, tol, settled):
+            return sweep([rounds] * len(segments))[0]
+        monkeypatch.setattr(integrals, "_settle", settle if rounds is None else uniform_settle)
     return at
 
 
@@ -32,22 +29,20 @@ def settled_rounds(monkeypatch):
     def run_recorded(run):
         rounds = []
 
-        def recording(segments, sweep, what, tol, *args, **kwargs):
+        def recording(segments, sweep, what, tol, settled):
             last = []
 
             def recorded(r):
                 last[:] = r
                 return sweep(r)
 
-            out = settle(segments, recorded, what, tol, *args, **kwargs)
+            out = settle(segments, recorded, what, tol, settled)
             rounds.extend(last)
             return out
 
         monkeypatch.setattr(integrals, "_settle", recording)
-        monkeypatch.setattr(holonomy, "_settle", recording)
         try:
             return run(), rounds
         finally:
             monkeypatch.setattr(integrals, "_settle", settle)
-            monkeypatch.setattr(holonomy, "_settle", settle)
     return run_recorded

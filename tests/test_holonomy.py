@@ -10,7 +10,6 @@ from orbitdepth.curves import Cycle, CycleFactory, curve_f, nearest_root, oval_c
 from orbitdepth.holonomy import (
     FIX_MAX_ITERATIONS,
     FIX_RTOL,
-    JET_TERMS,
     JET_TOL,
     SEGMENT_ATOL,
     WITNESS_EPS,
@@ -33,7 +32,6 @@ from orbitdepth.integrals import (
     _node_geometry,
     _panel_nodes,
     _segment_panels,
-    _split_panels,
     _tail,
     cauchy_suite,
 )
@@ -314,7 +312,7 @@ def test_a_coefficient_with_a_pole_at_the_level_fails_before_any_sweep(factory, 
     d = deformation("1/(25t-9)", 0, 1)
     cycle = factory.cycle_of_word(GAMMA)
     swept = []
-    monkeypatch.setattr(holonomy_module, "_settle", lambda *args, **kwargs: swept.append(args))
+    monkeypatch.setattr(integrals_module, "_settle", lambda *args: swept.append(args))
     for run in (lambda: jet_along(cycle, d), lambda: transport(cycle, d, 0.01)):
         with pytest.raises(ValueError, match=r"a1 = 1/\(25\*t - 9\) is not finite at the level "
                                              r"t = 0\.36"):
@@ -390,7 +388,7 @@ def test_jets_refine_only_the_segments_whose_tails_fail(factory, monkeypatch, wo
             assert rounds == [r + (t > JET_TOL) for r, t in zip(*before)]
         last[id(block)] = rounds, tails
         settled.update(((seg.uid, seg.reversed), r) for seg, r in zip(block, rounds))
-    assert len(last) == len(holonomy_module._blocks(cycle, 0))
+    assert len(last) == len(integrals_module._blocks(cycle))
     assert len(calls) == sweeps
     assert all(np.all(tails <= JET_TOL) for _, tails in last.values())
     assert max(max(rounds) for rounds, _ in last.values()) == most_rounds
@@ -400,8 +398,11 @@ def test_jets_refine_only_the_segments_whose_tails_fail(factory, monkeypatch, wo
 
 
 def test_dropping_the_chart_switch_offset_turns_checks_red(monkeypatch):
-    monkeypatch.setattr(holonomy_module, "_switch_chart",
-                        lambda dep: (np.zeros_like(dep), np.zeros_like(dep)))
+    # the jet's dependent coordinate still restarts on the base curve at a
+    # switch, but the new independent path is no longer shifted by the offset
+    block_jet = holonomy_module._block_jet
+    monkeypatch.setattr(holonomy_module, "_block_jet", lambda block, rounds, taylor, offset, dep0:
+                        block_jet(block, rounds, taylor, np.zeros_like(offset), dep0))
     records = {r.id: r for r in numeric_suite(Config())}
     assert not records["num.v3_crosscheck"].passed
     assert not records["num.flagship.c2"].passed
@@ -447,21 +448,24 @@ BLOCK_ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", BLOCK_ORACLE_CASES)
-def test_blocked_jet_matches_the_jet_one_segment_at_a_time(factory, monkeypatch, case):
-    # _cycle_jet uniform at rounds 0 and 1, where blocks hold several
-    # segments (from round 2 on an arc fills a block alone), and the settled
-    # jet, whose reruns mix base and doubled segments in one block
+def test_blocked_jet_matches_the_jet_one_segment_at_a_time(factory, monkeypatch, uniform, case):
+    # the jet uniform at rounds 0 and 1 over blocks of several segments,
+    # and the settled jet, whose reruns mix base and doubled segments in one
+    # block
     cycle_of, d = BLOCK_ORACLE_CASES[case]
     cycle = cycle_of(factory)
-    taylor = holonomy_module._level_taylor(d, cycle.t, JET_TERMS)
 
     def jets():
-        return [holonomy_module._cycle_jet(cycle, taylor, r) for r in (0, 1)] + [jet_along(cycle, d)]
+        out = []
+        for r in (0, 1, None):
+            uniform(r)
+            out.append(jet_along(cycle, d))
+        return out
 
     blocked = jets()
     # a cap of 0 panels makes every segment a block of its own
     monkeypatch.setattr(integrals_module, "_BLOCK_PANELS", 0)
-    assert all(len(block) == 1 for block in integrals_module._blocks(cycle, 0))
+    assert all(len(block) == 1 for block in integrals_module._blocks(cycle))
     for b, a in zip(blocked, jets()):
         assert np.all(np.abs(np.subtract(b, a)) <= 1e-12 * np.maximum(1.0, np.abs(a))), (case, b, a)
 
@@ -552,8 +556,8 @@ def reference_block_jet(block, rounds, dense, offset, dep0):
     return (end, _cumulative(form, h)[:, -1, -1]), np.maximum.reduceat(tail, starts)
 
 
-def compared_block_jets(monkeypatch, cycle, d, rounds):
-    """Run _cycle_jet at each of these uniform rounds with every _block_jet
+def compared_block_jets(monkeypatch, uniform, cycle, d, rounds):
+    """Run the jet at each of these uniform rounds with every _block_jet
     call checked against reference_block_jet on the same inputs; returns
     the number of blocks and of blocks entered at a chart switch."""
     dense = [a.dense() for a in d.coefficients()]
@@ -573,29 +577,29 @@ def compared_block_jets(monkeypatch, cycle, d, rounds):
         return out
 
     monkeypatch.setattr(holonomy_module, "_block_jet", checked)
-    taylor = holonomy_module._level_taylor(d, cycle.t, holonomy_module.JET_TERMS)
     for r in rounds:
-        holonomy_module._cycle_jet(cycle, taylor, r)
+        uniform(r)
+        jet_along(cycle, d)
     return counts
 
 
 @pytest.mark.parametrize("case", BLOCK_ORACLE_CASES)
-def test_block_jet_matches_the_full_series_arithmetic(factory, monkeypatch, case):
+def test_block_jet_matches_the_full_series_arithmetic(factory, monkeypatch, uniform, case):
     # each block's end jet, int omega jet and tails, at rounds 0 and 1
     cycle_of, d = BLOCK_ORACLE_CASES[case]
     cycle = cycle_of(factory)
-    blocks, shifted = compared_block_jets(monkeypatch, cycle, d, (0, 1))
-    assert blocks == sum(len(holonomy_module._blocks(cycle, r)) for r in (0, 1))
+    blocks, shifted = compared_block_jets(monkeypatch, uniform, cycle, d, (0, 1))
+    assert blocks == 2 * len(integrals_module._blocks(cycle))
     assert shifted > 0
 
 
 @pytest.mark.parametrize("terms", [4, 5])
 @pytest.mark.parametrize("case", ["rebased", "rational_center_on_gamma"])
-def test_block_jet_is_generic_in_the_jet_order(factory, monkeypatch, terms, case):
+def test_block_jet_is_generic_in_the_jet_order(factory, monkeypatch, uniform, terms, case):
     # past order 2 the compositions a_i(F) take (F - t)^2 and higher powers
     monkeypatch.setattr(holonomy_module, "JET_TERMS", terms)
     cycle_of, d = BLOCK_ORACLE_CASES[case]
-    compared_block_jets(monkeypatch, cycle_of(factory), d, (0,))
+    compared_block_jets(monkeypatch, uniform, cycle_of(factory), d, (0,))
 
 
 def test_dropping_the_linear_dep_terms_turns_checks_red(monkeypatch):
@@ -609,17 +613,16 @@ def test_dropping_the_linear_dep_terms_turns_checks_red(monkeypatch):
         "num.center.quadratic_scaling", "num.center.witness_scaling"}
 
 
-@pytest.mark.parametrize("rounds, count", [(0, 34), (1, 61)])
-def test_v3_blocks_respect_the_cap_and_the_charts(factory, rounds, count):
+def test_v3_blocks_respect_the_cap_and_the_charts(factory):
     cycle = factory.cycle_of_word(v_k(3))
-    blocks = integrals_module._blocks(cycle, rounds)
+    blocks = integrals_module._blocks(cycle)
     # every segment exactly once, in order (segments compare by identity)
     assert [seg for block in blocks for seg in block] == cycle.segments
     for block in blocks:
         assert len({seg.chart for seg in block}) == 1
-        panels = sum(_segment_panels(seg, rounds) for seg in block)
+        panels = sum(_segment_panels(seg, 0) for seg in block)
         assert panels <= integrals_module._BLOCK_PANELS or len(block) == 1
-    assert len(blocks) == count  # 96 segments in 9 chart runs
+    assert len(blocks) == 34  # 96 segments in 9 chart runs
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +647,16 @@ def test_settled_jet_matches_a_uniform_sweep_two_counts_finer(factory, uniform, 
 
 
 @pytest.mark.parametrize("word, sweeps, panels, rounds",
-                         [(GAMMA, 5, 48, 2), (v_k(3), 58, 1548, 3)], ids=["gamma", "v3"])
+                         [(GAMMA, 5, 48, 2), (v_k(3), 42, 1236, 3)], ids=["gamma", "v3"])
 def test_settled_transport_matches_a_uniform_sweep_two_counts_finer(factory, monkeypatch, uniform,
                                                                      word, sweeps, panels, rounds):
     # the witness's leaves; no segment of the oval refines, while at
     # SEGMENT_ATOL 24 of v_3's 96 segments double and 14 of them double
     # again (at JET_TOL none would go past one doubling), so v_3 is checked
     # one count past its finest segments.  A block whose segment fails is
-    # swept again whole: v_3's 34 blocks take 58 sweeps of 1548 panels,
-    # where one segment at a time took 134 sweeps of 1296
+    # swept again whole, and a segment met again in the same direction
+    # starts at the rounds it settled at: v_3's 34 blocks take 42 sweeps of
+    # 1236 panels, where one segment at a time takes 107 sweeps of 1140
     cycle = factory.cycle_of_word(word)
     eps = WITNESS_EPS * np.array([1.0, 0.5, -1.0, -0.5])
     swept = []
@@ -703,23 +707,22 @@ def reference_segment_leaves(seg, field, x, y, npan, j):
 
 
 def reference_transport(cycle, d, eps):
-    """transport's endpoints and int omega, each segment settled on its own."""
+    """transport's endpoints and int omega, each segment settled on its own,
+    a segment met again in the same direction starting at its settled rounds."""
     n = eps.size
     field = holonomy_module.LeafField(d, eps[:, None, None])
     start = cycle.segments[0].start_point()
     x, y = np.full(n, start.x, complex), np.full(n, start.y, complex)
     jtot = np.zeros(n, complex)
+    settled = {}
     for seg in cycle.segments:
-        j = np.zeros((n, _segment_panels(seg, 0), _NODES.size), complex)
-
         def sweep(rounds):
-            nonlocal j
-            while j.shape[1] < _segment_panels(seg, rounds[0]):
-                j = _split_panels(j)
-            end, j, tail = reference_segment_leaves(seg, field, x, y, j.shape[1], j)
+            npan = _segment_panels(seg, rounds[0])
+            j = np.zeros((n, npan, _NODES.size), complex)
+            end, j, tail = reference_segment_leaves(seg, field, x, y, npan, j)
             return (end, j[:, -1, -1]), [tail]
 
-        dep1, dj = integrals_module._settle([seg], sweep, "leaf transport", SEGMENT_ATOL)
+        dep1, dj = integrals_module._settle([seg], sweep, "leaf transport", SEGMENT_ATOL, settled)
         jtot += dj
         w1 = np.full(n, seg.independent(1.0), complex)
         x, y = (w1, dep1) if seg.chart == "x" else (dep1, w1)
@@ -757,10 +760,8 @@ def test_dropping_the_offset_ramp_of_a_transport_block_turns_checks_red(monkeypa
     # the base path, off the leaf: the endpoint integrated from the slope
     # no longer lies on the level that int omega gives, and the
     # displacement check stops the numeric suite at the flagship witness
-    block_transport = holonomy_module._block_transport
-    monkeypatch.setattr(holonomy_module, "_block_transport",
-                        lambda block, field, offset, dep0, level:
-                        block_transport(block, field, np.zeros_like(offset), dep0, level))
+    # (the jets lose the ramp too, but no jet raises)
+    monkeypatch.setattr(holonomy_module, "_offset_ramp", lambda npans: (0.0, False))
     _, records, _ = run_suite("all", Config(), str(tmp_path / "report.json"))
     red = [r for r in records if not r.passed]
     assert [r.id for r in red] == ["numeric.error"]

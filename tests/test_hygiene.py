@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in it, no
-function imports again from a module the file imports at the top, and
-every private top-level name of the package is read somewhere in it."""
+function imports again from a module the file imports at the top, every
+private top-level name of the package is read somewhere in it, and only
+integrals._walk walks a cycle's blocks."""
 
 import ast
 from pathlib import Path
@@ -104,6 +105,45 @@ def test_the_scan_finds_a_private_name_nothing_reads():
                "b": "_shared = 3\n_pair, _other = 1, 2\n__all__ = [_other]\n"}
     assert unread_private_names(sources) == [("a", 3, "_UNUSED"), ("a", 4, "_recursive"),
                                              ("b", 2, "_pair")]
+
+
+WALK = ("integrals", "_walk")
+
+
+def calls_past_the_walk(sources: dict):
+    """(module, line, name) of each call of `_blocks` or `_settle`, as a
+    name or as an attribute, in the modules of `sources` (module name ->
+    source) outside the body of integrals._walk: every panel layer walks a
+    cycle through that one function."""
+    out = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and (module, fn.name) == WALK
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside:
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("_blocks", "_settle"):
+                    out.add((module, node.lineno, name))
+    return sorted(out)
+
+
+def test_only_the_walk_sweeps_blocks():
+    assert calls_past_the_walk({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def test_the_scan_finds_a_walk_of_its_own():
+    sources = {"integrals": ("def _walk(cycle, sweep):\n    for b in _blocks(cycle):\n"
+                             "        _settle(b, sweep(b))\n"
+                             "def again(cycle):\n    return _blocks(cycle)\n"),
+               "holonomy": ("import integrals\ndef _walk(cycle):\n"
+                            "    return [integrals._settle(b) for b in integrals._blocks(cycle)]\n"
+                            "def f(cycle):\n    def g():\n        return integrals._walk(cycle)\n"
+                            "    return g\n")}
+    assert calls_past_the_walk(sources) == [("holonomy", 3, "_blocks"), ("holonomy", 3, "_settle"),
+                                            ("integrals", 5, "_blocks")]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")

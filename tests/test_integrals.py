@@ -19,7 +19,6 @@ from orbitdepth.integrals import (
     _panel_nodes,
     _pole_distances,
     _segment_panels,
-    _split_panels,
     _tail,
     MIN_POLE_CLEARANCE,
     PAIRING_EXPECTED,
@@ -79,21 +78,11 @@ def test_cumulative_takes_one_width_per_panel():
     assert abs(_integral(g1, 1.0 / 6) - first[-1, -1]) <= 1e-14
 
 
-def test_split_panels_interpolates_onto_half_panels():
-    s = _panel_nodes(6)
-    halves = _split_panels(np.stack([np.exp(2j * s), 1.0 / (s + 0.5)]))
-    fine = _panel_nodes(12)
-    assert halves.shape == (2, 12, _NODES.size)
-    assert np.max(np.abs(halves - np.stack([np.exp(2j * fine), 1.0 / (fine + 0.5)]))) <= 1e-13
-
-
 def test_panel_rule_is_exact_on_polynomials_up_to_its_degree():
-    # guards the inverse Chebyshev-Vandermonde matrices behind _QMAT and _HALVES
-    halves = np.concatenate([_NODES / 2.0, 0.5 + _NODES / 2.0])
+    # guards the inverse Chebyshev-Vandermonde matrix behind _QMAT
     for m in range(_CHEB_N + 1):
         g = _NODES ** m
         assert np.max(np.abs(_QMAT @ g - _NODES ** (m + 1) / (m + 1))) <= 1e-13, m
-        assert np.max(np.abs(_split_panels(g[None, :]).ravel() - halves ** m)) <= 1e-13, m
 
 
 def test_tail_reads_the_last_four_chebyshev_coefficients():
@@ -302,7 +291,7 @@ def test_the_stop_rule_reads_tol(monkeypatch):
         assert abs(value - p) <= tol * max(1.0, abs(p)), tol
 
 
-def test_an_estimator_that_always_accepts_is_caught(monkeypatch):
+def test_an_estimator_that_always_accepts_is_caught(monkeypatch, uniform):
     # the mutant keeps the near-pole line at its base count, which the test
     # above refuses, and lets the v_2 jet stop one count short of JET_TOL
     # (tests/test_holonomy.py checks that jet against the same oracle)
@@ -313,8 +302,9 @@ def test_an_estimator_that_always_accepts_is_caught(monkeypatch):
     monkeypatch.setattr(holonomy, "_tail", accept)
     assert swept_panel_counts(monkeypatch, [eta(3)])[0] == [6]
     cycle = CycleFactory(T0).cycle_of_word(v_k(2))
-    taylor = holonomy._level_taylor(FLAGSHIP, cycle.t, holonomy.JET_TERMS)
-    jet, finer = np.array(holonomy.jet_along(cycle, FLAGSHIP)), holonomy._cycle_jet(cycle, taylor, 2)
+    jet = np.array(holonomy.jet_along(cycle, FLAGSHIP))
+    uniform(2)
+    finer = np.array(holonomy.jet_along(cycle, FLAGSHIP))
     assert np.max(np.abs(jet - finer)) > holonomy.JET_TOL * max(1.0, np.max(np.abs(finer)))
 
 
@@ -354,14 +344,16 @@ def reference_segment_sweep(seg, forms, prefixes, rounds):
 
 
 def reference_iterated_integral(cycle, forms, inits, tol=1e-10):
-    """iterated_integral with every segment settled and swept on its own."""
+    """iterated_integral with every segment settled and swept on its own, a
+    segment met again in the same direction starting at its settled rounds."""
     inits = list(inits)
     inits[-1] = 0.0
     prefixes = [complex(v) for v in inits]
+    settled = {}
     for seg in cycle.segments:
         prefixes = integrals._settle(
             [seg], lambda r: reference_segment_sweep(seg, forms, prefixes, r[0]),
-            "iterated integral", tol)
+            "iterated integral", tol, settled)
     return prefixes[-1]
 
 
@@ -440,14 +432,16 @@ def swept_blocks(monkeypatch, run):
 @pytest.mark.parametrize("run, sweeps, panels", [
     (lambda: iterated_integral(real_oval(T0), [eta(2), eta(3)]), 5, 48),
     (lambda: iterated_integral(CycleFactory(T0).cycle_of_word(commutator(X_ELT, Z_ELT)),
-                               [eta(2), eta(3)]), 34, 660),
+                               [eta(2), eta(3)]), 28, 576),
     (lambda: v2_double_integral(CycleFactory(T0)), 23, 396),
 ], ids=["gamma", "x_z", "v2_double_integral"])
 def test_iterated_integrals_sweep_pinned_work(monkeypatch, run, sweeps, panels):
     # next to the jets' 5/48 (oval), 28/576 (v_2) and 39/912 (v_3): the
     # oval's 5 blocks pass at the base counts; at the default tol 1e-10 the
-    # [x, z] cycle's 23 blocks take 11 reruns, one segment at a time took
-    # 72 sweeps of 564 panels; at the word checks' 1e-9 no segment refines
+    # [x, z] cycle's 23 blocks take 5 reruns, since a segment met again in
+    # the same direction starts at the rounds it settled at (one segment at
+    # a time, by the same rule, takes 64 sweeps of 516 panels); at the word
+    # checks' 1e-9 no segment refines
     assert swept_blocks(monkeypatch, run) == (sweeps, panels)
 
 

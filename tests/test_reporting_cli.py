@@ -203,6 +203,10 @@ def test_cli_orbit(capsys):
     assert main(["orbit", "mon", "--operator", "m", "--word", "d3"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"] == "d2 d3 d2^-1"
+    # a negative count is a usage error, as in var_iterate
+    assert main(["orbit", "var", "--word", "g", "--times", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: iterate count must be >= 0\n"
 
 
 def test_cli_repr(capsys):
@@ -281,6 +285,11 @@ def test_cli_num(capsys):
     assert main(["num", "iterated", "--word", "d0 d0'", "--forms", "phi1*dphi3",
                  "--t", "0.36"]) == 0
     assert json.loads(capsys.readouterr().out)["computed"] == "0+0j"
+    # a moment form is exactly phiI*dphiJ with I, J in 1..4
+    for name in ("phi12*dphi3", "phi1x*dphi3", "phi1*dphi5", "phi0*dphi3", "phi1*dphi"):
+        assert main(["num", "iterated", "--word", "g", "--forms", name, "--t", "0.36"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: unknown form {name!r}\n"
     assert main(["num", "jet", "--word", "d0 d0'", "--t", "0.36",
                  "--a1", "t^2+2t", "--a2", "t", "--a3", "t^2+t"]) == 2
     captured = capsys.readouterr()
@@ -318,8 +327,8 @@ def test_cli_verify_and_report(capsys, tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps({"k_max": 1, "seed": 7}))
     assert main(["verify", "repr", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
-    # report writes every record of every suite as one CSV row
-    assert main(["report", "--out", out_csv, "--format", "csv", "--k-max", "1"]) == 0
+    # verify all --format csv writes every record of every suite as one CSV row
+    assert main(["verify", "all", "--out", out_csv, "--format", "csv", "--k-max", "1"]) == 0
     assert f"report: {out_csv}" in capsys.readouterr().out
     with open(out_csv, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -329,6 +338,9 @@ def test_cli_verify_and_report(capsys, tmp_path, monkeypatch):
     assert [row[0] for row in rows[1:]] == [c["id"] for c in checks]
     assert len(checks) == 77  # 36 orbit, 11 repr at k = 1, 10 melnikov, 20 numeric
     assert all(row[6] == "True" for row in rows[1:])
+    # a CSV has nowhere to go without --out
+    assert main(["verify", "melnikov", "--format", "csv"]) == 2
+    assert capsys.readouterr().err == "error: --format csv needs --out\n"
 
 
 def _without_runtime(record: dict) -> dict:
