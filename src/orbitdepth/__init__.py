@@ -20,12 +20,16 @@ Subpackages split by layer:
   the command-line front end
 
 Every check, in every layer, ends as one `CheckRecord`; a `Recorder`
-collects them.  Both live here, free of numpy, so the exact layers can
-build records too.
+collects and times them.  Both live here, free of numpy, so the exact
+layers can build records too.  The Recorder is the one clock of the
+package: a record's runtime is the time since its Recorder's previous
+record, or since the Recorder was created, so the runtimes of a suite's
+records add up to no more than the suite took.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass
 from typing import List, Optional
 
@@ -52,12 +56,22 @@ class CheckRecord:
 
 
 class Recorder:
+    """Collects CheckRecords and times them: each record's runtime_ms is the
+    time since this Recorder's previous record, or since it was created.
+    Work done for several records is timed once, in the first of them."""
+
     def __init__(self):
         self.records: List[CheckRecord] = []
+        self._since = time.perf_counter()
+
+    def _lap(self) -> float:
+        """Milliseconds since the previous lap; restarts the clock."""
+        now = time.perf_counter()
+        ms, self._since = (now - self._since) * 1e3, now
+        return ms
 
     def add(self, id: str, claim: str, error: float, tolerance: float,
-            expected="", computed="", params: Optional[dict] = None,
-            runtime_ms: float = 0.0) -> CheckRecord:
+            expected="", computed="", params: Optional[dict] = None) -> CheckRecord:
         rec = CheckRecord(
             id=id,
             claim=claim,
@@ -67,18 +81,23 @@ class Recorder:
             error=float(error),
             tolerance=float(tolerance),
             passed=bool(error <= tolerance),
-            runtime_ms=runtime_ms,
+            runtime_ms=self._lap(),
         )
         self.records.append(rec)
         return rec
 
-    def add_bool(self, id: str, claim: str, ok: bool,
-                 params: Optional[dict] = None, runtime_ms: float = 0.0,
+    def add_bool(self, id: str, claim: str, ok: bool, params: Optional[dict] = None,
                  expected="true", computed=None) -> CheckRecord:
         """A yes/no check: error 0 (pass) or 1 (fail) against tolerance 0.5."""
         return self.add(
             id, claim, 0.0 if ok else 1.0, 0.5,
             expected=expected,
             computed=("true" if ok else "false") if computed is None else computed,
-            params=params, runtime_ms=runtime_ms,
+            params=params,
         )
+
+    def extend(self, records: List[CheckRecord]) -> None:
+        """Append records another Recorder timed, and restart the clock, so
+        that their time is not counted again in the next record here."""
+        self.records.extend(records)
+        self._lap()

@@ -16,7 +16,8 @@ when all of them pass.  The other subcommands print their values as JSON;
 transported remainder past them.  `verify` writes its report as JSON, or
 with `--format csv` one CSV row per record to `--out` (the JSON report
 then goes to the output directory).  The OUTPUT_DIR environment variable
-overrides the output directory.
+overrides the output directory.  A bad value, or a file that cannot be
+opened, prints `error: ...` and exits 2.
 """
 
 from __future__ import annotations
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return int(code or 0)

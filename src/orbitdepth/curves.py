@@ -375,7 +375,10 @@ def loop_radius(t: complex) -> float:
 
 
 def _check_saddle_level(t: complex) -> None:
-    """ValueError at t = 0, where the loops of radius sqrt|t|/2 are points."""
+    """ValueError at a level that is not finite, and at t = 0, where the
+    loops of radius sqrt|t|/2 are points."""
+    if not cmath.isfinite(t):
+        raise ValueError(f"the level t = {t} is not finite")
     if t == 0:
         raise ValueError("at t = 0 the saddle loops shrink to the punctures; "
                          "choose a level t != 0")

@@ -2,12 +2,15 @@
 
 Every check produces a CheckRecord (id, claim, parameters, expected vs
 computed, error metric, pass flag, runtime; defined with `Recorder` in the
-package root, which the exact layers import too).  Suites bundle records
-per layer; `run_suite` runs one suite or all of them and writes a JSON
-report.  Each check the command line also runs has one builder here that
-adds its records to a Recorder (`certificate_checks`, `v_image_checks`,
-`pairing_check`, `cauchy_checks`, `center_check`); the suite and the CLI
-subcommand both call it, so both print the same records.
+package root, which the exact layers import too).  The Recorder times each
+record from its previous one, so each value is computed just before the
+first record that reports it, and a record that reuses it carries only its
+own time.  Suites bundle records per layer; `run_suite` runs one suite or
+all of them and writes a JSON report.  Each check the command line also
+runs has one builder here that adds its records to a Recorder
+(`certificate_checks`, `v_image_checks`, `pairing_check`, `cauchy_checks`,
+`center_check`); the suite and the CLI subcommand both call it, so both
+print the same records.
 """
 
 from __future__ import annotations
@@ -184,6 +187,7 @@ class Config:
                       f"an int in 1..{DEFAULT_K_MAX}"),
             "magnus_degree": (_is_int(self.magnus_degree) and self.magnus_degree >= 3,
                               "an int >= 3"),
+            "output_dir": (isinstance(self.output_dir, str), "a str"),
         }
         for key, (ok, want) in checks.items():
             if not ok:
@@ -201,12 +205,6 @@ class Config:
         return Config(**raw)
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return out, (time.perf_counter() - start) * 1e3
-
-
 # ---------------------------------------------------------------------------
 # Builders shared by the suites and the command line.  Each adds its
 # records to `rec` and returns what other records reuse.
@@ -218,41 +216,39 @@ def _at_level(k: int, records: List[CheckRecord]) -> List[CheckRecord]:
 
 def v_image_checks(rec: Recorder, k: int, i_max: Optional[int] = None) -> None:
     """repr.k<k>.* records of the v-image table rho_k(v_i), i = 2..i_max."""
-    rec.records.extend(_at_level(k, verify_v_images(k, i_max)))
+    rec.extend(_at_level(k, verify_v_images(k, i_max)))
 
 
 def certificate_checks(rec: Recorder, k: int) -> None:
     """repr.k<k>.* records of the level-k separation certificate (its
     v-image table first), then the verdict repr.k<k>.certificate, whose
-    params name the ids of those records and of the ones that failed."""
-    (items, ms) = _timed(lambda: depth_certificate(k))
-    items = _at_level(k, items)
-    rec.records.extend(items)
+    params name the ids of those records and of the ones that failed, and
+    the sum of their runtimes."""
+    items = _at_level(k, depth_certificate(k))
+    rec.extend(items)
     ok = all(r.passed for r in items)
     rec.add_bool(f"repr.k{k}.certificate", f"level-{k} separation certificate", ok,
                  params={"k": k, "items": [r.id for r in items],
                          "failed": [r.id for r in items if not r.passed],
-                         "pass": ok, "runtime_ms": ms},
-                 runtime_ms=ms)
+                         "pass": ok, "runtime_ms": sum(r.runtime_ms for r in items)})
 
 
 def pairing_check(rec: Recorder, t: float) -> None:
     """num.pairing.t<t>: the saddle-loop periods against PAIRING_EXPECTED."""
-    (tab, ms) = _timed(lambda: pairing_table(t))
+    tab = pairing_table(t)
     err = max(abs(v - PAIRING_EXPECTED[key]) for key, v in tab.items())
     rec.add(f"num.pairing.t{t}", "saddle-loop periods of the three logarithmic forms",
             err, PAIRING_TOL, expected="table", computed=f"max abs deviation {err:.2e}",
-            runtime_ms=ms, params={"t": t})
+            params={"t": t})
 
 
 def cauchy_checks(rec: Recorder, gamma: Cycle) -> Dict[str, complex]:
     """num.cauchy.<name> for each vanishing integral of cauchy_suite over
     the real oval gamma; returns their values."""
-    (cs, ms) = _timed(lambda: cauchy_suite(gamma))
+    cs = cauchy_suite(gamma)
     for name, v in cs.items():
         rec.add(f"num.cauchy.{name}", "holomorphic iterated integral vanishes",
-                abs(v), CAUCHY_TOL, expected="0", computed=f"{abs(v):.2e}",
-                runtime_ms=ms)
+                abs(v), CAUCHY_TOL, expected="0", computed=f"{abs(v):.2e}")
     return cs
 
 
@@ -260,17 +256,14 @@ def center_check(rec: Recorder, gamma: Cycle, A, c1, lambda1, lam) -> complex:
     """num.center.order3: the order-3 jet coefficient of
     center_family(A, c1, lambda1, lam) along the real oval gamma against the
     sign-resolved closed prediction; returns the jet's c3."""
-    def compare():
-        c3 = jet_along(gamma, center_family(A, c1, lambda1, lam))[2]
-        return c3, resolved_sign(3) * m3_center_prediction(gamma, A, lam, lambda1)
-
-    ((c3, predicted), ms) = _timed(compare)
+    c3 = jet_along(gamma, center_family(A, c1, lambda1, lam))[2]
+    predicted = resolved_sign(3) * m3_center_prediction(gamma, A, lam, lambda1)
     if predicted == 0:
         error, tolerance = abs(c3), 1e-9
     else:
         error, tolerance = abs(c3 - predicted) / abs(predicted), 5e-3
     rec.add("num.center.order3", "order-3 center cross-check", error, tolerance,
-            expected=f"{predicted:.6f}", computed=f"{c3:.6f}", runtime_ms=ms)
+            expected=f"{predicted:.6f}", computed=f"{c3:.6f}")
     return c3
 
 
@@ -282,8 +275,8 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
     """Monodromy, variation and Magnus-depth checks (exact)."""
     rec = Recorder()
 
-    (M0, M1, M), setup_ms = _timed(lambda: (mon0(), mon1(), m_endo()))
-    (images_ok, ms) = _timed(lambda: (
+    M0, M1, M = mon0(), mon1(), m_endo()
+    images_ok = (
         M1.of_gen(Gen.G) == GAMMA_WORD
         and all(M1.of_gen(g) == GAMMA_WORD * Word.gen(g) for g in list(Gen)[1:])
         and M0.of_gen(Gen.G) == DELTA * GAMMA_WORD
@@ -291,9 +284,8 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
         and M0.of_gen(Gen.D1) == D0 * D1 * D0.inverse()
         and M0.of_gen(Gen.D2) == (D0 * D1) * D2 * (D0 * D1).inverse()
         and M0.of_gen(Gen.D3) == (D0 * D1 * D2) * D3 * (D0 * D1 * D2).inverse()
-    ))
-    rec.add_bool("orbit.monodromy_images", "generator images of the two monodromies", images_ok,
-                 runtime_ms=setup_ms + ms)
+    )
+    rec.add_bool("orbit.monodromy_images", "generator images of the two monodromies", images_ok)
 
     # A homomorphism of the free group is determined by its images of the
     # five generators, so each of the next three records compares two
@@ -302,71 +294,61 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
     conj = D0 * D1
     closed_form = (Z_ELT * GAMMA_WORD * conj, D0.conjugate_by(D1.inverse()), D1, D2,
                    D3.conjugate_by(D2))
-    (ok, ms) = _timed(lambda: M.images == closed_form and all(
-        M.of_gen(g) == conj.inverse() * M0.of_gen(g) * conj for g in Gen))
+    ok = M.images == closed_form and all(
+        M.of_gen(g) == conj.inverse() * M0.of_gen(g) * conj for g in Gen)
     rec.add_bool("orbit.m_is_conjugated_mon0",
                  "M and (d0 d1)^-1 Mon0(.) (d0 d1) agree on the five generators, with "
-                 "images z g d0 d1, d1^-1 d0 d1, d1, d2, d2 d3 d2^-1, so they are equal",
-                 ok, runtime_ms=ms)
+                 "images z g d0 d1, d1^-1 d0 d1, d1, d2, d2 d3 d2^-1, so they are equal", ok)
 
     inv0, inv1 = mon0_inverse(), mon1_inverse()
-    (ok, ms) = _timed(lambda: all(
-        e.images == gens for e in (inv0.compose(M0), M0.compose(inv0), inv1.compose(M1))))
+    ok = all(e.images == gens for e in (inv0.compose(M0), M0.compose(inv0), inv1.compose(M1)))
     rec.add_bool("orbit.automorphisms",
                  "inv0 Mon0, Mon0 inv0 and inv1 Mon1 fix the five generators, so they are "
-                 "the identity and the explicit inverses invert the monodromies", ok,
-                 runtime_ms=ms)
+                 "the identity and the explicit inverses invert the monodromies", ok)
 
-    (ok, ms) = _timed(lambda: all(
-        project_mod_gamma_subgroup(M1(s)) == project_mod_gamma_subgroup(s) for s in gens))
+    ok = all(project_mod_gamma_subgroup(M1(s)) == project_mod_gamma_subgroup(s) for s in gens)
     rec.add_bool("orbit.mon1_trivial_mod_gamma",
                  "the quotient map by <g, D> agrees with its composite with Mon1 on the five "
-                 "generators, so the induced action on the quotient is trivial", ok,
-                 runtime_ms=ms)
+                 "generators, so the induced action on the quotient is trivial", ok)
 
-    # each identity record carries the shared construction time too
-    (idents, setup_ms) = _timed(lambda: variation_mod_k_identities(5))
-    for ident in idents:
-        (ok, ms) = _timed(ident.holds)
+    for ident in variation_mod_k_identities(5):
         rec.add_bool(f"orbit.identity.{ident.name}",
                      "exact word identity with orbit-commutator corrections",
-                     ok, params={"k_factors": list(ident.k_factors)},
-                     runtime_ms=setup_ms + ms)
+                     ident.holds(), params={"k_factors": list(ident.k_factors)})
 
-    (rho_v2, ms) = _timed(lambda: format_rho_word(rewrite_to_rho_alphabet(v_k(2))))
+    rho_v2 = format_rho_word(rewrite_to_rho_alphabet(v_k(2)))
     rec.add_bool("orbit.v2_rho_form", "v2 in the alternate basis is x z x^-1 z^-1",
-                 rho_v2 == "x z x^-1 z^-1", computed=rho_v2, runtime_ms=ms)
+                 rho_v2 == "x z x^-1 z^-1", computed=rho_v2)
 
     for i in range(1, 6):
-        (rep, ms) = _timed(lambda: depth_lower_bound(v_k(i), i))
+        rep = depth_lower_bound(v_k(i), i)
         rec.add_bool(f"orbit.depth_v{i}", f"v_{i} sits at lower-central level {i} exactly",
-                     rep.depth == i, computed=rep.describe(), runtime_ms=ms)
-        (repv, ms) = _timed(lambda: depth_lower_bound(var_iterate(i), i - 1 if i > 1 else 1))
+                     rep.depth == i, computed=rep.describe())
+        repv = depth_lower_bound(var_iterate(i), i - 1 if i > 1 else 1)
         deep_enough = repv.depth is None if i > 1 else repv.depth == 1
         rec.add_bool(f"orbit.depth_var{i}", f"var^{i}(g) lies in lower-central level >= {i}",
-                     deep_enough, computed=repv.describe(), runtime_ms=ms)
+                     deep_enough, computed=repv.describe())
 
-    (diff, ms) = _timed(lambda: (magnus(var(v_k(2)), 4) - magnus(v_k(3), 4)).lowest_degree())
+    diff = (magnus(var(v_k(2)), 4) - magnus(v_k(3), 4)).lowest_degree()
     rec.add_bool("orbit.var_step_degree3",
                  "one variation step from v2 matches v3 through degree 3",
-                 diff == 4, computed=f"first difference at degree {diff}", runtime_ms=ms)
+                 diff == 4, computed=f"first difference at degree {diff}")
 
     n = cfg.magnus_degree
-    (rep, ms) = _timed(lambda: depth_lower_bound(v_k(n - 2), n))
+    rep = depth_lower_bound(v_k(n - 2), n)
     rec.add_bool("orbit.depth_headroom",
                  f"the configured truncation {n} certifies v_{n-2} exactly",
-                 rep.depth == n - 2, computed=rep.describe(), runtime_ms=ms)
+                 rep.depth == n - 2, computed=rep.describe())
 
     for i in range(2, 6):
-        (ok, ms) = _timed(lambda: leading_terms_agree_mod_orbit_ideal(var_iterate(i), v_k(i), i))
         rec.add_bool(f"orbit.leading_mod_ideal_{i}",
                      f"leading terms of var^{i}(g) and v_{i} agree modulo the orbit ideal",
-                     ok, runtime_ms=ms)
+                     leading_terms_agree_mod_orbit_ideal(var_iterate(i), v_k(i), i))
 
     for i, w in [(2, v_k(2)), (3, d_k(3, Z_ELT)), (4, v_k(4))]:
-        (ok, ms) = _timed(lambda: graded_triviality_check(w, mon0(), i + 2))
         rec.add_bool(f"orbit.graded_triviality_{i}",
-                     "the saddle monodromy fixes lower-central classes", ok, runtime_ms=ms)
+                     "the saddle monodromy fixes lower-central classes",
+                     graded_triviality_check(w, mon0(), i + 2))
 
     return rec.records
 
@@ -384,43 +366,35 @@ def melnikov_suite(cfg: Config) -> List[CheckRecord]:
     rec = Recorder()
     d = FLAGSHIP
     t = RatFunc.t()
-    (coeffs, ms) = _timed(lambda: make_length3("t", "t^2", 1, 1).coefficients())
     rec.add_bool("mel.flagship_coefficients",
                  "construction from (t, t^2, 1, 1) gives (t^2+2t, t, t^2+t)",
-                 coeffs == d.coefficients(), runtime_ms=ms)
-    # mv(2), ..., mv(6) from one chain; each of their records carries its time
-    (chain, ms) = _timed(lambda: mv_chain(6, d))
+                 make_length3("t", "t^2", 1, 1).coefficients() == d.coefficients())
+    # mv(2), ..., mv(6) from one chain, timed in the first of their records
+    chain = mv_chain(6, d)
     m2, m3 = chain[0], chain[1]
     rec.add_bool("mel.flagship_mv2", "order-2 hierarchy term vanishes identically",
-                 m2.is_zero(), runtime_ms=ms)
+                 m2.is_zero())
     rec.add_bool("mel.flagship_mv3", "order-3 hierarchy term equals t^2",
-                 m3 == t * t, computed=str(m3), runtime_ms=ms)
+                 m3 == t * t, computed=str(m3))
     for i, mi in enumerate(chain[2:], start=4):
         rec.add_bool(f"mel.flagship_mv{i}", f"order-{i} hierarchy term vanishes",
-                     mi.is_zero(), runtime_ms=ms)
-    (cls, ms) = _timed(lambda: classify(d))
+                     mi.is_zero())
     rec.add_bool("mel.flagship_class", "flagship classifies as length-3",
-                 cls.kind is Kind.LENGTH3, runtime_ms=ms)
+                 classify(d).kind is Kind.LENGTH3)
 
-    (cf, setup_ms) = _timed(lambda: center_family("t", 0, 1, 1))
-    (ok, ms) = _timed(lambda: hierarchy_collapse_check(cf))
+    cf = center_family("t", 0, 1, 1)
     rec.add_bool("mel.center_collapse",
                  "mv(2) = mv(3) = 0 makes beta3 and W(beta2, beta3) constant multiples "
                  "of beta1, so the hierarchy collapses at every order",
-                 ok, runtime_ms=setup_ms + ms)
+                 hierarchy_collapse_check(cf))
 
-    def recursion():
-        cls = classify(cf)
-        b1, b2, b3 = beta_periods(cf)
-        return wronskian(b2, b3) == b3 * (cls.lambda2 / cls.lambda1)
-
-    (ok, ms) = _timed(recursion)
+    cls = classify(cf)
+    _, b2, b3 = beta_periods(cf)
     rec.add_bool("mel.center_recursion",
                  "the inner Wronskian multiplies the hierarchy by lambda2/lambda1",
-                 ok, runtime_ms=setup_ms + ms)
-    (sym, ms) = _timed(lambda: classify(deformation(1, 0, 1)))
+                 wronskian(b2, b3) == b3 * (cls.lambda2 / cls.lambda1))
     rec.add_bool("mel.symmetric", "zero middle coefficient forces the symmetric center",
-                 sym.kind is Kind.SYMMETRIC_CENTER, runtime_ms=ms)
+                 classify(deformation(1, 0, 1)).kind is Kind.SYMMETRIC_CENTER)
     return rec.records
 
 
@@ -438,89 +412,83 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
     for t in (0.25, t0):
         pairing_check(rec, t)
 
-    (xdy, ms) = _timed(lambda: oval_orientation_certificate(gamma))
+    xdy = oval_orientation_certificate(gamma)
     rec.add_bool("num.orientation", "the oval is counterclockwise (positive area)",
-                 xdy > 0, computed=f"{xdy:.6f}", runtime_ms=ms)
+                 xdy > 0, computed=f"{xdy:.6f}")
 
     # the [x, z] double integral feeds this record and num.determinant
-    (val, v2_ms) = _timed(lambda: v2_double_integral(fac))
+    val = v2_double_integral(fac)
     expected = 4 * np.pi ** 2
     rec.add("num.v2_double_integral",
             "double integral over the commutator cycle equals 4 pi^2",
             abs(val - expected) / expected, 1e-6,
-            expected=f"{expected:.9f}", computed=f"{val:.9f}", runtime_ms=v2_ms)
+            expected=f"{expected:.9f}", computed=f"{val:.9f}")
 
     # the oval's vanishing integrals feed these records and the three of num.m2
-    (cs, cauchy_ms) = _timed(lambda: cauchy_checks(rec, gamma))
+    cs = cauchy_checks(rec, gamma)
 
-    (sh, ms) = _timed(lambda: shuffle_defect(fac.based_loop(2), eta(2), eta(3)))
+    sh = shuffle_defect(fac.based_loop(2), eta(2), eta(3))
     rec.add("num.shuffle", "length-2 shuffle relation on a based loop",
-            sh, 1e-8, computed=f"{sh:.2e}", runtime_ms=ms)
-    (det, ms) = _timed(lambda: period_determinant(fac, X_ELT, Z_ELT, 2, 3))
-    dd = abs(val - det)
+            sh, 1e-8, computed=f"{sh:.2e}")
+    dd = abs(val - period_determinant(fac, X_ELT, Z_ELT, 2, 3))
     rec.add("num.determinant", "commutator double integral equals the period determinant",
-            dd, 1e-6, computed=f"{dd:.2e}", runtime_ms=v2_ms + ms)
+            dd, 1e-6, computed=f"{dd:.2e}")
 
     # flagship jet, witnessed by direct transport
-    ((c1, c2, c3), jet_ms) = _timed(lambda: jet_along(gamma, FLAGSHIP))
+    c1, c2, c3 = jet_along(gamma, FLAGSHIP)
     bound = 1e-7 * abs(c3) * 0.032  # 1e-7 of |c3| at the eps scale 0.032
     rec.add("num.flagship.c1", "order-1 coefficient vanishes",
-            abs(c1), bound, computed=f"{abs(c1):.2e}", runtime_ms=jet_ms)
+            abs(c1), bound, computed=f"{abs(c1):.2e}")
     rec.add("num.flagship.c2", "order-2 coefficient vanishes",
-            abs(c2), bound, computed=f"{abs(c2):.2e}", runtime_ms=jet_ms)
-    (orders, ms) = _timed(lambda: remainder_orders(gamma, FLAGSHIP, (c1, c2, c3)))
+            abs(c2), bound, computed=f"{abs(c2):.2e}")
+    orders = remainder_orders(gamma, FLAGSHIP, (c1, c2, c3))
     deviation = max(abs(o - 4) for o in orders) if abs(c3) > JET_TOL else math.inf
     rec.add("num.flagship.c3",
             "order-3 coefficient is nonzero, and the transported remainder past "
             f"the jet is of order 4 at eps = +-{WITNESS_EPS:g}",
             deviation, WITNESS_ORDER_TOL, expected="orders 4, 4",
-            computed=f"c3 = {c3:.6f}, orders {orders[0]:.3f}, {orders[1]:.3f}",
-            runtime_ms=jet_ms + ms)
+            computed=f"c3 = {c3:.6f}, orders {orders[0]:.3f}, {orders[1]:.3f}")
 
     # v3 cross-check
-    (jet3, ms) = _timed(lambda: jet_along(fac.cycle_of_word(v_k(3)), FLAGSHIP))
+    jet3 = jet_along(fac.cycle_of_word(v_k(3)), FLAGSHIP)
     expected3 = resolved_sign(3) * (2j * np.pi) ** 3 * t0 ** 2
     err3 = abs(jet3[2] - expected3) / abs(expected3)
     rec.add("num.v3_crosscheck",
             "order-3 coefficient over v3 equals the sign-calibrated (2 pi i)^3 t0^2",
             err3, 5e-3, expected=f"{expected3:.6f}", computed=f"{jet3[2]:.6f}",
-            runtime_ms=ms, params={"resolved_sign": resolved_sign(3)})
+            params={"resolved_sign": resolved_sign(3)})
 
     # center checks
-    d0 = center_family("t", 1, 1, 0)
-    (returns, ms) = _timed(lambda: holonomy_along(gamma, d0, np.array([0.01, 0.02, 0.05])))
+    returns = holonomy_along(gamma, center_family("t", 1, 1, 0), np.array([0.01, 0.02, 0.05]))
     worst = float(np.max(np.abs(returns - t0)))
     rec.add("num.center.exact", "the lam = 0 member preserves the center",
-            worst, 1e-10, computed=f"{worst:.2e}", runtime_ms=ms)
+            worst, 1e-10, computed=f"{worst:.2e}")
 
     # the (t, 0, 1, 1) jet of the order-3 check is the scalings' reference
-    (c11, ms11) = _timed(lambda: center_check(rec, gamma, "t", 0, 1, 1))
+    c11 = center_check(rec, gamma, "t", 0, 1, 1)
 
     def center_c3(lambda1, lam):
-        return _timed(lambda: jet_along(gamma, center_family("t", 0, lambda1, lam))[2])
+        return jet_along(gamma, center_family("t", 0, lambda1, lam))[2]
 
-    (c22, ms22), (c21, ms21) = center_c3(2, 2), center_c3(1, 2)
-    ratio = c22 / c11
+    ratio = center_c3(2, 2) / c11
     rec.add("num.center.quadratic_scaling",
             "doubling both integrability witnesses multiplies the order-3 term by 4",
-            abs(ratio - 4), 4 * 1e-2, expected="4", computed=f"{ratio:.6f}",
-            runtime_ms=ms11 + ms22)
-    ratio2 = c21 / c11
+            abs(ratio - 4), 4 * 1e-2, expected="4", computed=f"{ratio:.6f}")
+    ratio2 = center_c3(1, 2) / c11
     rec.add("num.center.witness_scaling",
             "doubling lam alone doubles the order-3 term (prefactor -lam*lambda1)",
-            abs(ratio2 - 2), 2e-2, expected="2", computed=f"{ratio2:.6f}",
-            runtime_ms=ms11 + ms21)
+            abs(ratio2 - 2), 2e-2, expected="2", computed=f"{ratio2:.6f}")
 
     # second-order assembly, its I_13 the Cauchy phi1_dphi3, and two of the
     # Cauchy integrals reported with it
-    (total, ms) = _timed(lambda: m2_assembly(FLAGSHIP, gamma, cs["phi1_dphi3"]))
+    total = m2_assembly(FLAGSHIP, gamma, cs["phi1_dphi3"])
     rec.add("num.m2.order-2_assembly", "order-2 assembly", abs(total), 1e-7,
-            expected="0.0", computed=f"{total:.3e}", runtime_ms=ms)
+            expected="0.0", computed=f"{total:.3e}")
     for name, key in (("moment integral phi1 dphi3", "phi1_dphi3"),
                       ("collapsed log combination", "log_t_over_y2m1_dphi2")):
         v = cs[key]
         rec.add(f"num.m2.{name.replace(' ', '_')}", name, abs(v), CAUCHY_TOL,
-                expected="0.0", computed=f"{v:.3e}", runtime_ms=cauchy_ms)
+                expected="0.0", computed=f"{v:.3e}")
     return rec.records
 
 
@@ -547,14 +515,13 @@ def run_suite(name: str, cfg: Optional[Config] = None,
             raise KeyError(f"unknown suite {n!r}; choose from {sorted(SUITES)} or 'all'")
     records: List[CheckRecord] = []
     for n in names:
-        start = time.perf_counter()
+        error = Recorder()  # times the suite, should it raise
         try:
             records.extend(SUITES[n](cfg))
         except Exception as exc:  # a suite that raises is a failed check, not a lost report
-            records.append(Recorder().add_bool(
+            records.append(error.add_bool(
                 f"{n}.error", f"the {n} suite runs to completion", False,
-                computed=f"{type(exc).__name__}: {exc}",
-                runtime_ms=(time.perf_counter() - start) * 1e3))
+                computed=f"{type(exc).__name__}: {exc}"))
     manifest = RunManifest(
         version=__version__,
         seed=cfg.seed,
@@ -585,8 +552,9 @@ _SUITE_OF_PREFIX = {"mel": "melnikov", "num": "numeric"}
 
 def trace_tree(records: List[CheckRecord]) -> str:
     """Suite -> record tree of the runtime_ms values in the records, with
-    each suite's sum.  Records that share one computation each carry its
-    time, so a sum can count that time more than once."""
+    each suite's sum.  A Recorder times each record from its previous one,
+    so a suite's sum is the time its records took, which is at most the
+    time the suite took."""
     suites: Dict[str, List[CheckRecord]] = {}
     for r in records:
         prefix = r.id.split(".", 1)[0]

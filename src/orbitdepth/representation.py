@@ -34,7 +34,6 @@ as a list of `CheckRecord`s, one per item.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Tuple
@@ -311,10 +310,6 @@ def expected_v_corner_matrix(k: int) -> RepMatrix:
     return corner_tensor(k) * expected_corner_scalar()
 
 
-def _ms_since(start: float) -> float:
-    return (time.perf_counter() - start) * 1e3
-
-
 def _attempt(compute):
     """(compute(), "") or (None, the error) when exact arithmetic fails on
     an image with no exact inverse.  A failing level gives red records."""
@@ -340,7 +335,6 @@ def _v_image_table(rec: Recorder, k: int, i_max: int,
     chain = _v_chain(rep)  # walked once for every i
     error = ""  # once a step fails, every later row is red with its error
     for i in range(2, i_max + 1):
-        start = time.perf_counter()
         img = None
         if not error:
             img, error = _attempt(lambda: next(chain))
@@ -352,22 +346,18 @@ def _v_image_table(rec: Recorder, k: int, i_max: int,
             zero = img == ident
             rec.add_bool(f"rho_{k}(v_{i}) = I + corner",
                          detail if not ok else "corner is zero" if zero else "corner nonzero",
-                         ok and not zero, runtime_ms=_ms_since(start))
+                         ok and not zero)
             if ok:
                 detail = f"corner = {expected_corner_scalar()!r} at (1, {rep.n})"
-        rec.add_bool(f"rho_{k}(v_{i})", detail, ok, runtime_ms=_ms_since(start))
+        rec.add_bool(f"rho_{k}(v_{i})", detail, ok)
     # word-path cross-check at the distinguished index
-    start = time.perf_counter()
     word_image, error = _attempt(lambda: rep(v_k(k + 2)))
     ok = word_image == corner
     rec.add_bool(f"rho_{k}(v_{k+2}) via word product",
                  "matrix recursion agrees with the word image" if ok
-                 else _mismatch(word_image, corner, error),
-                 ok, runtime_ms=_ms_since(start))
-    start = time.perf_counter()
+                 else _mismatch(word_image, corner, error), ok)
     ok = expected_corner_scalar() == alternate_corner_scalar() * A_PARAM
-    rec.add_bool(f"corner scalar relation at k={k}", "(1/c-1)(1-a) = a * (1/c-1)(1/a-1)",
-                 ok, runtime_ms=_ms_since(start))
+    rec.add_bool(f"corner scalar relation at k={k}", "(1/c-1)(1-a) = a * (1/c-1)(1/a-1)", ok)
     return corner_image
 
 
@@ -447,22 +437,20 @@ def depth_certificate(k: int, rep: Representation | None = None) -> List[CheckRe
     (item 3).  The records are the v-image table's, then items 1-3; a
     failing level gives red records, never an exception.
     """
-    rep = rep or Representation(k)
     rec = Recorder()
+    rep = rep or Representation(k)
     corner_image = _v_image_table(rec, k, k + 4, rep)
     ident = RepMatrix.identity(rep.n)
     unit_corner = corner_tensor(k)
     kappa = expected_corner_scalar()
 
-    start = time.perf_counter()
     bad = [RHO_NAMES[g] for g, s in rep.images.items() if not _has_lemma_shape(s)]
     rec.add_bool(
         "generator images in the corner-lemma group",
         f"not upper triangular with diagonal (a^m, 1, ..., 1, c^n): {bad}" if bad
         else "every generator image is upper triangular with diagonal (a^m, 1, ..., 1, c^n)",
-        not bad, runtime_ms=_ms_since(start))
+        not bad)
 
-    start = time.perf_counter()
     v_corner = ident + unit_corner * kappa
     v_inv, _ = _attempt(v_corner.inverse_upper)
     quotients = []
@@ -481,9 +469,8 @@ def depth_certificate(k: int, rep: Representation | None = None) -> List[CheckRe
         "corner lemma on the generator images",
         f"[S, N] != I + kappa (a^m c^-n - 1) E_1n for {bad}" + "".join(f"; {e}" for e in errors)
         if bad else "[S, N] = I + kappa (a^m c^-n - 1) E_1n, (m, n) the exponent sums",
-        not bad, runtime_ms=_ms_since(start))
+        not bad)
 
-    start = time.perf_counter()
     one = RepMatrix.identity(1)
     at_one = (Fraction(1), Fraction(1))
     conditions = {
@@ -499,5 +486,5 @@ def depth_certificate(k: int, rep: Representation | None = None) -> List[CheckRe
     if corner_image is None:  # the chain raised; its row carries the error
         detail += "; " + next(r.claim for r in rec.records
                               if r.id == f"rho_{k}(v_{k + 2}) = I + corner")
-    rec.add_bool(f"v_{k+2} outside K", detail, not failed, runtime_ms=_ms_since(start))
+    rec.add_bool(f"v_{k+2} outside K", detail, not failed)
     return rec.records

@@ -86,11 +86,15 @@ def test_vanishing_loop_basics():
         vanishing_loop(1, 0.75)
     with pytest.raises(ValueError):
         vanishing_loop(5, T0)
-    # at t = 0 the loops of radius sqrt|t|/2 are the punctures themselves
-    for build in (lambda: vanishing_loop(1, 0.0), lambda: CycleFactory(0.0).based_loop(1),
-                  lambda: CycleFactory(0).cycle_of_word(D2)):
-        with pytest.raises(ValueError, match="t = 0"):
-            build()
+    # at t = 0 the loops of radius sqrt|t|/2 are the punctures themselves,
+    # and a level that is not finite has no loops
+    for t, match in ((0.0, "t = 0"), (0, "t = 0"), (cmath.nan, "t = nan is not finite"),
+                     (cmath.inf, "t = inf is not finite"),
+                     (complex(0.2, cmath.nan), r"t = \(0\.2\+nanj\) is not finite")):
+        for build in (lambda: vanishing_loop(1, t), lambda: CycleFactory(t).based_loop(1),
+                      lambda: CycleFactory(t).cycle_of_word(D2)):
+            with pytest.raises(ValueError, match=match):
+                build()
     # complex level inside the chart bound works
     loop = vanishing_loop(2, 0.2 + 0.1j)
     loop.check_chain()

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in it, no
 function imports again from a module the file imports at the top, every
-private top-level name of the package is read somewhere in it, and only
-integrals._walk walks a cycle's blocks."""
+private top-level name of the package is read somewhere in it, only
+integrals._walk walks a cycle's blocks, and only the package root reads
+the clock."""
 
 import ast
 from pathlib import Path
@@ -144,6 +145,30 @@ def test_the_scan_finds_a_walk_of_its_own():
                             "    return g\n")}
     assert calls_past_the_walk(sources) == [("holonomy", 3, "_blocks"), ("holonomy", 3, "_settle"),
                                             ("integrals", 5, "_blocks")]
+
+
+def clock_reads(sources: dict):
+    """(module, line) of each use of `perf_counter`, as a name, an attribute
+    or an imported name, in the modules of `sources` (module name -> source)
+    other than the package root, whose Recorder times every record."""
+    return sorted({(module, node.lineno) for module, source in sources.items()
+                   if module != "__init__"
+                   for node in ast.walk(ast.parse(source))
+                   if "perf_counter" in (getattr(node, key, None)
+                                         for key in ("id", "attr", "name"))})
+
+
+def test_only_the_recorder_reads_the_clock():
+    assert clock_reads({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def test_the_scan_finds_a_clock_of_its_own():
+    sources = {"__init__": "import time\ndef lap():\n    return time.perf_counter()\n",
+               "reporting": ("import time\nfrom time import perf_counter as now\n"
+                             "def f():\n    start = time.perf_counter()\n"
+                             "    return now() - start, time.strftime('%Y')\n"),
+               "holonomy": "def g(clock=__import__('time').perf_counter):\n    return clock\n"}
+    assert clock_reads(sources) == [("holonomy", 1), ("reporting", 2), ("reporting", 4)]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -151,6 +152,15 @@ def test_exact_suites_time_every_record(tmp_path, capsys, monkeypatch):
             r["id"] for r in records if not r["runtime_ms"] > 0]
         shown = re.search(rf"^{suite} +([0-9.]+) ms$", tree, re.M)
         assert shown and float(shown.group(1)) > 0
+
+
+@pytest.mark.parametrize("name", list(reporting.SUITES))
+def test_a_suites_runtimes_add_up_to_at_most_its_wall_time(name):
+    # each record is timed from the previous one, so no time counts twice
+    start = time.perf_counter()
+    records = reporting.SUITES[name](Config())
+    wall_ms = (time.perf_counter() - start) * 1e3
+    assert sum(r.runtime_ms for r in records) <= wall_ms
 
 
 def test_suite_rerun_deterministic(tmp_path):
@@ -299,6 +309,13 @@ def test_cli_num(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert "t = 0" in captured.err
+    # so is a level that is not finite
+    for argv in (["num", "pairing", "--t", "nan"],
+                 ["num", "iterated", "--word", "d1", "--forms", "eta1", "--t", "inf"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: the level t = ")
+        assert "is not finite" in captured.err
 
 
 def test_cli_num_refuses_a_pole_at_the_level_and_a_remainder_at_roundoff(capsys):
@@ -484,7 +501,7 @@ def test_cli_malformed_config(tmp_path, capsys, monkeypatch):
         {"k_max": 0}, {"k_max": 9}, {"k_max": 2.0}, {"t0": "0.36"},
         {"t0": None}, {"magnus_degree": 2}, {"seed": "7"}, {"seed": True},
         {"eps_grid": [1e-3, 2e-3, 4e-3, 8e-3]}, {"eps_grid": [1e-3, 2e-3, 4e-3, 8e-3, 0]},
-        {"eps_grid": 0.001})]
+        {"eps_grid": 0.001}, {"output_dir": 5})]
     for suite in ("repr", "numeric", "orbit"):
         for text in texts:
             bad.write_text(text)
@@ -496,6 +513,17 @@ def test_cli_malformed_config(tmp_path, capsys, monkeypatch):
         assert main(["verify", "repr", *flags]) == 2, flags
         assert "error" in capsys.readouterr().err
         assert not out_dir.exists(), flags
+
+
+def test_cli_reports_a_file_it_cannot_open_as_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["verify", "melnikov", "--config", str(missing / "cfg.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+    assert main(["verify", "melnikov", "--out", str(missing / "report.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("raw, key", [({"tolerances": {}}, "tolerances"),
