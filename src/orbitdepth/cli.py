@@ -285,6 +285,8 @@ def cmd_verify(args):
     cfg = _config_from_args(args)
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out")
+    if args.out:  # a path that cannot be written is a usage error before any suite runs
+        open(args.out, "a").close()
     try:
         code, records, path = run_suite(args.suite, cfg, args.out if args.format == "json" else None)
     except KeyError as exc:

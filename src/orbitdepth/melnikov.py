@@ -99,6 +99,10 @@ def make_length3(alpha1, alpha2, c0, lam) -> Deformation:
     a3 = alpha1 * int_0^t alpha2/alpha1^2 + c0 alpha1, a1 = a3 + alpha1,
     a2 = lam * alpha1; requires alpha1 nonconstant, alpha2 linearly
     independent from alpha1, lam nonzero, and a rational antiderivative.
+    int_0^t is `rational_antiderivative`: the antiderivative that is 0 at
+    t = 0, or, where it has a pole there (as alpha1(0) = 0 can give), the
+    one whose polynomial part has zero constant term.  Another constant
+    would shift a3 by a multiple of alpha1, as c0 does.
     """
     alpha1 = RatFunc(alpha1)
     alpha2 = RatFunc(alpha2)

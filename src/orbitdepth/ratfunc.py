@@ -7,9 +7,10 @@ numerator and a denominator of ZZ[t] in canonical form: they are coprime
 numerator 1 over the denominator 2, and the denominator has a positive
 leading coefficient.  Equality is then structural and every operation stays
 exact.  Each result is cancelled once, by a primitive-PRS gcd (Knuth, TAOCP
-vol. 2, sec. 4.6.1).  Antiderivatives come from Hermite reduction on
-polynomials with `Fraction` coefficients (`rational_antiderivative`).  Used
-for the Melnikov coefficients a_i(t), the beta periods and the Wronskian
+vol. 2, sec. 4.6.1).  An antiderivative is one numerator over gcd(D, D'),
+solved for from the top degree down (`rational_antiderivative`); that
+numerator is the one polynomial here with `Fraction` coefficients.  Used for
+the Melnikov coefficients a_i(t), the beta periods and the Wronskian
 hierarchy.
 """
 
@@ -20,7 +21,6 @@ from math import gcd, lcm
 
 # ---------------------------------------------------------------------------
 # Polynomials: tuples of coefficients, constant term first, no trailing zero.
-# The ring operations work for int and Fraction coefficients alike.
 
 
 def _trim(c: list) -> tuple:
@@ -81,7 +81,8 @@ def _prem(a: tuple, b: tuple) -> tuple:
     db, lb = len(b) - 1, b[-1]
     while len(r) > db:
         lr, shift = r[-1], len(r) - 1 - db
-        r = [lb * x for x in r]
+        if lb != 1:  # a monic b needs no scaling: t^6000 by (t+1)^2 stays O(6000)
+            r = [lb * x for x in r]
         for j, y in enumerate(b):
             r[shift + j] -= lr * y
         r.pop()
@@ -493,85 +494,72 @@ def parse_rational(text: str) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Antiderivatives, on polynomials with Fraction coefficients.
+# Antiderivatives: one linear solve for the numerator over D-.
 
 
 class NonRationalAntiderivative(ValueError):
     """The antiderivative has logarithmic (or worse) parts."""
 
 
-def _qdivmod(a: tuple, b: tuple):
-    """Quotient and remainder of a by b over the rationals."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + db] / lb
-        q[i] = c
-        if c:
-            for j in range(db + 1):
-                r[i + j] -= c * b[j]
-    return _trim(q), _trim(r[:db])
-
-
-def _qinverse(u: tuple, m: tuple) -> tuple:
-    """s with s u = 1 mod m, for u coprime to m (extended Euclid)."""
-    r0, r1 = m, _qdivmod(u, m)[1]
-    s0, s1 = (), (Fraction(1),)
-    while r1:  # s0 u = r0 and s1 u = r1 mod m
-        q, r = _qdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-    return tuple([x / r0[0] for x in s0])
-
-
-def _from_fractions(num: tuple, den: tuple) -> RatFunc:
-    """num / den, two polynomials with Fraction or int coefficients, as a
-    RatFunc."""
-    scale = lcm(*(x.denominator for x in num + den))
-    return RatFunc((tuple([int(x * scale) for x in num]),
-                    tuple([int(x * scale) for x in den])))
+def _quotient_constant(a: list, b: tuple):
+    """The constant term of the quotient of a by b, divided top down."""
+    r, db = list(a), len(b) - 1
+    c = 0
+    for i in range(len(r) - 1 - db, -1, -1):
+        c = Fraction(r[i + db], b[-1])
+        for j in range(db):
+            r[i + j] -= c * b[j]
+    return c
 
 
 def rational_antiderivative(f: RatFunc) -> RatFunc:
-    """Antiderivative with zero constant term at t = 0 when that value is
-    finite, otherwise the bare antiderivative; fails if any residue of f is
-    nonzero (which would force logarithms).
+    """The rational antiderivative F of f = A/D; NonRationalAntiderivative
+    if f has a nonzero residue (which would force logarithms).
 
-    After polynomial division, Mack's linear Hermite reduction (Bronstein,
-    Symbolic Integration I, sec. 2.2) writes the proper part A/D as g' + h
-    with g proper and h = A*/D* proper over the squarefree part D* of D.
-    Every pole of a nonzero such h has a nonzero residue, so the
-    antiderivative is rational iff A* = 0.  Each step peels one power off
-    the repeated factors D- = gcd(D, D'): it solves
-    B (-D* D-'/D-) + C D-* = A with deg B < deg D-* (D-* the squarefree part
-    of D-, coprime to the first factor), adds B/D- to g and continues with
-    A = C - B' D*/D-*.
+    Where D has a zero of order e, F has a pole of order e - 1, so
+    F = N/D- with D- = gcd(D, D') and one polynomial N (Bronstein, Symbolic
+    Integration I, sec. 2.2).  With D* = D/D- and E = D* D-'/D- (in ZZ[t]),
+    F' = f reads L(N) = N' D* - N E = A.  L takes t^k to degree k + s - 1,
+    s = deg D*, with leading coefficient lc(D*) (k - deg D-), and its kernel
+    is spanned by D-: so the coefficients of N follow from the top degree
+    down, as in a division, and every row no coefficient is solved from
+    must then be zero, which it is exactly when f has no residue.
+
+    The multiple of D- in N is the constant of integration.  Where F(0) is
+    finite, F(0) = 0.  Otherwise the polynomial part of F, the quotient of
+    N by D-, has zero constant term.
     """
-    num, den = (tuple(map(Fraction, p)) for p in (f.num, f.den))
-    quotient, a = _qdivmod(num, den)
-    F = _from_fractions((Fraction(0),) + tuple([c / (k + 1) for k, c in enumerate(quotient)]),
-                        (Fraction(1),))
-    # the gcds and exact quotients stay in ZZ[t]: any associate of D- serves
-    d_minus = _pgcd(f.den, _pdiff(f.den)) if len(f.den) > 1 else (1,)
-    d_star = tuple(map(Fraction, _pquo(f.den, d_minus)))
-    while len(d_minus) > 1:
-        d_minus2 = _pgcd(d_minus, _pdiff(d_minus))
-        d_minus_star = tuple(map(Fraction, _pquo(d_minus, d_minus2)))
-        u = _pneg(_qdivmod(_pmul(d_star, _pdiff(d_minus)), d_minus)[0])
-        s = _qinverse(u, d_minus_star)  # the gcd of u and D-* is 1
-        b = _qdivmod(_pmul(s, a), d_minus_star)[1]
-        c = _qdivmod(_psub(a, _pmul(b, u)), d_minus_star)[0]
-        a = _psub(c, _pmul(_pdiff(b), _qdivmod(d_star, d_minus_star)[0]))
-        F += _from_fractions(b, d_minus)
-        d_minus = d_minus2
-    if a:
+    a, d = f.num, f.den
+    d_minus = _pgcd(d, _pdiff(d)) if len(d) > 1 else (1,)
+    d_star = _pquo(d, d_minus)
+    e = _pquo(_pmul(d_star, _pdiff(d_minus)), d_minus)
+    m, s, lead = len(d_minus) - 1, len(d_star) - 1, d_star[-1]
+    te = (0,) + e + (0,) * (s - len(e))  # t E, padded to the length of D*
+    r = list(a)
+    n = [0] * max(len(a) - s + 1, 0)  # deg N = deg A - s + 1
+    for k in range(len(n) - 1, -1, -1):
+        if k == m:  # the kernel's coefficient: fixed below
+            continue
+        c = n[k] = Fraction(r[k + s - 1], lead * (k - m))
+        if c:  # r -= c L(t^k); row k - 1 + j of L(t^k) is k D*_j - (t E)_j
+            for j in range(not k, s + 1):
+                r[k - 1 + j] -= c * (k * d_star[j] - te[j])
+    if any(r):
         raise NonRationalAntiderivative(
             f"antiderivative of {f} is not a rational function"
         )
-    if F.den[0]:  # F(0) is finite: F(0) = num[0] / den[0], exactly
-        F -= Fraction(F.num[0] if F.num else 0, F.den[0])
-    return F
+    # F has a pole at 0 exactly where D-(0) = 0: a simple zero of D there is a residue
+    if d_minus[0]:  # F(0) = N(0)/D-(0): make it 0
+        c = Fraction(n[0], d_minus[0])
+    else:  # give the polynomial part of F zero constant term
+        c = _quotient_constant(n, d_minus)
+    n += [0] * (m + 1 - len(n))
+    for j, y in enumerate(d_minus):
+        n[j] -= c * y
+    n = _trim(n)
+    scale = lcm(*(x.denominator for x in n))
+    return RatFunc((tuple([x.numerator * (scale // x.denominator) for x in n]),
+                    tuple([scale * x for x in d_minus])))
 
 
 def wronskian(f: RatFunc, g: RatFunc) -> RatFunc:

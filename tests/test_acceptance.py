@@ -26,7 +26,13 @@ from orbitdepth.representation import (
     depth_certificate,
     verify_v_images,
 )
-from orbitdepth.ratfunc import RatFunc
+from orbitdepth.cli import main
+from orbitdepth.ratfunc import (
+    NonRationalAntiderivative,
+    RatFunc,
+    parse_rational,
+    rational_antiderivative,
+)
 from orbitdepth.melnikov import FLAGSHIP, center_family, make_length3, mv, classify
 from orbitdepth.curves import CycleFactory
 from orbitdepth.integrals import (
@@ -147,6 +153,22 @@ def test_criterion_4_wronskian_layer():
             ok = ok and mv(i + 1, cf) == mv(i, cf) * mult
         ok = ok and all(mv(i, cf).is_zero() for i in range(2, 7))
     sw.done("criterion 4: Wronskian layer", ok)
+
+
+def test_criterion_4_antiderivatives_of_high_degree(capsys):
+    sw = Stopwatch(2.0)
+    t = RatFunc.t()
+    ok = False
+    try:
+        rational_antiderivative(parse_rational("t^6000/(t+1)^2"))
+    except NonRationalAntiderivative:
+        ok = True
+    ok = ok and rational_antiderivative(1 / (t + 1) ** 300) == (1 - (t + 1) ** -299) / 299
+    code = main(["mel", "build", "--alpha1", "t+1", "--alpha2", "t^6002"])
+    err = capsys.readouterr().err
+    ok = ok and code == 2 and err.startswith("error: antiderivative ")
+    ok = ok and err.rstrip().endswith("is not a rational function")
+    sw.done("criterion 4: antiderivatives of high degree", ok)
 
 
 def test_criterion_5_pairing_table():

@@ -94,6 +94,22 @@ def test_rational_antiderivative():
         g = random_ratfunc(rng) / (T - rng.choice((1, 2, -3))) ** rng.randint(0, 2)
         F = rational_antiderivative(g.diff())  # g - g(0): g is finite at 0
         assert (F - g).is_constant() and F.evaluate(0) == 0
+    # where F(0) is infinite, the polynomial part of F has no constant term:
+    # a numerator N over D- = t^2 + t with no t^2 term would give g - 1
+    g = T + 1 / (T * T + T)
+    assert rational_antiderivative(g.diff()) == g
+    for _ in range(20):
+        g = rng.choice((1, -2, 3)) * T ** rng.randint(1, 2) + rng.randint(-3, 3)
+        for root in rng.sample((0, 1, -2), 2):  # double poles of f = g' or worse
+            g += rng.randint(1, 3) / (T - root) ** rng.randint(1, 3)
+        f = g.diff()
+        F = rational_antiderivative(f)
+        assert F.diff() == f and (F - g).is_constant()
+        if F.den[0]:  # F(0) is finite
+            assert F.evaluate(0) == 0
+        else:
+            num, den = (sp.Poly(p[::-1], sp.Symbol("t")) for p in (F.num, F.den))
+            assert sp.quo(num, den).eval(0) == 0
 
 
 def test_beta_periods():
@@ -194,8 +210,9 @@ def test_hierarchy_collapse_mutant_chain(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Hermite reduction on fixed inputs: polynomial parts next to linear and
-# irreducible-quadratic factors of multiplicity up to 4 in f = g'.
+# Antiderivatives on fixed inputs: polynomial parts next to linear and
+# irreducible-quadratic factors of multiplicity up to 4 in f = g'.  The
+# names keep the Hermite reduction these inputs were first written for.
 
 HERMITE_PRIMITIVES = (
     "t^3 + 1/(t-1)",

@@ -15,7 +15,7 @@ import pytest
 
 import orbitdepth
 from orbitdepth.cli import main
-from orbitdepth import curves, integrals, reporting
+from orbitdepth import cli, curves, integrals, reporting
 from orbitdepth.reporting import Config, numeric_suite, repr_suite, run_suite
 from orbitdepth import words
 from orbitdepth.words import D1, D3, G, Endo, Gen
@@ -515,7 +515,7 @@ def test_cli_malformed_config(tmp_path, capsys, monkeypatch):
         assert not out_dir.exists(), flags
 
 
-def test_cli_reports_a_file_it_cannot_open_as_a_usage_error(tmp_path, capsys):
+def test_cli_reports_a_file_it_cannot_open_as_a_usage_error(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing"
     assert main(["verify", "melnikov", "--config", str(missing / "cfg.json")]) == 2
     captured = capsys.readouterr()
@@ -524,6 +524,19 @@ def test_cli_reports_a_file_it_cannot_open_as_a_usage_error(tmp_path, capsys):
     assert main(["verify", "melnikov", "--out", str(missing / "report.json")]) == 2
     assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
     assert not missing.exists()
+
+    def no_suite(*args, **kwargs):
+        pytest.fail("a suite ran before --out was checked")
+
+    # an --out that cannot be opened stops verify before any suite runs, so
+    # it leaves no report in the output directory
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    out_dir = tmp_path / "reports"
+    for fmt in ("json", "csv"):
+        assert main(["verify", "all", "--output-dir", str(out_dir), "--format", fmt,
+                     "--out", str(missing / f"r.{fmt}")]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+    assert not out_dir.exists() and not missing.exists()
 
 
 @pytest.mark.parametrize("raw, key", [({"tolerances": {}}, "tolerances"),
