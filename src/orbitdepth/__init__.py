@@ -58,7 +58,9 @@ class CheckRecord:
 class Recorder:
     """Collects CheckRecords and times them: each record's runtime_ms is the
     time since this Recorder's previous record, or since it was created.
-    Work done for several records is timed once, in the first of them."""
+    Work done for several records is timed once, in the first of them.
+    A builder of records takes the caller's Recorder and adds to it, with
+    their final ids, so all the records of a suite run on one clock."""
 
     def __init__(self):
         self.records: List[CheckRecord] = []
@@ -95,9 +97,3 @@ class Recorder:
             computed=("true" if ok else "false") if computed is None else computed,
             params=params,
         )
-
-    def extend(self, records: List[CheckRecord]) -> None:
-        """Append records another Recorder timed, and restart the clock, so
-        that their time is not counted again in the next record here."""
-        self.records.extend(records)
-        self._lap()

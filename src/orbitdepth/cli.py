@@ -11,7 +11,9 @@ Subcommand tree:
 The check subcommands (`repr check-v`, `repr certificate`, `num pairing`,
 `num cauchy-suite`, `num center-check`) print, as a JSON list, the records
 that `verify` writes to the report for the same inputs, and exit 0 exactly
-when all of them pass.  The other subcommands print their values as JSON;
+when all of them pass: each calls the builder its suite calls
+(`representation.verify_v_images` and `depth_certificate`, `reporting`'s
+`pairing_check`, `cauchy_checks` and `center_check`) on a fresh Recorder.  The other subcommands print their values as JSON;
 `num jet` prints c1..c3 of the return map and the witness orders of the
 transported remainder past them.  `verify` writes its report as JSON, or
 with `--format csv` one CSV row per record to `--out` (the JSON report
@@ -42,7 +44,12 @@ from .words import (
     var,
 )
 from .magnus import depth_lower_bound, mono_format
-from .representation import base_matrices, commutator_scalar
+from .representation import (
+    base_matrices,
+    commutator_scalar,
+    depth_certificate,
+    verify_v_images,
+)
 from .ratfunc import parse_rational, wronskian
 from .melnikov import (
     center_family,
@@ -59,12 +66,10 @@ from .reporting import (
     Recorder,
     cauchy_checks,
     center_check,
-    certificate_checks,
     pairing_check,
     run_suite,
     summary_table,
     trace_tree,
-    v_image_checks,
 )
 
 
@@ -133,7 +138,7 @@ def cmd_repr_matrices(args):
 
 
 def cmd_repr_check_v(args):
-    return _print_checks(v_image_checks, args.k, args.imax)
+    return _print_checks(verify_v_images, args.k, args.imax)
 
 
 def cmd_repr_comm_scalar(args):
@@ -143,7 +148,7 @@ def cmd_repr_comm_scalar(args):
 
 
 def cmd_repr_certificate(args):
-    return _print_checks(certificate_checks, args.k)
+    return _print_checks(depth_certificate, args.k)
 
 
 # -- mel --------------------------------------------------------------------

@@ -7,10 +7,11 @@ record from its previous one, so each value is computed just before the
 first record that reports it, and a record that reuses it carries only its
 own time.  Suites bundle records per layer; `run_suite` runs one suite or
 all of them and writes a JSON report.  Each check the command line also
-runs has one builder here that adds its records to a Recorder
-(`certificate_checks`, `v_image_checks`, `pairing_check`, `cauchy_checks`,
-`center_check`); the suite and the CLI subcommand both call it, so both
-print the same records.
+runs has one builder that adds its records to a Recorder: the numeric
+ones here (`pairing_check`, `cauchy_checks`, `center_check`), the level-k
+certificate and its v-image table in `representation` (`depth_certificate`,
+`verify_v_images`).  The suite and the CLI subcommand both call it, so
+both print the same records.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import platform
 import re
 import time
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -61,7 +62,7 @@ from .magnus import (
     leading_terms_agree_mod_orbit_ideal,
     magnus,
 )
-from .representation import DEFAULT_K_MAX, depth_certificate, verify_v_images
+from .representation import DEFAULT_K_MAX, depth_certificate
 from .melnikov import (
     FLAGSHIP,
     Kind,
@@ -103,24 +104,6 @@ DEFAULT_SEED = 20259
 DEFAULT_T0 = 0.36
 
 
-@dataclass
-class RunManifest:
-    version: str
-    seed: int
-    t0: float
-    k_max: int
-    magnus_degree: int
-    suites: List[str]
-    timestamp: str
-    python: str
-    numpy: str
-    cpu_count: int
-    commit: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @functools.cache
 def _git_commit(root: Path = Path(__file__).resolve().parents[2]) -> str:
     """HEAD of the git checkout at `root`, by default the source checkout
@@ -151,16 +134,6 @@ def _git_commit(root: Path = Path(__file__).resolve().parents[2]) -> str:
     except (OSError, UnicodeDecodeError):
         return "unknown"
     return head if re.fullmatch(r"[0-9a-f]{40}|[0-9a-f]{64}", head) else "unknown"
-
-
-def _environment() -> dict:
-    """Interpreter, library versions, CPU count and source commit."""
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-        "commit": _git_commit(),
-    }
 
 
 def _is_int(x) -> bool:
@@ -208,29 +181,6 @@ class Config:
 # ---------------------------------------------------------------------------
 # Builders shared by the suites and the command line.  Each adds its
 # records to `rec` and returns what other records reuse.
-
-
-def _at_level(k: int, records: List[CheckRecord]) -> List[CheckRecord]:
-    return [replace(r, id=f"repr.k{k}.{r.id}") for r in records]
-
-
-def v_image_checks(rec: Recorder, k: int, i_max: Optional[int] = None) -> None:
-    """repr.k<k>.* records of the v-image table rho_k(v_i), i = 2..i_max."""
-    rec.extend(_at_level(k, verify_v_images(k, i_max)))
-
-
-def certificate_checks(rec: Recorder, k: int) -> None:
-    """repr.k<k>.* records of the level-k separation certificate (its
-    v-image table first), then the verdict repr.k<k>.certificate, whose
-    params name the ids of those records and of the ones that failed, and
-    the sum of their runtimes."""
-    items = _at_level(k, depth_certificate(k))
-    rec.extend(items)
-    ok = all(r.passed for r in items)
-    rec.add_bool(f"repr.k{k}.certificate", f"level-{k} separation certificate", ok,
-                 params={"k": k, "items": [r.id for r in items],
-                         "failed": [r.id for r in items if not r.passed],
-                         "pass": ok, "runtime_ms": sum(r.runtime_ms for r in items)})
 
 
 def pairing_check(rec: Recorder, t: float) -> None:
@@ -357,7 +307,7 @@ def repr_suite(cfg: Config) -> List[CheckRecord]:
     """Laurent matrix certificates for each level k (exact)."""
     rec = Recorder()
     for k in range(1, cfg.k_max + 1):
-        certificate_checks(rec, k)
+        depth_certificate(rec, k)
     return rec.records
 
 
@@ -522,18 +472,20 @@ def run_suite(name: str, cfg: Optional[Config] = None,
             records.append(error.add_bool(
                 f"{n}.error", f"the {n} suite runs to completion", False,
                 computed=f"{type(exc).__name__}: {exc}"))
-    manifest = RunManifest(
-        version=__version__,
-        seed=cfg.seed,
-        t0=cfg.t0,
-        k_max=cfg.k_max,
-        magnus_degree=cfg.magnus_degree,
-        suites=names,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        **_environment(),
-    )
     report = {
-        "manifest": manifest.to_dict(),
+        "manifest": {
+            "version": __version__,
+            "seed": cfg.seed,
+            "t0": cfg.t0,
+            "k_max": cfg.k_max,
+            "magnus_degree": cfg.magnus_degree,
+            "suites": names,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "commit": _git_commit(),
+        },
         "checks": [r.to_dict() for r in records],
         "pass": all(r.passed for r in records),
     }

@@ -28,8 +28,9 @@ corner lemma (see `depth_certificate`) the commutator of any rho_k(s) with
 that image is I plus a corner kappa (a^m c^-n - 1), so all of rho_k(K) has
 corners in kappa times the ideal of Laurent polynomials vanishing at
 (a, c) = (1, 1), and rho_k(v_{k+2}), whose corner is kappa * 1, lies
-outside it.  `verify_v_images` and `depth_certificate` return that content
-as a list of `CheckRecord`s, one per item.
+outside it.  `verify_v_images` and `depth_certificate` add that content to
+the caller's `Recorder`, one `CheckRecord` per item, each with its final
+repr.k<k>.* id.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Tuple
 
-from . import CheckRecord, Recorder
+from . import Recorder
 from .laurent import Graded, laurent_str, product
 from .words import (
     RHO_NAMES,
@@ -325,13 +326,23 @@ def _mismatch(image: Optional[RepMatrix], expected: RepMatrix, error: str) -> st
     return error or f"mismatch entries: {(image - expected).nonzero()[:4]}"
 
 
-def _v_image_table(rec: Recorder, k: int, i_max: int,
-                   rep: Representation) -> Optional[RepMatrix]:
-    """Add the records of verify_v_images to rec; returns rho_k(v_{k+2})
-    from the chain, None when the chain raised before reaching it."""
+def verify_v_images(rec: Recorder, k: int, i_max: int | None = None,
+                    rep: Representation | None = None) -> Tuple[Optional[RepMatrix], str]:
+    """Check rho_k(v_i) = I for i != k+2 and the corner form at i = k+2.
+
+    By convention v_1 = D maps to the identity; i runs over 2..i_max with
+    i_max defaulting to k+4.  Adds one record per row to rec, its id
+    repr.k<k>.<the row's name> and its claim what the row found.  Returns
+    rho_k(v_{k+2}) from the chain and "", or None and the error that
+    stopped the chain before it.
+    """
+    if i_max is None:
+        i_max = k + 4
+    if i_max < k + 2:
+        raise ValueError("i_max must reach k+2")
+    rep = rep or Representation(k)
     ident = RepMatrix.identity(rep.n)
     corner = ident + expected_v_corner_matrix(k)
-    corner_image = None
     chain = _v_chain(rep)  # walked once for every i
     error = ""  # once a step fails, every later row is red with its error
     for i in range(2, i_max + 1):
@@ -342,40 +353,24 @@ def _v_image_table(rec: Recorder, k: int, i_max: int,
         ok = img == expected
         detail = "identity" if ok else _mismatch(img, expected, error)
         if i == k + 2:
-            corner_image = img
+            corner_image, corner_error = img, error
             zero = img == ident
-            rec.add_bool(f"rho_{k}(v_{i}) = I + corner",
+            rec.add_bool(f"repr.k{k}.rho_{k}(v_{i}) = I + corner",
                          detail if not ok else "corner is zero" if zero else "corner nonzero",
                          ok and not zero)
             if ok:
                 detail = f"corner = {expected_corner_scalar()!r} at (1, {rep.n})"
-        rec.add_bool(f"rho_{k}(v_{i})", detail, ok)
+        rec.add_bool(f"repr.k{k}.rho_{k}(v_{i})", detail, ok)
     # word-path cross-check at the distinguished index
     word_image, error = _attempt(lambda: rep(v_k(k + 2)))
     ok = word_image == corner
-    rec.add_bool(f"rho_{k}(v_{k+2}) via word product",
+    rec.add_bool(f"repr.k{k}.rho_{k}(v_{k+2}) via word product",
                  "matrix recursion agrees with the word image" if ok
                  else _mismatch(word_image, corner, error), ok)
     ok = expected_corner_scalar() == alternate_corner_scalar() * A_PARAM
-    rec.add_bool(f"corner scalar relation at k={k}", "(1/c-1)(1-a) = a * (1/c-1)(1/a-1)", ok)
-    return corner_image
-
-
-def verify_v_images(k: int, i_max: int | None = None,
-                    rep: Representation | None = None) -> List[CheckRecord]:
-    """Check rho_k(v_i) = I for i != k+2 and the corner form at i = k+2.
-
-    By convention v_1 = D maps to the identity; i runs over 2..i_max with
-    i_max defaulting to k+4.  One record per row, its id the row's name
-    and its claim what the row found.
-    """
-    if i_max is None:
-        i_max = k + 4
-    if i_max < k + 2:
-        raise ValueError("i_max must reach k+2")
-    rec = Recorder()
-    _v_image_table(rec, k, i_max, rep or Representation(k))
-    return rec.records
+    rec.add_bool(f"repr.k{k}.corner scalar relation at k={k}",
+                 "(1/c-1)(1-a) = a * (1/c-1)(1/a-1)", ok)
+    return corner_image, corner_error
 
 
 def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
@@ -421,7 +416,7 @@ def _has_lemma_shape(s: RepMatrix) -> bool:
     )
 
 
-def depth_certificate(k: int, rep: Representation | None = None) -> List[CheckRecord]:
+def depth_certificate(rec: Recorder, k: int, rep: Representation | None = None) -> None:
     """Certificate that rho_k separates v_{k+2} from K = [orbit, group].
 
     The v-image table shows that rho_k kills every v_i except v_{k+2}, which
@@ -434,19 +429,21 @@ def depth_certificate(k: int, rep: Representation | None = None) -> List[CheckRe
     I + kappa aug E_1n, where aug is the kernel of evaluation at
     (a, c) = (1, 1); conjugation keeps it there.  rho_k(v_{k+2}) has corner
     kappa * 1 with kappa != 0 and 1 not in aug, so v_{k+2} is not in K
-    (item 3).  The records are the v-image table's, then items 1-3; a
-    failing level gives red records, never an exception.
+    (item 3).  Adds to rec the v-image table's records, then items 1-3, all
+    repr.k<k>.*, then the verdict repr.k<k>.certificate, whose params name
+    the ids of those items and of the ones that failed, and the sum of their
+    runtimes.  A failing level gives red records, never an exception.
     """
-    rec = Recorder()
+    start = len(rec.records)
     rep = rep or Representation(k)
-    corner_image = _v_image_table(rec, k, k + 4, rep)
+    corner_image, corner_error = verify_v_images(rec, k, k + 4, rep)
     ident = RepMatrix.identity(rep.n)
     unit_corner = corner_tensor(k)
     kappa = expected_corner_scalar()
 
     bad = [RHO_NAMES[g] for g, s in rep.images.items() if not _has_lemma_shape(s)]
     rec.add_bool(
-        "generator images in the corner-lemma group",
+        f"repr.k{k}.generator images in the corner-lemma group",
         f"not upper triangular with diagonal (a^m, 1, ..., 1, c^n): {bad}" if bad
         else "every generator image is upper triangular with diagonal (a^m, 1, ..., 1, c^n)",
         not bad)
@@ -466,25 +463,29 @@ def depth_certificate(k: int, rep: Representation | None = None) -> List[CheckRe
             if error:
                 errors.append(f"{RHO_NAMES[g]}: {error}")
     rec.add_bool(
-        "corner lemma on the generator images",
+        f"repr.k{k}.corner lemma on the generator images",
         f"[S, N] != I + kappa (a^m c^-n - 1) E_1n for {bad}" + "".join(f"; {e}" for e in errors)
         if bad else "[S, N] = I + kappa (a^m c^-n - 1) E_1n, (m, n) the exponent sums",
         not bad)
 
-    one = RepMatrix.identity(1)
     at_one = (Fraction(1), Fraction(1))
     conditions = {
         "commutator corners lie in kappa * aug":
             all(q.evaluate(*at_one) == [[0]] for q in quotients),
-        f"rho(v_{k + 2}) has corner kappa * 1":
-            corner_image == ident + unit_corner * (kappa * one),
+        f"rho(v_{k + 2}) has corner kappa * 1": corner_image == v_corner,
         "kappa != 0": not kappa.is_zero(),
-        "1 not in aug": one.evaluate(*at_one) == [[1]],
     }
     failed = [name for name, ok in conditions.items() if not ok]
-    detail = "; ".join(conditions) if not failed else "failed: " + "; ".join(failed)
-    if corner_image is None:  # the chain raised; its row carries the error
-        detail += "; " + next(r.claim for r in rec.records
-                              if r.id == f"rho_{k}(v_{k + 2}) = I + corner")
-    rec.add_bool(f"v_{k+2} outside K", detail, not failed)
-    return rec.records
+    # 1 is not in aug, since evaluation at (1, 1) sends it to 1: a fact, not a check
+    detail = ("; ".join([*conditions, "1 not in aug"]) if not failed
+              else "failed: " + "; ".join(failed))
+    if corner_image is None:  # the chain raised before v_{k+2}
+        detail += "; " + corner_error
+    rec.add_bool(f"repr.k{k}.v_{k+2} outside K", detail, not failed)
+
+    items = rec.records[start:]
+    ok = all(r.passed for r in items)
+    rec.add_bool(f"repr.k{k}.certificate", f"level-{k} separation certificate", ok,
+                 params={"k": k, "items": [r.id for r in items],
+                         "failed": [r.id for r in items if not r.passed],
+                         "pass": ok, "runtime_ms": sum(r.runtime_ms for r in items)})

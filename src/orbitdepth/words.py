@@ -78,13 +78,8 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return _IDENTITY
-        base = self if n > 0 else self.inverse()
-        out = _IDENTITY
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return Word(base.letters * abs(n))  # _reduce cancels across the joins
 
     def conjugate_by(self, c: "Word") -> "Word":
         """c * self * c^-1."""
@@ -330,6 +325,12 @@ _ALIASES = {
 }
 
 
+# A power, commutator or product is refused before it is built when its
+# expansion would exceed _MAX_WORD_LETTERS letters: d1^1000000000, or forty
+# nested commutators, would fill memory.
+_MAX_WORD_LETTERS = 1 << 18
+
+
 class WordSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -344,6 +345,10 @@ class _Parser:
     def error(self, message: str):
         raise WordSyntaxError(message, self.pos)
 
+    def check_size(self, letters: int, what: str):
+        if letters > _MAX_WORD_LETTERS:
+            self.error(f"{what} too large")
+
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -353,17 +358,18 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse_word(self, stop_chars: str = "") -> Word:
-        out = Word.identity()
+        letters = []  # reduced once at the end, so a long product stays linear
         first = True
         while True:
             ch = self.peek()
             if not ch or ch in stop_chars:
                 break
-            out = out * self.parse_term()
+            letters.extend(self.parse_term().letters)
+            self.check_size(len(letters), "word")
             first = False
         if first:
             self.error("empty word")
-        return out
+        return Word(letters)
 
     def parse_term(self) -> Word:
         atom = self.parse_atom()
@@ -373,7 +379,9 @@ class _Parser:
             return atom.inverse()
         if ch == "^":
             self.pos += 1
-            return atom ** self.parse_int()
+            n = self.parse_int()
+            self.check_size(abs(n) * len(atom), f"power {n}")
+            return atom ** n
         return atom
 
     def parse_int(self) -> int:
@@ -405,6 +413,7 @@ class _Parser:
             if self.peek() != "]":
                 self.error("expected ']'")
             self.pos += 1
+            self.check_size(2 * (len(u) + len(v)), "commutator")
             return commutator(u, v)
         return self.parse_letter()
 
@@ -421,7 +430,9 @@ class _Parser:
 
 
 def parse_word(text: str) -> Word:
-    """Parse the word grammar; aliases x, z, D expand to their definitions."""
+    """Parse the word grammar; aliases x, z, D expand to their definitions.
+    A power, commutator or product whose expansion would exceed
+    _MAX_WORD_LETTERS letters raises WordSyntaxError."""
     p = _Parser(text)
     w = p.parse_word()
     p.skip_ws()

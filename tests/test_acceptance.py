@@ -12,7 +12,7 @@ import numpy as np
 from orbitdepth.words import (
     D0, D1, D2, D3, DELTA, G, X_ELT, Z_ELT,
     Gen, Word, format_rho_word, m_endo, mon0, mon1,
-    random_word, rewrite_to_rho_alphabet, v_k, var, var_iterate,
+    parse_word, random_word, rewrite_to_rho_alphabet, v_k, var, var_iterate,
     variation_mod_k_identities,
 )
 from orbitdepth.magnus import (
@@ -26,6 +26,7 @@ from orbitdepth.representation import (
     depth_certificate,
     verify_v_images,
 )
+from orbitdepth import Recorder
 from orbitdepth.cli import main
 from orbitdepth.ratfunc import (
     NonRationalAntiderivative,
@@ -72,7 +73,7 @@ class Stopwatch:
     def done(self, name, ok):
         elapsed = time.perf_counter() - self.start
         status = "PASS" if ok else "FAIL"
-        print(f"[{name}] {status} ({elapsed:.2f}s, budget {self.budget:.0f}s)")
+        print(f"[{name}] {status} ({elapsed:.2f}s, budget {self.budget:g}s)")
         assert ok, name
         assert elapsed < self.budget, f"{name} exceeded its runtime budget"
 
@@ -96,6 +97,18 @@ def test_criterion_1_monodromy_identities():
         for w in (random_word(rng) for _ in range(100))
     )
     sw.done("criterion 1: monodromy identities", ok)
+
+
+def test_criterion_1_long_words(capsys):
+    sw = Stopwatch(0.5)
+    ok = len(parse_word("d1^12000")) == 12000
+    ok = ok and parse_word(" ".join(["d1 d2"] * 5000)) == (D1 * D2) ** 5000
+    u = D1 * D2 * D1.inverse()
+    ok = ok and parse_word("(d1 d2 d1')^5") == u * u * u * u * u == u ** 5
+    # a power too long to expand is refused before it is expanded
+    code = main(["orbit", "depth", "--word", "d1^1000000000"])
+    ok = ok and code == 2 and capsys.readouterr().err.startswith("error: ")
+    sw.done("criterion 1: long words and powers of high exponent", ok)
 
 
 def test_criterion_2_variation_elements():
@@ -127,9 +140,11 @@ def test_criterion_3_representation_certificates():
     rng = random.Random(SEED)
     for k in range(1, 6):
         rep = Representation(k)
+        rec = Recorder()
         # exact identities rho_k(v_i) = I for i in 2..k+4 minus {k+2}
-        ok = ok and all(r.passed for r in verify_v_images(k, k + 4, rep))
-        ok = ok and all(r.passed for r in depth_certificate(k, rep))
+        verify_v_images(rec, k, k + 4, rep)
+        depth_certificate(rec, k, rep)
+        ok = ok and all(r.passed for r in rec.records)
         # sampled oracle for the corner lemma: commutator_scalar raises unless
         # [rho(s), rho(v_{k+2})] is I + kappa (a^m c^-n - 1) E_1n
         for _ in range(10):

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +16,9 @@ import orbitdepth
 from orbitdepth.cli import main
 from orbitdepth import cli, curves, integrals, reporting
 from orbitdepth.reporting import Config, numeric_suite, repr_suite, run_suite
+from orbitdepth.representation import Representation, depth_certificate
 from orbitdepth import words
-from orbitdepth.words import D1, D3, G, Endo, Gen
+from orbitdepth.words import D1, D3, G, Endo, Gen, RhoGen
 
 
 def test_run_suite_unknown_name():
@@ -400,21 +400,25 @@ def test_repr_suite_records():
         assert level[-1].id == f"repr.k{k}.certificate"
 
 
-def test_certificate_verdict_lists_the_ids_of_its_items_and_of_the_failed_ones(monkeypatch):
+def test_certificate_verdict_lists_the_ids_of_its_items_and_of_the_failed_ones():
     rec = reporting.Recorder()
-    reporting.certificate_checks(rec, 2)
+    depth_certificate(rec, 2)
     *items, verdict = rec.records
     assert verdict.passed and verdict.params["failed"] == []
     assert verdict.params["items"] == [r.id for r in items]
     assert set(verdict.params) == {"k", "items", "failed", "pass", "runtime_ms"}
-    certificate = reporting.depth_certificate
-    monkeypatch.setattr(reporting, "depth_certificate", lambda k: [
-        replace(r, passed=False) if i == 3 else r for i, r in enumerate(certificate(k))])
+    # a real mutant through the rep seam: z -> C^-1 moves the corner of v_4
+    rep = Representation(2)
+    rep.images[RhoGen.Z], rep.inverses[RhoGen.Z] = rep.inverses[RhoGen.Z], rep.images[RhoGen.Z]
     rec = reporting.Recorder()
-    reporting.certificate_checks(rec, 2)
+    depth_certificate(rec, 2, rep)
     *items, verdict = rec.records
-    assert not verdict.passed
-    assert verdict.params["failed"] == [items[3].id] == ["repr.k2.rho_2(v_4)"]
+    assert not verdict.passed and not verdict.params["pass"]
+    assert verdict.params["items"] == [r.id for r in items]
+    assert verdict.params["failed"] == [r.id for r in items if not r.passed] == [
+        "repr.k2.rho_2(v_4) = I + corner", "repr.k2.rho_2(v_4)",
+        "repr.k2.rho_2(v_4) via word product", "repr.k2.corner lemma on the generator images",
+        "repr.k2.v_4 outside K"]
 
 
 def test_numeric_suite_records():

@@ -28,6 +28,7 @@ from orbitdepth.representation import (
     verify_v_images,
 )
 import orbitdepth.representation as representation
+from orbitdepth import Recorder
 from orbitdepth.words import (
     D2, G, X_ELT, Z_ELT, RhoGen, commutator, random_word, v_k,
     exponent_sums_rho,
@@ -226,18 +227,31 @@ def test_diagonal_structure():
             assert d == RepMatrix.identity(1)
 
 
+def _records(build, *args, **kwargs) -> list:
+    """The records that build adds to a fresh Recorder."""
+    rec = Recorder()
+    build(rec, *args, **kwargs)
+    return rec.records
+
+
+def _name(record) -> str:
+    """The record's id after its repr.k<k>. prefix."""
+    return record.id.split(".", 2)[2]
+
+
 def _failed(records) -> list:
     return [r for r in records if not r.passed]
 
 
-def _claim(records, id: str) -> str:
-    return next(r.claim for r in records if r.id == id)
+def _claim(records, name: str) -> str:
+    return next(r.claim for r in records if _name(r) == name)
 
 
 def test_v_images():
     for k in (1, 2, 3, 4):
-        records = verify_v_images(k)
+        records = _records(verify_v_images, k)
         assert len(records) == k + 6 and not _failed(records), _failed(records)
+        assert all(r.id.startswith(f"repr.k{k}.") for r in records)
         row = _claim(records, f"rho_{k}(v_{k + 2})")
         assert repr(expected_corner_scalar()) in row
         assert row.endswith(f"at (1, {k + 1})")
@@ -286,20 +300,22 @@ def test_evaluation_homomorphism():
 
 def test_certificates():
     for k in (1, 2, 3):
-        records = depth_certificate(k)
-        assert len(records) == k + 9 and not _failed(records)
+        records = _records(depth_certificate, k)
+        assert len(records) == k + 10 and not _failed(records)
         # the v-image table comes first, with the same records
         strip = [(r.id, r.claim, r.passed) for r in records]
-        assert strip[:k + 6] == [(r.id, r.claim, r.passed) for r in verify_v_images(k)]
-        assert len({r.id for r in records}) == k + 9
+        assert strip[:k + 6] == [(r.id, r.claim, r.passed)
+                                 for r in _records(verify_v_images, k)]
+        assert len({r.id for r in records}) == k + 10
+        assert records[-1].id == f"repr.k{k}.certificate"
 
 
 def test_certificates_reach_k_7():
     start = time.perf_counter()
     for k in (6, 7, 8):
-        records = depth_certificate(k)
+        records = _records(depth_certificate, k)
         assert not _failed(records), _failed(records)
-        assert len(records) == k + 9
+        assert len(records) == k + 10
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"depth_certificate(6), (7) and (8) took {elapsed:.2f}s, budget 2s"
 
@@ -319,9 +335,9 @@ def _mutant(k: int, gen: RhoGen, image: RepMatrix) -> Representation:
 
 
 def _red(records, k: int = 2) -> set:
-    assert len(records) == k + 9
+    assert len(records) == k + 10
     assert _failed(records)
-    return {r.id for r in _failed(records)}
+    return {_name(r) for r in _failed(records)}
 
 
 def test_certificate_mutant_b_drops_a_link():
@@ -330,8 +346,8 @@ def test_certificate_mutant_b_drops_a_link():
     for k in (1, 2, 3):
         for j in range(1, k + 1):
             rep = _mutant(k, RhoGen.B2, Representation(k).B - _e(k + 1, j - 1, j))
-            assert _failed(verify_v_images(k, rep=rep))
-            cert = depth_certificate(k, rep=rep)
+            assert _failed(_records(verify_v_images, k, rep=rep))
+            cert = _records(depth_certificate, k, rep=rep)
             red = _red(cert, k)
             # each red row names the missing corner, not the passing claim
             for name in (f"rho_{k}(v_{k+2})", f"rho_{k}(v_{k+2}) = I + corner",
@@ -344,7 +360,7 @@ def test_certificate_mutant_b_drops_a_link():
 def test_certificate_mutant_corner_scalar(monkeypatch):
     monkeypatch.setattr(representation, "expected_corner_scalar",
                         lambda: 2 * alternate_corner_scalar() * A_PARAM)
-    cert = depth_certificate(2)
+    cert = _records(depth_certificate, 2)
     assert "v_4 outside K" in _red(cert)
     # only the corner condition fails: kappa doubled is still nonzero
     detail = _claim(cert, "v_4 outside K")
@@ -355,13 +371,13 @@ def test_certificate_mutant_middle_diagonal():
     A = Representation(2).A
     mutant = A + _e(3, 1, 1) * (C_PARAM - 1)  # entry (1, 1): 1 -> c
     assert mutant.entry(1, 1) == C_PARAM
-    red = _red(depth_certificate(2, rep=_mutant(2, RhoGen.X, mutant)))
+    red = _red(_records(depth_certificate, 2, rep=_mutant(2, RhoGen.X, mutant)))
     assert LEMMA_SHAPE in red and LEMMA not in red
 
 
 def test_certificate_mutant_diagonal_exponents():
     A = Representation(2).A
-    red = _red(depth_certificate(2, rep=_mutant(2, RhoGen.X, A * A)))
+    red = _red(_records(depth_certificate, 2, rep=_mutant(2, RhoGen.X, A * A)))
     assert LEMMA in red and LEMMA_SHAPE not in red
 
 
@@ -374,7 +390,7 @@ def test_certificate_mutant_no_exact_inverse(extra):
     k = 2
     rep = Representation(k)
     rep.images[RhoGen.X] = rep.A + extra
-    cert = depth_certificate(k, rep=rep)
+    cert = _records(depth_certificate, k, rep=rep)
     red = _red(cert, k)
     assert LEMMA_SHAPE in red
     chain = [f"rho_{k}(v_{i})" for i in range(2, k + 5)] + [f"rho_{k}(v_{k+2}) = I + corner"]

@@ -156,6 +156,27 @@ def test_parser():
     assert err.value.position == 3
 
 
+def test_power_is_the_repeated_product():
+    rng = random.Random(SEED)
+    for _ in range(300):
+        w, n = random_word(rng, 12), rng.randint(-6, 6)
+        base = w if n > 0 else w.inverse()
+        product = Word.identity()
+        for _ in range(abs(n)):
+            product = product * base
+        assert w ** n == product, (w, n)
+
+
+def test_parser_refuses_a_word_too_long_to_expand():
+    assert len(parse_word("d1^262144")) == 1 << 18  # the cap itself still parses
+    # forty nested commutators of 122 characters would expand to 2^41 letters
+    nested = "[" * 40 + "d1" + ",d2]" * 40
+    for text in ("d1^262145", "d1^-262145", "(d1 d2)^131073", "d1^1000000000",
+                 "d1^262144 d1", nested):
+        with pytest.raises(WordSyntaxError, match="too large"):
+            parse_word(text)
+
+
 def test_variation_mod_k_identities():
     for ident in variation_mod_k_identities(5):
         assert ident.holds(), ident.name
