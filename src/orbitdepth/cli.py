@@ -6,7 +6,8 @@ Subcommand tree:
     repr   {matrices, check-v, comm-scalar, certificate}
     mel    {wronskian, build, classify, mv, center}
     num    {pairing, iterated, cauchy-suite, jet, holonomy, center-check}
-    verify {orbit, repr, melnikov, numeric, all} [--out FILE] [--format {json,csv}] [--trace]
+    verify {orbit, repr, melnikov, numeric, all} [--t0 T] [--k-max K] [--out FILE]
+           [--format {json,csv}] [--trace]
 
 The check subcommands (`repr check-v`, `repr certificate`, `num pairing`,
 `num cauchy-suite`, `num center-check`) print, as a JSON list, the records
@@ -15,11 +16,14 @@ when all of them pass: each calls the builder its suite calls
 (`representation.verify_v_images` and `depth_certificate`, `reporting`'s
 `pairing_check`, `cauchy_checks` and `center_check`) on a fresh Recorder.  The other subcommands print their values as JSON;
 `num jet` prints c1..c3 of the return map and the witness orders of the
-transported remainder past them.  `verify` writes its report as JSON, or
-with `--format csv` one CSV row per record to `--out` (the JSON report
-then goes to the output directory).  The OUTPUT_DIR environment variable
-overrides the output directory.  A bad value, or a file that cannot be
-opened, prints `error: ...` and exits 2.
+transported remainder past them.  `verify` takes its two inputs from
+`--t0` (the level of the numeric suite) and `--k-max` (the last level of
+the separation certificates), and writes its JSON report to `--out`, or
+else to report_<suites>.json in the directory that the OUTPUT_DIR
+environment variable names (default: the working directory).  With
+`--format csv` it writes one CSV row per record to `--out`, and the JSON
+report to that directory.  A bad value, or a file that cannot be opened,
+prints `error: ...` and exits 2.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import cmath
 import csv
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .words import (
@@ -280,14 +283,9 @@ def cmd_num_center_check(args):
 # -- verify -----------------------------------------------------------------
 
 
-def _config_from_args(args) -> Config:
-    cfg = Config.from_file(args.config) if args.config else Config()
-    flags = {key: getattr(args, key) for key in ("seed", "t0", "k_max", "output_dir")}
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-
-
 def cmd_verify(args):
-    cfg = _config_from_args(args)
+    cfg = Config(**{key: value for key in ("t0", "k_max")
+                    if (value := getattr(args, key)) is not None})
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out")
     if args.out:  # a path that cannot be written is a usage error before any suite runs
@@ -418,12 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a check suite")
     ver.add_argument("suite", choices=("orbit", "repr", "melnikov", "numeric", "all"))
-    ver.add_argument("--config")
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--t0", type=float)
-    ver.add_argument("--k-max", dest="k_max", type=int)
-    ver.add_argument("--output-dir")
-    ver.add_argument("--out")
+    ver.add_argument("--t0", type=float, help="the level of the numeric suite")
+    ver.add_argument("--k-max", dest="k_max", type=int,
+                     help="the last level of the separation certificates")
+    ver.add_argument("--out", help="the report file, else report_<suites>.json in $OUTPUT_DIR")
     ver.add_argument("--format", choices=("json", "csv"), default="json",
                      help="csv writes one row per record to --out")
     ver.add_argument("--trace", action="store_true",

@@ -374,12 +374,13 @@ def _block_jet(block: List[Segment], rounds: List[int], taylor: np.ndarray,
     den = [f_dep]  # f_dep + eps p_dep
     slope = [-2.0 * w0 * dep2[0] / f_dep]  # d(dep)/d(ind)
     d_dep2, d_den, d_slope = _dep_derivatives(w0, u0, ind2[0], slope[0], f_dep)
-    powers = [[None] for _ in range(1, JET_TERMS)]  # (F - t)^k, k = 1, 2, ...: F = t at eps^0
+    terms = taylor.shape[1]  # the jet's order: eps^0 .. eps^(terms - 1)
+    powers = [[None] for _ in range(1, terms)]  # (F - t)^k, k = 1, 2, ...: F = t at eps^0
     rate = [p_ind[0] + p_dep[0] * slope[0]]  # omega per unit of the independent coordinate
     form = rate[0] * dw0
     tail = _tail(form)
     total = [_integral(form, h)]
-    for j in range(1, JET_TERMS):
+    for j in range(1, terms):
         dep2.append(_conv(u, u, j))
         den.append(2.0 * _conv(u, ind2, j) + p_dep[j - 1])
         slope.append(-(2.0 * _conv(w, dep2, j) + p_ind[j - 1] + _conv(den, slope, j)) / f_dep)
@@ -414,7 +415,7 @@ def _cycle_jet(cycle: Cycle, taylor: np.ndarray) -> np.ndarray:
     independent one) starts on the base curve."""
     def block_sweep(block, state):
         chart, dep, jtot = state
-        offset = np.zeros(JET_TERMS, complex)
+        offset = np.zeros_like(dep)
         if block[0].chart != chart:
             offset, dep = dep, np.zeros_like(dep)
 
@@ -423,7 +424,8 @@ def _cycle_jet(cycle: Cycle, taylor: np.ndarray) -> np.ndarray:
             return (block[0].chart, end, jtot + dj), tails
         return sweep
 
-    start = (cycle.segments[0].chart, np.zeros(JET_TERMS, complex), np.zeros(JET_TERMS, complex))
+    zero = np.zeros(taylor.shape[1], complex)
+    start = (cycle.segments[0].chart, zero, zero)
     return -_walk(cycle, block_sweep, "Melnikov jet", JET_TOL, start)[2]
 
 

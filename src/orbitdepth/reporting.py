@@ -19,12 +19,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import os
 import platform
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -102,6 +101,7 @@ from .holonomy import (
 
 DEFAULT_SEED = 20259
 DEFAULT_T0 = 0.36
+HEADROOM_DEGREE = 8  # the Magnus truncation at which orbit.depth_headroom certifies v_6
 
 
 @functools.cache
@@ -136,46 +136,23 @@ def _git_commit(root: Path = Path(__file__).resolve().parents[2]) -> str:
     return head if re.fullmatch(r"[0-9a-f]{40}|[0-9a-f]{64}", head) else "unknown"
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 @dataclass
 class Config:
+    """The inputs of a `verify` run: `t0`, the level at which the numeric
+    suite realises the saddle loops and the oval, and `k_max`, the last
+    level of the separation certificates.  `seed` seeds nothing: no suite
+    draws random numbers.  A t0 that is not finite, or a k_max outside
+    1..DEFAULT_K_MAX, is a ValueError before any suite runs."""
+
     seed: int = DEFAULT_SEED
     t0: float = DEFAULT_T0
     k_max: int = 5
-    magnus_degree: int = 8
-    output_dir: str = "."
 
     def __post_init__(self):
-        checks = {
-            "seed": (_is_int(self.seed), "an int"),
-            "t0": (_is_real(self.t0), "a real number"),
-            "k_max": (_is_int(self.k_max) and 1 <= self.k_max <= DEFAULT_K_MAX,
-                      f"an int in 1..{DEFAULT_K_MAX}"),
-            "magnus_degree": (_is_int(self.magnus_degree) and self.magnus_degree >= 3,
-                              "an int >= 3"),
-            "output_dir": (isinstance(self.output_dir, str), "a str"),
-        }
-        for key, (ok, want) in checks.items():
-            if not ok:
-                raise ValueError(f"config {key} must be {want}, got {getattr(self, key)!r}")
-
-    @staticmethod
-    def from_file(path: str) -> "Config":
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"config {path} is not a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(Config)})
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown} in {path}")
-        return Config(**raw)
+        if not math.isfinite(self.t0):
+            raise ValueError(f"config t0 must be finite, got {self.t0!r}")
+        if not 1 <= self.k_max <= DEFAULT_K_MAX:
+            raise ValueError(f"config k_max must be in 1..{DEFAULT_K_MAX}, got {self.k_max!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +261,7 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
                  "one variation step from v2 matches v3 through degree 3",
                  diff == 4, computed=f"first difference at degree {diff}")
 
-    n = cfg.magnus_degree
+    n = HEADROOM_DEGREE
     rep = depth_lower_bound(v_k(n - 2), n)
     rec.add_bool("orbit.depth_headroom",
                  f"the configured truncation {n} certifies v_{n-2} exactly",
@@ -454,9 +431,11 @@ def run_suite(name: str, cfg: Optional[Config] = None,
               out_path: Optional[str] = None) -> tuple:
     """Run one suite (or 'all'); returns (exit_code, records, report_path).
 
-    A suite that raises contributes one failed `<suite>.error` record
-    carrying the exception; the other suites still run and the report is
-    still written.
+    The report goes to out_path, else to report_<suites>.json in the
+    directory that the OUTPUT_DIR environment variable names (by default
+    the working directory).  A suite that raises contributes one failed
+    `<suite>.error` record carrying the exception; the other suites still
+    run and the report is still written.
     """
     cfg = cfg or Config()
     names = list(SUITES) if name == "all" else [name]
@@ -478,7 +457,6 @@ def run_suite(name: str, cfg: Optional[Config] = None,
             "seed": cfg.seed,
             "t0": cfg.t0,
             "k_max": cfg.k_max,
-            "magnus_degree": cfg.magnus_degree,
             "suites": names,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "python": platform.python_version(),
@@ -489,7 +467,7 @@ def run_suite(name: str, cfg: Optional[Config] = None,
         "checks": [r.to_dict() for r in records],
         "pass": all(r.passed for r in records),
     }
-    out_dir = os.environ.get("OUTPUT_DIR", cfg.output_dir)
+    out_dir = os.environ.get("OUTPUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
     path = out_path or os.path.join(out_dir, f"report_{'_'.join(names)}.json")
     with open(path, "w") as fh:

@@ -82,8 +82,8 @@ class Word:
         return Word(base.letters * abs(n))  # _reduce cancels across the joins
 
     def conjugate_by(self, c: "Word") -> "Word":
-        """c * self * c^-1."""
-        return c * self * c.inverse()
+        """c * self * c^-1, reduced once."""
+        return Word(c.letters + self.letters + c.inverse().letters)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -118,8 +118,8 @@ Z_ELT = D2 * D3
 
 
 def commutator(u: Word, v: Word) -> Word:
-    """[u, v] = u v u^-1 v^-1 (so [d2, d3] d3 reduces to d2 d3 d2^-1)."""
-    return u * v * u.inverse() * v.inverse()
+    """[u, v] = u v u^-1 v^-1 (so [d2, d3] d3 reduces to d2 d3 d2^-1), reduced once."""
+    return Word(u.letters + v.letters + u.inverse().letters + v.inverse().letters)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in it, no
 function imports again from a module the file imports at the top, every
 private top-level name of the package is read somewhere in it, only
-integrals._walk walks a cycle's blocks, and only the package root reads
-the clock."""
+integrals._walk walks a cycle's blocks, only the package root reads
+the clock, and only reporting reads the environment."""
 
 import ast
 from pathlib import Path
@@ -169,6 +169,30 @@ def test_the_scan_finds_a_clock_of_its_own():
                              "    return now() - start, time.strftime('%Y')\n"),
                "holonomy": "def g(clock=__import__('time').perf_counter):\n    return clock\n"}
     assert clock_reads(sources) == [("holonomy", 1), ("reporting", 2), ("reporting", 4)]
+
+
+def environment_reads(sources: dict):
+    """(module, line) of each use of `environ` or `getenv`, as a name, an
+    attribute or an imported name, in the modules of `sources` (module name
+    -> source) other than reporting, whose run_suite reads OUTPUT_DIR: the
+    command line's flags are the one other way in."""
+    return sorted({(module, node.lineno) for module, source in sources.items()
+                   if module != "reporting"
+                   for node in ast.walk(ast.parse(source))
+                   if {"environ", "getenv"} & {getattr(node, key, None)
+                                               for key in ("id", "attr", "name")}})
+
+
+def test_only_reporting_reads_the_environment():
+    assert environment_reads({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def test_the_scan_finds_an_environment_read_of_its_own():
+    sources = {"reporting": "import os\ndef f():\n    return os.environ.get('OUTPUT_DIR')\n",
+               "cli": ("import os\nfrom os import getenv as env, environ\n"
+                       "def f():\n    return os.getenv('T0'), env('K'), os.environ['X']\n"),
+               "holonomy": "def g(env=__import__('os').environ):\n    return env\n"}
+    assert environment_reads(sources) == [("cli", 2), ("cli", 4), ("holonomy", 1)]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")

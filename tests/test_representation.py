@@ -308,6 +308,10 @@ def test_certificates():
                                  for r in _records(verify_v_images, k)]
         assert len({r.id for r in records}) == k + 10
         assert records[-1].id == f"repr.k{k}.certificate"
+        outside = records[-2]
+        assert outside.id == f"repr.k{k}.v_{k + 2} outside K"
+        assert outside.claim == (f"commutator corners lie in kappa * aug; rho(v_{k + 2}) has "
+                                 "corner kappa * 1; kappa != 0; 1 not in aug")
 
 
 def test_certificates_reach_k_7():

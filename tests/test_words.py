@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import orbitdepth.words as words_module
 from orbitdepth.words import (
     D0, D1, D2, D3, DELTA, G, X_ELT, Z_ELT,
     Gen, Word, WordSyntaxError,
@@ -34,6 +35,27 @@ def test_group_axioms():
         assert commutator(u, u).is_identity()
     for u, v in zip(words(30), words(30, max_len=20)):
         assert len(u * v) <= len(u) + len(v)
+
+
+def test_a_commutator_and_a_conjugate_are_reduced_once(monkeypatch):
+    # _reduce sees each inverse once and then the whole product once, never
+    # a partial product again: at most 3 (|u| + |v|) letters in all
+    rng = random.Random(SEED)
+    pairs = [(random_word(rng), random_word(rng)) for _ in range(200)]
+    products = [(u * v * u.inverse() * v.inverse(), v * u * v.inverse()) for u, v in pairs]
+    reduce, seen = words_module._reduce, []
+
+    def counted(letters):
+        letters = tuple(letters)
+        seen.append(len(letters))
+        return reduce(letters)
+
+    monkeypatch.setattr(words_module, "_reduce", counted)
+    for (u, v), (comm, conj) in zip(pairs, products):
+        seen.clear()
+        assert commutator(u, v) == comm
+        assert sum(seen) <= 3 * (len(u) + len(v)), (u, v, seen)
+        assert u.conjugate_by(v) == conj
 
 
 def test_mon1_images():
