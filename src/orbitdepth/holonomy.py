@@ -109,7 +109,7 @@ from .integrals import (
     iterated_integral,
     moment_integral,
 )
-from .melnikov import Deformation, classify, m3_tilde_coefficient, Kind
+from .melnikov import Deformation, m3_tilde_coefficient, mv
 from .ratfunc import RatFunc, wronskian
 
 FIX_RTOL = 1e-15  # the level fixed point settles when J moves less than this, relative
@@ -489,9 +489,9 @@ def m2_assembly(d: Deformation, gamma: Cycle, i13: complex) -> complex:
     int log(t/(y^2-1)) dy/(y-1) and I_13 vanish on their own: see
     integrals.cauchy_suite.)
     """
-    kind = classify(d).kind
-    if kind not in (Kind.LENGTH3, Kind.INTEGRABLE_CANDIDATE, Kind.SYMMETRIC_CENTER):
-        raise ValueError(f"assembly check expects an order-2-free deformation, got {kind}")
+    m2 = mv(2, d)
+    if not m2.is_zero():
+        raise ValueError(f"assembly check expects mv(2) = 0, got {m2}")
     t0 = gamma.t
     a1, a2, a3 = d.coefficients()
     return (wronskian(a1, a2).evaluate(t0) * moment_integral(gamma, 1, 2)

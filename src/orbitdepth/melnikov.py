@@ -14,10 +14,9 @@ Melnikov term over the orbit element v_i is the nested Wronskian
 The inner Wronskians of mv(i) are those of mv(i-1) plus one more, so
 `mv_chain` walks them once and returns the whole list mv(2), ..., mv(n);
 `classify`, `make_length3` and `hierarchy_collapse_check` each take their
-terms from one such chain.  Once mv(2) = mv(3) = 0 the hierarchy collapses
-at every order: beta3 and W(beta2, beta3) are then constant multiples of
-beta1, so every inner Wronskian is too; `hierarchy_collapse_check`
-certifies this two-line lemma instead of walking mv(i) order by order.
+terms from one such chain.  By the collapse lemma (proved at
+`hierarchy_collapse_check`) mv(2) = mv(3) = 0 forces mv(i) = 0 at every
+order, so the check is the chain to mv(3) and nothing more.
 Everything here is exact rational-function arithmetic in `ratfunc`'s
 ZZ(t), whose numerators and denominators are tuples of Python ints; the
 numeric layer restores the (2 pi i)^i factors.
@@ -132,7 +131,6 @@ class Kind(Enum):
     SYMMETRIC_CENTER = "SYMMETRIC_CENTER"
     INTEGRABLE_CANDIDATE = "INTEGRABLE_CANDIDATE"
     ORDER2_NONZERO = "ORDER2_NONZERO"
-    OTHER = "OTHER"
 
 
 @dataclass(frozen=True)
@@ -147,32 +145,32 @@ def classify(d: Deformation) -> Classification:
 
     a2 = 0 or a1 - a3 = 0 -> symmetric center (mirror symmetry in y or x);
     mv(2) != 0 -> order-2 leading term; mv(3) != 0 -> length-3; otherwise
-    both ratios (a1-a3)/a2 and W(a1,a3)/a2 are constants lambda1, lambda2
-    and the deformation is an integrability candidate.
+    an integrability candidate with witnesses lambda1 = (a1-a3)/a2 and
+    lambda2 = W(a1,a3)/a2.  Both are constants by the collapse lemma (see
+    `hierarchy_collapse_check`): mv(2) = 0 gives beta3 = lambda1 beta1, and
+    W(a1, a3) = W(beta2, beta3) - mv(2) is a constant times beta1 = a2 once
+    mv(3) = 0.  So the four kinds exhaust the deformations.
     """
-    return _classify(d, mv_chain(3, d))
-
-
-def _classify(d: Deformation, chain: List[RatFunc]) -> Classification:
-    """`classify` on the chain's first two terms, mv(2) and mv(3)."""
     a1, a2, a3 = d.coefficients()
     if a2.is_zero() or (a1 - a3).is_zero():
         return Classification(Kind.SYMMETRIC_CENTER)
-    if not chain[0].is_zero():
+    m2, m3 = mv_chain(3, d)
+    if not m2.is_zero():
         return Classification(Kind.ORDER2_NONZERO)
-    if not chain[1].is_zero():
+    if not m3.is_zero():
         return Classification(Kind.LENGTH3)
-    lam1 = (a1 - a3) / a2
-    lam2 = wronskian(a1, a3) / a2
-    if lam1.is_constant() and lam2.is_constant():
-        return Classification(Kind.INTEGRABLE_CANDIDATE, lam1, lam2)
-    return Classification(Kind.OTHER)
+    return Classification(Kind.INTEGRABLE_CANDIDATE, (a1 - a3) / a2, wronskian(a1, a3) / a2)
 
 
 def center_family(A, c1, lambda1, lam) -> Deformation:
-    """The family exhausting mv(2) = mv(3) = 0: a2 = 1/A', a1 = a2 (lam A +
+    """The collapsing family mv(2) = mv(3) = 0: a2 = 1/A', a1 = a2 (lam A +
     c1), a3 = a2 (lam A + c1 - lambda1); lam = 0 gives a Hamiltonian
-    (center-preserving) deformation with Hamiltonian A(F) + eps * phi."""
+    (center-preserving) deformation with Hamiltonian A(F) + eps * phi.
+
+    The family exhausts the integrability candidates only in terms of A':
+    deformation("t", "t", "0") is one (lambda1 = 1, lambda2 = 0), but its
+    A' = 1/a2 = 1/t has no rational A (A = log t), so no rational A builds it.
+    """
     A = RatFunc(A)
     c1 = Fraction(c1)
     lambda1 = Fraction(lambda1)
@@ -187,8 +185,7 @@ def center_family(A, c1, lambda1, lam) -> Deformation:
     d = Deformation(
         a1, a2, a3, provenance=f"center({A}, {c1}, {lambda1}, {lam})"
     )
-    tag = classify(d).kind
-    assert tag in (Kind.INTEGRABLE_CANDIDATE, Kind.SYMMETRIC_CENTER), tag
+    assert hierarchy_collapse_check(d), "construction must collapse the hierarchy"
     return d
 
 
@@ -214,31 +211,21 @@ def m3_tilde_coefficient(A, lam, lambda1=1) -> RatFunc:
 
 
 def hierarchy_collapse_check(d: Deformation, i_max: int = 6) -> bool:
-    """The collapse lemma: mv(2) = mv(3) = 0 forces mv(i) = 0 for every i.
+    """Whether mv(i) = 0 for every i, decided as mv(2) = mv(3) = 0.
 
-    Write w_2 = beta3 and w_{i+1} = W(beta2, w_i), so mv(i) = W(beta1, w_i).
-    If beta3 = lambda beta1 and W(beta2, beta3) = mu beta1 with lambda, mu
-    constants, then W(beta2, beta1) = (mu/lambda) beta1 for lambda != 0, so
-    by induction every w_i is a constant times beta1 and every mv(i) =
-    W(beta1, c beta1) vanishes; beta1 = 0 or beta3 = 0 gives mv(i) = 0
-    outright.  For beta1 != 0 the two proportionalities are exactly what
-    mv(2) = mv(3) = 0 says, and both are certified here as constant
-    quotients in ZZ(t).  For integrability candidates it also checks
-    W(beta2, beta3) = (lambda2/lambda1) beta3, the constant by which each
-    extra inner Wronskian multiplies the hierarchy.  Raises ValueError when
-    mv(2) or mv(3) is nonzero.
+    The collapse lemma: mv(2) = mv(3) = 0 forces mv(i) = 0 for every i.
+    Proof.  Write w_2 = beta3 and w_{i+1} = W(beta2, w_i), so that mv(i) =
+    W(beta1, w_i).  If beta1 = 0, every mv(i) vanishes.  Otherwise, a
+    Wronskian of two rational functions vanishes exactly when they are
+    linearly dependent over the constants, so mv(2) = 0 gives beta3 =
+    lambda beta1 and mv(3) = 0 gives w_3 = mu beta1, with lambda, mu
+    constants.  If lambda = 0, then beta3 = 0 and every w_i vanishes.  If
+    not, W(beta2, beta1) = w_3 / lambda = (mu/lambda) beta1, so by induction
+    every w_i is a constant times beta1 and mv(i) = W(beta1, c beta1) = 0.
+    The converse is trivial, so one chain to mv(3) decides the collapse at
+    every order.
     """
     # i_max no longer changes the result; it stays because perfbench/workloads.py
     # passes it (6, positionally), and can go when the benchmark is next changed
-    chain = mv_chain(3, d)
-    if not (chain[0].is_zero() and chain[1].is_zero()):
-        raise ValueError("precondition mv(2) = mv(3) = 0 fails")
-    b1, b2, b3 = beta_periods(d)
-    inner = wronskian(b2, b3)
-    if not (b1.is_zero() or b3.is_zero()
-            or ((b3 / b1).is_constant() and (inner / b1).is_constant())):
-        return False
-    cls = _classify(d, chain)
-    if cls.kind is Kind.INTEGRABLE_CANDIDATE:
-        return inner == b3 * (cls.lambda2 / cls.lambda1)
-    return True
+    m2, m3 = mv_chain(3, d)
+    return m2.is_zero() and m3.is_zero()

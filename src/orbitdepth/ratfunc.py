@@ -72,19 +72,22 @@ def _primitive(a: tuple) -> tuple:
 
 
 def _prem(a: tuple, b: tuple) -> tuple:
-    """A nonzero integer multiple of the remainder of a by b, in ZZ[t].
+    """A nonzero integer multiple of the remainder of a by b, in ZZ[t], for
+    deg a >= deg b.
 
-    Each step scales by lc(b) and cancels the leading term, so no division
-    is needed: lc(b)^k a = q b + r with deg r < deg b.
+    a is scaled once by lc(b)^(deg a - deg b + 1), so that this multiple of a
+    is q b + r with q in ZZ[t] and deg r < deg b; each step then divides
+    exactly by lc(b).
     """
     r = list(a)
     db, lb = len(b) - 1, b[-1]
+    if lb != 1:  # a monic b needs no scaling
+        scale = lb ** (len(r) - db)
+        r = [scale * x for x in r]
     while len(r) > db:
-        lr, shift = r[-1], len(r) - 1 - db
-        if lb != 1:  # a monic b needs no scaling: t^6000 by (t+1)^2 stays O(6000)
-            r = [lb * x for x in r]
+        q, shift = r[-1] // lb, len(r) - 1 - db
         for j, y in enumerate(b):
-            r[shift + j] -= lr * y
+            r[shift + j] -= q * y
         r.pop()
         while r and not r[-1]:
             r.pop()

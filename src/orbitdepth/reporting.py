@@ -264,7 +264,7 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
     n = HEADROOM_DEGREE
     rep = depth_lower_bound(v_k(n - 2), n)
     rec.add_bool("orbit.depth_headroom",
-                 f"the configured truncation {n} certifies v_{n-2} exactly",
+                 f"the truncation {n} certifies v_{n-2} exactly",
                  rep.depth == n - 2, computed=rep.describe())
 
     for i in range(2, 6):
@@ -467,9 +467,11 @@ def run_suite(name: str, cfg: Optional[Config] = None,
         "checks": [r.to_dict() for r in records],
         "pass": all(r.passed for r in records),
     }
-    out_dir = os.environ.get("OUTPUT_DIR", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    path = out_path or os.path.join(out_dir, f"report_{'_'.join(names)}.json")
+    path = out_path
+    if not path:  # only a report that goes to OUTPUT_DIR creates it
+        out_dir = os.environ.get("OUTPUT_DIR", ".")
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, f"report_{'_'.join(names)}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
     return (0 if report["pass"] else 1), records, path

@@ -186,6 +186,12 @@ def test_criterion_4_antiderivatives_of_high_degree(capsys):
     sw.done("criterion 4: antiderivatives of high degree", ok)
 
 
+def test_criterion_4_rational_function_of_high_degree_over_a_non_monic_denominator():
+    sw = Stopwatch(0.3)
+    ok = parse_rational("t^8000/(2t+1)^2") == RatFunc(((0,) * 8000 + (1,), (1, 4, 4)))
+    sw.done("criterion 4: t^8000/(2t+1)^2 in lowest terms", ok)
+
+
 def test_criterion_5_pairing_table():
     sw = Stopwatch(10.0)
     ok = True

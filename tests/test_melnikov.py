@@ -195,18 +195,39 @@ def test_hierarchy_collapse():
     assert hierarchy_collapse_check(deformation("t", "1", "t-1"))
     assert hierarchy_collapse_check(deformation(1, 0, 1))
     assert hierarchy_collapse_check(center_family("t^2+t", 0, 2, 3))
-    with pytest.raises(ValueError):
-        hierarchy_collapse_check(FLAGSHIP)
+    # a nonzero mv(3) or mv(2) is a red verdict, not an error
+    assert hierarchy_collapse_check(FLAGSHIP) is False
+    assert hierarchy_collapse_check(make_length3("t^2+1", "t", 2, 1)) is False
+    assert hierarchy_collapse_check(deformation("t^2", "t^2+2t", "t")) is False
 
 
 def test_hierarchy_collapse_mutant_chain(monkeypatch):
-    # with mv(2) and mv(3) reported as zero the precondition passes, but the
-    # flagship's W(beta2, beta3) = t^2 is no constant multiple of beta1 = t
-    monkeypatch.setattr(melnikov, "mv_chain", lambda n, d: [RatFunc(0)] * (n - 1))
-    assert hierarchy_collapse_check(FLAGSHIP) is False
+    cf = center_family("t^2+t", 0, 2, 3)
+    # a chain that reports mv(3) = t turns a collapsing deformation red
+    monkeypatch.setattr(melnikov, "mv_chain", lambda n, d: [RatFunc(0), T])
+    assert hierarchy_collapse_check(cf) is False
     monkeypatch.undo()
-    with pytest.raises(ValueError):
-        hierarchy_collapse_check(FLAGSHIP)
+    assert hierarchy_collapse_check(cf)
+    # and so does a family member with a3 moved off the family
+    assert hierarchy_collapse_check(Deformation(cf.a1, cf.a2, cf.a3 + 1)) is False
+
+
+def test_kind_holds_the_four_branches():
+    # the collapse lemma leaves no fifth kind: an mv(2) = mv(3) = 0
+    # deformation that is not symmetric has constant witnesses
+    assert [k.value for k in Kind] == [
+        "LENGTH3", "SYMMETRIC_CENTER", "INTEGRABLE_CANDIDATE", "ORDER2_NONZERO"]
+
+
+def test_integrability_candidate_without_a_rational_hamiltonian():
+    # a2 = t is 1/A' for A = log t, so center_family cannot build this candidate
+    d = deformation("t", "t", "0")
+    cls = classify(d)
+    assert cls.kind is Kind.INTEGRABLE_CANDIDATE
+    assert cls.lambda1 == RatFunc(1) and cls.lambda2 == RatFunc(0)
+    assert hierarchy_collapse_check(d)
+    with pytest.raises(NonRationalAntiderivative):
+        rational_antiderivative(1 / d.a2)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +330,15 @@ def test_mv_chain_work(monkeypatch):
         calls.clear()
         mv_chain(n, FLAGSHIP)
         assert len(calls) == 2 * n - 3  # no inner Wronskian after the last mv
+    calls.clear()
     d = center_family("t^2+t", 0, 2, 3)
+    assert len(calls) == 3  # its postcondition: the chain to mv(3)
     calls.clear()
     assert hierarchy_collapse_check(d)
-    # the chain to mv(3), W(beta2, beta3) and W(a1, a3) for lambda2
-    assert len(calls) == 3 + 2
+    assert len(calls) == 3  # the chain to mv(3), and nothing more
+    calls.clear()
+    assert classify(make_length3("t", "t^2", 1, 1)).kind is Kind.LENGTH3
+    assert len(calls) == 3 + 3  # make_length3's chain to mv(3), then classify's
     with pytest.raises(ValueError):
         mv_chain(1, FLAGSHIP)
 

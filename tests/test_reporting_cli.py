@@ -514,6 +514,17 @@ def test_cli_malformed_config(tmp_path, capsys, monkeypatch):
         assert not out_dir.exists(), flags
 
 
+def test_cli_out_leaves_the_output_directory_alone(tmp_path, monkeypatch):
+    out_dir = tmp_path / "o2"
+    monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
+    report = tmp_path / "r.json"
+    assert main(["verify", "melnikov", "--out", str(report)]) == 0
+    assert report.exists() and not out_dir.exists()
+    # a CSV report still leaves its JSON report in the output directory
+    assert main(["verify", "melnikov", "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+    assert (out_dir / "report_melnikov.json").exists()
+
+
 def test_cli_reports_a_file_it_cannot_open_as_a_usage_error(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing"
     assert main(["verify", "melnikov", "--out", str(missing / "report.json")]) == 2
