@@ -290,11 +290,7 @@ def cmd_verify(args):
         raise ValueError("--format csv needs --out")
     if args.out:  # a path that cannot be written is a usage error before any suite runs
         open(args.out, "a").close()
-    try:
-        code, records, path = run_suite(args.suite, cfg, args.out if args.format == "json" else None)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    code, records, path = run_suite(args.suite, cfg, args.out if args.format == "json" else None)
     if args.format == "csv":
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)

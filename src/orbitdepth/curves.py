@@ -9,8 +9,9 @@ the previous sample's (doubling the samples until every step is
 unambiguous by BRANCH_SAFETY), and any other point of the segment takes the
 root nearer its closest sample.  What a cycle reads again (the endpoints,
 the values at collocation nodes, the distances from the poles) each segment
-computes once and keeps, for itself and its reversed copies
-(`Segment.kept`).  The pieces built here:
+computes once, in its canonical direction, and keeps for itself and its
+reversed copies, which read it converted (`Segment.kept`).  The pieces
+built here:
 
 * the real oval through p0 = (-sqrt(1-t), 0) for 0 < t < 1, split into
   eight graph arcs between axis and diagonal points, oriented
@@ -87,18 +88,8 @@ def nearest_root(a, level, near):
     return np.where(_same_side(r, near), r, -r)
 
 
-class BasePath:
-    """Parametrized path s in [0,1] in one complex coordinate plane."""
-
-    def value(self, s):
-        raise NotImplementedError
-
-    def derivative(self, s):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Line(BasePath):
+class Line:
     z0: complex
     z1: complex
 
@@ -112,7 +103,7 @@ class Line(BasePath):
 
 
 @dataclass(frozen=True)
-class Arc(BasePath):
+class Arc:
     center: complex
     radius: float
     theta0: float
@@ -127,7 +118,7 @@ class Arc(BasePath):
         return 1j * (self.theta1 - self.theta0) * self.radius * np.exp(1j * th)
 
 
-class BranchTrackingError(RuntimeError):
+class BranchTrackingError(ValueError):
     pass
 
 
@@ -138,7 +129,7 @@ class Segment:
     """One graph arc: independent coordinate follows `path`, the dependent
     one continues from `dep_seed` by nearest-root tracking."""
 
-    def __init__(self, chart: str, path: BasePath, t: complex, dep_seed: complex):
+    def __init__(self, chart: str, path: Line | Arc, t: complex, dep_seed: complex):
         if chart not in ("x", "y"):
             raise ValueError("chart must be 'x' or 'y'")
         self.chart = chart
@@ -148,7 +139,7 @@ class Segment:
         self.reversed = False
         self._samples: Optional[np.ndarray] = None
         self._sgrid: Optional[np.ndarray] = None
-        self._store: Dict[tuple, object] = {}  # shared with the reversed copies
+        self._store: Dict[object, object] = {}  # shared with the reversed copies
         self._build_samples(dep_seed)
 
     def _build_samples(self, dep_seed: complex):
@@ -227,37 +218,33 @@ class Segment:
         return self.chart_frame(*self.geometry(s))
 
     def kept(self, key, compute):
-        """compute() for the segment in this direction, evaluated once per
-        direction and key and kept in the segment's store.
+        """compute(), evaluated once per key and kept in the segment's store.
 
         A cycle passes the same segments many times (the 96 segments of v_3
         run over 14 paths), so what every pass reads again is computed once:
         the endpoints, the geometry at the collocation nodes of `integrals`
         (keyed by panel count) and the distances from the poles of its log
-        basis.  The store is shared with every reversed copy of the segment,
-        so a value computed in one direction can be kept for the other too;
-        the arrays of a kept tuple are read-only.
+        basis.  The store is shared with every reversed copy of the segment
+        and a kept value belongs to the canonical direction: compute() has
+        to give it there, and a reversed copy converts it as it reads it.
+        The arrays of a kept tuple are read-only.
         """
-        k = (self.reversed, key)
-        if k not in self._store:
+        if key not in self._store:
             value = compute()
             if isinstance(value, tuple):
                 for a in value:
                     if isinstance(a, np.ndarray):
                         a.flags.writeable = False
-            self._store[k] = value
-        return self._store[k]
+            self._store[key] = value
+        return self._store[key]
 
     def _endpoints(self):
-        """(start, end) in this direction.  One evaluation serves both
-        directions: s = 0 run backwards is s = 1 run forwards."""
-        def both():
-            a, b = (CurvePoint(complex(x), complex(y), self.t)
-                    for x, y, _, _ in (self.frame(0.0), self.frame(1.0)))
-            self.reverse().kept("ends", lambda: (b, a))
-            return a, b
-
-        return self.kept("ends", both)
+        """(start, end) in this direction, kept in the canonical one, where
+        a reversed copy evaluates s = 1 and s = 0 (its canonical 0 and 1)."""
+        a, b = self.kept("ends", lambda: tuple(
+            CurvePoint(complex(x), complex(y), self.t)
+            for x, y, _, _ in (self.frame(self._canonical_s(s)) for s in (0.0, 1.0))))
+        return (b, a) if self.reversed else (a, b)
 
     def start_point(self) -> CurvePoint:
         return self._endpoints()[0]
@@ -310,14 +297,6 @@ class Cycle:
             self.t,
             self.base_point,
             label=f"({self.label})^-1",
-        )
-
-    def __add__(self, other: "Cycle") -> "Cycle":
-        return Cycle(
-            self.segments + other.segments,
-            self.t,
-            self.base_point,
-            label=f"{self.label}*{other.label}",
         )
 
     def simplified(self) -> "Cycle":

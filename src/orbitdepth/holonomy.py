@@ -91,6 +91,7 @@ check records that compare them with their tolerances are built in
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -118,18 +119,18 @@ FIX_MAX_ITERATIONS = 60
 # tolerance of its panels
 SEGMENT_ATOL = 1e-13
 
-# Coefficients of order mu equal (-1)^mu times the nested-Wronskian
-# and double-integral predictions: the transport here expands the return map
-# of dF + eps omega = 0 in eps, and along its leaves dF = -eps omega, so the
-# order-1 displacement is -eps int omega while the classical normalization
-# counts +int omega; the two expansions differ by eps -> -eps.  Calibrated
-# once (order 2 over [d2, z] fixes the even sign, order 3 over v_3 and the
-# center family the odd one) and consistent across every cross-check.
+# Coefficients of order mu equal (-1)^mu times the nested-Wronskian and
+# double-integral predictions.  The transport here expands the return map of
+# dF + eps omega = 0 in eps, and along its leaves dF = -eps omega, so the
+# order-1 displacement is -eps int omega where the classical normalization
+# counts +eps int omega: the two expansions differ by eps -> -eps.  The
+# coefficient of order mu is that of eps^mu, so it carries (-1)^mu, the
+# mu-th power of the order-1 sign.
 def resolved_sign(order: int) -> int:
     return -1 if order % 2 else 1
 
 
-class TransportError(RuntimeError):
+class TransportError(ValueError):
     pass
 
 
@@ -177,10 +178,11 @@ def _offset_ramp(npans: List[int]):
     return ramp, np.arange(ramp.shape[0])[:, None] < npans[0]
 
 
-def _block_transport(block: List[Segment], field: LeafField, state):
-    """The sweep of every leaf over a block of same-chart segments, their
-    panels side by side, from the state (x, y, int omega) at the block's
-    start to the state at its end, one entry per leaf.
+def _block_transport(field: LeafField, block: List[Segment], state, rounds: List[int]):
+    """The sweep of every leaf over a block of same-chart segments, each at
+    its own rounds, their panels side by side, from the state
+    (x, y, int omega) at the block's start to the state at its end, one
+    entry per leaf, and each segment's worst tail.
 
     A leaf starts at (x, y) on the level F = F(x, y), offset from the first
     segment's base path in the independent coordinate, which the first
@@ -195,36 +197,31 @@ def _block_transport(block: List[Segment], field: LeafField, state):
     offset = (w0 - block[0].independent(0.0))[:, None, None]
     level = curve_f(x, y)[:, None, None]
     w1 = np.full(w0.shape, block[-1].independent(1.0), complex)
-
-    def sweep(rounds):
-        npans, h, (base_w, base_dw, base_u) = _block_panels(block, rounds)
-        w, dw = base_w, base_dw
-        if offset.any():
-            ramp, first = _offset_ramp(npans)
-            w, dw = base_w + offset * ramp, base_dw - offset * first
-        a = w * w - 1.0
-        u = np.broadcast_to(base_u, w.shape)
-        j = np.zeros((w0.size, h.size, _NODES.size), complex)
-        for _ in range(FIX_MAX_ITERATIONS):
-            u = nearest_root(a, level - field.eps * j, u)
-            slope, form = field.slope_and_form(*((w, u) if chart == "x" else (u, w)), chart)
-            g = form * dw
-            j, prev = _cumulative(g, h), j
-            change = np.abs(j - prev).max(axis=2)
-            if np.all(change <= FIX_RTOL * np.abs(j).max()):
-                slope = slope * dw
-                tail = np.maximum(_tail(g), _tail(slope))
-                dep1 = u0 + _integral(slope, h)
-                x1, y1 = (w1, dep1) if chart == "x" else (dep1, w1)
-                return (x1, y1, jtot + j[:, -1, -1]), _segment_tails(tail, npans)
-        i, p = np.unravel_index(np.argmax(change), change.shape)
-        seg = block[int(np.searchsorted(np.cumsum(npans), p, side="right"))]
-        eps = field.eps.ravel()[i]
-        raise TransportError(
-            f"level fixed point on {seg!r} did not settle in {FIX_MAX_ITERATIONS} iterations "
-            f"at eps = {eps.real if eps.imag == 0 else eps} (last change {change[i, p]:.3g})")
-
-    return sweep
+    npans, h, (w, dw, base_u) = _block_panels(block, rounds)
+    if offset.any():
+        ramp, first = _offset_ramp(npans)
+        w, dw = w + offset * ramp, dw - offset * first
+    a = w * w - 1.0
+    u = np.broadcast_to(base_u, w.shape)
+    j = np.zeros((w0.size, h.size, _NODES.size), complex)
+    for _ in range(FIX_MAX_ITERATIONS):
+        u = nearest_root(a, level - field.eps * j, u)
+        slope, form = field.slope_and_form(*((w, u) if chart == "x" else (u, w)), chart)
+        g = form * dw
+        j, prev = _cumulative(g, h), j
+        change = np.abs(j - prev).max(axis=2)
+        if np.all(change <= FIX_RTOL * np.abs(j).max()):
+            slope = slope * dw
+            tail = np.maximum(_tail(g), _tail(slope))
+            dep1 = u0 + _integral(slope, h)
+            x1, y1 = (w1, dep1) if chart == "x" else (dep1, w1)
+            return (x1, y1, jtot + j[:, -1, -1]), _segment_tails(tail, npans)
+    i, p = np.unravel_index(np.argmax(change), change.shape)
+    seg = block[int(np.searchsorted(np.cumsum(npans), p, side="right"))]
+    eps = field.eps.ravel()[i]
+    raise TransportError(
+        f"level fixed point on {seg!r} did not settle in {FIX_MAX_ITERATIONS} iterations "
+        f"at eps = {eps.real if eps.imag == 0 else eps} (last change {change[i, p]:.3g})")
 
 
 def _like(eps, values):
@@ -248,8 +245,7 @@ def transport(cycle: Cycle, d: Deformation, eps):
     field = LeafField(d, grid[:, None, None])
     start = cycle.segments[0].start_point()
     state = (np.full(n, start.x, complex), np.full(n, start.y, complex), np.zeros(n, complex))
-    state = _walk(cycle, lambda block, state: _block_transport(block, field, state),
-                  "leaf transport", SEGMENT_ATOL, state)
+    state = _walk(cycle, partial(_block_transport, field), "leaf transport", SEGMENT_ATOL, state)
     return tuple(_like(eps, v) for v in state)
 
 
@@ -413,20 +409,17 @@ def _cycle_jet(cycle: Cycle, taylor: np.ndarray) -> np.ndarray:
     At a chart switch the leaf's dependent jet becomes the offset of the
     new independent coordinate, and the new dependent coordinate (the old
     independent one) starts on the base curve."""
-    def block_sweep(block, state):
+    def sweep(block, state, rounds):
         chart, dep, jtot = state
         offset = np.zeros_like(dep)
         if block[0].chart != chart:
             offset, dep = dep, np.zeros_like(dep)
-
-        def sweep(rounds):
-            (end, dj), tails = _block_jet(block, rounds, taylor, offset, dep)
-            return (block[0].chart, end, jtot + dj), tails
-        return sweep
+        (end, dj), tails = _block_jet(block, rounds, taylor, offset, dep)
+        return (block[0].chart, end, jtot + dj), tails
 
     zero = np.zeros(taylor.shape[1], complex)
     start = (cycle.segments[0].chart, zero, zero)
-    return -_walk(cycle, block_sweep, "Melnikov jet", JET_TOL, start)[2]
+    return -_walk(cycle, sweep, "Melnikov jet", JET_TOL, start)[2]
 
 
 def jet_along(cycle: Cycle, d: Deformation) -> Tuple[complex, complex, complex]:

@@ -18,11 +18,12 @@ iterated integral in the same sweep; leaf transport and the eps-jets of
 function, `_walk`: it cuts the cycle into blocks (`_blocks`), runs of
 consecutive segments in one chart, at most _BLOCK_PANELS panels at the
 base counts, and threads the layer's state through them, from the cycle's
-start to its end.  A layer is a start state and a block sweep, which takes
-a block's panels side by side in one array (`_block_panels`) from the
-state at the block's start to the state at its end: the iterated
-integrals carry their prefixes, transport the leaves' endpoints and
-int omega, the jets the chart, the dependent jet and the jet of int omega.
+start to its end.  A layer is a start state and one block sweep, a plain
+function sweep(block, state, rounds) that takes a block's panels side by
+side in one array (`_block_panels`) from the state at the block's start
+to the state at its end: the iterated integrals carry their prefixes,
+transport the leaves' endpoints and int omega, the jets the chart, the
+dependent jet and the jet of int omega.
 The running integrals carry across the junctions of a block as across the
 panels of one segment.  `_settle` holds the one refinement rule of every
 layer: a segment is accepted when every integrand on every one of its
@@ -44,10 +45,11 @@ around x = +-1 at t = 0.36, and the branch points x = +-sqrt(1 - t) = +-0.8
 lie 0.1 from them; at degree 32 a quarter of the segments of the v_3 cycle
 need a doubling (14 of them a second one at the 1e-13 of leaf transport)
 and the oval none.  A cycle passes the same paths many times, so each
-segment keeps what every pass reads again (`Segment.kept`): its geometry at
-the nodes of each panel count, computed in its canonical direction and read
-flipped by its reversed copies (`_node_geometry`), and its distances from
-the four poles of the log basis (`_pole_distances`).
+segment keeps what every pass reads again (`Segment.kept`), one entry per
+value for both directions: its geometry at the nodes of each panel count,
+computed in its canonical direction and read flipped by its reversed
+copies (`_node_geometry`), and its distances from the four poles of the
+log basis, which do not depend on the direction (`_pole_distances`).
 """
 
 from __future__ import annotations
@@ -104,11 +106,11 @@ _QMAT = _chebyshev_cumulative()
 _TAIL = _INV_V[-4:].T
 
 
-class PoleOnPathError(RuntimeError):
+class PoleOnPathError(ValueError):
     pass
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ValueError):
     pass
 
 
@@ -268,15 +270,16 @@ def _blocks(cycle: Cycle) -> List[List[Segment]]:
     return blocks
 
 
-def _walk(cycle: Cycle, block_sweep, what: str, tol: float, state):
+def _walk(cycle: Cycle, sweep, what: str, tol: float, state):
     """The state at the cycle's end, carried block by block (`_blocks`) from
-    `state` at its start: block_sweep(block, state) is the block's sweep,
-    rounds per segment -> (the state at the block's end, each segment's
-    worst tail), and `_settle` runs it until every tail is at most tol.
-    This is the one walk over a cycle's segments of every panel layer."""
+    `state` at its start: sweep(block, state, rounds per segment) is
+    (the state at the block's end, each segment's worst tail), and
+    `_settle` runs it with the block and its incoming state bound until
+    every tail is at most tol.  This is the one walk over a cycle's
+    segments of every panel layer."""
     settled: Dict[Tuple[int, bool], int] = {}
     for block in _blocks(cycle):
-        state = _settle(block, block_sweep(block, state), what, tol, settled)
+        state = _settle(block, partial(sweep, block, state), what, tol, settled)
     return state
 
 
@@ -291,14 +294,16 @@ def _node_geometry(seg: Segment, npan: int):
     kept (`Segment.kept`).  It is computed once per segment, in its
     canonical direction: the nodes are symmetric, s -> 1 - s maps panel k,
     node j onto panel npan-1-k, node n-j, so a reversed copy reads it
-    flipped on both axes, with dw/ds negated."""
-    def compute():
-        if not seg.reversed:
-            return seg.geometry(_panel_nodes(npan))
-        w, dw, u = _node_geometry(seg.reverse(), npan)
-        return w[::-1, ::-1], -dw[::-1, ::-1], u[::-1, ::-1]
-
-    return seg.kept(npan, compute)
+    flipped on both axes, with dw/ds negated (w and u as read-only views,
+    dw/ds as a fresh array, made read-only too)."""
+    kept = seg.kept(npan, lambda: (seg.reverse() if seg.reversed else seg)
+                    .geometry(_panel_nodes(npan)))
+    if not seg.reversed:
+        return kept
+    w, dw, u = kept
+    dw = -dw[::-1, ::-1]
+    dw.flags.writeable = False
+    return w[::-1, ::-1], dw, u[::-1, ::-1]
 
 
 def _block_panels(block: Sequence[Segment], rounds: Sequence[int]):
@@ -342,13 +347,12 @@ _CLEARANCE_S = np.linspace(0.0, 1.0, 129)
 
 def _pole_distances(seg: Segment) -> Tuple[float, float, float, float]:
     """min |f_i| over the segment, i = 1..4 (the poles of eta_1..eta_4),
-    judged on _CLEARANCE_S; computed once for both directions."""
+    judged on _CLEARANCE_S, which s -> 1 - s maps onto itself: the same in
+    both directions, so computed once for both."""
     def compute():
         w, u = seg.independent(_CLEARANCE_S), seg.dependent(_CLEARANCE_S)
         x, y = (w, u) if seg.chart == "x" else (u, w)
-        distances = tuple(float(np.min(np.abs(log_basis(i, x, y)))) for i in (1, 2, 3, 4))
-        seg.reverse().kept("clearance", lambda: distances)
-        return distances
+        return tuple(float(np.min(np.abs(log_basis(i, x, y)))) for i in (1, 2, 3, 4))
 
     return seg.kept("clearance", compute)
 
@@ -386,7 +390,8 @@ def iterated_integral(cycle: Cycle, forms: Sequence[Form],
     inits = list(inits)
     inits[-1] = 0.0
     _check_clearance(cycle, forms)
-    prefixes = _walk(cycle, lambda block, prefixes: partial(_block_sweep, block, forms, prefixes),
+    prefixes = _walk(cycle, lambda block, prefixes, rounds:
+                     _block_sweep(block, forms, prefixes, rounds),
                      "iterated integral", tol, [complex(v) for v in inits])
     return prefixes[-1]
 

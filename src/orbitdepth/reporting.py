@@ -70,6 +70,7 @@ from .melnikov import (
     deformation,
     hierarchy_collapse_check,
     make_length3,
+    mv,
     mv_chain,
     beta_periods,
 )
@@ -378,7 +379,7 @@ def numeric_suite(cfg: Config) -> List[CheckRecord]:
 
     # v3 cross-check
     jet3 = jet_along(fac.cycle_of_word(v_k(3)), FLAGSHIP)
-    expected3 = resolved_sign(3) * (2j * np.pi) ** 3 * t0 ** 2
+    expected3 = resolved_sign(3) * (2j * np.pi) ** 3 * mv(3, FLAGSHIP).evaluate(t0)
     err3 = abs(jet3[2] - expected3) / abs(expected3)
     rec.add("num.v3_crosscheck",
             "order-3 coefficient over v3 equals the sign-calibrated (2 pi i)^3 t0^2",

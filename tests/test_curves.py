@@ -8,6 +8,7 @@ from orbitdepth.curves import (
     BRANCH_SAFETY,
     Arc,
     BranchTrackingError,
+    Cycle,
     CycleFactory,
     Line,
     Segment,
@@ -109,7 +110,8 @@ def test_based_loops_share_tails():
         assert abs(p.x - fac.p0.x) < 1e-13 and abs(p.y) < 1e-13
     # adjacent inverse letters cancel tails: d2 d2 keeps one tail pair
     c1 = fac.cycle_of_word(D2 * D2)
-    c2 = fac.cycle_of_word(D2) + fac.cycle_of_word(D2)
+    d2 = fac.cycle_of_word(D2)
+    c2 = Cycle(d2.segments + d2.segments, T0, fac.p0)
     assert len(c1.segments) < len(c2.segments)
 
 
@@ -264,6 +266,7 @@ def test_endpoints_and_node_geometry_are_computed_once_per_segment(monkeypatch):
     assert len(calls) == 2
     assert (rev.start_point(), rev.end_point()) == (end, start)
     assert seg.start_point() is start and rev.reverse().end_point() is end
+    assert rev.start_point() is end and rev.end_point() is start
     assert len(calls) == 2
     # the collocation nodes: once per panel count, in the canonical
     # direction; the reversed copy reads them flipped, with no root of its own
@@ -272,31 +275,39 @@ def test_endpoints_and_node_geometry_are_computed_once_per_segment(monkeypatch):
     assert len(calls) == 3
     assert _node_geometry(seg, 6) is kept and _node_geometry(rev.reverse(), 6) is kept
     back = _node_geometry(rev, 6)
-    assert _node_geometry(seg.reverse(), 6) is back
+    again = _node_geometry(seg.reverse(), 6)
+    for i in (0, 2):  # w and u are views of the kept arrays; dw/ds is negated afresh
+        assert np.shares_memory(back[i], kept[i]) and np.shares_memory(again[i], kept[i])
     assert len(calls) == 3
     # asked for in the reversed direction first, the count still costs one root
     back12 = _node_geometry(rev, 12)
     assert len(calls) == 4
     kept12 = _node_geometry(seg, 12)
     assert len(calls) == 4
+    for i in (0, 2):
+        assert np.shares_memory(back12[i], kept12[i])
     for value, fresh in zip(kept + kept12, seg.geometry(s) + seg.geometry(_panel_nodes(12))):
         assert np.array_equal(value, fresh)
     for value, fresh in zip(back + back12, rev.geometry(s) + rev.geometry(_panel_nodes(12))):
         assert np.all(np.abs(value - fresh) <= 1e-15 * np.abs(fresh))
     for value in back + back12:
         assert not value.flags.writeable
+    # one store entry per value, whichever direction read it
+    assert set(seg._store) == {6, 12, "ends"}
 
 
 def test_kept_values_are_shared_with_reversed_copies_and_read_only():
     seg = CycleFactory(T0).based_loop(2).segments[1]
     rev = seg.reverse()
     assert rev._store is seg._store
-    for value in _node_geometry(seg, 6) + _node_geometry(rev, 6):
+    for value in (_node_geometry(seg, 6) + _node_geometry(rev, 6)
+                  + _node_geometry(rev, 12) + _node_geometry(seg, 12)):
         assert not value.flags.writeable
         with pytest.raises(ValueError):
             value[0, 0] = 0.0
     with pytest.raises(AttributeError):  # a CurvePoint is frozen
         rev.start_point().x = 0.0
+    assert set(seg._store) == {6, 12, "ends"}
 
 
 def test_a_word_cycle_rebuilt_from_held_loops_finds_no_roots(monkeypatch):

@@ -1,10 +1,12 @@
 """Source hygiene: every name a module imports is used in it, no
 function imports again from a module the file imports at the top, every
-private top-level name of the package is read somewhere in it, only
-integrals._walk walks a cycle's blocks, only the package root reads
-the clock, and only reporting reads the environment."""
+private top-level name of the package is read somewhere in it, every
+public one and every public method somewhere in the package, its tests,
+demos or benchmark, only integrals._walk walks a cycle's blocks, only the
+package root reads the clock, and only reporting reads the environment."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,59 @@ def unread_private_names(sources: dict):
                   for name in _defined(node)
                   if name.startswith("_") and not name.startswith("__")
                   and not any(name in r for k, r in enumerate(reads) if k != i))
+
+
+def _public_definitions(tree):
+    """Each public top-level function or class of a module, and each public
+    method of its top-level classes (one without a leading underscore, so
+    no dunder either)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (item for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_"))
+
+
+def _reads(node):
+    """How often a node reads each name: as a name, as an attribute or as a
+    name imported from a module."""
+    return Counter([n.id for n in ast.walk(node) if isinstance(n, ast.Name)]
+                   + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+                   + [a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
+                      for a in n.names])
+
+
+def unread_public_names(package: dict, readers: dict):
+    """(module, line, name) of each public function, class or method
+    (`_public_definitions`) of the modules in `package`, a dict of module
+    name -> source, that nothing in them or in `readers` (the same kind of
+    dict) reads apart from its own definition."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    reads += sum((_reads(ast.parse(source)) for source in readers.values()), Counter())
+    return sorted((module, node.lineno, node.name) for module, tree in trees.items()
+                  for node in _public_definitions(tree)
+                  if reads[node.name] == _reads(node)[node.name])
+
+
+def test_every_public_name_of_the_package_is_read():
+    readers = {str(path.relative_to(ROOT)): path.read_text()
+               for folder in ("tests", "demos", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert unread_public_names({path.stem: path.read_text() for path in PACKAGE}, readers) == []
+
+
+def test_the_scan_finds_a_public_name_nothing_reads():
+    package = {"a": ("from b import used\nclass Kept:\n    def method(self):\n"
+                     "        return self.method()\n    def read(self):\n        return 1\n"
+                     "    def __repr__(self):\n        return ''\n"
+                     "def unread(n):\n    return unread(n - 1)\ndef _private():\n    pass\n"),
+               "b": "def used():\n    return 1\ndef by_a_test():\n    return 2\n"}
+    readers = {"tests/test_a": "import a\nimport b\na.Kept().read(), b.by_a_test()\n"}
+    assert unread_public_names(package, readers) == [("a", 3, "method"), ("a", 9, "unread")]
 
 
 def test_every_private_name_of_the_package_is_read():

@@ -14,7 +14,7 @@ import pytest
 
 import orbitdepth
 from orbitdepth.cli import main
-from orbitdepth import cli, curves, integrals, reporting
+from orbitdepth import cli, curves, integrals, melnikov, reporting
 from orbitdepth.reporting import Config, numeric_suite, repr_suite, run_suite
 from orbitdepth.representation import Representation, depth_certificate
 from orbitdepth import words
@@ -333,6 +333,24 @@ def test_cli_num_refuses_a_pole_at_the_level_and_a_remainder_at_roundoff(capsys)
     assert captured.out == "" and captured.err.startswith("error: the remainder past the jet")
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_cli_num_reports_a_failing_numeric_layer_as_a_usage_error(capsys):
+    # a leaf at eps = nan never settles (TransportError), the oval at
+    # t = 0.001 passes 0.016 from the pole x = 1 (PoleOnPathError), and at
+    # t = 5 no root is tracked along the tail of d0 (BranchTrackingError)
+    deformation = ["--a1", "t^2+2t", "--a2", "t", "--a3", "t^2+t"]
+    for argv, message in (
+            (["num", "holonomy", "--word", "g", "--t", "0.36", "--eps", "nan"] + deformation,
+             "error: level fixed point on "),
+            (["num", "iterated", "--word", "g", "--forms", "eta3", "--t", "0.001"],
+             "error: pole within "),
+            (["num", "iterated", "--word", "d0", "--forms", "eta1", "--t", "5"],
+             "error: branch tracking failed ")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message), captured.err
+
+
 def test_cli_verify_and_report(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
     assert main(["verify", "melnikov"]) == 0
@@ -474,6 +492,15 @@ def test_determinant_record_fails_on_its_own(monkeypatch):
     records = {r.id: r for r in numeric_suite(Config())}
     assert not records["num.determinant"].passed
     assert records["num.v2_double_integral"].passed
+
+
+def test_v3_crosscheck_takes_its_prediction_from_the_wronskian_layer(monkeypatch):
+    # a chain whose mv(3) is doubled turns the one record that ties the jets
+    # to mv red, and only that record
+    chain = melnikov.mv_chain
+    monkeypatch.setattr(melnikov, "mv_chain",
+                        lambda n, d: [2 * m if i == 1 else m for i, m in enumerate(chain(n, d))])
+    assert [r.id for r in numeric_suite(Config()) if not r.passed] == ["num.v3_crosscheck"]
 
 
 def test_run_suite_turns_a_raise_into_a_failed_record(tmp_path, monkeypatch):
