@@ -14,12 +14,15 @@ The check subcommands (`repr check-v`, `repr certificate`, `num pairing`,
 that `verify` writes to the report for the same inputs, and exit 0 exactly
 when all of them pass: each calls the builder its suite calls
 (`representation.verify_v_images` and `depth_certificate`, `reporting`'s
-`pairing_check`, `cauchy_checks` and `center_check`) on a fresh Recorder.  The other subcommands print their values as JSON;
-`num jet` prints c1..c3 of the return map and the witness orders of the
-transported remainder past them.  `verify` takes its two inputs from
-`--t0` (the level of the numeric suite) and `--k-max` (the last level of
-the separation certificates), and writes its JSON report to `--out`, or
-else to report_<suites>.json in the directory that the OUTPUT_DIR
+`pairing_check`, `cauchy_checks` and `center_check`) on a fresh Recorder,
+so `repr check-v --k K` prints the level-K table of v-images, i = 2..K+4.
+The other subcommands print their values as JSON; `num jet` prints c1..c3
+of the return map and the witness orders of the transported remainder past
+them, and `orbit var` stops at the first iterate longer than the word
+parser's cap.  `verify` takes its two inputs from `--t0` (the level of
+the numeric suite) and `--k-max` (the last level of the separation
+certificates), and writes its JSON report to `--out`, or else to
+report_<suites>.json in the directory that the OUTPUT_DIR
 environment variable names (default: the working directory).  With
 `--format csv` it writes one CSV row per record to `--out`, and the JSON
 report to that directory.  A bad value, or a file that cannot be opened,
@@ -36,6 +39,7 @@ import sys
 from fractions import Fraction
 
 from .words import (
+    _MAX_WORD_LETTERS,
     format_rho_word,
     format_word,
     mon0,
@@ -100,8 +104,11 @@ def cmd_orbit_var(args):
     if args.times < 0:
         raise ValueError("iterate count must be >= 0")
     w = parse_word(args.word)
-    for _ in range(args.times):
+    for step in range(1, args.times + 1):
         w = var(w)
+        if len(w) > _MAX_WORD_LETTERS:
+            raise ValueError(f"var^{step} of the word has {len(w)} letters, "
+                             f"more than the {_MAX_WORD_LETTERS} a word may have")
     _emit({"word": args.word, "times": args.times, "result": format_word(w),
            "rho_form": format_rho_word(rewrite_to_rho_alphabet(w))})
 
@@ -141,7 +148,7 @@ def cmd_repr_matrices(args):
 
 
 def cmd_repr_check_v(args):
-    return _print_checks(verify_v_images, args.k, args.imax)
+    return _print_checks(verify_v_images, args.k)
 
 
 def cmd_repr_comm_scalar(args):
@@ -337,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_repr_matrices)
     q = rsub.add_parser("check-v", help="verify the v-image table at level k")
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--imax", type=int)
     q.set_defaults(func=cmd_repr_check_v)
     q = rsub.add_parser("comm-scalar", help="corner scalar of a commutator")
     q.add_argument("--k", type=int, required=True)

@@ -354,13 +354,16 @@ def loop_radius(t: complex) -> float:
 
 
 def _check_saddle_level(t: complex) -> None:
-    """ValueError at a level that is not finite, and at t = 0, where the
-    loops of radius sqrt|t|/2 are points."""
+    """ValueError at a level that is not finite, at t = 0, where the loops
+    of radius sqrt|t|/2 are points, and at |t| > 0.5: the loop must enclose
+    the branch point sqrt(1-t), and near t = 0.64 it stops doing so."""
     if not cmath.isfinite(t):
         raise ValueError(f"the level t = {t} is not finite")
     if t == 0:
         raise ValueError("at t = 0 the saddle loops shrink to the punctures; "
                          "choose a level t != 0")
+    if abs(t) > 0.5:
+        raise ValueError("|t| too large for the saddle chart (limit 0.5)")
 
 
 def saddle_orientation(i: int) -> int:
@@ -390,8 +393,6 @@ def vanishing_loop(i: int, t: complex) -> Cycle:
     if i not in SADDLES:
         raise ValueError("loop index must be 0..3")
     _check_saddle_level(t)
-    if abs(t) > 0.5:
-        raise ValueError("|t| too large for the saddle chart (limit 0.5)")
     sx, sy = SADDLES[i]
     xb = sx + 1j * loop_radius(t)
     seg = _saddle_circle(i, t, complex(nearest_root(xb * xb - 1.0, t, sy)))

@@ -234,8 +234,13 @@ def transport(cycle: Cycle, d: Deformation, eps):
     the cycle's base chain, one leaf per entry of eps (scalars for a scalar
     eps).  Every block carries the whole grid as one array
     (`_block_transport`, over integrals._walk).  ValueError before any
-    sweep where a coefficient of d is not finite at cycle.t."""
+    sweep where an entry of eps, or a coefficient of d at cycle.t, is not
+    finite."""
     grid = np.atleast_1d(np.asarray(eps, dtype=complex))
+    bad = grid[~np.isfinite(grid)]
+    if bad.size:
+        e = bad[0]
+        raise ValueError(f"eps = {e.real if e.imag == 0 else e} is not finite")
     n = grid.size
     if not cycle.segments:
         p = cycle.base_point

@@ -23,19 +23,20 @@ triangular with monomial diagonal, so its exact inverse is a short product
 of powers of a nilpotent matrix.
 
 The certificate content: rho_k(v_i) = I for i != k+2, and rho_k(v_{k+2})
-is I plus the single corner entry kappa = (1/c-1)(1-a) at (0, k).  By the
-corner lemma (see `depth_certificate`) the commutator of any rho_k(s) with
-that image is I plus a corner kappa (a^m c^-n - 1), so all of rho_k(K) has
+is N = I + kappa E_{0,k}, kappa = (1/c-1)(1-a).  The corner lemma: if
+column 0 of an invertible S is a^m e_0 and row k is c^n e_k^T, then
+S E_{0,k} S^-1 = (S e_0)(e_k^T S^-1) = a^m c^-n E_{0,k}, and since
+E_{0,k}^2 = 0, [S, N] = I + kappa (a^m c^-n - 1) E_{0,k}.  Every rho_k(s)
+has that shape with (m, n) the exponent sums of s, so all of rho_k(K) has
 corners in kappa times the ideal of Laurent polynomials vanishing at
 (a, c) = (1, 1), and rho_k(v_{k+2}), whose corner is kappa * 1, lies
-outside it.  `verify_v_images` and `depth_certificate` add that content to
-the caller's `Recorder`, one `CheckRecord` per item, each with its final
-repr.k<k>.* id.
+outside it (see `depth_certificate`).  `verify_v_images` and
+`depth_certificate` add that content to the caller's `Recorder`, one
+`CheckRecord` per item, each with its final repr.k<k>.* id.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import List, Optional, Tuple
 
 from . import Recorder
@@ -262,14 +263,6 @@ class Representation:
             out = out * (self.images[RhoGen(g)] if e == 1 else self.inverses[RhoGen(g)])
         return out
 
-    def v_image(self, i: int) -> RepMatrix:
-        """rho_k(v_i) through the nested matrix commutators (fast path)."""
-        if i < 1:
-            raise ValueError("i must be >= 1")
-        if i == 1:
-            return RepMatrix.identity(self.n)
-        return next(islice(_v_chain(self), i - 2, None))
-
 
 def _v_chain(rep: Representation):
     """rho(v_2), rho(v_3), ...: d = C, d = [B, d], rho(v_i) = [A, d].
@@ -282,10 +275,6 @@ def _v_chain(rep: Representation):
         yield commutator_matrix(rep.A, d, a_inv, d_inv)
         d, d_inv = (commutator_matrix(rep.B, d, b_inv, d_inv),
                     commutator_matrix(d, rep.B, d_inv, b_inv))
-
-
-def rho(k: int, w: Word) -> RepMatrix:
-    return Representation(k)(w)
 
 
 def expected_corner_scalar() -> RepMatrix:
@@ -325,26 +314,21 @@ def _mismatch(image: Optional[RepMatrix], expected: RepMatrix, error: str) -> st
     return error or f"mismatch entries: {(image - expected).nonzero()[:4]}"
 
 
-def verify_v_images(rec: Recorder, k: int, i_max: int | None = None,
+def verify_v_images(rec: Recorder, k: int,
                     rep: Representation | None = None) -> Tuple[Optional[RepMatrix], str]:
     """Check rho_k(v_i) = I for i != k+2 and the corner form at i = k+2.
 
-    By convention v_1 = D maps to the identity; i runs over 2..i_max with
-    i_max defaulting to k+4.  Adds one record per row to rec, its id
-    repr.k<k>.<the row's name> and its claim what the row found.  Returns
-    rho_k(v_{k+2}) from the chain and "", or None and the error that
-    stopped the chain before it.
+    By convention v_1 = D maps to the identity; i runs over 2..k+4.  Adds
+    one record per row to rec, its id repr.k<k>.<the row's name> and its
+    claim what the row found.  Returns rho_k(v_{k+2}) from the chain and "",
+    or None and the error that stopped the chain before it.
     """
-    if i_max is None:
-        i_max = k + 4
-    if i_max < k + 2:
-        raise ValueError("i_max must reach k+2")
     rep = rep or Representation(k)
     ident = RepMatrix.identity(rep.n)
     corner = ident + expected_v_corner_matrix(k)
     chain = _v_chain(rep)  # walked once for every i
     error = ""  # once a step fails, every later row is red with its error
-    for i in range(2, i_max + 1):
+    for i in range(2, k + 5):
         img = None
         if not error:
             img, error = _attempt(lambda: next(chain))
@@ -396,23 +380,15 @@ def commutator_scalar(k: int, s: Word, rep: Representation | None = None):
     return m, n, corner
 
 
-def _is_power(p: RepMatrix, axis: int) -> bool:
-    """Whether the scalar p is a^m (axis 0) or c^n (axis 1) for some exponent."""
-    if len(p.entries) != 1:
-        return False
-    (mn, coeff), = p.entries.items()
-    return coeff[0, 0] == 1 and mn[1 - axis] == 0
-
-
-def _has_lemma_shape(s: RepMatrix) -> bool:
-    """Upper triangular with diagonal (a^m, 1, ..., 1, c^n)."""
-    d = s.diagonal()
-    return (
-        s.is_upper_triangular()
-        and _is_power(d[0], 0)
-        and _is_power(d[-1], 1)
-        and all(x == 1 for x in d[1:-1])
-    )
+def _corner_exponent(s: RepMatrix, axis: int) -> Optional[int]:
+    """m when the corner entry (0, 0) of s is a^m (axis 0), n when the
+    corner (k, k) is c^n (axis 1), else None."""
+    i = axis * (s.n - 1)
+    p = s.entry(i, i).entries
+    if len(p) != 1:
+        return None
+    (mn, coeff), = p.items()
+    return mn[axis] if coeff[0, 0] == 1 and mn[1 - axis] == 0 else None
 
 
 def depth_certificate(rec: Recorder, k: int, rep: Representation | None = None) -> None:
@@ -420,54 +396,51 @@ def depth_certificate(rec: Recorder, k: int, rep: Representation | None = None) 
 
     The v-image table shows that rho_k kills every v_i except v_{k+2}, which
     goes to N = I + kappa E_1n with kappa = expected_corner_scalar().  The
-    corner lemma: if S is upper triangular with diagonal (a^m, 1, ..., 1,
-    c^n), then S E_1n S^-1 = a^m c^-n E_1n, so [S, N] = I + kappa (a^m c^-n
-    - 1) E_1n.  Such S form a group on which (m, n) is additive, so once the
-    generator images have this shape (item 1) and obey the lemma with (m, n)
-    their exponent sums (item 2), rho_k(K) lies in the abelian group
-    I + kappa aug E_1n, where aug is the kernel of evaluation at
-    (a, c) = (1, 1); conjugation keeps it there.  rho_k(v_{k+2}) has corner
-    kappa * 1 with kappa != 0 and 1 not in aug, so v_{k+2} is not in K
-    (item 3).  Adds to rec the v-image table's records, then items 1-3, all
-    repr.k<k>.*, then the verdict repr.k<k>.certificate, whose params name
-    the ids of those items and of the ones that failed, and the sum of their
-    runtimes.  A failing level gives red records, never an exception.
+    corner lemma: if column 1 of an invertible S is a^m e_1 and its last row
+    is c^n e_n^T, then S e_1 = a^m e_1 and e_n^T S^-1 = c^-n e_n^T, so
+    S E_1n S^-1 = (S e_1)(e_n^T S^-1) = a^m c^-n E_1n, and as E_1n^2 = 0,
+    [S, N] = I + kappa (a^m c^-n - 1) E_1n.  Upper-triangular S with
+    diagonal (a^m, 1, ..., 1, c^n) have that column and row and form a
+    group on which (m, n) is additive.  So once the generator images have
+    this shape (item 1) and (m, n) are their exponent sums (item 2, which
+    reads column 1 and the last row and multiplies no matrices), rho_k(K)
+    lies in the abelian group I + kappa aug E_1n, where aug is the kernel of
+    evaluation at (a, c) = (1, 1); conjugation keeps it there.  rho_k(v_{k+2}) has
+    corner kappa * 1 with kappa != 0 and 1 not in aug, so v_{k+2} is not in
+    K (item 3).  Adds to rec the v-image table's records, then items 1-3,
+    all repr.k<k>.*, then the verdict repr.k<k>.certificate, whose params
+    name the ids of those items and of the ones that failed, and the sum of
+    their runtimes.  A failing level gives red records, never an exception.
     """
     start = len(rec.records)
     rep = rep or Representation(k)
-    corner_image, corner_error = verify_v_images(rec, k, k + 4, rep)
-    ident = RepMatrix.identity(rep.n)
-    unit_corner = corner_tensor(k)
-    kappa = expected_corner_scalar()
+    corner_image, corner_error = verify_v_images(rec, k, rep)
+    last = rep.n - 1
+    corners = {g: (_corner_exponent(s, 0), _corner_exponent(s, 1)) for g, s in rep.images.items()}
 
-    bad = [RHO_NAMES[g] for g, s in rep.images.items() if not _has_lemma_shape(s)]
+    bad = [RHO_NAMES[g] for g, s in rep.images.items()
+           if not (s.is_upper_triangular() and None not in corners[g]
+                   and all(x == 1 for x in s.diagonal()[1:-1]))]
     rec.add_bool(
         f"repr.k{k}.generator images in the corner-lemma group",
         f"not upper triangular with diagonal (a^m, 1, ..., 1, c^n): {bad}" if bad
         else "every generator image is upper triangular with diagonal (a^m, 1, ..., 1, c^n)",
         not bad)
 
-    v_corner = ident + unit_corner * kappa
-    v_inv, _ = _attempt(v_corner.inverse_upper)
-    bad = []
-    errors = []
-    for g, s in rep.images.items():
-        m, n = exponent_sums_rho(rho_to_delta_alphabet(Word.gen(g)))
-        q = RepMatrix.monomial(m, -n) - 1
-        comm, error = _attempt(lambda: commutator_matrix(s, v_corner, v_inv=v_inv))
-        if comm != ident + unit_corner * (kappa * q):
-            bad.append(RHO_NAMES[g])
-            if error:
-                errors.append(f"{RHO_NAMES[g]}: {error}")
+    # column 0 and row k hold only their corners a^m and c^n
+    bad = [RHO_NAMES[g] for g, s in rep.images.items()
+           if [(i, j) for i, j in s.nonzero() if j == 0 or i == last] != [(0, 0), (last, last)]
+           or corners[g] != exponent_sums_rho(rho_to_delta_alphabet(Word.gen(g)))]
     rec.add_bool(
         f"repr.k{k}.corner lemma on the generator images",
-        f"[S, N] != I + kappa (a^m c^-n - 1) E_1n for {bad}" + "".join(f"; {e}" for e in errors)
+        f"column 1 is not a^m e_1 or the last row is not c^n e_n^T, (m, n) the exponent sums: {bad}"
         if bad else "[S, N] = I + kappa (a^m c^-n - 1) E_1n, (m, n) the exponent sums",
         not bad)
 
     conditions = {
-        f"rho(v_{k + 2}) has corner kappa * 1": corner_image == v_corner,
-        "kappa != 0": not kappa.is_zero(),
+        f"rho(v_{k + 2}) has corner kappa * 1":
+            corner_image == RepMatrix.identity(rep.n) + expected_v_corner_matrix(k),
+        "kappa != 0": not expected_corner_scalar().is_zero(),
     }
     failed = [name for name, ok in conditions.items() if not ok]
     # Facts, not checks: each commutator corner's factor a^m c^-n - 1 is 0

@@ -142,7 +142,7 @@ def test_criterion_3_representation_certificates():
         rep = Representation(k)
         rec = Recorder()
         # exact identities rho_k(v_i) = I for i in 2..k+4 minus {k+2}
-        verify_v_images(rec, k, k + 4, rep)
+        verify_v_images(rec, k, rep)
         depth_certificate(rec, k, rep)
         ok = ok and all(r.passed for r in rec.records)
         # sampled oracle for the corner lemma: commutator_scalar raises unless

@@ -83,8 +83,11 @@ def test_vanishing_loop_basics():
         assert abs(start.x - (sx + 1j * loop_radius(T0))) < 1e-12
         assert abs(start.y - sy) < 0.5
         loop.check_chain()
-    with pytest.raises(ValueError):
-        vanishing_loop(1, 0.75)
+    # past |t| = 0.5 the loops leave the saddle chart, based or not
+    for build in (lambda: vanishing_loop(1, 0.75), lambda: CycleFactory(0.75).based_loop(1),
+                  lambda: CycleFactory(0.75).cycle_of_word(D2)):
+        with pytest.raises(ValueError, match="limit 0.5"):
+            build()
     with pytest.raises(ValueError):
         vanishing_loop(5, T0)
     # at t = 0 the loops of radius sqrt|t|/2 are the punctures themselves,

@@ -142,6 +142,16 @@ def test_unsettled_fixed_point_names_eps(factory, monkeypatch):
         transport(cyc, FLAGSHIP, np.array([0.0, 0.02]))
 
 
+def test_non_finite_eps_is_refused_before_any_sweep(factory, monkeypatch):
+    cyc = factory.cycle_of_word(GAMMA)
+    monkeypatch.setattr(holonomy_module, "_block_transport",
+                        lambda *args: pytest.fail("a leaf was transported"))
+    for eps, name in ((np.nan, "nan"), (np.array([0.01, np.inf]), "inf"),
+                      (complex(0.01, np.nan), r"\(0\.01\+nanj\)")):
+        with pytest.raises(ValueError, match=rf"^eps = {name} is not finite$"):
+            transport(cyc, FLAGSHIP, eps)
+
+
 def test_unsettled_transport_names_the_segment(factory, monkeypatch):
     # every transported segment passes its tails at the base count, so only
     # an estimator that never passes runs one to the cap: 6 * 2^5 panels on

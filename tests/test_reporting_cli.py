@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -219,6 +220,15 @@ def test_cli_orbit(capsys):
     assert captured.out == "" and captured.err == "error: iterate count must be >= 0\n"
 
 
+def test_cli_orbit_var_stops_at_the_word_size_cap(capsys):
+    # each iterate about doubles: var^15(g) is the first past 2^18 letters,
+    # so --times 20 stops there instead of building var^20(g)
+    assert main(["orbit", "var", "--word", "g", "--times", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: var^15 of the word has 311322 letters, more than the 262144 a word may have\n")
+
+
 def test_cli_repr(capsys):
     assert main(["repr", "matrices", "--k", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -236,9 +246,20 @@ def test_cli_repr(capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out) == 11 and all(rec["passed"] for rec in out)
     assert out[-1]["id"] == "repr.k1.certificate"
-    # --imax below k + 2 leaves no distinguished row: a usage error
-    assert main(["repr", "check-v", "--k", "2", "--imax", "3"]) == 2
-    assert "error" in capsys.readouterr().err
+
+
+def test_every_readme_command_parses():
+    # the lines of the README's "Command line" block, parsed but not run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("orbitdepth ")]
+    assert len(lines) == 12
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_cli_mel(capsys):
@@ -333,19 +354,18 @@ def test_cli_num_refuses_a_pole_at_the_level_and_a_remainder_at_roundoff(capsys)
     assert captured.out == "" and captured.err.startswith("error: the remainder past the jet")
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_cli_num_reports_a_failing_numeric_layer_as_a_usage_error(capsys):
-    # a leaf at eps = nan never settles (TransportError), the oval at
+    # eps = nan is refused before any leaf is transported, the oval at
     # t = 0.001 passes 0.016 from the pole x = 1 (PoleOnPathError), and at
-    # t = 5 no root is tracked along the tail of d0 (BranchTrackingError)
+    # t = 5 the based loop d0 lies outside the saddle chart
     deformation = ["--a1", "t^2+2t", "--a2", "t", "--a3", "t^2+t"]
     for argv, message in (
             (["num", "holonomy", "--word", "g", "--t", "0.36", "--eps", "nan"] + deformation,
-             "error: level fixed point on "),
+             "error: eps = nan is not finite\n"),
             (["num", "iterated", "--word", "g", "--forms", "eta3", "--t", "0.001"],
              "error: pole within "),
             (["num", "iterated", "--word", "d0", "--forms", "eta1", "--t", "5"],
-             "error: branch tracking failed ")):
+             "error: |t| too large for the saddle chart (limit 0.5)\n")):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(message), captured.err

@@ -24,7 +24,6 @@ from orbitdepth.representation import (
     depth_certificate,
     expected_corner_scalar,
     expected_v_corner_matrix,
-    rho,
     verify_v_images,
 )
 import orbitdepth.representation as representation
@@ -138,7 +137,8 @@ def test_integer_coefficients():
         rep = Representation(k)
         assert all(_int_coefficients(m) for m in rep.images.values())
         assert all(_int_coefficients(m) for m in rep.inverses.values())
-        assert all(_int_coefficients(rep.v_image(i)) for i in range(2, k + 5))
+        chain = zip(range(2, k + 5), representation._v_chain(rep))
+        assert all(_int_coefficients(m) for _, m in chain)
 
 
 def test_base_matrices_small():
@@ -167,8 +167,9 @@ def test_phi_maps_onto_the_block_recursion():
         assert tuple(phi(m, k) for m in base_matrices(k)) == block_recursion(k)
     for k in range(1, 5):
         rep = Representation(k)
-        for i, oracle in enumerate(oracle_v_images(k, k + 4), start=2):
-            assert phi(rep.v_image(i), k) == oracle, (k, i)
+        chain = zip(oracle_v_images(k, k + 4), representation._v_chain(rep))
+        for i, (oracle, image) in enumerate(chain, start=2):
+            assert phi(image, k) == oracle, (k, i)
         # the (k+1) corner kappa E_{0,k} is the 2^k corner k! kappa E_1n
         kappa = expected_corner_scalar()
         assert phi(expected_v_corner_matrix(k), k) == _e(2 ** k, 0, 2 ** k - 1) * (factorial(k) * kappa)
@@ -196,10 +197,10 @@ def test_iterated_commutators():
 
 
 def test_rho_examples():
-    m = rho(1, commutator(D2, Z_ELT))
+    m = Representation(1)(commutator(D2, Z_ELT))
     assert m.entry(0, 1) == 1 - C_INV  # -(1/c - 1)
-    assert rho(2, G).is_identity()
-    assert rho(2, D2 * D2.inverse()).is_identity()
+    assert Representation(2)(G).is_identity()
+    assert Representation(2)(D2 * D2.inverse()).is_identity()
 
 
 def test_rho_homomorphism():
@@ -314,6 +315,32 @@ def test_certificates():
                                  "corner kappa * 1; kappa != 0; 1 not in aug")
 
 
+def test_certificate_decides_the_corner_lemma_without_commutators(monkeypatch):
+    # the corner lemma reads column 0 and row k of each generator image: the
+    # certificate multiplies out and inverts only what the v-image table does
+    calls = {"commutator_matrix": 0, "inverse_upper": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(representation, "commutator_matrix",
+                        counted("commutator_matrix", representation.commutator_matrix))
+    monkeypatch.setattr(RepMatrix, "inverse_upper",
+                        counted("inverse_upper", RepMatrix.inverse_upper))
+    for k in range(1, 6):
+        rep = Representation(k)
+        counts = []
+        for build in (verify_v_images, depth_certificate):
+            calls.update(dict.fromkeys(calls, 0))
+            assert not _failed(_records(build, k, rep=rep))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1], (k, counts)
+        assert counts[0]["commutator_matrix"] > 0
+
+
 def test_certificates_reach_k_7():
     start = time.perf_counter()
     for k in (6, 7, 8):
@@ -390,15 +417,18 @@ def test_certificate_mutant_diagonal_exponents():
 def test_certificate_mutant_no_exact_inverse(extra):
     # x -> A + c E_00 puts a + c on the diagonal and x -> A + E_10 is not
     # upper triangular; neither has an exact inverse here, so every item
-    # that inverts the image goes red with the error
+    # that inverts the image goes red with the error.  The corner lemma
+    # inverts nothing: it is red because the corner a + c is not a power of
+    # a, or column 0 has a second entry
     k = 2
     rep = Representation(k)
     rep.images[RhoGen.X] = rep.A + extra
     cert = _records(depth_certificate, k, rep=rep)
     red = _red(cert, k)
-    assert LEMMA_SHAPE in red
+    assert LEMMA_SHAPE in red and LEMMA in red
+    assert _claim(cert, LEMMA).endswith("(m, n) the exponent sums: ['x']")
     chain = [f"rho_{k}(v_{i})" for i in range(2, k + 5)] + [f"rho_{k}(v_{k+2}) = I + corner"]
-    for name in (*chain, LEMMA, f"v_{k+2} outside K"):
+    for name in (*chain, f"v_{k+2} outside K"):
         assert name in red
         detail = _claim(cert, name)
         assert "ValueError" in detail, (name, detail)
