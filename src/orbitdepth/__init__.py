@@ -30,7 +30,7 @@ records add up to no more than the suite took.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional
 
 __version__ = "0.1.0"
@@ -52,7 +52,13 @@ class CheckRecord:
     runtime_ms: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, as `dataclasses.asdict` gives them, with
+        params and its list values copied: a change to the result leaves
+        the record as it was."""
+        out = dict(vars(self))
+        out["params"] = {k: list(v) if isinstance(v, list) else v
+                         for k, v in self.params.items()}
+        return out
 
 
 class Recorder:

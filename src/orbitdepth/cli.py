@@ -26,7 +26,8 @@ report_<suites>.json in the directory that the OUTPUT_DIR
 environment variable names (default: the working directory).  With
 `--format csv` it writes one CSV row per record to `--out`, and the JSON
 report to that directory.  A bad value, or a file that cannot be opened,
-prints `error: ...` and exits 2.
+prints `error: ...` and exits 2.  A reader that closes standard output
+early, as `| head` does, ends the command with exit 1 and no message.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import argparse
 import cmath
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -435,6 +437,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

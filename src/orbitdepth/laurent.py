@@ -6,8 +6,11 @@ from a position (i, j) to a Python int, zero coefficients and empty grades
 dropped.  A product is a convolution over the live monomials, one sparse
 integer matrix product per pair of grades; the representations keep at most
 four monomials live and a few entries per grade, so a product costs a few
-hundred integer operations.  Python ints do not overflow: all arithmetic
-here is exact.
+hundred integer operations.  `product` takes its right factor as a row
+index built by `by_row`, so a matrix that is the right factor of many
+products, as a generator image is of every letter of a word, is indexed
+once: `representation.RepMatrix` keeps its own index.  Python ints do not
+overflow: all arithmetic here is exact.
 """
 
 from __future__ import annotations
@@ -20,19 +23,29 @@ Sparse = Dict[Position, int]
 Graded = Dict[Monomial, Sparse]
 
 
-def product(x: Graded, y: Graded) -> Graded:
-    """The graded product sum_{p, q} x_p y_q a^(p+q), zeros dropped."""
-    rows = {}  # each grade of y by row: q -> l -> [(j, y_q[l, j])]
+Rows = Dict[Monomial, Dict[int, list]]
+
+
+def by_row(y: Graded) -> Rows:
+    """Each grade of y by row: q -> l -> [(j, y_q[l, j])], the right factor's
+    index for `product`."""
+    rows: Rows = {}
     for q, b in y.items():
-        by_row = rows[q] = {}
+        grade = rows[q] = {}
         for (l, j), v in b.items():
-            by_row.setdefault(l, []).append((j, v))
+            grade.setdefault(l, []).append((j, v))
+    return rows
+
+
+def product(x: Graded, rows: Rows) -> Graded:
+    """The graded product sum_{p, q} x_p y_q a^(p+q), zeros dropped, with y
+    given by its row index `by_row(y)`."""
     out: Graded = {}
     for (m1, n1), a in x.items():
-        for (m2, n2), by_row in rows.items():
+        for (m2, n2), grade in rows.items():
             acc = out.setdefault((m1 + m2, n1 + n2), {})
             for (i, l), u in a.items():
-                for j, v in by_row.get(l, ()):
+                for j, v in grade.get(l, ()):
                     acc[i, j] = acc.get((i, j), 0) + u * v
     return {g: z for g, acc in out.items() if (z := {p: v for p, v in acc.items() if v})}
 

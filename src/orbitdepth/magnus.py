@@ -11,10 +11,14 @@ Monomials are packed into integers base (rank+1), and a series is stored
 by degree: parts[d] is the int -> int dictionary of its degree-d terms, so
 series arithmetic never recomputes a degree from a monomial.  Multiplying
 on the right by a letter is a recurrence over the parts, with no geometric
-series:
+series, and `magnus` applies it in place to one series, letter by letter:
 
-    y = x (1 + X_g):       y_d = x_d + x_{d-1} X_g
-    y (1 + X_g) = x:       y_d = x_d - y_{d-1} X_g    (the letter g^-1)
+    y = x (1 + X_g):       y_d = x_d + x_{d-1} X_g    (degrees N down to 1)
+    y (1 + X_g) = x:       y_d = x_d - y_{d-1} X_g    (the letter g^-1; 1 up to N)
+
+Running the letter g from the top degree down means each parts[d] still
+adds the old parts[d-1]; running g^-1 from degree 1 up means each parts[d]
+subtracts the new one.  No degree is copied.
 
 The orbit ideal check decides membership in the Lie ideal generated by X_g,
 D and the leading terms of v_2, v_3, ... in the free Lie algebra on the
@@ -115,19 +119,25 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def mul_letter(self, g: int, e: int) -> "TruncatedSeries":
-        """Multiply on the right by the image of g^e (e = +-1).
+        """Multiply on the right by the image of g^e (e = +-1), in place.
 
-        y = x (1 + X_g) gives y_d = x_d + x_{d-1} X_g, and y = x (1 + X_g)^-1,
-        that is y (1 + X_g) = x, gives y_d = x_d - y_{d-1} X_g.
+        Mutates and returns self.  For g, y_d = x_d + x_{d-1} X_g runs from
+        the top degree down, so each step still reads the old x_{d-1}; for
+        g^-1, y_d = x_d - y_{d-1} X_g runs from degree 1 up, so each step
+        reads the new y_{d-1}.
         """
-        x, letter = self.parts, g + 1
-        out = [dict(x[0])]
-        for d in range(1, len(x)):
-            part = dict(x[d])
-            for m, c in (x if e == 1 else out)[d - 1].items():
-                _acc(part, m * _BASE + letter, e * c)
-            out.append(part)
-        return TruncatedSeries(out)
+        parts, letter = self.parts, g + 1
+        for d in range(len(parts) - 1, 0, -1) if e == 1 else range(1, len(parts)):
+            part = parts[d]
+            get = part.get
+            for m, c in parts[d - 1].items():
+                m = m * _BASE + letter
+                c = get(m, 0) + e * c
+                if c:
+                    part[m] = c
+                else:
+                    del part[m]
+        return self
 
     def homogeneous_part(self, d: int) -> Dict[int, int]:
         return dict(self.parts[d])
@@ -150,7 +160,7 @@ def magnus(w: Word, degree: int) -> TruncatedSeries:
         raise ValueError("truncation degree must be >= 1")
     out = TruncatedSeries.one(degree)
     for g, e in w.letters:
-        out = out.mul_letter(g, e)
+        out.mul_letter(g, e)
     return out
 
 

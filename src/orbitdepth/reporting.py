@@ -474,7 +474,7 @@ def run_suite(name: str, cfg: Optional[Config] = None,
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"report_{'_'.join(names)}.json")
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
+        fh.write(json.dumps(report, indent=2))  # one write, not json.dump's thousands
     return (0 if report["pass"] else 1), records, path
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from . import Recorder
-from .laurent import Graded, laurent_str, product
+from .laurent import Graded, by_row, laurent_str, product
 from .words import (
     RHO_NAMES,
     RhoGen,
@@ -63,18 +63,21 @@ class RepMatrix:
 
     `entries` maps a monomial (m, n) to the sparse coefficient matrix
     {(i, j): int} of a^m c^n, zeros dropped (see `laurent`), so two
-    matrices are equal exactly when their sizes and entries are.  A 1 x 1
+    matrices are equal exactly when their sizes and entries are.  Nothing
+    changes `entries` after construction, so the row index that a right
+    factor of `*` needs is built once, on first use, and kept.  A 1 x 1
     RepMatrix is a Laurent scalar and prints as its polynomial.  An int or
     a Laurent scalar added to, multiplied with or compared to a larger
     matrix stands for that multiple of the identity.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_rows")
 
     def __init__(self, n: int, entries: Graded | None = None):
         self.n = n
         self.entries = {g: z for g, x in (entries or {}).items()
                         if (z := {p: v for p, v in x.items() if v})}
+        self._rows = None  # by_row(entries), once this is a right factor
 
     @staticmethod
     def monomial(m: int, n: int, coeff: int = 1, size: int = 1) -> "RepMatrix":
@@ -124,7 +127,11 @@ class RepMatrix:
     def __mul__(self, other) -> "RepMatrix":
         other = self._lift(other, self.n)
         n = max(self.n, other.n)
-        return RepMatrix(n, product(self._lift(self, n).entries, other.entries))
+        if other._rows is None:
+            other._rows = by_row(other.entries)
+        out = RepMatrix.__new__(RepMatrix)  # product has dropped the zeros
+        out.n, out.entries, out._rows = n, product(self._lift(self, n).entries, other._rows), None
+        return out
 
     __rmul__ = __mul__  # only ints multiply from the left, and they commute
 

@@ -6,6 +6,7 @@ import pytest
 from sympy import divisors, mobius
 
 from orbitdepth.magnus import (
+    MONO_ONE,
     TruncatedSeries,
     bracket,
     depth_lower_bound,
@@ -16,6 +17,7 @@ from orbitdepth.magnus import (
     QUOTIENT_GENS,
     generator_vector,
     magnus,
+    mono_append,
     mono_degree,
     mono_format,
     mono_letters,
@@ -95,6 +97,30 @@ def test_multiplicativity():
         v = random_word(rng, 12)
         assert magnus(u * v, 6) == magnus(u, 6) * magnus(v, 6)
     assert magnus(Word.identity(), 4) == TruncatedSeries.one(4)
+
+
+def _letter_series(g, e, N):
+    """The image of g^e truncated at N, written out: 1 + X_g for g and
+    sum_j (-X_g)^j for g^-1."""
+    parts = [{MONO_ONE: 1}] + [{} for _ in range(N)]
+    m = MONO_ONE
+    for j in range(1, N + 1 if e == -1 else 2):
+        m = mono_append(m, g)
+        parts[j] = {m: e ** j}
+    return TruncatedSeries(parts)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_letter_steps_match_the_product_of_letter_series(degree):
+    # magnus applies each letter to one series in place, top degree down for
+    # g and bottom up for g^-1; TruncatedSeries.__mul__ shares no code with it
+    rng = random.Random(SEED + degree)
+    for _ in range(6):
+        w = random_word(rng, 40)
+        expected = TruncatedSeries.one(degree)
+        for g, e in w.letters:
+            expected = expected * _letter_series(g, e, degree)
+        assert magnus(w, degree) == expected
 
 
 def test_depth_examples():

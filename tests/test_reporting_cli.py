@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -457,6 +458,19 @@ def test_certificate_verdict_lists_the_ids_of_its_items_and_of_the_failed_ones()
         "repr.k2.v_4 outside K"]
 
 
+def test_a_record_serializes_as_asdict_and_apart_from_itself():
+    rec = reporting.Recorder()
+    depth_certificate(rec, 1)
+    verdict = rec.records[-1]
+    out = verdict.to_dict()
+    assert out == dataclasses.asdict(verdict)
+    assert list(out) == [f.name for f in dataclasses.fields(verdict)]
+    before = dataclasses.asdict(verdict)
+    out["params"]["items"].append("extra")
+    out["params"]["k"] = 99
+    assert dataclasses.asdict(verdict) == before
+
+
 def test_numeric_suite_records():
     records = numeric_suite(Config())
     assert len(records) == 20
@@ -592,3 +606,20 @@ def test_cli_reports_a_file_it_cannot_open_as_a_usage_error(tmp_path, capsys, mo
         assert main(["verify", "all", "--format", fmt, "--out", str(missing / f"r.{fmt}")]) == 2
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
     assert not out_dir.exists() and not missing.exists()
+
+
+def test_cli_ends_quietly_when_the_reader_closes_the_pipe():
+    # var^12(g) prints about 177 kB, more than a pipe holds, so the command
+    # is still writing when the reader closes the pipe after one line
+    src = str(Path(orbitdepth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "orbitdepth.cli", "orbit", "var",
+                             "--word", "g", "--times", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

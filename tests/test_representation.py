@@ -30,7 +30,7 @@ import orbitdepth.representation as representation
 from orbitdepth import Recorder
 from orbitdepth.words import (
     D2, G, X_ELT, Z_ELT, RhoGen, commutator, random_word, v_k,
-    exponent_sums_rho,
+    exponent_sums_rho, rewrite_to_rho_alphabet,
 )
 
 SEED = 20259
@@ -297,6 +297,40 @@ def test_evaluation_homomorphism():
             prod = [[sum(m1[i][l] * m2[l][j] for l in range(n)) for j in range(n)]
                     for i in range(n)]
             assert lhs == prod
+
+
+def _fraction_product(x, y):
+    n = len(x)
+    return [[sum(x[i][l] * y[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _fraction_inverse_upper(u):
+    """U^-1 for an upper-triangular Fraction matrix, by back substitution."""
+    n = len(u)
+    x = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, -1, -1):
+            rhs = (i == j) - sum(u[i][l] * x[l][j] for l in range(i + 1, j + 1))
+            x[i][j] = rhs / u[i][i]
+    return x
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_word_product_matches_the_images_evaluated_first(k):
+    # each letter multiplies by a generator image whose row index is built
+    # once; the oracle evaluates the images at (a, c) and multiplies plain
+    # Fraction matrices, inverting g^-1 letters by back substitution
+    a0, c0 = Fraction(2, 3), Fraction(5, 7)
+    rep = Representation(k)
+    images = {g: m.evaluate(a0, c0) for g, m in rep.images.items()}
+    rng = random.Random(SEED + 10 * k)
+    for w in [v_k(k + 2)] + [random_word(rng, 30) for _ in range(4)]:
+        expected = RepMatrix.identity(rep.n).evaluate(a0, c0)
+        for g, e in rewrite_to_rho_alphabet(w).letters:
+            image = images[RhoGen(g)]
+            expected = _fraction_product(expected, image if e == 1 else
+                                         _fraction_inverse_upper(image))
+        assert rep(w).evaluate(a0, c0) == expected
 
 
 def test_certificates():
