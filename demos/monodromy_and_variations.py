@@ -13,16 +13,15 @@ from orbitdepth.words import (
 from orbitdepth.magnus import depth_lower_bound
 
 print("Monodromy around the saddle value 0 and the center value 1:")
-for name, endo in (("Mon0", mon0()), ("Mon1", mon1())):
+for name, endo in (("Mon0", mon0), ("Mon1", mon1)):
     images = ", ".join(
-        f"{format_word(Word.gen(g))} -> {format_word(endo.of_gen(g))}" for g in Gen
+        f"{format_word(Word.gen(g))} -> {format_word(endo.images[g])}" for g in Gen
     )
     print(f"  {name}: {images}")
 
 print("\nThe conjugated operator M = (d0 d1)^-1 Mon0(.) (d0 d1):")
-M = m_endo()
 for g in Gen:
-    print(f"  {format_word(Word.gen(g))} -> {format_word(M.of_gen(g))}")
+    print(f"  {format_word(Word.gen(g))} -> {format_word(m_endo.images[g])}")
 
 print("\nIterating the variation var(w) = M(w) w^-1 from the oval:")
 for i in range(1, 5):

@@ -116,7 +116,7 @@ def cmd_orbit_var(args):
 
 
 def cmd_orbit_mon(args):
-    endo = {"mon0": mon0, "mon1": mon1, "m": m_endo}[args.operator]()
+    endo = {"mon0": mon0, "mon1": mon1, "m": m_endo}[args.operator]
     w = endo(parse_word(args.word))
     _emit({"operator": args.operator, "word": args.word,
            "result": format_word(w)})

@@ -338,17 +338,6 @@ def real_oval(t: float) -> Cycle:
     return Cycle(segs, t, base_point(t), label="gamma").check_chain()
 
 
-def oval_connector(t: float, y_from: float) -> Cycle:
-    """Arc of the real oval from (x(y_from), y_from) to p0, over-y on the
-    x < 0 branch; used to move the base point for robustness checks."""
-    if not -LIFT_Y * 2 <= y_from <= LIFT_Y * 2:
-        raise ValueError("connector expects a small real y offset")
-    x_from = complex(nearest_root(y_from ** 2 - 1.0, t, -1.0))
-    seg = Segment("y", Line(y_from, 0.0), t, x_from)
-    start = seg.start_point()
-    return Cycle([seg], t, start, label=f"connector({y_from})")
-
-
 def loop_radius(t: complex) -> float:
     return np.sqrt(abs(t)) / 2.0
 

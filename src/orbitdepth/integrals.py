@@ -486,10 +486,3 @@ def period_determinant(factory: CycleFactory, w1: Word, w2: Word, i: int, j: int
 
     (a, b), (c, d) = periods(w1), periods(w2)
     return a * d - b * c
-
-
-def determinant_defect(factory: CycleFactory, w1: Word, w2: Word, i: int, j: int) -> float:
-    """|int_{[w1,w2]} eta_i eta_j - period_determinant|."""
-    comm_cycle = factory.cycle_of_word(commutator(w1, w2))
-    lhs = iterated_integral(comm_cycle, [eta(i), eta(j)], tol=_WORD_TOL)
-    return abs(lhs - period_determinant(factory, w1, w2, i, j))

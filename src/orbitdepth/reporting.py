@@ -203,15 +203,15 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
     """Monodromy, variation and Magnus-depth checks (exact)."""
     rec = Recorder()
 
-    M0, M1, M = mon0(), mon1(), m_endo()
+    M0, M1 = mon0.images, mon1.images
     images_ok = (
-        M1.of_gen(Gen.G) == GAMMA_WORD
-        and all(M1.of_gen(g) == GAMMA_WORD * Word.gen(g) for g in list(Gen)[1:])
-        and M0.of_gen(Gen.G) == DELTA * GAMMA_WORD
-        and M0.of_gen(Gen.D0) == D0
-        and M0.of_gen(Gen.D1) == D0 * D1 * D0.inverse()
-        and M0.of_gen(Gen.D2) == (D0 * D1) * D2 * (D0 * D1).inverse()
-        and M0.of_gen(Gen.D3) == (D0 * D1 * D2) * D3 * (D0 * D1 * D2).inverse()
+        M1[Gen.G] == GAMMA_WORD
+        and all(M1[g] == GAMMA_WORD * Word.gen(g) for g in list(Gen)[1:])
+        and M0[Gen.G] == DELTA * GAMMA_WORD
+        and M0[Gen.D0] == D0
+        and M0[Gen.D1] == D0 * D1 * D0.inverse()
+        and M0[Gen.D2] == (D0 * D1) * D2 * (D0 * D1).inverse()
+        and M0[Gen.D3] == (D0 * D1 * D2) * D3 * (D0 * D1 * D2).inverse()
     )
     rec.add_bool("orbit.monodromy_images", "generator images of the two monodromies", images_ok)
 
@@ -222,19 +222,19 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
     conj = D0 * D1
     closed_form = (Z_ELT * GAMMA_WORD * conj, D0.conjugate_by(D1.inverse()), D1, D2,
                    D3.conjugate_by(D2))
-    ok = M.images == closed_form and all(
-        M.of_gen(g) == conj.inverse() * M0.of_gen(g) * conj for g in Gen)
+    ok = m_endo.images == closed_form and all(
+        m_endo.images[g] == conj.inverse() * M0[g] * conj for g in Gen)
     rec.add_bool("orbit.m_is_conjugated_mon0",
                  "M and (d0 d1)^-1 Mon0(.) (d0 d1) agree on the five generators, with "
                  "images z g d0 d1, d1^-1 d0 d1, d1, d2, d2 d3 d2^-1, so they are equal", ok)
 
-    inv0, inv1 = mon0_inverse(), mon1_inverse()
-    ok = all(e.images == gens for e in (inv0.compose(M0), M0.compose(inv0), inv1.compose(M1)))
+    ok = all(e.images == gens for e in (mon0_inverse.compose(mon0), mon0.compose(mon0_inverse),
+                                        mon1_inverse.compose(mon1)))
     rec.add_bool("orbit.automorphisms",
                  "inv0 Mon0, Mon0 inv0 and inv1 Mon1 fix the five generators, so they are "
                  "the identity and the explicit inverses invert the monodromies", ok)
 
-    ok = all(project_mod_gamma_subgroup(M1(s)) == project_mod_gamma_subgroup(s) for s in gens)
+    ok = all(project_mod_gamma_subgroup(mon1(s)) == project_mod_gamma_subgroup(s) for s in gens)
     rec.add_bool("orbit.mon1_trivial_mod_gamma",
                  "the quotient map by <g, D> agrees with its composite with Mon1 on the five "
                  "generators, so the induced action on the quotient is trivial", ok)
@@ -276,7 +276,7 @@ def orbit_suite(cfg: Config) -> List[CheckRecord]:
     for i, w in [(2, v_k(2)), (3, d_k(3, Z_ELT)), (4, v_k(4))]:
         rec.add_bool(f"orbit.graded_triviality_{i}",
                      "the saddle monodromy fixes lower-central classes",
-                     graded_triviality_check(w, mon0(), i + 2))
+                     graded_triviality_check(w, mon0, i + 2))
 
     return rec.records
 

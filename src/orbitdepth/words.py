@@ -13,18 +13,18 @@ Distinguished composite elements::
     z = d2 d3
 
 and the monodromy machinery built on them: the automorphisms ``mon0``,
-``mon1`` around the atypical values 0 and 1, the conjugated operator
-``m_endo`` (M = (d0 d1)^-1 Mon0(.) (d0 d1)), the variation ``var`` with
-var(g) = D by convention, the nested commutators ``d_k`` and the orbit
-elements ``v_k = [x, d_{k-1}(z)]``.
+``mon1`` around the atypical values 0 and 1, their inverses and the
+conjugated operator ``m_endo`` (M = (d0 d1)^-1 Mon0(.) (d0 d1)), each an
+``Endo`` value built once at import and applied as ``mon0(w)``; the
+variation ``var`` with var(g) = D by convention, the nested commutators
+``d_k`` and the orbit elements ``v_k = [x, d_{k-1}(z)]``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 
 class Gen(IntEnum):
@@ -142,89 +142,39 @@ class Endo:
         """self after other: (self.compose(other))(w) = self(other(w))."""
         return Endo(tuple(self(img) for img in other.images))
 
-    def of_gen(self, g: int) -> Word:
-        return self.images[g]
 
+# Monodromy around the center value 1: g -> g, d_i -> g d_i.
+mon1 = Endo((G, G * D0, G * D1, G * D2, G * D3))
 
-def endo_from_map(images: dict) -> Endo:
-    return Endo(tuple(images[g] for g in Gen))
+# Monodromy around the saddle value 0: g -> D g, d0 -> d0, d1 -> d0 d1 d0^-1,
+# d2 -> d0 d1 d2 d1^-1 d0^-1, d3 -> d0 d1 d2 d3 d2^-1 d1^-1 d0^-1.
+mon0 = Endo((
+    DELTA * G, D0, D1.conjugate_by(D0), D2.conjugate_by(D0 * D1),
+    D3.conjugate_by(D0 * D1 * D2)))
 
+# Inverse of mon1: g -> g, d_i -> g^-1 d_i.
+mon1_inverse = Endo((
+    G, G.inverse() * D0, G.inverse() * D1, G.inverse() * D2, G.inverse() * D3))
 
-def mon1() -> Endo:
-    """Monodromy around the center value 1: g -> g, d_i -> g d_i."""
-    return endo_from_map(
-        {
-            Gen.G: G,
-            Gen.D0: G * D0,
-            Gen.D1: G * D1,
-            Gen.D2: G * D2,
-            Gen.D3: G * D3,
-        }
-    )
+# Explicit inverse of mon0 (checked on the generators by the orbit suite).
+mon0_inverse = Endo((
+    (D3 * D2 * D1 * D0).inverse() * G,
+    D0,
+    D1.conjugate_by(D0.inverse()),
+    D2.conjugate_by(D0.inverse() * D1.inverse()),
+    D3.conjugate_by(D0.inverse() * D1.inverse() * D2.inverse())))
 
-
-def mon0() -> Endo:
-    """Monodromy around the saddle value 0.
-
-    g -> D g, d0 -> d0, d1 -> d0 d1 d0^-1, d2 -> d0 d1 d2 d1^-1 d0^-1,
-    d3 -> d0 d1 d2 d3 d2^-1 d1^-1 d0^-1.
-    """
-    c1 = D0
-    c2 = D0 * D1
-    c3 = D0 * D1 * D2
-    return endo_from_map(
-        {
-            Gen.G: DELTA * G,
-            Gen.D0: D0,
-            Gen.D1: D1.conjugate_by(c1),
-            Gen.D2: D2.conjugate_by(c2),
-            Gen.D3: D3.conjugate_by(c3),
-        }
-    )
-
-
-def mon1_inverse() -> Endo:
-    return endo_from_map(
-        {
-            Gen.G: G,
-            Gen.D0: G.inverse() * D0,
-            Gen.D1: G.inverse() * D1,
-            Gen.D2: G.inverse() * D2,
-            Gen.D3: G.inverse() * D3,
-        }
-    )
-
-
-def mon0_inverse() -> Endo:
-    """Explicit inverse of mon0 (checked on the generators by the orbit suite)."""
-    return endo_from_map(
-        {
-            Gen.G: (D3 * D2 * D1 * D0).inverse() * G,
-            Gen.D0: D0,
-            Gen.D1: D1.conjugate_by(D0.inverse()),
-            Gen.D2: D2.conjugate_by(D0.inverse() * D1.inverse()),
-            Gen.D3: D3.conjugate_by(D0.inverse() * D1.inverse() * D2.inverse()),
-        }
-    )
-
-
-def m_endo() -> Endo:
-    """M = (d0 d1)^-1 Mon0(.) (d0 d1).
-
-    Generator images reduce to d0 -> d1^-1 d0 d1, d1 -> d1, d2 -> d2,
-    d3 -> [d2, d3] d3 = d2 d3 d2^-1, and g -> z g d0 d1.
-    """
-    c = D0 * D1
-    m0 = mon0()
-    return Endo(tuple(m0(img).conjugate_by(c.inverse()) for img in Endo(
-        (G, D0, D1, D2, D3)).images))
+# M = (d0 d1)^-1 Mon0(.) (d0 d1).  Generator images reduce to
+# d0 -> d1^-1 d0 d1, d1 -> d1, d2 -> d2, d3 -> [d2, d3] d3 = d2 d3 d2^-1,
+# and g -> z g d0 d1.
+m_endo = Endo(tuple(mon0(s).conjugate_by((D0 * D1).inverse()) for s in (G, D0, D1, D2, D3)))
 
 
 def var(w: Word) -> Word:
     """Variation: var(g) = D by convention, otherwise M(w) w^-1."""
     if w == G:
         return DELTA
-    return m_endo()(w) * w.inverse()
+    return m_endo(w) * w.inverse()
 
 
 def var_iterate(i: int) -> Word:
@@ -254,14 +204,6 @@ def v_k(k: int) -> Word:
     if k == 1:
         return DELTA
     return commutator(X_ELT, d_k(k - 1, Z_ELT))
-
-
-def abelianize(w: Word) -> Tuple[int, int, int, int, int]:
-    """Signed letter counts per generator (image in H_1 of the fiber)."""
-    counts = [0] * 5
-    for g, e in w.letters:
-        counts[g] += e
-    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +255,7 @@ project_mod_gamma_subgroup = Endo((Word.identity(), (D1 * D2 * D3).inverse(), D1
 # ---------------------------------------------------------------------------
 # Parsing and printing.
 
-_ALIASES = {
-    "g": (G,),
-    "d0": (D0,),
-    "d1": (D1,),
-    "d2": (D2,),
-    "d3": (D3,),
-    "x": (X_ELT,),
-    "z": (Z_ELT,),
-    "D": (DELTA,),
-}
+_ALIASES = {"g": G, "d0": D0, "d1": D1, "d2": D2, "d3": D3, "x": X_ELT, "z": Z_ELT, "D": DELTA}
 
 
 # A power, commutator or product is refused before it is built when its
@@ -419,10 +352,10 @@ class _Parser:
 
     def parse_letter(self) -> Word:
         self.skip_ws()
-        for name in ("d0", "d1", "d2", "d3", "g", "x", "z", "D"):
+        for name, w in _ALIASES.items():  # no name is a prefix of another
             if self.text.startswith(name, self.pos):
                 self.pos += len(name)
-                return _ALIASES[name][0]
+                return w
         if self.text.startswith("1", self.pos):  # identity literal
             self.pos += 1
             return Word.identity()
@@ -432,9 +365,13 @@ class _Parser:
 def parse_word(text: str) -> Word:
     """Parse the word grammar; aliases x, z, D expand to their definitions.
     A power, commutator or product whose expansion would exceed
-    _MAX_WORD_LETTERS letters raises WordSyntaxError."""
+    _MAX_WORD_LETTERS letters, and nesting deeper than the interpreter's
+    recursion limit, raise WordSyntaxError."""
     p = _Parser(text)
-    w = p.parse_word()
+    try:
+        w = p.parse_word()
+    except RecursionError:
+        raise WordSyntaxError("nesting too deep", p.pos) from None
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input")
@@ -467,14 +404,6 @@ def format_rho_word(w: Word) -> str:
     return _format(w, RHO_NAMES)
 
 
-def random_word(rng: random.Random, max_len: int = 40, gens: Sequence[int] | None = None) -> Word:
-    """Uniform random letters, reduced; used by the seeded property checks."""
-    n = rng.randint(0, max_len)
-    gens = list(gens) if gens is not None else list(Gen)
-    letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(n)]
-    return Word(letters)
-
-
 # ---------------------------------------------------------------------------
 # Exact identities behind "var^i(g) equals v_i modulo K".
 #
@@ -504,7 +433,6 @@ def variation_mod_k_identities(i_max: int = 5) -> list[ExactIdentity]:
     * d_k([d2,z] z) = d_{k+1}(z) d_k(z)
     * M(v_k) v_k^-1 = v_{k+1} [d_k(z), v_k]   (k >= 2)
     """
-    M = m_endo()
     rep = D1 * D2 * D3 * D0
     c1 = commutator(D0.inverse(), DELTA.inverse())
     out = [
@@ -516,14 +444,14 @@ def variation_mod_k_identities(i_max: int = 5) -> list[ExactIdentity]:
         ),
         ExactIdentity(
             "second_variation_of_representative",
-            M(rep) * DELTA.inverse(),
+            m_endo(rep) * DELTA.inverse(),
             v_k(2) * commutator(Z_ELT, DELTA),
             ("[z, v1]",),
         ),
         ExactIdentity(
             "second_variation_exact",
             var_iterate(2),
-            (M(rep) * DELTA.inverse()) * (M(c1).conjugate_by(DELTA)),
+            (m_endo(rep) * DELTA.inverse()) * (m_endo(c1).conjugate_by(DELTA)),
             ("[z, v1]", "conj_D(M([d0^-1, v1^-1]))"),
         ),
     ]

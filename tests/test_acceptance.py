@@ -12,7 +12,7 @@ import numpy as np
 from orbitdepth.words import (
     D0, D1, D2, D3, DELTA, G, X_ELT, Z_ELT,
     Gen, Word, format_rho_word, m_endo, mon0, mon1,
-    parse_word, random_word, rewrite_to_rho_alphabet, v_k, var, var_iterate,
+    parse_word, rewrite_to_rho_alphabet, v_k, var, var_iterate,
     variation_mod_k_identities,
 )
 from orbitdepth.magnus import (
@@ -39,7 +39,6 @@ from orbitdepth.curves import CycleFactory
 from orbitdepth.integrals import (
     PAIRING_EXPECTED,
     cauchy_suite,
-    determinant_defect,
     eta,
     pairing_table,
     shuffle_defect,
@@ -54,6 +53,7 @@ from orbitdepth.holonomy import (
     remainder_orders,
     resolved_sign,
 )
+from support import determinant_defect, random_word
 
 SEED = 20259
 T0 = 0.36
@@ -80,20 +80,20 @@ class Stopwatch:
 
 def test_criterion_1_monodromy_identities():
     sw = Stopwatch(1.0)
-    M0, M1, M = mon0(), mon1(), m_endo()
+    M0, M1 = mon0.images, mon1.images
     ok = (
-        M1.of_gen(Gen.G) == G
-        and all(M1.of_gen(g) == G * Word.gen(g) for g in list(Gen)[1:])
-        and M0.of_gen(Gen.G) == DELTA * G
-        and M0.of_gen(Gen.D0) == D0
-        and M0.of_gen(Gen.D1) == D0 * D1 * D0.inverse()
-        and M0.of_gen(Gen.D2) == (D0 * D1) * D2 * (D0 * D1).inverse()
-        and M0.of_gen(Gen.D3) == (D0 * D1 * D2) * D3 * (D0 * D1 * D2).inverse()
+        M1[Gen.G] == G
+        and all(M1[g] == G * Word.gen(g) for g in list(Gen)[1:])
+        and M0[Gen.G] == DELTA * G
+        and M0[Gen.D0] == D0
+        and M0[Gen.D1] == D0 * D1 * D0.inverse()
+        and M0[Gen.D2] == (D0 * D1) * D2 * (D0 * D1).inverse()
+        and M0[Gen.D3] == (D0 * D1 * D2) * D3 * (D0 * D1 * D2).inverse()
     )
     conj = D0 * D1
     rng = random.Random(SEED)
     ok = ok and all(
-        M(w) == conj.inverse() * M0(w) * conj
+        m_endo(w) == conj.inverse() * mon0(w) * conj
         for w in (random_word(rng) for _ in range(100))
     )
     sw.done("criterion 1: monodromy identities", ok)

@@ -16,7 +16,6 @@ from orbitdepth.curves import (
     curve_f,
     loop_radius,
     nearest_root,
-    oval_connector,
     real_oval,
     vanishing_loop,
 )
@@ -28,6 +27,7 @@ from orbitdepth.integrals import (
     pairing_table,
 )
 from orbitdepth.words import D2, Gen, Word, v_k
+from support import oval_connector
 
 SEED = 20259
 T0 = 0.36

@@ -6,7 +6,7 @@ import pytest
 import orbitdepth.holonomy as holonomy_module
 import orbitdepth.integrals as integrals_module
 from orbitdepth import reporting
-from orbitdepth.curves import Cycle, CycleFactory, curve_f, nearest_root, oval_connector
+from orbitdepth.curves import Cycle, CycleFactory, curve_f, nearest_root
 from orbitdepth.holonomy import (
     FIX_MAX_ITERATIONS,
     FIX_RTOL,
@@ -38,6 +38,7 @@ from orbitdepth.integrals import (
 from orbitdepth.melnikov import FLAGSHIP, center_family, deformation, mv
 from orbitdepth.reporting import Config, numeric_suite, run_suite
 from orbitdepth.words import D2, Gen, Word, Z_ELT, commutator, v_k
+from support import oval_connector
 
 T0 = 0.36
 GAMMA = Word.gen(Gen.G)

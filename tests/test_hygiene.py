@@ -1,9 +1,10 @@
 """Source hygiene: every name a module imports is used in it, no
 function imports again from a module the file imports at the top, every
 private top-level name of the package is read somewhere in it, every
-public one and every public method somewhere in the package, its tests,
-demos or benchmark, only integrals._walk walks a cycle's blocks, only the
-package root reads the clock, and only reporting reads the environment."""
+public one and every public method somewhere in the package, its demos
+or benchmark, not only in its tests, only integrals._walk walks a cycle's
+blocks, only the package root reads the clock, and only reporting reads
+the environment."""
 
 import ast
 from collections import Counter
@@ -133,10 +134,19 @@ def unread_public_names(package: dict, readers: dict):
                   if reads[node.name] == _reads(node)[node.name])
 
 
+def _readers(paths):
+    return {str(path.relative_to(ROOT)): path.read_text() for path in paths}
+
+
 def test_every_public_name_of_the_package_is_read():
-    readers = {str(path.relative_to(ROOT)): path.read_text()
-               for folder in ("tests", "demos", "perfbench")
-               for path in sorted((ROOT / folder).rglob("*.py"))}
+    readers = _readers(path for folder in ("tests", "demos", "perfbench")
+                       for path in sorted((ROOT / folder).rglob("*.py")))
+    assert unread_public_names({path.stem: path.read_text() for path in PACKAGE}, readers) == []
+
+
+def test_no_public_name_of_the_package_is_read_only_by_tests():
+    # a name only the tests read belongs in the tests (tests/support.py)
+    readers = _readers(sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
     assert unread_public_names({path.stem: path.read_text() for path in PACKAGE}, readers) == []
 
 

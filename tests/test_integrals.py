@@ -27,7 +27,6 @@ from orbitdepth.integrals import (
     XdY,
     QuadratureError,
     cauchy_suite,
-    determinant_defect,
     eta,
     iterated_integral,
     log_basis,
@@ -40,7 +39,8 @@ from orbitdepth.integrals import (
 )
 from orbitdepth.melnikov import FLAGSHIP
 from orbitdepth.reporting import Config, run_suite
-from orbitdepth.words import D1, D2, D3, DELTA, X_ELT, Z_ELT, Gen, commutator, random_word, v_k
+from orbitdepth.words import D1, D2, D3, DELTA, X_ELT, Z_ELT, Gen, commutator, v_k
+from support import determinant_defect, random_word
 
 SEED = 20259
 T0 = 0.36

@@ -26,9 +26,10 @@ from orbitdepth.magnus import (
 )
 from orbitdepth.words import (
     D0, D1, D2, D3, G, Z_ELT,
-    Gen, Word, commutator, d_k, endo_from_map, mon0, random_word, v_k,
+    Endo, Gen, Word, commutator, d_k, mon0, v_k,
     var, var_iterate,
 )
+from support import random_word
 
 SEED = 20259
 
@@ -176,16 +177,14 @@ def test_variation_step_agreement():
 
 
 def test_graded_triviality():
-    M0 = mon0()
     for i, w in [(2, v_k(2)), (3, d_k(3, Z_ELT)), (4, v_k(4)), (5, v_k(5))]:
-        assert graded_triviality_check(w, M0, i)
+        assert graded_triviality_check(w, mon0, i)
     for i, w in [(1, d_k(1, Z_ELT)), (2, v_k(2)), (3, d_k(3, Z_ELT))]:
-        assert graded_triviality_check(w, M0, i + 2)
-    shift = endo_from_map({Gen.G: G, Gen.D0: D0, Gen.D1: D1, Gen.D2: D2,
-                           Gen.D3: D1})
+        assert graded_triviality_check(w, mon0, i + 2)
+    shift = Endo((G, D0, D1, D2, D1))
     assert not graded_triviality_check(D3, shift, 3)
     with pytest.raises(ValueError):
-        graded_triviality_check(G * D1, M0, 3)
+        graded_triviality_check(G * D1, mon0, 3)
 
 
 def test_span_membership():
@@ -326,8 +325,7 @@ def test_unitriangular_matrix_oracle():
 def test_graded_triviality_full_table():
     # the saddle monodromy fixes the class of v_i and d_i(z) for i = 1..5
     # (deep words certified at truncation i, cheaper words at i+2)
-    M0 = mon0()
     for i in range(1, 6):
         n = (i + 2) if i <= 3 else i
-        assert graded_triviality_check(v_k(i), M0, n)
-        assert graded_triviality_check(d_k(i, Z_ELT), M0, n)
+        assert graded_triviality_check(v_k(i), mon0, n)
+        assert graded_triviality_check(d_k(i, Z_ELT), mon0, n)

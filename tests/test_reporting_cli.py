@@ -188,15 +188,15 @@ def _with_image(endo, g, image):
 
 
 @pytest.mark.parametrize("name, mutant, red", [
-    ("mon0_inverse", lambda: _with_image(words.mon0_inverse(), Gen.D1, D1),
+    ("mon0_inverse", lambda: _with_image(words.mon0_inverse, Gen.D1, D1),
      {"orbit.automorphisms"}),
-    ("m_endo", lambda: _with_image(words.m_endo(), Gen.D3, D3),
+    ("m_endo", lambda: _with_image(words.m_endo, Gen.D3, D3),
      {"orbit.m_is_conjugated_mon0"}),
-    ("mon1", lambda: _with_image(words.mon1(), Gen.D2, G * D3),
+    ("mon1", lambda: _with_image(words.mon1, Gen.D2, G * D3),
      {"orbit.monodromy_images", "orbit.automorphisms", "orbit.mon1_trivial_mod_gamma"}),
 ], ids=["mon0_inverse", "m_endo", "mon1"])
 def test_orbit_generator_records_catch_one_wrong_image(monkeypatch, name, mutant, red):
-    monkeypatch.setattr(reporting, name, mutant)
+    monkeypatch.setattr(reporting, name, mutant())
     records = reporting.orbit_suite(Config())
     assert len(records) == 36
     assert {r.id for r in records if not r.passed} == red
@@ -215,6 +215,12 @@ def test_cli_orbit(capsys):
     assert main(["orbit", "mon", "--operator", "m", "--word", "d3"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"] == "d2 d3 d2^-1"
+    assert main(["orbit", "mon", "--operator", "mon0", "--word", "d1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"] == "d0 d1 d0^-1"
+    assert main(["orbit", "mon", "--operator", "mon1", "--word", "d2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"] == "g d2"
     # a negative count is a usage error, as in var_iterate
     assert main(["orbit", "var", "--word", "g", "--times", "-2"]) == 2
     captured = capsys.readouterr()

@@ -29,9 +29,10 @@ from orbitdepth.representation import (
 import orbitdepth.representation as representation
 from orbitdepth import Recorder
 from orbitdepth.words import (
-    D2, G, X_ELT, Z_ELT, RhoGen, commutator, random_word, v_k,
+    D2, G, X_ELT, Z_ELT, RhoGen, commutator, v_k,
     exponent_sums_rho, rewrite_to_rho_alphabet,
 )
+from support import random_word
 
 SEED = 20259
 

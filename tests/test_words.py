@@ -3,15 +3,17 @@ import random
 import pytest
 
 import orbitdepth.words as words_module
+from orbitdepth.cli import main
 from orbitdepth.words import (
     D0, D1, D2, D3, DELTA, G, X_ELT, Z_ELT,
     Gen, Word, WordSyntaxError,
-    abelianize, commutator, d_k, format_rho_word, format_word,
+    commutator, d_k, format_rho_word, format_word,
     m_endo, mon0, mon0_inverse, mon1, mon1_inverse,
-    parse_word, project_mod_gamma_subgroup, random_word,
+    parse_word, project_mod_gamma_subgroup,
     rewrite_to_rho_alphabet, rho_to_delta_alphabet, exponent_sums_rho,
     v_k, var, var_iterate, variation_mod_k_identities,
 )
+from support import abelianize, random_word
 
 SEED = 20259
 
@@ -59,44 +61,39 @@ def test_a_commutator_and_a_conjugate_are_reduced_once(monkeypatch):
 
 
 def test_mon1_images():
-    M1 = mon1()
-    assert M1(G) == G
-    assert M1(D2) == G * D2
-    assert M1(DELTA) == G * D0 * G * D1 * G * D2 * G * D3
+    assert mon1(G) == G
+    assert mon1(D2) == G * D2
+    assert mon1(DELTA) == G * D0 * G * D1 * G * D2 * G * D3
 
 
 def test_mon0_images():
-    M0 = mon0()
-    assert M0(D1) == D0 * D1 * D0.inverse()
-    assert M0(G) == DELTA * G
-    assert M0(D0) == D0
+    assert mon0(D1) == D0 * D1 * D0.inverse()
+    assert mon0(G) == DELTA * G
+    assert mon0(D0) == D0
 
 
 def test_mon0_preserves_saddle_subgroup():
-    M0 = mon0()
     for w in words(50, gens=[Gen.D0, Gen.D1, Gen.D2, Gen.D3]):
-        assert Gen.G not in M0(w).generators_used()
+        assert Gen.G not in mon0(w).generators_used()
 
 
 def test_m_endo_images():
-    M = m_endo()
-    assert M(D3) == D2 * D3 * D2.inverse()
-    assert M(X_ELT) == X_ELT
-    assert M(Z_ELT) == D2 * Z_ELT * D2.inverse()
+    assert m_endo(D3) == D2 * D3 * D2.inverse()
+    assert m_endo(X_ELT) == X_ELT
+    assert m_endo(Z_ELT) == D2 * Z_ELT * D2.inverse()
 
 
 def test_m_is_conjugate_of_mon0():
-    M, M0 = m_endo(), mon0()
     c = D0 * D1
     for w in words(100):
-        assert M(w) == c.inverse() * M0(w) * c
+        assert m_endo(w) == c.inverse() * mon0(w) * c
 
 
 def test_automorphism_inverses():
-    pairs = [(mon0(), mon0_inverse()), (mon1(), mon1_inverse())]
+    pairs = [(mon0, mon0_inverse), (mon1, mon1_inverse)]
     for f, finv in pairs:
         for g in Gen:
-            assert finv(f.of_gen(g)) == Word.gen(g)
+            assert finv(f.images[g]) == Word.gen(g)
         for w in words(100, max_len=30):
             assert finv(f(w)) == w
             assert f(finv(w)) == w
@@ -140,21 +137,20 @@ def test_exponent_sums():
 
 
 def test_projection():
-    assert project_mod_gamma_subgroup(mon1()(D2)) == D2
+    assert project_mod_gamma_subgroup(mon1(D2)) == D2
     assert project_mod_gamma_subgroup(D0) == (D1 * D2 * D3).inverse()
     assert project_mod_gamma_subgroup(G).is_identity()
     assert project_mod_gamma_subgroup(DELTA).is_identity()
     for w in words(100):
-        assert project_mod_gamma_subgroup(mon1()(w)) == project_mod_gamma_subgroup(w)
+        assert project_mod_gamma_subgroup(mon1(w)) == project_mod_gamma_subgroup(w)
 
 
 def test_abelianize():
     assert abelianize(v_k(2)) == (0, 0, 0, 0, 0)
     assert abelianize(DELTA) == (0, 1, 1, 1, 1)
-    M = m_endo()
     w = G
     for i in range(1, 7):
-        w = M(w)
+        w = m_endo(w)
         expected = tuple(a + i * b for a, b in zip(abelianize(G), abelianize(DELTA)))
         assert abelianize(w) == expected
     for u, v in zip(words(30), words(30)):
@@ -197,6 +193,28 @@ def test_parser_refuses_a_word_too_long_to_expand():
                  "d1^262144 d1", nested):
         with pytest.raises(WordSyntaxError, match="too large"):
             parse_word(text)
+
+
+def test_a_word_nested_too_deep_is_a_usage_error(capsys):
+    # a thousand parentheses outrun the recursion limit: an error line and
+    # exit code 2, as for any other malformed word, not a traceback
+    assert main(["orbit", "project", "--word", "(" * 1000 + "d0" + ")" * 1000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: nesting too deep (at position")
+
+
+def test_the_variation_builds_no_endomorphism(monkeypatch):
+    # mon0, mon1, their inverses and M are values built once at import
+    built, init = [], words_module.Endo.__init__
+
+    def counted(self, images):
+        built.append(images)
+        init(self, images)
+
+    monkeypatch.setattr(words_module.Endo, "__init__", counted)
+    var_iterate(5)
+    variation_mod_k_identities(5)
+    assert built == []
 
 
 def test_variation_mod_k_identities():
